@@ -1,94 +1,48 @@
-"""Hot numeric kernels for the brute-force scans.
+"""The exact scan kernel of the asymptotic-direction oracle.
 
-The grid scan over tangent directions times normal-direction angles is the
-only part of the package where runtime matters.  The default path is a numba
-nopython kernel; setting ``CURVPAR_NO_NUMBA=1`` (or running without numba
-installed) selects a chunked pure-numpy implementation instead.  Both paths
-are deterministic and agree to machine precision.
+Per tangent sample the oracle scores the pair of plane vectors ``p``, ``q``
+by ``min over unit nu of max(|p . nu|, |q . nu|)``.  Each branch ``|p . nu|``
+is a rectified cosine on the circle, so the minimum of their maximum sits
+where one branch vanishes or where the two branches cross: at ``nu``
+orthogonal to ``p``, ``q``, ``p - q`` or ``p + q``.  Scoring those four
+candidates gives the exact minimum.  The candidates come from ``p`` and
+``q`` alone, never from the closed-form quadratic the oracle checks.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+# candidate directions per tangent sample
+N_CANDIDATES = 4
 
 
-def numba_enabled() -> bool:
-    if not HAVE_NUMBA:
-        return False
-    return os.environ.get("CURVPAR_NO_NUMBA", "") not in ("1", "true", "yes")
-
-
-@njit(cache=True)
-def _scan_scores_numba(p1, p2, q1, q2, cos_t, sin_t):  # pragma: no cover - jit
-    n = p1.shape[0]
-    m = cos_t.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        best = 1e300
-        a1 = p1[i]
-        a2 = p2[i]
-        b1 = q1[i]
-        b2 = q2[i]
-        for k in range(m):
-            c = cos_t[k]
-            s = sin_t[k]
-            v1 = abs(a1 * c + a2 * s)
-            v2 = abs(b1 * c + b2 * s)
-            v = v1 if v1 > v2 else v2
-            if v < best:
-                best = v
-        out[i] = best
-    return out
-
-
-def _scan_scores_numpy(p1, p2, q1, q2, cos_t, sin_t, chunk: int = 4096):
-    n = p1.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        v1 = np.abs(np.outer(p1[start:stop], cos_t) + np.outer(p2[start:stop], sin_t))
-        v2 = np.abs(np.outer(q1[start:stop], cos_t) + np.outer(q2[start:stop], sin_t))
-        out[start:stop] = np.maximum(v1, v2).min(axis=1)
-    return out
-
-
-def scan_scores(p1, p2, q1, q2, n_angles: int, force: str | None = None) -> np.ndarray:
-    """min over an angle grid of max(|p . nu|, |q . nu|) per tangent sample.
+def scan_scores(p1, p2, q1, q2, n) -> np.ndarray:
+    """min over unit nu of max(|p . nu|, |q . nu|) per tangent sample, exactly.
 
     ``(p1, p2)`` and ``(q1, q2)`` are the plane coordinates of the two
-    bilinear-form values at each grid direction; ``nu`` runs over
-    ``n_angles`` unit directions of the plane.  ``force`` overrides the
-    numba/numpy selection ("numba" or "numpy"); tests and the benchmark use
-    it, everything else follows the environment flag.
+    bilinear-form values at each tangent sample.  ``n`` is the number of
+    directions scored per sample, kept in the signature for the benchmark's
+    tracer, which counts ``len(p1) * n`` evaluations; it does not change the
+    result.
+
+    For a candidate ``w`` the unit normal is ``nu = (w2, -w1) / |w|``, so
+    ``p . nu`` is the cross product ``p1 w2 - p2 w1`` over ``|w|``.  Taking
+    the cross product first keeps ``p = +-q`` at exactly 0 for ``w = p``,
+    where unit normals would leave rounding error.  A zero candidate
+    (``p = 0``, ``q = 0`` or ``p = +-q``) is replaced by
+    ``nu = (1, 0)``: any unit direction bounds the minimum from above, and
+    in each of those cases another candidate, or every direction when
+    ``p = q = 0``, reaches the true minimum.
     """
-    angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
-    cos_t = np.cos(angles)
-    sin_t = np.sin(angles)
-    args = (
-        np.ascontiguousarray(p1, dtype=np.float64),
-        np.ascontiguousarray(p2, dtype=np.float64),
-        np.ascontiguousarray(q1, dtype=np.float64),
-        np.ascontiguousarray(q2, dtype=np.float64),
-        cos_t,
-        sin_t,
-    )
-    if force == "numba" or (force is None and numba_enabled()):
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba requested but not installed")
-        return _scan_scores_numba(*args)
-    return _scan_scores_numpy(*args)
+    p1, p2, q1, q2 = (np.asarray(a, dtype=np.float64) for a in (p1, p2, q1, q2))
+    best = np.full(p1.shape, np.inf)
+    for w1, w2 in ((p1, p2), (q1, q2), (p1 - q1, p2 - q2), (p1 + q1, p2 + q2)):
+        norm = np.hypot(w1, w2)
+        zero = norm == 0.0
+        w2 = np.where(zero, 1.0, w2)
+        norm[zero] = 1.0
+        worst = np.maximum(np.abs(p1 * w2 - p2 * w1), np.abs(q1 * w2 - q2 * w1))
+        worst /= norm
+        np.minimum(best, worst, out=best)
+    return best

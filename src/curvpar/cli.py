@@ -42,6 +42,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _sample_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="curvpar", description="Second-order geometry of corank-1 germs in R^4")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -69,12 +79,12 @@ def build_parser() -> _Parser:
     p_sw = sub.add_parser("sweep", help="sweep one template parameter, emit a CSV summary")
     add_common(p_sw, verify_flag=False)
     p_sw.add_argument("--range", nargs=2, metavar=("LO", "HI"), required=True)
-    p_sw.add_argument("--samples", type=int, default=11)
+    p_sw.add_argument("--samples", type=_sample_count, default=11)
 
     p_pd = sub.add_parser("plotdata", help="write parabola/cone (and ellipse) sample CSVs")
     add_common(p_pd, verify_flag=False)
     p_pd.add_argument("--range", nargs=2, metavar=("LO", "HI"), default=("-5", "5"))
-    p_pd.add_argument("--samples", type=int, default=401)
+    p_pd.add_argument("--samples", type=_sample_count, default=401)
     p_pd.add_argument("--ellipse", action="store_true", help="also write ellipse samples")
 
     return parser

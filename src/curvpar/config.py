@@ -7,6 +7,8 @@ override any of them.  Exact-rational inputs bypass the tolerances entirely.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import dataclass, fields, replace
 
 
@@ -23,7 +25,6 @@ class Tolerances:
     # oracle scan: grid extent, point counts and marking thresholds
     scan_window: float = 50.0
     scan_points: int = 100_000
-    scan_nu_grid: int = 720
     scan_zero_tol: float = 1e-6
     scan_saturation: float = 0.99
     # finite-difference step for the Hessian oracle
@@ -33,14 +34,32 @@ class Tolerances:
     oracle_root_tol: float = 1e-3
     oracle_hessian_tol: float = 1e-6
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+                raise ValueError(f"{f.name} must be a finite non-negative number, got {value!r}")
+
     def updated(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)
 
     @classmethod
     def from_file(cls, path) -> "Tolerances":
-        """Load overrides from a JSON file; unknown keys are rejected."""
+        """Load overrides from a JSON file; unknown keys are rejected.
+
+        ``scan_nu_grid``, the angle count of the former grid scan, is
+        accepted with a ``DeprecationWarning`` and ignored: the scan now
+        takes the exact minimum.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if "scan_nu_grid" in data:
+            del data["scan_nu_grid"]
+            warnings.warn(
+                f"{path}: scan_nu_grid is deprecated and ignored; the scan is exact",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         known = {f.name for f in fields(cls)}
         bad = set(data) - known
         if bad:

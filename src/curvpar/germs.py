@@ -345,6 +345,12 @@ class MapGermR4:
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([()+\-*/^,]))")
 
+# Bounds that keep hostile input from exhausting the stack or the memory:
+# parentheses nest at most MAX_NESTING deep, and an exponent above
+# MAX_EXPONENT is refused before the power is expanded.
+MAX_NESTING = 100
+MAX_EXPONENT = 64
+
 
 def _tokenize(text: str):
     tokens = []
@@ -373,6 +379,7 @@ class _Parser:
         self.params = params or {}
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -426,7 +433,10 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            base = base ** int(tok[1])
+            exponent = int(tok[1])
+            if exponent > MAX_EXPONENT:
+                raise GermParseError(f"exponent {exponent} exceeds {MAX_EXPONENT}", tok[2])
+            base = base**exponent
         return base
 
     def parse_base(self) -> TruncatedPoly2:
@@ -449,8 +459,12 @@ class _Parser:
                 return TruncatedPoly2.const(self.params[value], self.order)
             raise GermParseError(f"unbound name {value!r}", pos)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise GermParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise GermParseError(f"unexpected token {value!r}", pos)
 

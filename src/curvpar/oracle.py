@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import scan_scores
+from ._kernels import N_CANDIDATES, scan_scores
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
 
@@ -96,25 +96,43 @@ def _cluster_roots(candidates, gap: float):
     return tuple(centers)
 
 
-def asymptotic_scan(
-    sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL, force_kernel: str | None = None
-) -> ScanResult:
+def _root_candidates(ys, det, marked):
+    """Candidate roots of the collinearity determinant along the grid.
+
+    Sign changes give linearly interpolated (precise) roots and exact zeros
+    give precise grid roots.  Touching roots, where |det| dips to the scale
+    of the discrete second difference without a sign change, and grid points
+    marked by the scan give coarse candidates.  Returns ``(y, precise)``
+    pairs.
+    """
+    h = ys[1] - ys[0]
+    signs = np.sign(det)
+    i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    crossings = ys[i] - det[i] * h / (det[i + 1] - det[i])
+    absdet = np.abs(det)
+    mid = absdet[1:-1]
+    dd = np.abs(det[2:] - 2.0 * det[1:-1] + det[:-2])
+    touching = (mid <= absdet[:-2]) & (mid <= absdet[2:]) & (mid <= 0.3 * dd) & (dd > 0)
+    precise = np.concatenate((crossings, ys[signs == 0]))
+    coarse = np.concatenate((ys[1:-1][touching], ys[marked]))
+    return [(y, True) for y in precise.tolist()] + [(y, False) for y in coarse.tolist()]
+
+
+def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanResult:
     """Grid-scan estimate of the asymptotic parameter set.
 
-    Over a uniform parameter grid the scan evaluates, per tangent direction,
-    the minimum over a unit-direction grid of the plane of the largest
+    Over a uniform parameter grid the scan scores each tangent direction by
+    the exact minimum over unit directions of the plane of the largest
     bilinear-form value against the basis tangent vectors.  Saturation of the
     zero threshold means every direction is asymptotic.  Isolated roots are
-    located from the collinearity determinant along the grid: sign changes
-    give simple roots, near-zero local minima compared against the discrete
-    second difference give touching (double) roots.
+    located from the collinearity determinant along the grid (see
+    ``_root_candidates``).
     """
     lp = ep.to_plane_coords(sf.L)
     mp = ep.to_plane_coords(sf.M)
     np_ = ep.to_plane_coords(sf.N)
 
-    n = tol.scan_points
-    ys = np.linspace(-tol.scan_window, tol.scan_window, n)
+    ys = np.linspace(-tol.scan_window, tol.scan_window, tol.scan_points)
     h = ys[1] - ys[0]
 
     # plane coordinates of II((1,y), v) for the two basis tangent vectors v
@@ -123,21 +141,12 @@ def asymptotic_scan(
     q1 = mp[0] + np_[0] * ys
     q2 = mp[1] + np_[1] * ys
 
-    scores = scan_scores(p1, p2, q1, q2, tol.scan_nu_grid, force=force_kernel)
+    scores = scan_scores(p1, p2, q1, q2, N_CANDIDATES)
     marked = scores <= tol.scan_zero_tol
     fraction = float(marked.mean())
 
     # the null tangent direction (0, 1)
-    inf_score = float(
-        scan_scores(
-            np.array([mp[0]]),
-            np.array([mp[1]]),
-            np.array([np_[0]]),
-            np.array([np_[1]]),
-            tol.scan_nu_grid,
-            force=force_kernel,
-        )[0]
-    )
+    inf_score = float(scan_scores([mp[0]], [mp[1]], [np_[0]], [np_[1]], N_CANDIDATES)[0])
     includes_infinity = inf_score <= tol.scan_zero_tol
 
     if fraction >= tol.scan_saturation:
@@ -146,28 +155,7 @@ def asymptotic_scan(
         )
 
     det = p1 * q2 - p2 * q1
-    candidates = []
-    signs = np.sign(det)
-    for i in range(n - 1):
-        if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-            y_root = ys[i] - det[i] * h / (det[i + 1] - det[i])
-            candidates.append((float(y_root), True))
-        elif signs[i] == 0:
-            candidates.append((float(ys[i]), True))
-    if signs[-1] == 0:
-        candidates.append((float(ys[-1]), True))
-    # touching roots: |det| dips to second-difference scale without a sign change
-    absdet = np.abs(det)
-    dd = np.abs(det[2:] - 2.0 * det[1:-1] + det[:-2])
-    for i in range(1, n - 1):
-        if absdet[i] <= absdet[i - 1] and absdet[i] <= absdet[i + 1]:
-            if absdet[i] <= 0.3 * dd[i - 1] and dd[i - 1] > 0:
-                candidates.append((float(ys[i]), False))
-    # marked grid points contribute coarse candidates as well
-    for i in np.flatnonzero(marked):
-        candidates.append((float(ys[i]), False))
-
-    clusters = _cluster_roots(candidates, gap=20.0 * h)
+    clusters = _cluster_roots(_root_candidates(ys, det, marked), gap=20.0 * h)
     return ScanResult(
         kind="finite",
         clusters=clusters,

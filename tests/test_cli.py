@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from curvpar.cli import main
+from curvpar.config import DEFAULT_TOL, Tolerances
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +103,65 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown tolerance" in err
+
+
+def test_config_rejects_non_finite_and_negative_values(tmp_path, capsys):
+    cfg = tmp_path / "tol.json"
+    for bad in ("NaN", "Infinity", "-1e-3", '"1e-9"'):
+        cfg.write_text('{"eps_rank": %s}' % bad)
+        code, out, err = run_cli(
+            capsys, "analyze", "--germ", "(x, x*y, y^2, y^5)", "--config", str(cfg)
+        )
+        assert code == 1 and out == "", bad
+        assert "eps_rank must be a finite non-negative number" in err
+
+
+def test_config_ignores_deprecated_scan_nu_grid(tmp_path):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"scan_nu_grid": 720, "eps_rank": 1e-8}))
+    with pytest.warns(DeprecationWarning, match="scan_nu_grid"):
+        tol = Tolerances.from_file(cfg)
+    assert tol == DEFAULT_TOL.updated(eps_rank=1e-8)
+
+
+@pytest.mark.parametrize("flag", ["--eps-rank", "--eps-jet", "--eps-disc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-3"])
+def test_tolerance_flags_reject_non_finite_and_negative(capsys, flag, value):
+    code, out, err = run_cli(capsys, "analyze", "--germ", "(x, x*y, y^2, y^5)", f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert "finite non-negative" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "plotdata"])
+def test_negative_sample_count_exits_1(tmp_path, capsys, command):
+    code, out, err = run_cli(
+        capsys,
+        command,
+        "--germ",
+        "(x, x*y, t*x^2 + y^2, 0)",
+        "--range",
+        "0",
+        "1",
+        "--samples",
+        "-3",
+        "--out",
+        str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert out == "" and not (tmp_path / "out").exists()
+    assert "non-negative integer" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(x, " + "(" * 3000 + "y" + ")" * 3000 + ", 0, 0)", "(x, (1/3+x)^10000000, y^2, 0)"],
+)
+def test_hostile_germ_text_exits_1(capsys, text):
+    code, out, err = run_cli(capsys, "analyze", "--germ", text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: parse error")
 
 
 def test_sweep_ik_family(tmp_path, capsys):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvpar.germs import (
+    MAX_EXPONENT,
+    MAX_NESTING,
     GermParseError,
     MapGermR4,
     TruncatedPoly2,
@@ -68,6 +70,20 @@ def test_parse_rejects_low_order():
 def test_parse_rejects_unbound_name():
     with pytest.raises(GermParseError, match="unbound"):
         parse_map_germ("(x, t*y^2, 0, 0)", order=4)
+
+
+def test_parse_refuses_deep_nesting():
+    ok = "(x, " + "(" * MAX_NESTING + "y^2" + ")" * MAX_NESTING + ", 0, 0)"
+    assert parse_map_germ(ok).components[1].coefficient(0, 2) == 1
+    deep = "(x, " + "(" * 3000 + "y" + ")" * 3000 + ", 0, 0)"
+    with pytest.raises(GermParseError, match="nested deeper"):
+        parse_map_germ(deep)
+
+
+def test_parse_refuses_large_exponent():
+    assert parse_map_germ(f"(x, (1+y)^{MAX_EXPONENT} - 1, 0, 0)").order == 6
+    with pytest.raises(GermParseError, match="exponent 10000000 exceeds"):
+        parse_map_germ("(x, (1/3+x)^10000000, y^2, 0)")
 
 
 def test_template_parameters_and_binding():

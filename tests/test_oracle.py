@@ -1,17 +1,25 @@
-"""Brute-force verifiers and the scan kernels."""
+"""Brute-force verifiers and the scan kernel."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from curvpar._kernels import HAVE_NUMBA, numba_enabled, scan_scores
+from curvpar._kernels import N_CANDIDATES, scan_scores
 from curvpar.adapt import adapt
 from curvpar.config import DEFAULT_TOL
 from curvpar.forms import second_form
 from curvpar.heights import height_hessian
-from curvpar.oracle import affine_hull_distance, asymptotic_scan, finite_difference_hessian
+from curvpar.oracle import (
+    _root_candidates,
+    affine_hull_distance,
+    asymptotic_scan,
+    finite_difference_hessian,
+)
 from curvpar.parabola import build_parabola
 
 from conftest import germ
+from golden import GOLDEN_GERMS
 
 
 def test_affine_hull_distance_parabola_plane():
@@ -35,11 +43,11 @@ def test_affine_hull_needs_three_points():
         affine_hull_distance([np.zeros(3), np.ones(3)])
 
 
-def scan_for(text, order=6, force=None):
+def scan_for(text, order=6):
     ad = adapt(germ(text, order=order))
     sf = second_form(ad)
     pp = build_parabola(sf)
-    return asymptotic_scan(sf, pp.ep, DEFAULT_TOL, force_kernel=force)
+    return asymptotic_scan(sf, pp.ep, DEFAULT_TOL)
 
 
 def test_scan_hyperbolic_clusters():
@@ -97,28 +105,95 @@ def test_fd_hessian_matches_closed_form(rng):
         assert np.max(np.abs(closed - fd)) < 1e-6
 
 
-# -- kernel selection -------------------------------------------------------
+# -- the exact scan kernel ---------------------------------------------------
 
 
-def test_numpy_and_numba_paths_agree(rng):
-    n = 5000
-    p1, p2, q1, q2 = (rng.normal(size=n) for _ in range(4))
-    via_numpy = scan_scores(p1, p2, q1, q2, 360, force="numpy")
-    if HAVE_NUMBA:
-        via_numba = scan_scores(p1, p2, q1, q2, 360, force="numba")
-        assert np.max(np.abs(via_numpy - via_numba)) < 1e-14
+def random_pairs(rng, n):
+    scale = 10.0 ** rng.uniform(-3, 3, size=n)
+    return tuple(scale * rng.normal(size=n) for _ in range(4))
 
 
-def test_env_flag_disables_numba(monkeypatch):
-    monkeypatch.setenv("CURVPAR_NO_NUMBA", "1")
-    assert not numba_enabled()
-    monkeypatch.delenv("CURVPAR_NO_NUMBA")
-    assert numba_enabled() == HAVE_NUMBA
+def grid_scores(p1, p2, q1, q2, n_angles=720):
+    angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
+    c, s = np.cos(angles), np.sin(angles)
+    v1 = np.abs(np.outer(p1, c) + np.outer(p2, s))
+    v2 = np.abs(np.outer(q1, c) + np.outer(q2, s))
+    return np.maximum(v1, v2).min(axis=1)
 
 
-def test_scan_deterministic_across_kernels():
-    a = scan_for("(x, x*y, y^2 + x^2, 0)", order=4, force="numpy")
-    if HAVE_NUMBA:
-        b = scan_for("(x, x*y, y^2 + x^2, 0)", order=4, force="numba")
-        assert a.clusters == b.clusters
-        assert a.kind == b.kind
+def test_kernel_equals_closed_form_minimum(rng):
+    p1, p2, q1, q2 = random_pairs(rng, 20_000)
+    expected = np.abs(p1 * q2 - p2 * q1) / np.maximum(
+        np.hypot(p1 + q1, p2 + q2), np.hypot(p1 - q1, p2 - q2)
+    )
+    got = scan_scores(p1, p2, q1, q2, N_CANDIDATES)
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+    # the direction count is bookkeeping only
+    assert np.array_equal(scan_scores(p1, p2, q1, q2, 720), got)
+
+
+def test_kernel_never_above_angle_grid(rng):
+    p1, p2, q1, q2 = random_pairs(rng, 2_000)
+    exact = scan_scores(p1, p2, q1, q2, N_CANDIDATES)
+    grid = grid_scores(p1, p2, q1, q2)
+    assert np.all(exact <= grid * (1.0 + 1e-12))
+    # the nearest of 720 angles lies within pi / 720 of the exact minimiser
+    reach = np.maximum(np.hypot(p1, p2), np.hypot(q1, q2))
+    assert np.all(grid <= exact + np.pi / 720 * reach)
+
+
+def test_kernel_degenerate_pairs_score_zero(rng):
+    p1, p2 = rng.normal(size=8), rng.normal(size=8)
+    zero = np.zeros(8)
+    cases = {
+        "p = 0": (zero, zero, p1, p2),
+        "q = 0": (p1, p2, zero, zero),
+        "p = q": (p1, p2, p1, p2),
+        "p = -q": (p1, p2, -p1, -p2),
+        "all zero": (zero, zero, zero, zero),
+    }
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for name, args in cases.items():
+            got = scan_scores(*args, N_CANDIDATES)
+            assert np.array_equal(got, zero), name
+
+
+def _loop_candidates(ys, det, marked):
+    """The per-point loops that _root_candidates replaced, kept as its reference."""
+    n = len(ys)
+    h = ys[1] - ys[0]
+    candidates = []
+    signs = np.sign(det)
+    for i in range(n - 1):
+        if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
+            y_root = ys[i] - det[i] * h / (det[i + 1] - det[i])
+            candidates.append((float(y_root), True))
+        elif signs[i] == 0:
+            candidates.append((float(ys[i]), True))
+    if signs[-1] == 0:
+        candidates.append((float(ys[-1]), True))
+    absdet = np.abs(det)
+    dd = np.abs(det[2:] - 2.0 * det[1:-1] + det[:-2])
+    for i in range(1, n - 1):
+        if absdet[i] <= absdet[i - 1] and absdet[i] <= absdet[i + 1]:
+            if absdet[i] <= 0.3 * dd[i - 1] and dd[i - 1] > 0:
+                candidates.append((float(ys[i]), False))
+    for i in np.flatnonzero(marked):
+        candidates.append((float(ys[i]), False))
+    return candidates
+
+
+def test_root_candidates_match_loop_version_on_golden_corpus():
+    tol = DEFAULT_TOL
+    ys = np.linspace(-tol.scan_window, tol.scan_window, tol.scan_points)
+    for text, order in GOLDEN_GERMS:
+        sf = second_form(adapt(germ(text, order=order)))
+        ep = build_parabola(sf).ep
+        lp, mp, np_ = (ep.to_plane_coords(v) for v in (sf.L, sf.M, sf.N))
+        p1, p2 = lp[0] + mp[0] * ys, lp[1] + mp[1] * ys
+        q1, q2 = mp[0] + np_[0] * ys, mp[1] + np_[1] * ys
+        marked = scan_scores(p1, p2, q1, q2, N_CANDIDATES) <= tol.scan_zero_tol
+        det = p1 * q2 - p2 * q1
+        got = sorted(_root_candidates(ys, det, marked))
+        assert got == sorted(_loop_candidates(ys, det, marked)), text
