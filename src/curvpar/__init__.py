@@ -34,7 +34,6 @@ from .germs import (
     Jet2,
     MapGermR4,
     TruncatedPoly2,
-    differentiate,
     extract_jet2,
     parse_map_germ,
     parse_poly,

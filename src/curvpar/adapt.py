@@ -35,9 +35,11 @@ class AdaptedGerm:
 
     ``tangent_frame`` spans the tangent line and ``normal_frame`` (three rows)
     the normal hyperplane, both in the coordinates of the input germ.
-    ``target_rotation @ input  composed with  source_change`` reproduces
-    ``germ``; for already-prenormal input everything is the identity and
-    ``exact`` is True.
+    For already-prenormal input everything is the identity, ``germ`` is the
+    input at its full order and ``exact`` is True.  Otherwise ``germ`` and
+    ``source_change`` are 2-jets: ``target_rotation @ input  composed with
+    source_change`` reproduces ``germ`` up to degree 2, which determines the
+    whole second-order geometry.
     """
 
     germ: MapGermR4
@@ -94,7 +96,10 @@ def _invert_first_component(comp, order: int, scale: float):
 def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     """Normalize a corank-1 germ to prenormal form with witnessing changes.
 
-    Raises ``CorankError`` when the Jacobian rank at the origin is not 1.
+    Non-prenormal input is adapted as its 2-jet: every closed form reads only
+    the degree-2 coefficients, and a source change or rotation does not mix
+    higher degrees into them.  Raises ``CorankError`` when the Jacobian rank
+    at the origin is not 1.
     """
     rank = check_corank(f)
     if rank != 1:
@@ -103,7 +108,8 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     if f.is_prenormal():
         return _identity_adaptation(f)
 
-    order = f.order
+    order = min(f.order, 2)
+    f = MapGermR4([p.truncate(order) for p in f.components])
     jac = np.array([[float(v) for v in row] for row in f.jacobian_at_origin()])
     # rank-1 factorization: J = sigma * w r^T with u = first right singular vector
     u_svd, s_svd, vt_svd = np.linalg.svd(jac)

@@ -39,6 +39,9 @@ class Tolerances:
             value = getattr(self, f.name)
             if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
                 raise ValueError(f"{f.name} must be a finite non-negative number, got {value!r}")
+        # the scan needs a grid spacing, so at least two grid points
+        if not isinstance(self.scan_points, int) or self.scan_points < 2:
+            raise ValueError(f"scan_points must be an integer of at least 2, got {self.scan_points!r}")
 
     def updated(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

@@ -19,7 +19,6 @@ __all__ = [
     "Jet2",
     "parse_map_germ",
     "parse_poly",
-    "differentiate",
     "template_parameters",
     "extract_jet2",
 ]
@@ -198,11 +197,6 @@ class TruncatedPoly2:
     def truncate(self, order: int) -> "TruncatedPoly2":
         return TruncatedPoly2(self.coeffs, min(self.order, order))
 
-    def drop_below(self, threshold: float) -> "TruncatedPoly2":
-        return TruncatedPoly2(
-            {k: c for k, c in self.coeffs.items() if abs(c) > threshold}, self.order
-        )
-
     # -- printing -----------------------------------------------------
 
     @staticmethod
@@ -347,9 +341,13 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([()+\-*/^,]))")
 
 # Bounds that keep hostile input from exhausting the stack or the memory:
 # parentheses nest at most MAX_NESTING deep, and an exponent above
-# MAX_EXPONENT is refused before the power is expanded.
+# MAX_EXPONENT is refused before the power is expanded.  Nested powers
+# multiply the size of the coefficients at each level, so a power is also
+# refused when the exponent times the largest numerator or denominator bit
+# length of its base exceeds MAX_POWER_BITS.
 MAX_NESTING = 100
 MAX_EXPONENT = 64
+MAX_POWER_BITS = 4096
 
 
 def _tokenize(text: str):
@@ -436,6 +434,19 @@ class _Parser:
             exponent = int(tok[1])
             if exponent > MAX_EXPONENT:
                 raise GermParseError(f"exponent {exponent} exceeds {MAX_EXPONENT}", tok[2])
+            bits = max(
+                (
+                    max(q.numerator.bit_length(), q.denominator.bit_length())
+                    for q in map(Fraction, base.coeffs.values())
+                ),
+                default=0,
+            )
+            if exponent * bits > MAX_POWER_BITS:
+                raise GermParseError(
+                    f"power of {bits}-bit coefficients to exponent {exponent} exceeds "
+                    f"{MAX_POWER_BITS} bits",
+                    tok[2],
+                )
             base = base**exponent
         return base
 
@@ -496,11 +507,6 @@ def parse_map_germ(text: str, order: int = 6, params=None) -> MapGermR4:
                 "the germ must vanish at the origin"
             )
     return MapGermR4(comps)
-
-
-def differentiate(p: TruncatedPoly2, var: str) -> TruncatedPoly2:
-    """Formal partial derivative with respect to "x" or "y"."""
-    return p.diff(var)
 
 
 def template_parameters(text: str):

@@ -23,7 +23,6 @@ __all__ = [
     "collinear3",
     "unit",
     "rank3",
-    "nullspace",
     "orthonormal_extension",
     "householder_rotation_to_e1",
     "cross4",
@@ -117,17 +116,6 @@ def rank3(rows, eps: float) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > eps * s[0]))
-
-
-def nullspace(rows, eps: float) -> np.ndarray:
-    """Orthonormal basis (rows) of the null space of a small matrix."""
-    arr = np.asarray([[float(v) for v in row] for row in rows], dtype=float)
-    n = arr.shape[1]
-    if not arr.size or not np.any(arr):
-        return np.eye(n)
-    u, s, vt = np.linalg.svd(arr)
-    rank = int(np.sum(s > eps * s[0]))
-    return vt[rank:]
 
 
 def orthonormal_extension(vectors, dim: int) -> np.ndarray:

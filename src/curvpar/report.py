@@ -37,6 +37,7 @@ from .heights import (
     cone_parabola_orthogonality,
     corank2_conditions,
     degeneracy_cone,
+    height_hessian,
 )
 from .oracle import VerificationReport, asymptotic_scan, finite_difference_hessian
 from .parabola import (
@@ -276,17 +277,22 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
             scan.includes_infinity == res.aset.includes_infinity,
         )
 
-    import numpy as _np
-
-    from .heights import height_hessian
-
+    # The FD Hessian is taken on the input germ, at its full order, so that it
+    # also checks the adaptation.  The height along n vanishes to first order
+    # (n is normal to the tangent line), so its Hessian at the origin pulls
+    # back through the linear part ``lin`` of the source change as a tensor.
+    rot = res.adapted.target_rotation
+    lin = np.array(
+        [[float(p.coefficient(1, 0)), float(p.coefficient(0, 1))] for p in res.adapted.source_change]
+    )
     worst = 0.0
     for nu in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5773502691896258,) * 3):
-        closed = _np.array(
+        closed = np.array(
             [[float(v) for v in row] for row in height_hessian(res.sf, nu)]
         )
-        fd = finite_difference_hessian(res.adapted, _np.concatenate(([0.0], nu)), tol)
-        worst = max(worst, float(_np.max(_np.abs(closed - fd))))
+        n = rot.T @ np.concatenate(([0.0], nu))
+        fd = lin.T @ finite_difference_hessian(res.germ, n, tol) @ lin
+        worst = max(worst, float(np.max(np.abs(closed - fd))))
     vr.add("height_hessian_vs_fd", 0.0, worst, tol.oracle_hessian_tol, worst <= tol.oracle_hessian_tol)
 
     lift_matches = all(

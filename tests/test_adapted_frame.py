@@ -9,6 +9,7 @@ from curvpar.adapt import CorankError, adapt, check_corank
 from curvpar.forms import second_form
 from curvpar.germs import extract_jet2
 from curvpar.parabola import build_parabola, classify_two_jet
+from curvpar.report import analyze_germ
 
 from conftest import germ, random_rotation, transform_germ
 
@@ -103,3 +104,22 @@ def test_adapted_invariants_transported(rng):
     assert base_profile.orbit == moved_profile.orbit
     assert base_profile.stratum == moved_profile.stratum
     assert base_profile.shape.kind == moved_profile.shape.kind
+
+
+def test_adapt_returns_the_2_jet_of_non_prenormal_input(rng):
+    base = germ("(x + y^2, x*y + y^4, y^2 - x^5, x^2 + x^3*y)")
+    ad = adapt(transform_germ(base, random_rotation(rng, 2), random_rotation(rng, 4)))
+    assert ad.germ.order == 2
+    assert all(p.order == 2 for p in ad.source_change)
+
+
+def test_moved_germ_report_independent_of_jet_order(rng):
+    text = "(x, x*y + y^3, y^2 + x^2 - x^4, 2*x^2 + x*y^5)"
+    src, tgt = random_rotation(rng, 2), random_rotation(rng, 4)
+    reports = []
+    for order in (3, 6, 10):
+        report = analyze_germ(transform_germ(germ(text, order=order), src, tgt)).report
+        del report["input"]
+        reports.append(report)
+    assert reports[0]["parabola"]["stratum"] == "M3"
+    assert reports[0] == reports[1] == reports[2]

@@ -116,6 +116,17 @@ def test_config_rejects_non_finite_and_negative_values(tmp_path, capsys):
         assert "eps_rank must be a finite non-negative number" in err
 
 
+@pytest.mark.parametrize("points", [1, 0, 2.5])
+def test_config_rejects_scan_points_below_two_or_fractional(tmp_path, capsys, points):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"scan_points": points}))
+    code, out, err = run_cli(
+        capsys, "verify", "--germ", "(x, x*y, y^2, 0)", "--config", str(cfg)
+    )
+    assert code == 1 and out == ""
+    assert "scan_points must be an integer of at least 2" in err
+
+
 def test_config_ignores_deprecated_scan_nu_grid(tmp_path):
     cfg = tmp_path / "tol.json"
     cfg.write_text(json.dumps({"scan_nu_grid": 720, "eps_rank": 1e-8}))
@@ -155,7 +166,12 @@ def test_negative_sample_count_exits_1(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "text",
-    ["(x, " + "(" * 3000 + "y" + ")" * 3000 + ", 0, 0)", "(x, (1/3+x)^10000000, y^2, 0)"],
+    [
+        "(x, " + "(" * 3000 + "y" + ")" * 3000 + ", 0, 0)",
+        "(x, (1/3+x)^10000000, y^2, 0)",
+        "(x, (((1/3+x)^64)^64)^64, y^2, 0)",
+        "(x, ((((1/3+x)^64)^64)^64)^64, y^2, 0)",
+    ],
 )
 def test_hostile_germ_text_exits_1(capsys, text):
     code, out, err = run_cli(capsys, "analyze", "--germ", text)

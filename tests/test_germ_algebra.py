@@ -1,5 +1,6 @@
 """Polynomial arithmetic, parsing, and 2-jet extraction."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from curvpar.germs import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_POWER_BITS,
     GermParseError,
     MapGermR4,
     TruncatedPoly2,
@@ -84,6 +86,25 @@ def test_parse_refuses_large_exponent():
     assert parse_map_germ(f"(x, (1+y)^{MAX_EXPONENT} - 1, 0, 0)").order == 6
     with pytest.raises(GermParseError, match="exponent 10000000 exceeds"):
         parse_map_germ("(x, (1/3+x)^10000000, y^2, 0)")
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+def test_parse_refuses_nested_powers_over_the_bit_budget(levels):
+    text = "(x, " + "(" * levels + "1/3+x" + ")^64" * levels + ", y^2, 0)"
+    t0 = time.perf_counter()
+    with pytest.raises(GermParseError, match=f"exceeds {MAX_POWER_BITS} bits"):
+        parse_map_germ(text)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_parse_power_bit_budget_boundary():
+    # exponent 64 times a 64-bit coefficient is exactly the budget
+    assert MAX_POWER_BITS == 64 * 64
+    assert parse_map_germ(f"(x, y^2 + ({2**63}*x + y)^64, 0, 0)").order == 6
+    with pytest.raises(GermParseError, match="65-bit coefficients to exponent 64"):
+        parse_map_germ(f"(x, y^2 + ({2**64}*x + y)^64, 0, 0)")
+    # moderate nested powers still expand exactly
+    assert parse_map_germ("(x, ((1+y)^8)^8 - 1, 0, 0)") == parse_map_germ("(x, (1+y)^64 - 1, 0, 0)")
 
 
 def test_template_parameters_and_binding():

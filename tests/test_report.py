@@ -1,10 +1,14 @@
 """Pipeline report: serialization, internal consistency, robustness."""
 
 import json
+from dataclasses import replace
 
-from curvpar.report import analyze_germ, fmt_float, render_json
+from curvpar.config import DEFAULT_TOL
+from curvpar.forms import second_form
+from curvpar.germs import MapGermR4, TruncatedPoly2
+from curvpar.report import analyze_germ, fmt_float, render_json, run_verification
 
-from conftest import germ, jet2_to_germ, random_jet2
+from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
 
 
 def test_fmt_float_12_significant_digits():
@@ -43,3 +47,20 @@ def test_analysis_on_higher_order_input():
     res = analyze_germ("(x, x*y + y^6, y^2 - x^5, y^5)", order=8)
     assert res.profile.shape.kind == "parabola"
     assert res.germ.order == 8
+
+
+def test_fd_hessian_oracle_checks_the_adaptation(rng):
+    # the oracle differentiates the input germ, so a wrong adapted 2-jet fails it
+    base = germ("(x, x*y + y^4, y^2 + x^2 - x^3*y, 2*x^2 + x^2*y^2)")
+    moved = transform_germ(base, [[1.3, 0.4], [-0.2, 0.9]], random_rotation(rng, 4))
+    res = analyze_germ(moved)
+
+    def hessian_check(r):
+        (check,) = [c for c in run_verification(r, DEFAULT_TOL).checks if c.name == "height_hessian_vs_fd"]
+        return check
+
+    assert hessian_check(res).passed
+    bump = TruncatedPoly2({(2, 0): 1e-3, (1, 1): 1e-3, (0, 2): 1e-3}, res.adapted.order)
+    comps = res.adapted.germ.components
+    adapted = replace(res.adapted, germ=MapGermR4([comps[0]] + [p + bump for p in comps[1:]]))
+    assert not hessian_check(replace(res, adapted=adapted, sf=second_form(adapted))).passed
