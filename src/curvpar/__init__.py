@@ -53,6 +53,7 @@ from .oracle import (
     affine_hull_distance,
     asymptotic_scan,
     finite_difference_hessian,
+    parabola_hull_distance,
 )
 from .parabola import (
     ParabolaProfile,

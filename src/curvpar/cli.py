@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -196,8 +197,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _csv_content(header, rows) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

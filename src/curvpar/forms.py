@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import rank3
+from .linalg import is_exact_scalar, rank3
 
 __all__ = ["FirstForm", "SecondForm", "first_form", "second_form", "II_along", "rank_second_form"]
 
@@ -57,8 +57,6 @@ class SecondForm:
 
     @property
     def is_exact(self) -> bool:
-        from .linalg import is_exact_scalar
-
         return all(is_exact_scalar(v) for row in self.matrix for v in row)
 
     # column views: the parabola eta(y) = L + 2 M y + N y^2 in frame coordinates

@@ -144,8 +144,9 @@ class TruncatedPoly2:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def diff(self, var: str) -> "TruncatedPoly2":
@@ -337,7 +338,9 @@ class MapGermR4:
 # ``ident`` covers sweep-template parameters bound through ``params``.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([()+\-*/^,]))")
+# The last group catches any other character, so that every non-blank
+# character of the input is either a token or reported at its position.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([()+\-*/^,])|(\S))")
 
 # Bounds that keep hostile input from exhausting the stack or the memory:
 # parentheses nest at most MAX_NESTING deep, and an exponent above
@@ -352,20 +355,16 @@ MAX_POWER_BITS = 4096
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            at = len(text) - len(stripped)
-            raise GermParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("ident", m.group(2), m.start(2)))
+    for m in _TOKEN_RE.finditer(text):
+        number, name, punct, other = m.groups()
+        if number is not None:
+            tokens.append(("int", number, m.start(1)))
+        elif name is not None:
+            tokens.append(("ident", name, m.start(2)))
+        elif punct is not None:
+            tokens.append((punct, punct, m.start(3)))
         else:
-            tokens.append((m.group(3), m.group(3), m.start(3)))
-        pos = m.end()
+            raise GermParseError(f"unexpected character {other!r}", m.start(4))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -406,18 +405,20 @@ class _Parser:
         return comps
 
     def parse_expr(self) -> TruncatedPoly2:
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            if self.advance()[0] == "-":
-                sign = -1
-        acc = self.parse_term()
-        if sign < 0:
-            acc = -acc
-        while self.peek()[0] in ("+", "-"):
+        # A coefficient that cancels is deleted at once: this keeps the key
+        # order of adding the terms as polynomials, which float sums follow.
+        acc = {}
+        op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
+        while True:
+            for key, c in self.parse_term().coeffs.items():
+                total = acc.get(key, 0) + c if op == "+" else acc.get(key, 0) - c
+                if total == 0:
+                    acc.pop(key, None)
+                else:
+                    acc[key] = total
+            if self.peek()[0] not in ("+", "-"):
+                return TruncatedPoly2(acc, self.order)
             op = self.advance()[0]
-            term = self.parse_term()
-            acc = acc + term if op == "+" else acc - term
-        return acc
 
     def parse_term(self) -> TruncatedPoly2:
         acc = self.parse_factor()

@@ -18,6 +18,7 @@ __all__ = [
     "dot3",
     "cross3",
     "vec_norm",
+    "float_vec",
     "scale_of",
     "vec_is_zero",
     "collinear3",
@@ -25,7 +26,6 @@ __all__ = [
     "rank3",
     "orthonormal_extension",
     "householder_rotation_to_e1",
-    "cross4",
     "subspace_distance",
 ]
 
@@ -54,6 +54,11 @@ def vec_norm(v) -> float:
     return math.sqrt(float(sum(float(c) * float(c) for c in v)))
 
 
+def float_vec(v) -> np.ndarray:
+    """The entries of a vector, exact or float, as a float array."""
+    return np.asarray([float(c) for c in v], dtype=float)
+
+
 def scale_of(*vecs) -> float:
     """Largest norm among the given vectors; the reference scale for zero tests."""
     return max((vec_norm(v) for v in vecs), default=0.0)
@@ -79,7 +84,7 @@ def collinear3(a, b, eps: float) -> bool:
 
 
 def unit(v) -> np.ndarray:
-    arr = np.asarray([float(c) for c in v], dtype=float)
+    arr = float_vec(v)
     n = np.linalg.norm(arr)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
@@ -148,7 +153,7 @@ def orthonormal_extension(vectors, dim: int) -> np.ndarray:
 
 def householder_rotation_to_e1(w) -> np.ndarray:
     """Rotation R (det +1) with R w = |w| e1, built from a Householder reflection."""
-    w = np.asarray([float(c) for c in w], dtype=float)
+    w = float_vec(w)
     n = w.shape[0]
     norm = np.linalg.norm(w)
     if norm == 0.0:
@@ -164,16 +169,6 @@ def householder_rotation_to_e1(w) -> np.ndarray:
     flip = np.eye(n)
     flip[-1, -1] = -1.0
     return flip @ h
-
-
-def cross4(a, b, c) -> np.ndarray:
-    """Generalized cross product in R^4: <w, cross4(a,b,c)> = det(w,a,b,c)."""
-    m = np.asarray([a, b, c], dtype=float)
-    out = np.empty(4)
-    for i in range(4):
-        cols = [j for j in range(4) if j != i]
-        out[i] = (-1.0) ** i * np.linalg.det(m[:, cols])
-    return out
 
 
 def subspace_distance(basis_a, basis_b) -> float:

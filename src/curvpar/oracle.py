@@ -15,12 +15,14 @@ import numpy as np
 from ._kernels import N_CANDIDATES, scan_scores
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
+from .linalg import float_vec
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
     "ScanResult",
     "affine_hull_distance",
+    "parabola_hull_distance",
     "asymptotic_scan",
     "finite_difference_hessian",
 ]
@@ -67,6 +69,19 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
         directions = vt[:rank]
     residual = centroid - directions.T @ (directions @ centroid)
     return float(np.linalg.norm(residual))
+
+
+def parabola_hull_distance(pp, tol: Tolerances = DEFAULT_TOL) -> float:
+    """``affine_hull_distance`` of the parabola trace sampled at 101 points of [-5, 5].
+
+    The samples are summed in the order of ``ParabolaProfile.eta``,
+    ``l + 2*m*y + n*y*y``, so each equals ``eta(y)`` bit for bit.
+    """
+    ys = np.linspace(-5.0, 5.0, 101)[:, None]
+    Lf = float_vec(pp.Lvec)
+    M2f = float_vec(2 * m for m in pp.Mvec)
+    Nf = float_vec(pp.Nvec)
+    return affine_hull_distance(Lf + M2f * ys + Nf * ys * ys, tol)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,15 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm, rank_second_form
 from .germs import Jet2
-from .linalg import collinear3, dot3, orthonormal_extension, scale_of, unit, vec_is_zero
+from .linalg import (
+    collinear3,
+    dot3,
+    float_vec,
+    orthonormal_extension,
+    scale_of,
+    unit,
+    vec_is_zero,
+)
 
 __all__ = [
     "ORBIT_PARABOLA",
@@ -154,10 +162,6 @@ def _decide_shape(L, M, N, tol: Tolerances) -> ParabolaShape:
     return ParabolaShape(kind="parabola")
 
 
-def _float_vec(v) -> np.ndarray:
-    return np.asarray([float(c) for c in v], dtype=float)
-
-
 def _plane_basis_from_normal(nu3: np.ndarray, forced: bool) -> PlaneBasis:
     """Canonical right-handed basis of the plane with unit normal nu3.
 
@@ -180,7 +184,7 @@ def _plane_basis_from_normal(nu3: np.ndarray, forced: bool) -> PlaneBasis:
 
 
 def _build_frames(L, M, N, shape: ParabolaShape, tol: Tolerances):
-    lf, mf, nf = _float_vec(L), _float_vec(M), _float_vec(N)
+    lf, mf, nf = float_vec(L), float_vec(M), float_vec(N)
     if shape.kind == "parabola":
         nu3 = unit(np.cross(mf, nf))
         ep = _plane_basis_from_normal(nu3, forced=True)

@@ -1,8 +1,8 @@
 """Umbilic curvature: distance from the singular point to the parabola's affine hull.
 
-Three closed forms cover the three shape families; every result also carries
-an independent least-squares estimate from sampled parabola points so the
-two can be cross-checked.
+Three closed forms cover the three shape families.  The independent
+least-squares estimate from sampled parabola points
+(``oracle.parabola_hull_distance``) runs only under verification.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
-from .linalg import cross3, dot3, scale_of, vec_norm
-from .oracle import affine_hull_distance
+from .linalg import cross3, dot3, float_vec, scale_of, vec_norm
 from .parabola import ParabolaProfile
 
 __all__ = ["UmbilicResult", "umbilic_curvature", "kappa_stratum_check"]
@@ -24,12 +23,7 @@ __all__ = ["UmbilicResult", "umbilic_curvature", "kappa_stratum_check"]
 class UmbilicResult:
     kappa_u: float
     formula_used: str      # nondegenerate_proj | halfline_det | point_distance
-    oracle_value: float
     is_zero: bool          # decided exactly on the rational path
-
-
-def _float_vec(v):
-    return np.asarray([float(c) for c in v], dtype=float)
 
 
 def _det3f(a, b, c) -> float:
@@ -52,7 +46,7 @@ def umbilic_curvature(
     scale = scale_of(pp.Lvec, pp.Mvec, pp.Nvec)
 
     if shape.kind == "parabola":
-        values = [abs(float(np.dot(_float_vec(pp.eta(y)), nu3))) for y in (-1.0, 0.0, 1.0)]
+        values = [abs(float(np.dot(float_vec(pp.eta(y)), nu3))) for y in (-1.0, 0.0, 1.0)]
         if max(values) - min(values) > 1e-10 * (1.0 + max(values)):
             raise RuntimeError(
                 "projection onto the plane normal is not constant along the parabola"
@@ -66,13 +60,13 @@ def umbilic_curvature(
     elif shape.kind in ("half_line", "line"):
         y = float(shape.vertex_param) + 1.0 if shape.kind == "half_line" else 0.0
         for _ in range(8):
-            velocity = _float_vec(pp.eta_prime(y))
+            velocity = float_vec(pp.eta_prime(y))
             if np.linalg.norm(velocity) >= 1e-12:
                 break
             y += 1.0
         else:
             raise RuntimeError("could not find a parameter with nonvanishing velocity")
-        point = _float_vec(pp.eta(y))
+        point = float_vec(pp.eta(y))
         kappa = abs(_det3f(point, velocity, nu3)) / float(np.linalg.norm(velocity))
         is_zero = bool(shape.radial) if sf.is_exact else kappa <= tol.eps_rank * (1.0 + scale)
         formula = "halfline_det"
@@ -81,11 +75,7 @@ def umbilic_curvature(
         is_zero = bool(shape.is_origin) if sf.is_exact else kappa <= tol.eps_rank * (1.0 + scale)
         formula = "point_distance"
 
-    samples = [_float_vec(pp.eta(y)) for y in np.linspace(-5.0, 5.0, 101)]
-    oracle = affine_hull_distance(samples, tol)
-    return UmbilicResult(
-        kappa_u=float(kappa), formula_used=formula, oracle_value=oracle, is_zero=is_zero
-    )
+    return UmbilicResult(kappa_u=float(kappa), formula_used=formula, is_zero=is_zero)
 
 
 def kappa_stratum_check(pp: ParabolaProfile, ur: UmbilicResult) -> bool:

@@ -22,7 +22,7 @@ from curvpar.heights import (
     degeneracy_cone,
     height_hessian,
 )
-from curvpar.oracle import asymptotic_scan, finite_difference_hessian
+from curvpar.oracle import asymptotic_scan, finite_difference_hessian, parabola_hull_distance
 from curvpar.parabola import build_parabola, classify_two_jet
 from curvpar.umbilic import umbilic_curvature
 
@@ -243,7 +243,8 @@ def test_criterion_8_oracle_equivalence_golden_corpus():
         g = germ(text, order=order)
         ad, sf, pp, aset, bset, ur = full_pipeline(g)
 
-        assert abs(ur.kappa_u - ur.oracle_value) <= 1e-7 * (1.0 + ur.kappa_u), text
+        hull = parabola_hull_distance(pp)
+        assert abs(ur.kappa_u - hull) <= 1e-7 * (1.0 + ur.kappa_u), text
 
         scan = asymptotic_scan(sf, pp.ep, DEFAULT_TOL)
         if aset.kind == "all":

@@ -35,6 +35,17 @@ def test_analyze_umbilic_reference_value(capsys):
     assert report["umbilic"]["kappa_u"] == 2.0
 
 
+@pytest.mark.parametrize("pad", [" ", "\n", " \t\n"])
+def test_analyze_accepts_trailing_whitespace(capsys, pad):
+    code, out, _ = run_cli(capsys, "analyze", "--germ", "(x, x*y, y^2, 0)")
+    assert code == 0
+    padded_code, padded_out, _ = run_cli(capsys, "analyze", "--germ", "(x, x*y, y^2, 0)" + pad)
+    assert padded_code == 0
+    padded = json.loads(padded_out)
+    padded["input"]["germ"] = "(x, x*y, y^2, 0)"
+    assert padded == json.loads(out)
+
+
 def test_analyze_exit_3_on_wrong_corank(capsys):
     code, _, err = run_cli(capsys, "analyze", "--germ", "(x, y, 0, 0)")
     assert code == 3

@@ -59,6 +59,29 @@ def test_parse_error_position():
     assert exc.value.position == 6
 
 
+@pytest.mark.parametrize("text", ["(x, y^2, 0, 0)", "(x, t*x*y, y^2 - 1/2*x^2, 0)"])
+@pytest.mark.parametrize("pad", [" ", "\n", "\t \n", "   "])
+def test_parse_ignores_surrounding_whitespace(text, pad):
+    params = {"t": F(3, 2)}
+    expected = parse_map_germ(text, params=params)
+    for padded in (text + pad, pad + text, pad + text + pad):
+        assert parse_map_germ(padded, params=params) == expected
+        assert template_parameters(padded) == template_parameters(text)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("(x, y^2 $ x, 0, 0)", 8), ("(x, y^2, 0, 0) #", 15), ("  !(x, 0, 0, 0)", 2)],
+)
+def test_parse_reports_position_of_unexpected_character(text, position):
+    with pytest.raises(GermParseError, match="unexpected character") as exc:
+        parse_map_germ(text)
+    assert exc.value.position == position
+    with pytest.raises(GermParseError) as exc:
+        template_parameters(text)
+    assert exc.value.position == position
+
+
 def test_parse_rejects_nonzero_constant():
     with pytest.raises(ValueError, match="vanish at the origin"):
         parse_map_germ("(x, 1 + y^2, 0, 0)", order=4)
@@ -145,6 +168,15 @@ def test_power_expands_exactly():
         (1, 2): F(3, 2),
         (0, 3): 1,
     }
+
+
+@pytest.mark.parametrize("n", [*range(9), 64])
+def test_power_equals_repeated_multiplication(n):
+    p = parse_poly("1/2 + x - 2/3*y + x*y", order=6)
+    expected = TruncatedPoly2.const(F(1), 6)
+    for _ in range(n):
+        expected = expected * p
+    assert p**n == expected
 
 
 def test_compose_requires_zero_constant():

@@ -15,10 +15,11 @@ from curvpar.oracle import (
     affine_hull_distance,
     asymptotic_scan,
     finite_difference_hessian,
+    parabola_hull_distance,
 )
 from curvpar.parabola import build_parabola
 
-from conftest import germ
+from conftest import germ, random_rotation, transform_germ
 from golden import GOLDEN_GERMS
 
 
@@ -41,6 +42,15 @@ def test_affine_hull_distance_shifted_plane():
 def test_affine_hull_needs_three_points():
     with pytest.raises(ValueError, match="at least 3"):
         affine_hull_distance([np.zeros(3), np.ones(3)])
+
+
+def test_parabola_hull_distance_samples_eta_bit_for_bit(rng):
+    exact = germ("(x, 1/3*x*y + y^3, 2/7*x^2 - 5/3*y^2, 3/11*x^2 + x*y)")
+    moved = transform_germ(exact, [[1.3, 0.4], [-0.2, 0.9]], random_rotation(rng, 4))
+    for g in (exact, moved):
+        pp = build_parabola(second_form(adapt(g)))
+        samples = [[float(c) for c in pp.eta(y)] for y in np.linspace(-5.0, 5.0, 101)]
+        assert parabola_hull_distance(pp) == affine_hull_distance(samples)
 
 
 def scan_for(text, order=6):

@@ -3,12 +3,14 @@
 import json
 from dataclasses import replace
 
+import curvpar.oracle
 from curvpar.config import DEFAULT_TOL
 from curvpar.forms import second_form
 from curvpar.germs import MapGermR4, TruncatedPoly2
 from curvpar.report import analyze_germ, fmt_float, render_json, run_verification
 
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
+from golden import GOLDEN_GERMS
 
 
 def test_fmt_float_12_significant_digits():
@@ -28,6 +30,20 @@ def test_report_matches_library_values():
     assert res.report["umbilic"]["kappa_u"] == fmt_float(res.umbilic.kappa_u)
     assert res.report["parabola"]["stratum"] == f"M{res.profile.stratum}"
     assert res.report["point_type"] == res.ptype
+
+
+def test_hull_oracle_runs_only_under_verify(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hull oracle ran without verify")
+
+    with monkeypatch.context() as m:
+        m.setattr(curvpar.oracle, "affine_hull_distance", refuse)
+        for text, order in GOLDEN_GERMS:
+            report = analyze_germ(text, order=order).report
+            assert set(report["umbilic"]) == {"kappa_u", "formula", "is_zero"}, text
+    report = analyze_germ("(x, x*y, y^2, x^2)", verify=True).report
+    names = [c["name"] for c in report["verification"]["checks"]]
+    assert "umbilic_vs_affine_hull" in names
 
 
 def test_report_consistency_flags_random(rng):
