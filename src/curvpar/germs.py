@@ -338,9 +338,11 @@ class MapGermR4:
 # ``ident`` covers sweep-template parameters bound through ``params``.
 # ---------------------------------------------------------------------------
 
-# The last group catches any other character, so that every non-blank
-# character of the input is either a token or reported at its position.
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([()+\-*/^,])|(\S))")
+# Digits and names are ASCII: ``\d`` and ``\w`` would also match other
+# scripts' digits, which ``int`` reads.  The last group catches any other
+# character, so that every non-blank character of the input is either a
+# token or reported at its position.
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,])|(\S))")
 
 # Bounds that keep hostile input from exhausting the stack or the memory:
 # parentheses nest at most MAX_NESTING deep, and an exponent above

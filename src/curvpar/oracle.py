@@ -55,7 +55,7 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
     The hull dimension is decided from the singular values of the centered
     sample matrix relative to the largest one.
     """
-    pts = np.asarray([[float(c) for c in p] for p in points], dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 3:
         raise ValueError("affine hull estimation needs at least 3 sample points")
     centroid = pts.mean(axis=0)
@@ -191,7 +191,8 @@ def finite_difference_hessian(germ, nu, tol: Tolerances = DEFAULT_TOL) -> np.nda
     def height(x, y):
         return float(np.dot(nu, [float(v) for v in g.evaluate(x, y)]))
 
-    hxx = (height(s, 0.0) - 2.0 * height(0.0, 0.0) + height(-s, 0.0)) / (s * s)
-    hyy = (height(0.0, s) - 2.0 * height(0.0, 0.0) + height(0.0, -s)) / (s * s)
+    h0 = height(0.0, 0.0)
+    hxx = (height(s, 0.0) - 2.0 * h0 + height(-s, 0.0)) / (s * s)
+    hyy = (height(0.0, s) - 2.0 * h0 + height(0.0, -s)) / (s * s)
     hxy = (height(s, s) - height(s, -s) - height(-s, s) + height(-s, -s)) / (4.0 * s * s)
     return np.array([[hxx, hxy], [hxy, hyy]])

@@ -182,6 +182,8 @@ def test_negative_sample_count_exits_1(tmp_path, capsys, command):
         "(x, (1/3+x)^10000000, y^2, 0)",
         "(x, (((1/3+x)^64)^64)^64, y^2, 0)",
         "(x, ((((1/3+x)^64)^64)^64)^64, y^2, 0)",
+        "(x, \u0663*y^2, 0, 0)",
+        "(x, x*y, \uff12*y^2, 0)",
     ],
 )
 def test_hostile_germ_text_exits_1(capsys, text):

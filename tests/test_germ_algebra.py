@@ -71,7 +71,15 @@ def test_parse_ignores_surrounding_whitespace(text, pad):
 
 @pytest.mark.parametrize(
     "text, position",
-    [("(x, y^2 $ x, 0, 0)", 8), ("(x, y^2, 0, 0) #", 15), ("  !(x, 0, 0, 0)", 2)],
+    [
+        ("(x, y^2 $ x, 0, 0)", 8),
+        ("(x, y^2, 0, 0) #", 15),
+        ("  !(x, 0, 0, 0)", 2),
+        # digits and names are ASCII
+        ("(x, \u0663*y^2, 0, 0)", 4),
+        ("(x, x*y, \uff12*y^2, 0)", 9),
+        ("(x, t\u0663*x*y, y^2, 0)", 5),
+    ],
 )
 def test_parse_reports_position_of_unexpected_character(text, position):
     with pytest.raises(GermParseError, match="unexpected character") as exc:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import curvpar.oracle
 from curvpar._kernels import N_CANDIDATES, scan_scores
 from curvpar.adapt import adapt
 from curvpar.config import DEFAULT_TOL
@@ -131,15 +132,38 @@ def grid_scores(p1, p2, q1, q2, n_angles=720):
     return np.maximum(v1, v2).min(axis=1)
 
 
-def test_kernel_equals_closed_form_minimum(rng):
+def four_candidate_scores(p1, p2, q1, q2, n=N_CANDIDATES):
+    """The former kernel, kept as the reference: score nu orthogonal to p, q, p - q, p + q.
+
+    A zero candidate falls back to ``nu = (1, 0)``, which bounds the minimum
+    from above; another candidate then reaches it.
+    """
+    p1, p2, q1, q2 = (np.asarray(a, dtype=np.float64) for a in (p1, p2, q1, q2))
+    best = np.full(p1.shape, np.inf)
+    for w1, w2 in ((p1, p2), (q1, q2), (p1 - q1, p2 - q2), (p1 + q1, p2 + q2)):
+        norm = np.hypot(w1, w2)
+        zero = norm == 0.0
+        w2 = np.where(zero, 1.0, w2)
+        norm[zero] = 1.0
+        worst = np.maximum(np.abs(p1 * w2 - p2 * w1), np.abs(q1 * w2 - q2 * w1))
+        worst /= norm
+        np.minimum(best, worst, out=best)
+    return best
+
+
+def test_kernel_matches_four_candidate_reference(rng):
     p1, p2, q1, q2 = random_pairs(rng, 20_000)
-    expected = np.abs(p1 * q2 - p2 * q1) / np.maximum(
-        np.hypot(p1 + q1, p2 + q2), np.hypot(p1 - q1, p2 - q2)
-    )
     got = scan_scores(p1, p2, q1, q2, N_CANDIDATES)
-    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(got, four_candidate_scores(p1, p2, q1, q2), rtol=1e-9, atol=0.0)
     # the direction count is bookkeeping only
     assert np.array_equal(scan_scores(p1, p2, q1, q2, 720), got)
+
+
+def test_scan_with_reference_kernel_agrees_on_golden_corpus(monkeypatch):
+    closed = [scan_for(text, order) for text, order in GOLDEN_GERMS]
+    monkeypatch.setattr(curvpar.oracle, "scan_scores", four_candidate_scores)
+    for (text, order), got in zip(GOLDEN_GERMS, closed):
+        assert scan_for(text, order) == got, text
 
 
 def test_kernel_never_above_angle_grid(rng):
