@@ -4,7 +4,9 @@ A prenormal singular germ lifts to an immersion into R^5 by re-inserting the
 kernel coordinate, and projects to a regular surface in R^4 spanned by the
 tangent plane of the lift and the distinguished plane.  The lift shares the
 singular surface's second fundamental form; the projection shares its
-asymptotic directions and point type.
+asymptotic directions and point type.  Both surfaces have the 1-jet
+(x, y, 0, ...), so their second forms are read off their 2-jets with
+``forms.form_rows``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .directions import AsymptoticSet, point_type
-from .forms import SecondForm
+from .directions import AsymptoticSet, point_type, solve_quadratic, type_of_count
+from .forms import SecondForm, form_rows
 from .germs import TruncatedPoly2
 from .parabola import ParabolaProfile
 
@@ -30,6 +32,9 @@ __all__ = [
     "verify_transfer",
     "TransferVerdict",
 ]
+
+# largest |sin(angle)| between matched projective directions of M and S
+ANGULAR_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -48,12 +53,6 @@ class RegularSurfaceR4:
     coeffs: tuple  # ((l1, m1, n1), (l2, m2, n2))
 
 
-def _jacobian(components):
-    return np.array(
-        [[float(p.coefficient(1, 0)), float(p.coefficient(0, 1))] for p in components]
-    )
-
-
 def lift_to_r5(adapted) -> RegularSurfaceR5:
     """Insert the kernel coordinate: (x, y) -> (x, y, f2, f3, f4).
 
@@ -69,47 +68,7 @@ def lift_to_r5(adapted) -> RegularSurfaceR5:
         g.components[2],
         g.components[3],
     )
-    rows = []
-    for p in comps[2:]:
-        rows.append(
-            (2 * p.coefficient(2, 0), p.coefficient(1, 1), 2 * p.coefficient(0, 2))
-        )
-    return RegularSurfaceR5(components=comps, alpha=SecondForm(rows))
-
-
-def surface_second_form_r4(components):
-    """Second-form coefficients of an immersed surface in R^4 at the origin.
-
-    Builds an orthonormal adapted frame from the 1-jet (tangent vectors
-    first) and projects the second derivatives onto the two normal vectors.
-    """
-    jac = _jacobian(components)
-    if np.linalg.matrix_rank(jac, tol=1e-10) != 2:
-        raise ValueError("parametrisation is not an immersion at the origin")
-    q, _ = np.linalg.qr(
-        np.hstack([jac, np.eye(4)]),
-    )
-    frame = q.T  # rows: two tangent, then two normal vectors
-    for i in range(4):  # fix signs so the frame is reproducible
-        for c in frame[i]:
-            if abs(c) > 1e-12:
-                if c < 0:
-                    frame[i] = -frame[i]
-                break
-    sxx = np.array([2.0 * float(p.coefficient(2, 0)) for p in components])
-    sxy = np.array([float(p.coefficient(1, 1)) for p in components])
-    syy = np.array([2.0 * float(p.coefficient(0, 2)) for p in components])
-    coeffs = []
-    for i in (2, 3):
-        normal = frame[i]
-        coeffs.append(
-            (
-                float(np.dot(sxx, normal)),
-                float(np.dot(sxy, normal)),
-                float(np.dot(syy, normal)),
-            )
-        )
-    return tuple(coeffs)
+    return RegularSurfaceR5(components=comps, alpha=SecondForm(form_rows(comps[2:])))
 
 
 def project_to_s(adapted, pp: ParabolaProfile) -> RegularSurfaceR4:
@@ -118,7 +77,9 @@ def project_to_s(adapted, pp: ParabolaProfile) -> RegularSurfaceR4:
     The germ's normal components are rotated so the distinguished plane
     becomes the first two normal coordinates; the surface keeps those two.
     When the plane already is the first coordinate plane the components pass
-    through unchanged (exactness preserved).
+    through unchanged (exactness preserved).  The kept components have no
+    linear terms, so the surface's 1-jet is (x, y, 0, 0) and its
+    second-form coefficients (as floats) are the form rows of those two.
     """
     g = adapted.germ if hasattr(adapted, "germ") else adapted
     order = g.order
@@ -139,7 +100,8 @@ def project_to_s(adapted, pp: ParabolaProfile) -> RegularSurfaceR4:
         rotated[0],
         rotated[1],
     )
-    return RegularSurfaceR4(components=comps, coeffs=surface_second_form_r4(comps))
+    coeffs = tuple(tuple(float(v) for v in row) for row in form_rows(comps[2:]))
+    return RegularSurfaceR4(components=comps, coeffs=coeffs)
 
 
 def s_asymptotic_directions(s: RegularSurfaceR4, tol: Tolerances = DEFAULT_TOL):
@@ -156,22 +118,13 @@ def s_asymptotic_directions(s: RegularSurfaceR4, tol: Tolerances = DEFAULT_TOL):
     thresh = tol.eps_rank * scale * scale
     if abs(a) <= thresh and abs(b) <= thresh and abs(c) <= thresh:
         return "all"
-    dirs = []
-    if abs(c) <= thresh:
-        dirs.append((0.0, 1.0))
-        if abs(b) > thresh:
-            slope = -a / b
-            dirs.append(_unit_dir(1.0, slope))
-        # a == 0 too would have been "all"; with only c ~ 0 the (0,1) root is double
-    else:
-        disc = b * b - 4.0 * a * c
-        threshold = tol.eps_disc * max(b * b, abs(4.0 * a * c))
-        if abs(disc) <= threshold:
-            dirs.append(_unit_dir(1.0, -b / (2.0 * c)))
-        elif disc > 0:
-            sq = math.sqrt(disc)
-            dirs.append(_unit_dir(1.0, (-b - sq) / (2.0 * c)))
-            dirs.append(_unit_dir(1.0, (-b + sq) / (2.0 * c)))
+    if abs(c) > thresh:
+        roots, _ = solve_quadratic(a, b, c, exact=False, tol=tol)
+        return [_unit_dir(1.0, slope) for slope in roots]
+    dirs = [(0.0, 1.0)]
+    if abs(b) > thresh:
+        dirs.append(_unit_dir(1.0, -a / b))
+    # a == 0 too would have been "all"; with only c ~ 0 the (0,1) root is double
     return dirs
 
 
@@ -216,35 +169,25 @@ def verify_transfer(
     pp: ParabolaProfile,
     aset: AsymptoticSet,
     s: RegularSurfaceR4,
-    angular_tol: float = 1e-7,
     tol: Tolerances = DEFAULT_TOL,
 ) -> TransferVerdict:
     """Check that asymptotic directions and point type transfer to the projection."""
     s_dirs = s_asymptotic_directions(s, tol)
+    s_type = type_of_count(math.inf if s_dirs == "all" else len(s_dirs))
     if aset.kind == "all":
         m_dirs = "all"
         directions_match = s_dirs == "all"
-        s_type = "inflection" if s_dirs == "all" else _type_from_count(len(s_dirs))
     else:
         m_dirs = [_unit_dir(*d) for d in aset.directions()]
-        if s_dirs == "all":
-            directions_match = False
-            s_type = "inflection"
-        else:
-            directions_match = len(m_dirs) == len(s_dirs)
-            if directions_match:
-                remaining = list(s_dirs)
-                for d in m_dirs:
-                    best = min(
-                        range(len(remaining)),
-                        key=lambda i: _angular_mismatch(d, remaining[i]),
-                        default=None,
-                    )
-                    if best is None or _angular_mismatch(d, remaining[best]) > angular_tol:
-                        directions_match = False
-                        break
-                    remaining.pop(best)
-            s_type = _type_from_count(len(s_dirs))
+        directions_match = s_dirs != "all" and len(m_dirs) == len(s_dirs)
+        if directions_match:
+            remaining = list(s_dirs)
+            for d in m_dirs:
+                best = min(remaining, key=lambda r: _angular_mismatch(d, r))
+                if _angular_mismatch(d, best) > ANGULAR_TOL:
+                    directions_match = False
+                    break
+                remaining.remove(best)
     m_type = point_type(aset)
     return TransferVerdict(
         m_directions=m_dirs,
@@ -254,7 +197,3 @@ def verify_transfer(
         s_point_type=s_type,
         types_match=m_type == s_type,
     )
-
-
-def _type_from_count(n: int) -> str:
-    return {0: "elliptic", 1: "parabolic", 2: "hyperbolic"}[n]

@@ -11,6 +11,12 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
+# keys that config files may still carry, with the reason each is ignored
+RETIRED_KEYS = {
+    "scan_nu_grid": "the scan is exact",
+    "eps_orth": "no computed frame is checked for orthogonality",
+}
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -18,8 +24,6 @@ class Tolerances:
     eps_rank: float = 1e-9
     # "vanishing" 1-jet entries after numeric adaptation
     eps_jet: float = 1e-10
-    # orthogonality of computed frames
-    eps_orth: float = 1e-12
     # relative discriminant threshold for the double-root decision
     eps_disc: float = 1e-10
     # oracle scan: grid extent, point counts and marking thresholds
@@ -50,16 +54,15 @@ class Tolerances:
     def from_file(cls, path) -> "Tolerances":
         """Load overrides from a JSON file; unknown keys are rejected.
 
-        ``scan_nu_grid``, the angle count of the former grid scan, is
-        accepted with a ``DeprecationWarning`` and ignored: the scan now
-        takes the exact minimum.
+        Retired keys (``RETIRED_KEYS``) are accepted with a
+        ``DeprecationWarning`` and ignored.
         """
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if "scan_nu_grid" in data:
-            del data["scan_nu_grid"]
+        for key in sorted(RETIRED_KEYS.keys() & data.keys()):
+            del data[key]
             warnings.warn(
-                f"{path}: scan_nu_grid is deprecated and ignored; the scan is exact",
+                f"{path}: {key} is deprecated and ignored; {RETIRED_KEYS[key]}",
                 DeprecationWarning,
                 stacklevel=2,
             )

@@ -30,7 +30,9 @@ __all__ = [
     "binormal_directions",
     "osculating_hyperplanes",
     "point_type",
+    "type_of_count",
     "ik_classify",
+    "solve_quadratic",
 ]
 
 Y_INF = "y_inf"
@@ -113,15 +115,19 @@ def _quadratic_exact(sf: SecondForm):
     return (_det3(L, M, w), _det3(L, N, w), _det3(M, N, w))
 
 
-def _solve_quadratic(q0, q1, q2, exact: bool, tol: Tolerances):
-    """Real roots with the declared double-root policy; returns (roots, disc)."""
+def solve_quadratic(q0, q1, q2, exact: bool, tol: Tolerances):
+    """Real roots of q0 + q1*t + q2*t^2 with the declared double-root policy.
+
+    Returns (roots, disc); two distinct roots come in the order
+    (-q1 - sqrt(disc)) / (2*q2), (-q1 + sqrt(disc)) / (2*q2).
+    """
     disc = q1 * q1 - 4 * q0 * q2
     if exact:
         if disc > 0:
             sq = math.sqrt(float(disc))
             r1 = (-float(q1) - sq) / (2.0 * float(q2))
             r2 = (-float(q1) + sq) / (2.0 * float(q2))
-            return sorted((r1, r2)), disc
+            return [r1, r2], disc
         if disc == 0:
             return [Fraction(-q1, 2 * q2)], disc
         return [], disc
@@ -130,7 +136,7 @@ def _solve_quadratic(q0, q1, q2, exact: bool, tol: Tolerances):
         return [-q1 / (2.0 * q2)], disc
     if disc > 0:
         sq = math.sqrt(disc)
-        return sorted(((-q1 - sq) / (2.0 * q2), (-q1 + sq) / (2.0 * q2))), disc
+        return [(-q1 - sq) / (2.0 * q2), (-q1 + sq) / (2.0 * q2)], disc
     return [], disc
 
 
@@ -151,12 +157,12 @@ def asymptotic_directions(
     if shape.kind == "parabola":
         if sf.is_exact:
             q0, q1, q2 = _quadratic_exact(sf)
-            roots, disc = _solve_quadratic(q0, q1, q2, exact=True, tol=tol)
+            roots, disc = solve_quadratic(q0, q1, q2, exact=True, tol=tol)
         else:
-            roots, disc = _solve_quadratic(*quad, exact=False, tol=tol)
+            roots, disc = solve_quadratic(*quad, exact=False, tol=tol)
         return AsymptoticSet(
             kind="finite",
-            params=tuple(roots),
+            params=tuple(sorted(roots)),
             includes_infinity=False,
             quadratic=quad,
             discriminant=disc,
@@ -271,18 +277,19 @@ def osculating_hyperplanes(bs: BinormalSet):
     return planes
 
 
+_POINT_TYPES = {0: "elliptic", 1: "parabolic", 2: "hyperbolic", math.inf: "inflection"}
+
+
+def type_of_count(n) -> str:
+    """elliptic / parabolic / hyperbolic / inflection for 0 / 1 / 2 / infinitely many directions."""
+    if n not in _POINT_TYPES:
+        raise ValueError(f"unexpected asymptotic direction count {n}")
+    return _POINT_TYPES[n]
+
+
 def point_type(aset: AsymptoticSet) -> str:
-    """elliptic / parabolic / hyperbolic / inflection from the direction count."""
-    if aset.kind == "all":
-        return "inflection"
-    n = aset.count
-    if n == 0:
-        return "elliptic"
-    if n == 1:
-        return "parabolic"
-    if n == 2:
-        return "hyperbolic"
-    raise ValueError(f"unexpected asymptotic direction count {n}")
+    """Point type from the number of asymptotic directions."""
+    return type_of_count(aset.count)
 
 
 def ik_classify(adapted, tol: Tolerances = DEFAULT_TOL) -> str:

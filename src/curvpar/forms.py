@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from .config import DEFAULT_TOL, Tolerances
 from .linalg import is_exact_scalar, rank3
 
-__all__ = ["FirstForm", "SecondForm", "first_form", "second_form", "II_along", "rank_second_form"]
+__all__ = [
+    "FirstForm",
+    "SecondForm",
+    "first_form",
+    "form_rows",
+    "second_form",
+    "II_along",
+    "rank_second_form",
+]
 
 
 @dataclass(frozen=True)
@@ -23,10 +31,6 @@ class FirstForm:
     E: object
     F: object
     G: object
-
-    def value(self, u):
-        a, b = u
-        return a * a * self.E + 2 * a * b * self.F + b * b * self.G
 
 
 class SecondForm:
@@ -72,16 +76,6 @@ class SecondForm:
     def N(self):
         return tuple(row[2] for row in self.matrix)
 
-    def row(self, i: int):
-        return self.matrix[i]
-
-    def eta(self, y):
-        """Parabola point in normal-frame coordinates at parameter y."""
-        return tuple(l + 2 * m * y + n * y * y for l, m, n in self.matrix)
-
-    def eta_prime(self, y):
-        return tuple(2 * m + 2 * n * y for _, m, n in self.matrix)
-
     def value_along(self, nu, u, v):
         """Bilinear value II_nu(u, v) for a normal-frame vector nu."""
         a, b = u
@@ -104,9 +98,6 @@ class SecondForm:
             new.append(tuple(row))
         return SecondForm(new)
 
-    def to_float(self) -> "SecondForm":
-        return SecondForm([[float(v) for v in row] for row in self.matrix])
-
 
 def first_form(adapted) -> FirstForm:
     """Coefficients (E, F, G) of the pseudometric at the origin."""
@@ -117,23 +108,26 @@ def first_form(adapted) -> FirstForm:
     return FirstForm(E=dot(fx, fx), F=dot(fx, fy), G=dot(fy, fy))
 
 
+def form_rows(components) -> tuple:
+    """Second-form row (2*[x^2], [xy], 2*[y^2]) of each normal component.
+
+    For a parametrisation whose 1-jet is (x, y, 0, ...) or (x, 0, ...), these
+    are the coefficients (l, m, n) of its second fundamental form along the
+    coordinate normals; exact when the coefficients are.
+    """
+    return tuple(
+        (2 * p.coefficient(2, 0), p.coefficient(1, 1), 2 * p.coefficient(0, 2))
+        for p in components
+    )
+
+
 def second_form(adapted) -> SecondForm:
     """Second-form coefficient matrix of a prenormal germ in its adapted frame.
 
-    Row i is (2*[x^2], [xy], 2*[y^2]) of component i+1; exact on the rational
-    path.
+    Row i holds the form rows of component i+1; exact on the rational path.
     """
     g = getattr(adapted, "germ", adapted)
-    rows = []
-    for p in g.components[1:]:
-        rows.append(
-            (
-                2 * p.coefficient(2, 0),
-                p.coefficient(1, 1),
-                2 * p.coefficient(0, 2),
-            )
-        )
-    return SecondForm(rows)
+    return SecondForm(form_rows(g.components[1:]))
 
 
 def II_along(adapted, nu, u, v):

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import is_exact_scalar
+
 __all__ = [
     "GermParseError",
     "TruncatedPoly2",
@@ -31,10 +33,6 @@ class GermParseError(ValueError):
         super().__init__(f"parse error at position {position}: {message}")
         self.message = message
         self.position = position
-
-
-def _is_exact(value) -> bool:
-    return isinstance(value, (Fraction, int))
 
 
 class TruncatedPoly2:
@@ -89,12 +87,7 @@ class TruncatedPoly2:
 
     @property
     def is_exact(self) -> bool:
-        return all(_is_exact(c) for c in self.coeffs.values())
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(i + j for i, j in self.coeffs)
+        return all(is_exact_scalar(c) for c in self.coeffs.values())
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedPoly2):
@@ -553,7 +546,7 @@ class Jet2:
 
     @property
     def is_exact(self) -> bool:
-        return all(_is_exact(v) for row in self.rows() for v in row)
+        return all(is_exact_scalar(v) for row in self.rows() for v in row)
 
 
 def extract_jet2(germ, jet_tol: float = 1e-10) -> Jet2:

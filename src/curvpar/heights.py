@@ -28,6 +28,9 @@ __all__ = [
     "sample_cone",
 ]
 
+# operator-norm distance below which the expected and computed corank-2 loci agree
+BASIS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DegeneracyCone:
@@ -108,7 +111,6 @@ def corank2_conditions(
     dc: DegeneracyCone,
     ur,
     tol: Tolerances = DEFAULT_TOL,
-    basis_tol: float = 1e-9,
 ) -> Corank2Verdict:
     shape = pp.shape
     nonzero = not ur.is_zero
@@ -136,7 +138,7 @@ def corank2_conditions(
             expected = np.eye(3)
     agrees = (
         expected.shape[0] == dc.corank2_dim
-        and subspace_distance(expected, dc.corank2_basis) <= basis_tol
+        and subspace_distance(expected, dc.corank2_basis) <= BASIS_TOL
     )
     return Corank2Verdict(
         case=case,

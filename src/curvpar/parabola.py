@@ -263,9 +263,8 @@ def classify_two_jet(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> str:
         scale = scale_of(xy_col, yy_col)
         thresh = tol.eps_rank * max(scale * scale, 1.0)
         gamma_zero = max(abs(float(g1)), abs(float(g2)), abs(float(g3))) <= thresh
-        zero_thresh = tol.eps_rank * max(scale, 1.0)
-        yy_zero = scale_of(yy_col) <= zero_thresh
-        xy_zero = scale_of(xy_col) <= zero_thresh
+        yy_zero = vec_is_zero(yy_col, tol.eps_rank, scale)
+        xy_zero = vec_is_zero(xy_col, tol.eps_rank, scale)
     if not gamma_zero:
         return ORBIT_PARABOLA
     if not yy_zero:
@@ -292,10 +291,6 @@ class ReducedTwoJet:
     orbit: str
     source_matrix: np.ndarray
     target_rotation: np.ndarray
-
-
-def _jet_matrix(j2: Jet2):
-    return [list(row) for row in j2.rows()]
 
 
 def _jet_from_matrix(rows) -> Jet2:

@@ -52,10 +52,6 @@ def umbilic_curvature(
                 "projection onto the plane normal is not constant along the parabola"
             )
         kappa = values[1]
-        if sf.is_exact:
-            is_zero = dot3(pp.Lvec, cross3(pp.Mvec, pp.Nvec)) == 0
-        else:
-            is_zero = kappa <= tol.eps_rank * (1.0 + scale)
         formula = "nondegenerate_proj"
     elif shape.kind in ("half_line", "line"):
         y = float(shape.vertex_param) + 1.0 if shape.kind == "half_line" else 0.0
@@ -68,12 +64,19 @@ def umbilic_curvature(
             raise RuntimeError("could not find a parameter with nonvanishing velocity")
         point = float_vec(pp.eta(y))
         kappa = abs(_det3f(point, velocity, nu3)) / float(np.linalg.norm(velocity))
-        is_zero = bool(shape.radial) if sf.is_exact else kappa <= tol.eps_rank * (1.0 + scale)
         formula = "halfline_det"
     else:
         kappa = vec_norm(pp.Lvec)
-        is_zero = bool(shape.is_origin) if sf.is_exact else kappa <= tol.eps_rank * (1.0 + scale)
         formula = "point_distance"
+
+    if not sf.is_exact:
+        is_zero = kappa <= tol.eps_rank * (1.0 + scale)
+    elif shape.kind == "parabola":
+        is_zero = dot3(pp.Lvec, cross3(pp.Mvec, pp.Nvec)) == 0
+    elif shape.kind == "point":
+        is_zero = bool(shape.is_origin)
+    else:
+        is_zero = bool(shape.radial)
 
     return UmbilicResult(kappa_u=float(kappa), formula_used=formula, is_zero=is_zero)
 

@@ -196,7 +196,7 @@ def test_criterion_6_transfer_suite(rng):
         pp = build_parabola(sf)
         aset = asymptotic_directions(pp, sf)
         s = project_to_s(ad, pp)
-        verdict = verify_transfer(ad, pp, aset, s, angular_tol=1e-7)
+        verdict = verify_transfer(ad, pp, aset, s)
         assert verdict.directions_match, (j2, verdict)
         assert verdict.types_match, (j2, verdict)
         lift = lift_to_r5(ad)
@@ -222,7 +222,7 @@ def test_criterion_7_height_function_suite():
         g = germ(text, order=4 if text != "(x, 0, 0, 0)" else 2)
         ad, sf, pp, aset, bset, ur = full_pipeline(g)
         dc = degeneracy_cone(sf)
-        verdict = corank2_conditions(pp, dc, ur, basis_tol=1e-9)
+        verdict = corank2_conditions(pp, dc, ur)
         assert verdict.agrees, (text, verdict.case)
         if bset.kind == "finite":
             for b in bset.items:

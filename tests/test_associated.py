@@ -12,15 +12,15 @@ from curvpar.associated import (
     lift_to_r5,
     project_to_s,
     s_asymptotic_directions,
-    surface_second_form_r4,
     verify_transfer,
 )
 from curvpar.directions import asymptotic_directions
-from curvpar.forms import rank_second_form, second_form
+from curvpar.forms import form_rows, rank_second_form, second_form
 from curvpar.germs import TruncatedPoly2
 from curvpar.parabola import PlaneBasis, build_parabola
+from curvpar.report import analyze_germ
 
-from conftest import germ, jet2_to_germ, random_jet2
+from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
 
 
 def test_lift_reference_germ():
@@ -102,6 +102,35 @@ def test_bde_roots_ik():
     assert slopes == pytest.approx([-1.0, 1.0], abs=1e-12)
 
 
+def test_projection_coeffs_equal_reframed_second_form(rng):
+    # the projection keeps the first two rows of the second form in the plane frame
+    kinds = ["any", "collinear", "line", "point"]
+    adapted = [adapt(jet2_to_germ(random_jet2(rng, kinds[i % 4]))) for i in range(40)]
+    for _ in range(20):
+        base = jet2_to_germ(random_jet2(rng))
+        adapted.append(adapt(transform_germ(base, random_rotation(rng, 2), random_rotation(rng, 4))))
+    for ad in adapted:
+        sf = second_form(ad)
+        pp = build_parabola(sf)
+        expected = np.array(sf.reframe(pp.ep.rows()).matrix[:2])
+        coeffs = np.array(project_to_s(ad, pp).coeffs)
+        assert np.max(np.abs(coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_transfer_keeps_s_root_order():
+    # c < 0 here, so S's roots come out descending while M's parameters ascend
+    transfer = analyze_germ("(x, -x*y, x^2 + y^2, 0)").report["transfer"]
+    assert transfer["s_directions"] == [
+        [0.707106781187, 0.707106781187],
+        [0.707106781187, -0.707106781187],
+    ]
+    assert transfer["m_directions"] == [
+        [0.707106781187, -0.707106781187],
+        [0.707106781187, 0.707106781187],
+    ]
+    assert transfer["directions_match"]
+
+
 def test_bde_zero_germ_all():
     ad = adapt(germ("(x, 0, 0, 0)", order=2))
     pp = build_parabola(second_form(ad))
@@ -121,7 +150,7 @@ def test_curvature_ellipse_example():
         TruncatedPoly2({(1, 1): 1.0}, 4),
         TruncatedPoly2({(2, 0): 1.0, (0, 2): 1.0}, 4),
     ]
-    coeffs = surface_second_form_r4(s_components)
+    coeffs = form_rows(s_components[2:])
     assert np.allclose(coeffs, [(0.0, 1.0, 0.0), (2.0, 0.0, 2.0)])
 
     from curvpar.associated import RegularSurfaceR4

@@ -1,11 +1,15 @@
 """CLI subcommands, exit codes, CSV formats, report determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import curvpar
 from curvpar.cli import main
 from curvpar.config import DEFAULT_TOL, Tolerances
 
@@ -144,6 +148,22 @@ def test_config_ignores_deprecated_scan_nu_grid(tmp_path):
     with pytest.warns(DeprecationWarning, match="scan_nu_grid"):
         tol = Tolerances.from_file(cfg)
     assert tol == DEFAULT_TOL.updated(eps_rank=1e-8)
+    # every retired key is ignored with its own warning
+    cfg.write_text(json.dumps({"eps_orth": 1e-12, "scan_nu_grid": 720, "eps_jet": 1e-11}))
+    with pytest.warns(DeprecationWarning) as caught:
+        tol = Tolerances.from_file(cfg)
+    assert tol == DEFAULT_TOL.updated(eps_jet=1e-11)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert "eps_orth" in messages[0] and "scan_nu_grid" in messages[1]
+
+
+def test_every_tolerance_field_is_read():
+    # a field read nowhere in the package is a knob that changes nothing
+    src = Path(curvpar.__file__).parent
+    text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "config.py")
+    unread = [f.name for f in fields(Tolerances) if not re.search(rf"\.{f.name}\b", text)]
+    assert unread == []
 
 
 @pytest.mark.parametrize("flag", ["--eps-rank", "--eps-jet", "--eps-disc"])
