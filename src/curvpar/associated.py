@@ -119,7 +119,7 @@ def s_asymptotic_directions(s: RegularSurfaceR4, tol: Tolerances = DEFAULT_TOL):
     if abs(a) <= thresh and abs(b) <= thresh and abs(c) <= thresh:
         return "all"
     if abs(c) > thresh:
-        roots, _ = solve_quadratic(a, b, c, exact=False, tol=tol)
+        roots, _ = solve_quadratic(a, b, c, tol)
         return [_unit_dir(1.0, slope) for slope in roots]
     dirs = [(0.0, 1.0)]
     if abs(b) > thresh:

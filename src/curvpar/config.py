@@ -1,7 +1,9 @@
 """Tolerance policy for every numeric decision in the pipeline.
 
 The defaults are the documented policy; a config file and CLI flags may
-override any of them.  Exact-rational inputs bypass the tolerances entirely.
+override any of them.  Exact-rational inputs bypass the tolerances, except
+in the transfer verdict (``associated.s_asymptotic_directions``), which is
+still decided in floats.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
 from .germs import extract_jet2
-from .linalg import cross3, dot3, scale_of
+from .linalg import cross3, dot3, negligible, scale_of
 from .parabola import ParabolaProfile
 
 __all__ = [
@@ -115,28 +115,21 @@ def _quadratic_exact(sf: SecondForm):
     return (_det3(L, M, w), _det3(L, N, w), _det3(M, N, w))
 
 
-def solve_quadratic(q0, q1, q2, exact: bool, tol: Tolerances):
+def solve_quadratic(q0, q1, q2, tol: Tolerances):
     """Real roots of q0 + q1*t + q2*t^2 with the declared double-root policy.
 
-    Returns (roots, disc); two distinct roots come in the order
-    (-q1 - sqrt(disc)) / (2*q2), (-q1 + sqrt(disc)) / (2*q2).
+    The double root is decided exactly on rational coefficients, and is then
+    itself rational.  Returns (roots, disc); two distinct roots come in the
+    order (-q1 - sqrt(disc)) / (2*q2), (-q1 + sqrt(disc)) / (2*q2).
     """
     disc = q1 * q1 - 4 * q0 * q2
-    if exact:
-        if disc > 0:
-            sq = math.sqrt(float(disc))
-            r1 = (-float(q1) - sq) / (2.0 * float(q2))
-            r2 = (-float(q1) + sq) / (2.0 * float(q2))
-            return [r1, r2], disc
-        if disc == 0:
-            return [Fraction(-q1, 2 * q2)], disc
-        return [], disc
-    threshold = tol.eps_disc * max(float(q1) ** 2, abs(4.0 * float(q0) * float(q2)))
-    if abs(disc) <= threshold:
-        return [-q1 / (2.0 * q2)], disc
+    # in the coefficients' own arithmetic: exact ones may lie beyond the float range
+    threshold = Fraction(tol.eps_disc) * max(q1**2, abs(4 * q0 * q2))
+    if negligible(disc, threshold):
+        return [-q1 / (2 * q2)], disc
     if disc > 0:
         sq = math.sqrt(disc)
-        return [(-q1 - sq) / (2.0 * q2), (-q1 + sq) / (2.0 * q2)], disc
+        return [(-q1 - sq) / (2 * q2), (-q1 + sq) / (2 * q2)], disc
     return [], disc
 
 
@@ -155,11 +148,8 @@ def asymptotic_directions(
 
     shape = pp.shape
     if shape.kind == "parabola":
-        if sf.is_exact:
-            q0, q1, q2 = _quadratic_exact(sf)
-            roots, disc = solve_quadratic(q0, q1, q2, exact=True, tol=tol)
-        else:
-            roots, disc = solve_quadratic(*quad, exact=False, tol=tol)
+        q = _quadratic_exact(sf) if sf.is_exact else quad
+        roots, disc = solve_quadratic(*q, tol)
         return AsymptoticSet(
             kind="finite",
             params=tuple(sorted(roots)),
@@ -196,8 +186,12 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _null_direction_binormal(pp, sf, y, tol):
-    """Binormal for a finite asymptotic parameter from the 2x2 null space."""
+def _null_direction_binormal(pp, sf, y):
+    """Binormal for a finite asymptotic parameter from the 2x2 null space.
+
+    The shape test guarantees a nonzero system: M + yN never vanishes on a
+    nondegenerate parabola, nor L + yM at a non-radial half-line's vertex.
+    """
     u = (1.0, float(y))
     row1 = pp.ep.to_plane_coords(
         tuple(l + m * u[1] for l, m in zip(sf.L, sf.M))
@@ -205,9 +199,6 @@ def _null_direction_binormal(pp, sf, y, tol):
     row2 = pp.ep.to_plane_coords(
         tuple(m + n * u[1] for m, n in zip(sf.M, sf.N))
     )
-    scale = max(np.linalg.norm(row1), np.linalg.norm(row2))
-    if scale <= tol.eps_rank:
-        return None  # zero system: every plane direction annihilates u
     r = row1 if np.linalg.norm(row1) >= np.linalg.norm(row2) else row2
     ab = np.array([-r[1], r[0]])
     ab = ab / np.linalg.norm(ab)
@@ -233,13 +224,10 @@ def binormal_directions(
     u2 = pp.ep.u2
 
     if shape.kind == "parabola":
-        items = []
-        for y in aset.params:
-            vec = _null_direction_binormal(pp, sf, y, tol)
-            if vec is None:
-                return BinormalSet(kind="all", items=())
-            items.append(Binormal(param=y, vector=vec))
-        return BinormalSet(kind="finite", items=tuple(items))
+        items = tuple(
+            Binormal(param=y, vector=_null_direction_binormal(pp, sf, y)) for y in aset.params
+        )
+        return BinormalSet(kind="finite", items=items)
 
     if shape.kind == "half_line":
         if shape.radial:
@@ -248,7 +236,7 @@ def binormal_directions(
             return BinormalSet(
                 kind="finite", items=(Binormal(param=None, vector=u2.copy()),)
             )
-        vertex_binormal = _null_direction_binormal(pp, sf, shape.vertex_param, tol)
+        vertex_binormal = _null_direction_binormal(pp, sf, shape.vertex_param)
         items = [Binormal(param=shape.vertex_param, vector=vertex_binormal)]
         items.append(Binormal(param=Y_INF, vector=u2.copy()))
         return BinormalSet(kind="finite", items=tuple(items))
@@ -300,25 +288,12 @@ def ik_classify(adapted, tol: Tolerances = DEFAULT_TOL) -> str:
     """
     j2 = extract_jet2(adapted)
     vals = (j2.a20, j2.a11 - 1, j2.a02, j2.c11, j2.c02)
-    if j2.is_exact:
-        in_form = all(v == 0 for v in vals) and j2.b02 > 0
-    else:
-        scale = max(scale_of(j2.rows()[0], j2.rows()[1], j2.rows()[2]), 1.0)
-        in_form = all(abs(float(v)) <= tol.eps_rank * scale for v in vals) and float(
-            j2.b02
-        ) > 0
-    if not in_form:
+    bound = tol.eps_rank * max(scale_of(*j2.rows()), 1.0)
+    if not (all(negligible(v, bound) for v in vals) and j2.b02 > 0):
         raise ValueError(
             "germ 2-jet is not in the reduced form (x, xy, b20 x^2 + b11 xy + b02 y^2, c20 x^2)"
         )
     b20 = j2.b20
-    if j2.is_exact:
-        if b20 > 0:
-            return "hyperbolic"
-        if b20 == 0:
-            return "parabolic"
-        return "elliptic"
-    scale = max(scale_of(j2.rows()[1]), 1.0)
-    if abs(float(b20)) <= tol.eps_rank * scale:
+    if negligible(b20, tol.eps_rank * max(scale_of(j2.rows()[1]), 1.0)):
         return "parabolic"
-    return "hyperbolic" if float(b20) > 0 else "elliptic"
+    return "hyperbolic" if b20 > 0 else "elliptic"

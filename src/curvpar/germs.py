@@ -9,10 +9,12 @@ agnostic to the coefficient type.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import is_exact_scalar
+from .config import DEFAULT_TOL
+from .linalg import is_exact_scalar, negligible
 
 __all__ = [
     "GermParseError",
@@ -291,27 +293,16 @@ class MapGermR4:
         return MapGermR4([p.to_float() for p in self.components])
 
     def is_prenormal(self, tol: float = 0.0) -> bool:
-        """First component exactly x, components 2..4 with vanishing 1-jet.
+        """First component x, components 2..4 with vanishing 1-jet.
 
-        With ``tol > 0`` the 1-jet conditions are checked up to ``tol`` and the
-        first component's non-x terms must also stay below ``tol``.
+        Rational coefficients must vanish exactly; float ones, the first
+        component's non-x terms included, may stay within ``tol``.
         """
-        kx = TruncatedPoly2.variable("x", self.order)
         first = self.components[0]
-        if tol == 0.0:
-            if first != kx:
-                return False
-            for p in self.components[1:]:
-                if p.coefficient(1, 0) != 0 or p.coefficient(0, 1) != 0:
-                    return False
-            return True
-        diff = first - kx
-        if any(abs(c) > tol for c in diff.coeffs.values()):
-            return False
-        for p in self.components[1:]:
-            if abs(p.coefficient(1, 0)) > tol or abs(p.coefficient(0, 1)) > tol:
-                return False
-        return True
+        terms = [first.coefficient(1, 0) - 1]
+        terms += [c for k, c in first.coeffs.items() if k != (1, 0)]
+        terms += [p.coefficient(*k) for p in self.components[1:] for k in ((1, 0), (0, 1))]
+        return all(negligible(c, tol) for c in terms)
 
     def to_expression(self) -> str:
         return "(" + ", ".join(p.to_expression() for p in self.components) + ")"
@@ -346,6 +337,8 @@ _TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,])|(
 MAX_NESTING = 100
 MAX_EXPONENT = 64
 MAX_POWER_BITS = 4096
+# Norms, frames and every float-path decision read the coefficients as floats.
+MAX_COEFFICIENT = int(sys.float_info.max)
 
 
 def _tokenize(text: str):
@@ -389,15 +382,23 @@ class _Parser:
 
     def parse_germ(self) -> MapGermR4:
         self.expect("(")
-        comps = [self.parse_expr()]
+        comps = [self.parse_component()]
         for _ in range(3):
             self.expect(",")
-            comps.append(self.parse_expr())
+            comps.append(self.parse_component())
         self.expect(")")
         tok = self.peek()
         if tok[0] != "eof":
             raise GermParseError(f"trailing input {tok[1]!r}", tok[2])
         return comps
+
+    def parse_component(self) -> TruncatedPoly2:
+        """An expression whose coefficients all have float values."""
+        pos = self.peek()[2]
+        poly = self.parse_expr()
+        if any(abs(c.numerator) > MAX_COEFFICIENT * c.denominator for c in poly.coeffs.values()):
+            raise GermParseError("coefficient beyond the float range", pos)
+        return poly
 
     def parse_expr(self) -> TruncatedPoly2:
         # A coefficient that cancels is deleted at once: this keeps the key
@@ -479,7 +480,7 @@ class _Parser:
 def parse_poly(text: str, order: int = 6, params=None) -> TruncatedPoly2:
     """Parse a single expression into a truncated polynomial."""
     parser = _Parser(text, order, params)
-    poly = parser.parse_expr()
+    poly = parser.parse_component()
     tok = parser.peek()
     if tok[0] != "eof":
         raise GermParseError(f"trailing input {tok[1]!r}", tok[2])
@@ -544,20 +545,15 @@ class Jet2:
             (self.c20, self.c11, self.c02),
         )
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact_scalar(v) for row in self.rows() for v in row)
 
-
-def extract_jet2(germ, jet_tol: float = 1e-10) -> Jet2:
+def extract_jet2(germ, jet_tol: float = DEFAULT_TOL.eps_jet) -> Jet2:
     """Degree-2 coefficients of components 2..4 of a prenormal germ.
 
     Accepts a ``MapGermR4`` or anything with a ``germ`` attribute holding one
     (an adapted germ).  Raises ``ValueError`` if the germ is not prenormal.
     """
     g = getattr(germ, "germ", germ)
-    tol = 0.0 if g.is_exact else jet_tol
-    if not g.is_prenormal(tol):
+    if not g.is_prenormal(jet_tol):
         raise ValueError("germ is not in prenormal form (x, f2, f3, f4)")
     vals = []
     for p in g.components[1:]:

@@ -150,12 +150,7 @@ def corank2_conditions(
     )
 
 
-def cone_parabola_orthogonality(
-    pp,
-    aset: AsymptoticSet,
-    bset: BinormalSet,
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
+def cone_parabola_orthogonality(pp, aset: AsymptoticSet, bset: BinormalSet) -> bool:
     """Every finite asymptotic parameter's parabola point is orthogonal to its binormal."""
     if bset.kind == "all":
         return True

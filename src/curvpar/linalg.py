@@ -1,8 +1,9 @@
 """Small vector/matrix helpers shared by the geometry modules.
 
-Decision helpers (zero tests, collinearity, rank) run exactly on Fraction
-entries and fall back to scaled tolerances on floats.  Anything producing a
-norm or an orthonormal frame is float by nature.
+Decision helpers (``negligible``, ``vec_is_zero``, ``collinear3``, ``rank3``)
+run exactly on Fraction entries and fall back to scaled tolerances on floats,
+so callers never branch on exactness themselves.  Anything producing a norm or
+an orthonormal frame is float by nature.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "vec_norm",
     "float_vec",
     "scale_of",
+    "negligible",
     "vec_is_zero",
     "collinear3",
     "unit",
@@ -62,6 +64,13 @@ def float_vec(v) -> np.ndarray:
 def scale_of(*vecs) -> float:
     """Largest norm among the given vectors; the reference scale for zero tests."""
     return max((vec_norm(v) for v in vecs), default=0.0)
+
+
+def negligible(x, bound: float) -> bool:
+    """Zero test for one scalar: ``x == 0`` on rationals, ``|x| <= bound`` on floats."""
+    if is_exact_scalar(x):
+        return x == 0
+    return abs(x) <= bound
 
 
 def vec_is_zero(v, eps: float, scale: float = 1.0) -> bool:

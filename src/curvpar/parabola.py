@@ -17,6 +17,7 @@ from .linalg import (
     collinear3,
     dot3,
     float_vec,
+    negligible,
     orthonormal_extension,
     scale_of,
     unit,
@@ -183,7 +184,7 @@ def _plane_basis_from_normal(nu3: np.ndarray, forced: bool) -> PlaneBasis:
     return PlaneBasis(u1=u1, u2=u2, nu3=nu3, forced=forced)
 
 
-def _build_frames(L, M, N, shape: ParabolaShape, tol: Tolerances):
+def _build_frames(L, M, N, shape: ParabolaShape):
     lf, mf, nf = float_vec(L), float_vec(M), float_vec(N)
     if shape.kind == "parabola":
         nu3 = unit(np.cross(mf, nf))
@@ -226,7 +227,7 @@ def build_parabola(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> ParabolaPro
     """Classify the parabola trace of a second form and attach hull, plane, stratum."""
     L, M, N = sf.L, sf.M, sf.N
     shape = _decide_shape(L, M, N, tol)
-    aff, ep = _build_frames(L, M, N, shape, tol)
+    aff, ep = _build_frames(L, M, N, shape)
     return ParabolaProfile(
         Lvec=L,
         Mvec=M,
@@ -255,16 +256,11 @@ def classify_two_jet(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> str:
     g3 = j2.c11 * j2.b02 - j2.c02 * j2.b11
     xy_col = (j2.a11, j2.b11, j2.c11)
     yy_col = (j2.a02, j2.b02, j2.c02)
-    if j2.is_exact:
-        gamma_zero = g1 == 0 and g2 == 0 and g3 == 0
-        yy_zero = all(v == 0 for v in yy_col)
-        xy_zero = all(v == 0 for v in xy_col)
-    else:
-        scale = scale_of(xy_col, yy_col)
-        thresh = tol.eps_rank * max(scale * scale, 1.0)
-        gamma_zero = max(abs(float(g1)), abs(float(g2)), abs(float(g3))) <= thresh
-        yy_zero = vec_is_zero(yy_col, tol.eps_rank, scale)
-        xy_zero = vec_is_zero(xy_col, tol.eps_rank, scale)
+    scale = scale_of(xy_col, yy_col)
+    thresh = tol.eps_rank * max(scale * scale, 1.0)
+    gamma_zero = all(negligible(g, thresh) for g in (g1, g2, g3))
+    yy_zero = vec_is_zero(yy_col, tol.eps_rank, scale)
+    xy_zero = vec_is_zero(xy_col, tol.eps_rank, scale)
     if not gamma_zero:
         return ORBIT_PARABOLA
     if not yy_zero:

@@ -40,6 +40,7 @@ from .heights import (
     degeneracy_cone,
     height_hessian,
 )
+from .linalg import negligible
 from .oracle import (
     VerificationReport,
     asymptotic_scan,
@@ -300,7 +301,7 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
     vr.add("height_hessian_vs_fd", 0.0, worst, tol.oracle_hessian_tol, worst <= tol.oracle_hessian_tol)
 
     lift_matches = all(
-        float(a) == float(b) if res.sf.is_exact else abs(float(a) - float(b)) <= 1e-10
+        negligible(a - b, 1e-10)
         for ra, rb in zip(res.lift.alpha.matrix, res.sf.matrix)
         for a, b in zip(ra, rb)
     )

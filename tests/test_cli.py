@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, CSV formats, report determinism."""
 
+import ast
 import json
 import re
 import subprocess
@@ -166,6 +167,39 @@ def test_every_tolerance_field_is_read():
     assert unread == []
 
 
+def exactness_branches(path):
+    """``module.function`` of each branch whose condition asks whether a value is exact."""
+    names = {"exact", "is_exact", "is_exact_scalar", "is_exact_vec"}
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            conditions = [node.test]
+        else:
+            conditions = node.ifs if isinstance(node, ast.comprehension) else []
+        for cond in conditions:
+            if any(getattr(n, "attr", getattr(n, "id", None)) in names for n in ast.walk(cond)):
+                sites.append(f"{path.stem}.{func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_exactness_is_decided_in_linalg():
+    # Zero, collinearity and rank tests decide exact-or-float per value in
+    # linalg.  Two forks keep a reason of their own: the exact root
+    # polynomial of the asymptotic quadratic, and the shape-based zero rule
+    # of the umbilic curvature.  adapt's identity path turns on
+    # is_prenormal(), not on an exactness test.
+    src = Path(curvpar.__file__).parent
+    sites = [s for p in sorted(src.glob("*.py")) if p.name != "linalg.py" for s in exactness_branches(p)]
+    assert sites == ["directions.asymptotic_directions", "umbilic.umbilic_curvature"]
+
+
 @pytest.mark.parametrize("flag", ["--eps-rank", "--eps-jet", "--eps-disc"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-3"])
 def test_tolerance_flags_reject_non_finite_and_negative(capsys, flag, value):
@@ -204,6 +238,7 @@ def test_negative_sample_count_exits_1(tmp_path, capsys, command):
         "(x, ((((1/3+x)^64)^64)^64)^64, y^2, 0)",
         "(x, \u0663*y^2, 0, 0)",
         "(x, x*y, \uff12*y^2, 0)",
+        "(x, x*y, (10^60)^6*y^2, 0)",
     ],
 )
 def test_hostile_germ_text_exits_1(capsys, text):

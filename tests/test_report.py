@@ -3,8 +3,10 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 import curvpar.oracle
-from curvpar.config import DEFAULT_TOL
+from curvpar.config import DEFAULT_TOL, Tolerances
 from curvpar.forms import second_form
 from curvpar.germs import MapGermR4, TruncatedPoly2
 from curvpar.report import analyze_germ, fmt_float, render_json, run_verification
@@ -12,11 +14,50 @@ from curvpar.report import analyze_germ, fmt_float, render_json, run_verificatio
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
 from golden import GOLDEN_GERMS
 
+# exact germs at scale 1e-10, each with its scale-1 twin
+SMALL_SCALE_TWINS = {
+    "(x, 1/10^10*x*y, 1/10^10*x^2 + 1/10^10*y^2, 0)": "(x, x*y, x^2 + y^2, 0)",
+    "(x, 1/10^10*y^2, 1/10^10*x^2, 0)": "(x, y^2, x^2, 0)",
+}
+
+
+def labels(res):
+    """Every label of an analysis but the transfer flags, which are decided in floats."""
+    return (
+        res.orbit_table,
+        res.profile.orbit,
+        res.profile.shape.label(),
+        res.profile.stratum,
+        res.ptype,
+        res.aset.count,
+        res.bset.count,
+        res.umbilic.is_zero,
+        res.reduced.orbit,
+        res.cone.corank2_dim,
+    )
+
 
 def test_fmt_float_12_significant_digits():
     assert fmt_float(1.0 / 3.0) == 0.333333333333
     assert fmt_float(-0.0) == 0.0
     assert fmt_float(123456789.123456789) == 123456789.123
+
+
+@pytest.mark.parametrize("text,order", GOLDEN_GERMS + [(t, 4) for t in SMALL_SCALE_TWINS])
+def test_exact_labels_never_read_a_tolerance(text, order):
+    settings = [
+        DEFAULT_TOL,
+        Tolerances(eps_rank=0, eps_disc=0, eps_jet=0),
+        Tolerances(eps_rank=1e3, eps_disc=1e3, eps_jet=1e3),
+    ]
+    results = [analyze_germ(text, order=order, tol=tol) for tol in settings]
+    assert all(res.adapted.exact for res in results)
+    assert [labels(res) for res in results[1:]] == [labels(results[0])] * 2
+
+
+@pytest.mark.parametrize("small,twin", SMALL_SCALE_TWINS.items())
+def test_small_scale_exact_germs_label_like_their_twins(small, twin):
+    assert labels(analyze_germ(small)) == labels(analyze_germ(twin))
 
 
 def test_report_json_round_trips():
