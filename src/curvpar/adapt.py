@@ -4,7 +4,13 @@ An arbitrary corank-1 germ is brought to a parametrisation whose first
 component is the first source coordinate and whose remaining components have
 vanishing 1-jets, recording the source change and target rotation that did it.
 Exact rational germs that are already prenormal pass through untouched, which
-keeps the whole downstream pipeline exact.
+keeps the whole downstream pipeline exact.  Any other germ is adapted as its
+2-jet, in closed form: with ``J = U S V^T`` the SVD of the Jacobian and ``R``
+the Householder rotation taking ``J v0`` to the first axis, each component's
+quadratic part ``H_j`` becomes ``V^T (sum_j R_ij H_j) V``; then, with ``(c, e)``
+the first row of ``R J V``, the source change ``x -> (x - e y)/c + s2``, where
+``s2`` is minus component 1's quadratic part over ``c``, is the whole series
+inversion at order 2.
 """
 
 from __future__ import annotations
@@ -75,31 +81,25 @@ def _identity_adaptation(f: MapGermR4) -> AdaptedGerm:
     )
 
 
-def _invert_first_component(comp, order: int, scale: float):
-    """Series s(X, Y) with comp(s(X,Y), Y) = X up to the truncation order.
+def _quadratic_form(p) -> list:
+    """Symmetric 2x2 matrix of the degree-2 part of ``p``, in floats."""
+    half = float(p.coefficient(1, 1)) / 2
+    return [[float(p.coefficient(2, 0)), half], [half, float(p.coefficient(0, 2))]]
 
-    ``comp`` must have an invertible x-derivative at the origin.  Fixed-point
-    iteration gains at least one correct order per step.
-    """
-    c = float(comp.coefficient(1, 0))
-    x_var = TruncatedPoly2.variable("x", order).map_coeffs(float)
-    y_var = TruncatedPoly2.variable("y", order).map_coeffs(float)
-    s = x_var * (1.0 / c)
-    for _ in range(order + 1):
-        residual = x_var - comp.compose(s, y_var)
-        s = s + residual * (1.0 / c)
-        if all(abs(v) <= 1e-16 * max(scale, 1.0) for v in residual.coeffs.values()):
-            break
-    return s
+
+def _poly(linear, form, order: int) -> TruncatedPoly2:
+    """The polynomial with 1-jet row ``linear`` and quadratic form ``form``."""
+    vals = (*linear, form[0, 0], 2 * form[0, 1], form[1, 1])
+    return TruncatedPoly2(dict(zip(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), vals)), order)
 
 
 def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     """Normalize a corank-1 germ to prenormal form with witnessing changes.
 
-    Non-prenormal input is adapted as its 2-jet: every closed form reads only
-    the degree-2 coefficients, and a source change or rotation does not mix
-    higher degrees into them.  Raises ``CorankError`` when the Jacobian rank
-    at the origin is not 1.
+    Non-prenormal input is adapted as its 2-jet, in the closed form above:
+    every closed form reads only the degree-2 coefficients, and a source
+    change or rotation does not mix higher degrees into them.  Raises
+    ``CorankError`` when the Jacobian rank at the origin is not 1.
     """
     rank = check_corank(f)
     if rank != 1:
@@ -109,60 +109,32 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
         return _identity_adaptation(f)
 
     order = min(f.order, 2)
-    f = MapGermR4([p.truncate(order) for p in f.components])
     jac = np.array([[float(v) for v in row] for row in f.jacobian_at_origin()])
-    # rank-1 factorization: J = sigma * w r^T with u = first right singular vector
-    u_svd, s_svd, vt_svd = np.linalg.svd(jac)
-    u_src = vt_svd[0]   # unit source direction complementary to the kernel
-    k_src = vt_svd[1]   # unit kernel direction of df at 0
-    w = jac @ u_src     # spans the tangent line, |w| = s_svd[0]
+    # rows of vt: the unit source direction off the kernel of df at 0, then the kernel
+    vt = np.linalg.svd(jac)[2]
+    rot = householder_rotation_to_e1(jac @ vt[0])
+    lin = rot @ jac @ vt.T
+    forms = vt @ np.einsum("ij,jkl->ikl", rot, [_quadratic_form(p) for p in f.components]) @ vt.T
+    scale = max(np.abs(lin).max(), np.abs(forms).max(), 2 * np.abs(forms[:, 0, 1]).max())
 
-    rot = householder_rotation_to_e1(w)
+    c, e = lin[0]
+    sub = np.array([[1.0 / c, -e / c], [0.0, 1.0]])
+    forms = sub.T @ forms @ sub
+    s2 = -forms[0] / c  # as R J v0 = c e1, components 2..4 have no x-term for s2 to reach
 
-    g = f.to_float()
+    for val in (lin @ sub)[1:].ravel():
+        if abs(val) > tol.eps_jet * max(scale, 1.0):
+            raise RuntimeError(
+                f"adaptation left 1-jet entry {val:.3e} in a normal component"
+            )
     x_var = TruncatedPoly2.variable("x", order).map_coeffs(float)
-    y_var = TruncatedPoly2.variable("y", order).map_coeffs(float)
-    src_lin_x = x_var * u_src[0] + y_var * k_src[0]
-    src_lin_y = x_var * u_src[1] + y_var * k_src[1]
-    g = g.compose_source(src_lin_x, src_lin_y).rotate_target(rot)
-
-    scale = max((abs(v) for p in g.components for v in p.coeffs.values()), default=1.0)
-    s_series = _invert_first_component(g.components[0], order, scale)
-    g = g.compose_source(s_series, y_var)
-
-    # snap the structural zeros: component 1 must be x, 1-jets of 2..4 vanish
-    comps = list(g.components)
-    residual = comps[0] - x_var
-    max_res = max((abs(v) for v in residual.coeffs.values()), default=0.0)
-    if max_res > tol.eps_jet * max(scale, 1.0):
-        raise RuntimeError(
-            f"series inversion left residual {max_res:.3e} in component 1"
-        )
-    comps[0] = x_var
-    cleaned = [comps[0]]
-    for p in comps[1:]:
-        for key in ((1, 0), (0, 1)):
-            val = p.coefficient(*key)
-            if val != 0 and abs(val) > tol.eps_jet * max(scale, 1.0):
-                raise RuntimeError(
-                    f"adaptation left 1-jet entry {val:.3e} in a normal component"
-                )
-        kept = {
-            k: v
-            for k, v in p.coeffs.items()
-            if k not in ((1, 0), (0, 1), (0, 0))
-        }
-        cleaned.append(TruncatedPoly2(kept, order))
-    adapted = MapGermR4(cleaned)
-
-    total_src_x = src_lin_x.compose(s_series, y_var)
-    total_src_y = src_lin_y.compose(s_series, y_var)
-
+    adapted = MapGermR4([x_var] + [_poly((0.0, 0.0), h, order) for h in forms[1:]])
+    src = vt.T @ sub
     return AdaptedGerm(
         germ=adapted,
         tangent_frame=rot[0].copy(),
         normal_frame=rot[1:4].copy(),
-        source_change=(total_src_x, total_src_y),
+        source_change=tuple(_poly(src[k], vt[0, k] * s2, order) for k in range(2)),
         target_rotation=rot,
         exact=False,
     )

@@ -190,9 +190,6 @@ class TruncatedPoly2:
     def to_float(self) -> "TruncatedPoly2":
         return self.map_coeffs(float)
 
-    def truncate(self, order: int) -> "TruncatedPoly2":
-        return TruncatedPoly2(self.coeffs, min(self.order, order))
-
     # -- printing -----------------------------------------------------
 
     @staticmethod

@@ -60,6 +60,8 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
         raise ValueError("affine hull estimation needs at least 3 sample points")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
+    if not np.isfinite(centered).all():
+        raise ValueError("affine hull samples leave the float range")
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     scale = max(float(np.max(np.abs(pts))), 1.0)
     if svals.size == 0 or svals[0] <= tol.eps_rank * scale:
@@ -182,17 +184,22 @@ def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanRe
 def finite_difference_hessian(germ, nu, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Central-difference Hessian at the origin of the height function along nu.
 
-    ``nu`` has 4 ambient coordinates; error is O(step^2).
+    ``nu`` has 4 ambient coordinates.  The Richardson pair
+    ``(4 D(step/2) - D(step)) / 3`` of central differences cancels their
+    O(step^2) term, so the error is O(step^4).
     """
-    g = getattr(germ, "germ", germ)
+    g = getattr(germ, "germ", germ).to_float()
     nu = np.asarray([float(c) for c in nu], dtype=float)
-    s = tol.fd_step
 
     def height(x, y):
-        return float(np.dot(nu, [float(v) for v in g.evaluate(x, y)]))
+        return float(np.dot(nu, g.evaluate(x, y)))
 
     h0 = height(0.0, 0.0)
-    hxx = (height(s, 0.0) - 2.0 * h0 + height(-s, 0.0)) / (s * s)
-    hyy = (height(0.0, s) - 2.0 * h0 + height(0.0, -s)) / (s * s)
-    hxy = (height(s, s) - height(s, -s) - height(-s, s) + height(-s, -s)) / (4.0 * s * s)
-    return np.array([[hxx, hxy], [hxy, hyy]])
+
+    def central(s):
+        hxx = (height(s, 0.0) - 2.0 * h0 + height(-s, 0.0)) / (s * s)
+        hyy = (height(0.0, s) - 2.0 * h0 + height(0.0, -s)) / (s * s)
+        hxy = (height(s, s) - height(s, -s) - height(-s, s) + height(-s, -s)) / (4.0 * s * s)
+        return np.array([[hxx, hxy], [hxy, hyy]])
+
+    return (4.0 * central(tol.fd_step / 2) - central(tol.fd_step)) / 3.0

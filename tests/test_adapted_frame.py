@@ -1,17 +1,19 @@
 """Corank check and prenormalization with witnessing changes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from curvpar.adapt import CorankError, adapt, check_corank
 from curvpar.forms import second_form
-from curvpar.germs import extract_jet2
+from curvpar.germs import MapGermR4, TruncatedPoly2, extract_jet2
+from curvpar.linalg import householder_rotation_to_e1
 from curvpar.parabola import build_parabola, classify_two_jet
 from curvpar.report import analyze_germ
 
-from conftest import germ, random_rotation, transform_germ
+from conftest import germ, rand_fraction, random_rotation, transform_germ
 
 
 def test_corank_examples():
@@ -123,3 +125,73 @@ def test_moved_germ_report_independent_of_jet_order(rng):
         reports.append(report)
     assert reports[0]["parabola"]["stratum"] == "M3"
     assert reports[0] == reports[1] == reports[2]
+
+
+def reference_adapt(f):
+    """Adaptation by polynomial composition and fixed-point series inversion.
+
+    The reference for ``adapt``'s closed form: the same SVD and Householder
+    rotation, then the germ composed with the linear source change, rotated,
+    and composed with the series inverse of its first component, each
+    iteration gaining at least one correct order.  Returns the adapted 2-jet,
+    the source change and the rotation.
+    """
+    order = min(f.order, 2)
+    f = MapGermR4([TruncatedPoly2(p.coeffs, order) for p in f.components])
+    jac = np.array([[float(v) for v in row] for row in f.jacobian_at_origin()])
+    vt = np.linalg.svd(jac)[2]
+    rot = householder_rotation_to_e1(jac @ vt[0])
+    x_var = TruncatedPoly2.variable("x", order).map_coeffs(float)
+    y_var = TruncatedPoly2.variable("y", order).map_coeffs(float)
+    src_x = x_var * vt[0][0] + y_var * vt[1][0]
+    src_y = x_var * vt[0][1] + y_var * vt[1][1]
+    g = f.to_float().compose_source(src_x, src_y).rotate_target(rot)
+    first = g.components[0]
+    c = float(first.coefficient(1, 0))
+    s = x_var * (1.0 / c)
+    for _ in range(order + 1):
+        s = s + (x_var - first.compose(s, y_var)) * (1.0 / c)
+    source = (src_x.compose(s, y_var), src_y.compose(s, y_var))
+    return g.compose_source(s, y_var).components, source, rot
+
+
+def assert_polys_close(got, want):
+    """Coefficients up to degree 2 agree to 1e-12 of the largest one (at least 1)."""
+    scale = max([abs(v) for p in want for v in p.coeffs.values()] + [1.0])
+    for p, q in zip(got, want):
+        for i, j in set(p.coeffs) | set(q.coeffs):
+            if i + j <= 2:
+                assert abs(p.coefficient(i, j) - q.coefficient(i, j)) <= 1e-12 * scale
+
+
+def reference_cases(rng):
+    for text in ("(x, x*y, y^2 + x^2, 2*x^2)", "(x + y^2, x*y + y^4, y^2 - x^5, x^2 + x^3*y)"):
+        for _ in range(5):
+            yield transform_germ(germ(text), random_rotation(rng, 2), random_rotation(rng, 4))
+    x, y = TruncatedPoly2.variable("x", 6), TruncatedPoly2.variable("y", 6)
+    for text in ("(x + y^2, x*y, y^2 + x^2, x^2)", "(x - 2*x*y + x^2, y^2 + x^3, x*y, x^2 - y^2)"):
+        for _ in range(5):
+            # |a|, |d| >= 3/2 and |b|, |c| <= 1 keep the linear part invertible
+            a, d = (Fraction(int(rng.choice((-3, -4, 3, 4))), 2) for _ in range(2))
+            b, c, e = (rand_fraction(rng, span=2, den=2) for _ in range(3))
+            yield germ(text).compose_source(x * a + y * b + y * y * e, x * c + y * d)
+
+
+def test_closed_form_matches_composition_and_series_inversion(rng, monkeypatch):
+    for moved in reference_cases(rng):
+        want_germ, want_source, want_rot = reference_adapt(moved)
+        with monkeypatch.context() as m:
+            for cls, name in ((TruncatedPoly2, "compose"), (MapGermR4, "rotate_target"),
+                              (TruncatedPoly2, "to_float"), (MapGermR4, "to_float")):
+                m.setattr(cls, name, lambda *args, name=name: pytest.fail(f"adapt called {name}"))
+            ad = adapt(moved)
+        assert np.array_equal(ad.target_rotation, want_rot)
+        assert_polys_close(ad.germ.components, want_germ)
+        assert_polys_close(ad.source_change, want_source)
+
+
+def test_adapt_raises_on_a_normal_1_jet_below_the_rank_tolerance():
+    # singular values 1 and 5e-10: rank 1 under eps_rank, yet a 1-jet entry of
+    # 5e-10 in component 2 exceeds eps_jet
+    with pytest.raises(RuntimeError, match="adaptation left 1-jet entry 5.000e-10"):
+        adapt(germ("(x, 1/2000000000*y, x*y, y^2)", order=2).to_float())

@@ -76,14 +76,16 @@ def test_analyze_report_deterministic(capsys):
 
 
 def test_verify_passes_on_good_germ(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--germ", "(x, x*y, y^2 + x^2, 0)")
-    assert code == 0
-    report = json.loads(out)
-    assert report["verification"]["passed"] is True
-    names = {c["name"] for c in report["verification"]["checks"]}
-    assert "umbilic_vs_affine_hull" in names
-    assert "asymptotic_scan_roots" in names
-    assert "height_hessian_vs_fd" in names
+    # the quartic term of the second germ defeats a plain central difference
+    for text in ("(x, x*y, y^2 + x^2, 0)", "(x, x*y + 1000*x^4, y^2, 0)"):
+        code, out, _ = run_cli(capsys, "verify", "--germ", text)
+        assert code == 0
+        report = json.loads(out)
+        assert report["verification"]["passed"] is True
+        names = {c["name"] for c in report["verification"]["checks"]}
+        assert "umbilic_vs_affine_hull" in names
+        assert "asymptotic_scan_roots" in names
+        assert "height_hessian_vs_fd" in names
 
 
 def test_analyze_text_format(capsys):
@@ -378,3 +380,15 @@ def test_module_entrypoint_subprocess():
         text=True,
     )
     assert proc.returncode == 3
+
+
+def test_verify_exits_1_when_hull_samples_overflow():
+    # out of process: the overflow warnings would fail an in-process run
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvpar.cli", "verify", "--germ", "(x, (10^51)^6*x*y, y^2, x^2)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "error: affine hull samples leave the float range" in proc.stderr
