@@ -60,10 +60,10 @@ class AdaptedGerm:
         return self.germ.order
 
 
-def check_corank(f: MapGermR4) -> int:
+def check_corank(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of the 4x2 Jacobian of the 1-jet at the origin (0, 1, or 2)."""
     jac = f.jacobian_at_origin()
-    return rank3(jac, DEFAULT_TOL.eps_rank)
+    return rank3(jac, tol.eps_rank)
 
 
 def _identity_adaptation(f: MapGermR4) -> AdaptedGerm:
@@ -101,7 +101,7 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     change or rotation does not mix higher degrees into them.  Raises
     ``CorankError`` when the Jacobian rank at the origin is not 1.
     """
-    rank = check_corank(f)
+    rank = check_corank(f, tol)
     if rank != 1:
         raise CorankError(rank)
 

@@ -4,6 +4,11 @@ Coefficients are ``fractions.Fraction`` on the parsing path, so every 2-jet
 criterion downstream can be decided without tolerances.  The same containers
 carry float coefficients after numeric frame changes; all arithmetic here is
 agnostic to the coefficient type.
+
+The parser works on monomial dicts ``{(i, j): coeff}``: a product or power of
+single monomials adds the exponents and multiplies the coefficients, so an
+expanded germ is parsed without polynomial algebra.  Only products and powers
+with a multi-term operand go through ``TruncatedPoly2``.
 """
 
 from __future__ import annotations
@@ -336,6 +341,7 @@ MAX_EXPONENT = 64
 MAX_POWER_BITS = 4096
 # Norms, frames and every float-path decision read the coefficients as floats.
 MAX_COEFFICIENT = int(sys.float_info.max)
+_ONE = Fraction(1)
 
 
 def _tokenize(text: str):
@@ -355,6 +361,17 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent over monomial dicts ``{(i, j): coeff}``.
+
+    Each dict holds only monomials of total degree at most ``order`` with
+    non-zero coefficients.  A leaf builds its dict directly; a product or
+    power of single monomials adds (or scales) the exponents and multiplies
+    (or raises) the coefficient.  Only products and powers with a multi-term
+    operand, such as ``(y^3+x)^2``, go through ``TruncatedPoly2``'s
+    arithmetic, and ``parse_component`` wraps each component in one
+    ``TruncatedPoly2``.
+    """
+
     def __init__(self, text: str, order: int, params=None):
         self.text = text
         self.order = order
@@ -392,35 +409,42 @@ class _Parser:
     def parse_component(self) -> TruncatedPoly2:
         """An expression whose coefficients all have float values."""
         pos = self.peek()[2]
-        poly = self.parse_expr()
-        if any(abs(c.numerator) > MAX_COEFFICIENT * c.denominator for c in poly.coeffs.values()):
+        coeffs = self.parse_expr()
+        if any(abs(c.numerator) > MAX_COEFFICIENT * c.denominator for c in coeffs.values()):
             raise GermParseError("coefficient beyond the float range", pos)
-        return poly
+        return TruncatedPoly2(coeffs, self.order)
 
-    def parse_expr(self) -> TruncatedPoly2:
+    def parse_expr(self) -> dict:
         # A coefficient that cancels is deleted at once: this keeps the key
         # order of adding the terms as polynomials, which float sums follow.
         acc = {}
         op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
         while True:
-            for key, c in self.parse_term().coeffs.items():
+            for key, c in self.parse_term().items():
                 total = acc.get(key, 0) + c if op == "+" else acc.get(key, 0) - c
                 if total == 0:
                     acc.pop(key, None)
                 else:
                     acc[key] = total
             if self.peek()[0] not in ("+", "-"):
-                return TruncatedPoly2(acc, self.order)
+                return acc
             op = self.advance()[0]
 
-    def parse_term(self) -> TruncatedPoly2:
+    def parse_term(self) -> dict:
         acc = self.parse_factor()
         while self.peek()[0] == "*":
             self.advance()
-            acc = acc * self.parse_factor()
+            factor = self.parse_factor()
+            if len(acc) > 1 or len(factor) > 1:
+                acc = (TruncatedPoly2(acc, self.order) * TruncatedPoly2(factor, self.order)).coeffs
+            elif acc and factor:
+                ((i1, j1), c1), ((i2, j2), c2) = *acc.items(), *factor.items()
+                acc = self.monomial(i1 + i2, j1 + j2, c1 * c2)
+            else:
+                acc = {}
         return acc
 
-    def parse_factor(self) -> TruncatedPoly2:
+    def parse_factor(self) -> dict:
         base = self.parse_base()
         if self.peek()[0] == "^":
             self.advance()
@@ -431,7 +455,7 @@ class _Parser:
             bits = max(
                 (
                     max(q.numerator.bit_length(), q.denominator.bit_length())
-                    for q in map(Fraction, base.coeffs.values())
+                    for q in map(Fraction, base.values())
                 ),
                 default=0,
             )
@@ -441,10 +465,24 @@ class _Parser:
                     f"{MAX_POWER_BITS} bits",
                     tok[2],
                 )
-            base = base**exponent
+            if len(base) > 1:
+                return (TruncatedPoly2(base, self.order) ** exponent).coeffs
+            if exponent == 0:
+                return {(0, 0): _ONE}
+            if base:
+                ((i, j), c), = base.items()
+                c = c**exponent
+                # TruncatedPoly2.__pow__ multiplies from Fraction(1)
+                if isinstance(c, int):
+                    c = Fraction(c)
+                return self.monomial(i * exponent, j * exponent, c)
         return base
 
-    def parse_base(self) -> TruncatedPoly2:
+    def monomial(self, i: int, j: int, c) -> dict:
+        """The dict of ``c*x^i*y^j``, empty above the order or for a zero ``c``."""
+        return {(i, j): c} if i + j <= self.order and c != 0 else {}
+
+    def parse_base(self) -> dict:
         tok = self.advance()
         kind, value, pos = tok
         if kind == "int":
@@ -455,13 +493,16 @@ class _Parser:
                 den = int(den_tok[1])
                 if den == 0:
                     raise GermParseError("zero denominator", den_tok[2])
-                return TruncatedPoly2.const(Fraction(num, den), self.order)
-            return TruncatedPoly2.const(Fraction(num), self.order)
+                return {(0, 0): Fraction(num, den)} if num else {}
+            return {(0, 0): Fraction(num)} if num else {}
         if kind == "ident":
             if value in ("x", "y"):
-                return TruncatedPoly2.variable(value, self.order)
+                if self.order < 1:
+                    return {}
+                return {(1, 0): _ONE} if value == "x" else {(0, 1): _ONE}
             if value in self.params:
-                return TruncatedPoly2.const(self.params[value], self.order)
+                c = self.params[value]
+                return {(0, 0): c} if c != 0 else {}
             raise GermParseError(f"unbound name {value!r}", pos)
         if kind == "(":
             self.depth += 1

@@ -392,12 +392,34 @@ def analyze_germ(
     return res
 
 
+def _check_finite(node, path: str = "report") -> None:
+    """Refuse a report holding NaN or an infinity, naming the first such entry.
+
+    Such values come from float arithmetic that left its range (exact
+    coefficients near 1e300, say); no rendering of them is a valid report.
+    """
+    if isinstance(node, float):
+        if not math.isfinite(node):
+            raise ValueError(f"{path} is {node}: the analysis left the float range")
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for idx, value in enumerate(node):
+            _check_finite(value, f"{path}[{idx}]")
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        _check_finite(report)  # names the non-finite entry
+        raise
 
 
 def render_text(report: dict, indent: int = 0) -> str:
     """Human-readable rendering with the same deterministic ordering."""
+    _check_finite(report)
     lines = []
 
     def walk(node, depth):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from curvpar.adapt import CorankError, adapt, check_corank
+from curvpar.config import Tolerances
 from curvpar.forms import second_form
 from curvpar.germs import MapGermR4, TruncatedPoly2, extract_jet2
 from curvpar.linalg import householder_rotation_to_e1
@@ -195,3 +196,14 @@ def test_adapt_raises_on_a_normal_1_jet_below_the_rank_tolerance():
     # 5e-10 in component 2 exceeds eps_jet
     with pytest.raises(RuntimeError, match="adaptation left 1-jet entry 5.000e-10"):
         adapt(germ("(x, 1/2000000000*y, x*y, y^2)", order=2).to_float())
+
+
+def test_adapt_ranks_with_its_own_tolerance():
+    # the same germ under eps_rank 1e-12: both singular values count
+    g = germ("(x, 1/2000000000*y, x*y, y^2)", order=2).to_float()
+    tol = Tolerances(eps_rank=1e-12)
+    assert check_corank(g) == 1
+    assert check_corank(g, tol) == 2
+    with pytest.raises(CorankError) as exc:
+        adapt(g, tol)
+    assert exc.value.rank == 2

@@ -250,6 +250,19 @@ def test_hostile_germ_text_exits_1(capsys, text):
     assert err.startswith("error: parse error")
 
 
+# numpy warns of the overflow that produces the non-finite entries
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_non_finite_report_exits_1(capsys, fmt):
+    text = "(x, (10^51)^6*x*y, y^2, x^2)"
+    code, out, err = run_cli(capsys, "analyze", "--format", fmt, "--germ", text)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: report.reduced_two_jet.jet2.a20 is nan: the analysis left the float range\n"
+    )
+
+
 def test_sweep_ik_family(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(

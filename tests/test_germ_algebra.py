@@ -1,5 +1,6 @@
 """Polynomial arithmetic, parsing, and 2-jet extraction."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvpar.germs import (
+    MAX_COEFFICIENT,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_POWER_BITS,
     GermParseError,
     MapGermR4,
     TruncatedPoly2,
+    _tokenize,
     extract_jet2,
     parse_map_germ,
     parse_poly,
@@ -136,6 +139,323 @@ def test_parse_power_bit_budget_boundary():
         parse_map_germ(f"(x, y^2 + ({2**64}*x + y)^64, 0, 0)")
     # moderate nested powers still expand exactly
     assert parse_map_germ("(x, ((1+y)^8)^8 - 1, 0, 0)") == parse_map_germ("(x, (1+y)^64 - 1, 0, 0)")
+
+
+# -- the parser against polynomial algebra on every token -------------------
+
+
+class ReferenceParser:
+    """The germ parser as it was before it worked on monomial dicts.
+
+    Every number, variable and parameter becomes a ``TruncatedPoly2``, and
+    every product and power goes through ``TruncatedPoly2.__mul__`` and
+    ``__pow__``.  The checks and their messages are the parser's.
+    """
+
+    def __init__(self, text, order, params=None):
+        self.order = order
+        self.params = params or {}
+        self.tokens = _tokenize(text)
+        self.idx = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def advance(self):
+        tok = self.tokens[self.idx]
+        self.idx += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise GermParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def parse_germ(self):
+        self.expect("(")
+        comps = [self.parse_component()]
+        for _ in range(3):
+            self.expect(",")
+            comps.append(self.parse_component())
+        self.expect(")")
+        self.expect_eof()
+        return comps
+
+    def expect_eof(self):
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise GermParseError(f"trailing input {tok[1]!r}", tok[2])
+
+    def parse_component(self):
+        pos = self.peek()[2]
+        poly = self.parse_expr()
+        if any(abs(c.numerator) > MAX_COEFFICIENT * c.denominator for c in poly.coeffs.values()):
+            raise GermParseError("coefficient beyond the float range", pos)
+        return poly
+
+    def parse_expr(self):
+        acc = {}
+        op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
+        while True:
+            for key, c in self.parse_term().coeffs.items():
+                total = acc.get(key, 0) + c if op == "+" else acc.get(key, 0) - c
+                if total == 0:
+                    acc.pop(key, None)
+                else:
+                    acc[key] = total
+            if self.peek()[0] not in ("+", "-"):
+                return TruncatedPoly2(acc, self.order)
+            op = self.advance()[0]
+
+    def parse_term(self):
+        acc = self.parse_factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            acc = acc * self.parse_factor()
+        return acc
+
+    def parse_factor(self):
+        base = self.parse_base()
+        if self.peek()[0] == "^":
+            self.advance()
+            tok = self.expect("int")
+            exponent = int(tok[1])
+            if exponent > MAX_EXPONENT:
+                raise GermParseError(f"exponent {exponent} exceeds {MAX_EXPONENT}", tok[2])
+            bits = max(
+                (
+                    max(q.numerator.bit_length(), q.denominator.bit_length())
+                    for q in map(Fraction, base.coeffs.values())
+                ),
+                default=0,
+            )
+            if exponent * bits > MAX_POWER_BITS:
+                raise GermParseError(
+                    f"power of {bits}-bit coefficients to exponent {exponent} exceeds "
+                    f"{MAX_POWER_BITS} bits",
+                    tok[2],
+                )
+            base = base**exponent
+        return base
+
+    def parse_base(self):
+        kind, value, pos = self.advance()
+        if kind == "int":
+            num = int(value)
+            if self.peek()[0] == "/":
+                self.advance()
+                den_tok = self.expect("int")
+                den = int(den_tok[1])
+                if den == 0:
+                    raise GermParseError("zero denominator", den_tok[2])
+                return TruncatedPoly2.const(Fraction(num, den), self.order)
+            return TruncatedPoly2.const(Fraction(num), self.order)
+        if kind == "ident":
+            if value in ("x", "y"):
+                return TruncatedPoly2.variable(value, self.order)
+            if value in self.params:
+                return TruncatedPoly2.const(self.params[value], self.order)
+            raise GermParseError(f"unbound name {value!r}", pos)
+        if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise GermParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            inner = self.parse_expr()
+            self.expect(")")
+            self.depth -= 1
+            return inner
+        raise GermParseError(f"unexpected token {value!r}", pos)
+
+
+def reference_parse_poly(text, order, params=None):
+    parser = ReferenceParser(text, order, params)
+    poly = parser.parse_component()
+    parser.expect_eof()
+    return poly
+
+
+def reference_parse_map_germ(text, order, params=None):
+    if order < 2:
+        raise ValueError(f"jet order must be at least 2, got {order}")
+    comps = ReferenceParser(text, order, params).parse_germ()
+    for idx, p in enumerate(comps):
+        if p.coefficient(0, 0) != 0:
+            raise ValueError(
+                f"component {idx + 1} has constant term {p.coefficient(0, 0)}; "
+                "the germ must vanish at the origin"
+            )
+    return MapGermR4(comps)
+
+
+# t is a rational parameter, u an integer one (its powers are Fractions, its
+# products ints) and z a zero one
+PARAMS = {"t": F(-3, 2), "u": 3, "z": F(0)}
+
+
+def random_expr(rng, depth):
+    terms = [random_term(rng, depth) for _ in range(rng.randint(1, 4))]
+    text = ("-" if rng.random() < 0.3 else "") + terms[0]
+    for term in terms[1:]:
+        text += f" {rng.choice('+-')} {term}"
+    if rng.random() < 0.3:
+        term = random_term(rng, depth)
+        text += f" + {term} - {term}"
+    return text
+
+
+def random_term(rng, depth):
+    return "*".join(random_factor(rng, depth) for _ in range(rng.randint(1, 4)))
+
+
+def random_factor(rng, depth):
+    base = random_base(rng, depth)
+    if rng.random() < 0.4:
+        base += f"^{rng.choice([0, 1, 2, 3, 5])}"
+    return base
+
+
+def random_base(rng, depth):
+    kind = rng.choice(["int", "rational", "x", "y", "param"] + ["paren"] * (depth > 0))
+    if kind == "int":
+        return str(rng.choice([0, 1, 2, 7, 12]))
+    if kind == "rational":
+        return f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+    if kind == "param":
+        return rng.choice(sorted(PARAMS))
+    if kind == "paren":
+        return "(" + random_expr(rng, depth - 1) + ")"
+    return kind
+
+
+def mutate(rng, text):
+    """The text with one character deleted or one inserted."""
+    at = rng.randrange(len(text) + 1)
+    if rng.random() < 0.5:
+        return text[:at] + text[at + 1:]
+    return text[:at] + rng.choice("()+-*/^,xy0937 \u0663$") + text[at:]
+
+
+def parse_outcome(parse, text, order):
+    """Coefficients with their types and key order, or the error raised."""
+    try:
+        result = parse(text, order, PARAMS)
+    except GermParseError as exc:
+        return ("parse error", exc.message, exc.position)
+    except ValueError as exc:
+        return ("value error", str(exc))
+    comps = result.components if isinstance(result, MapGermR4) else [result]
+    return [(p.order, [(key, type(c), c) for key, c in p.coeffs.items()]) for p in comps]
+
+
+def random_germ(rng):
+    comps = []
+    for _ in range(3):
+        expr = random_expr(rng, 2)
+        if rng.random() < 0.5:
+            comps.append(rng.choice(["y*({})", "({})*x^2 - x"]).format(expr))
+        else:
+            # an expanded component: a sum of monomials
+            coeffs = dict(parse_poly(expr, 6, PARAMS).coeffs)
+            coeffs.pop((0, 0), None)
+            comps.append(TruncatedPoly2(coeffs, 6).to_expression())
+    return "(x, " + ", ".join(comps) + ")"
+
+
+def test_parser_matches_polynomial_algebra_reference():
+    rng = random.Random(20261018)
+    exprs = [random_expr(rng, 3) for _ in range(100)]
+    exprs += [mutate(rng, e) for e in exprs[:40]]
+    exprs += ["x^0", "0^0", "z^0*x", "(y^3+x)^2", "(x - x)^3", "-(-(x*y))", "(10^60)^6"]
+    exprs += ["u", "u*u*x", "u^2", "u^0 - y", "u^3*y^2 - x"]
+    germs = [random_germ(rng) for _ in range(30)]
+    germs += [mutate(rng, g) for g in germs[:15]]
+    for order in range(7):
+        for text in exprs:
+            want = parse_outcome(reference_parse_poly, text, order)
+            assert parse_outcome(parse_poly, text, order) == want, (text, order)
+        for text in germs:
+            want = parse_outcome(reference_parse_map_germ, text, order)
+            assert parse_outcome(parse_map_germ, text, order) == want, (text, order)
+
+
+def expanded_moved_germ():
+    """A germ moved by a rational source change and target map, as expanded text."""
+    g = parse_map_germ("(x, x*y + 2/3*y^5, y^2 - 1/2*x^3, x^2 + x*y^4)")
+    px = parse_poly("3/2*x - 1/3*y + 2/5*x*y - y^2")
+    py = parse_poly("1/4*x + 5/7*y - 1/2*x^2")
+    moved = g.compose_source(px, py).rotate_target(
+        [[1, F(1, 3), 0, -2], [0, 1, F(-3, 4), 0], [F(2, 9), 0, 1, 1], [0, 5, 0, 1]]
+    )
+    return moved.to_expression(), moved
+
+
+def test_expanded_monomial_input_does_no_polynomial_algebra(monkeypatch):
+    text, moved = expanded_moved_germ()
+    assert len(text) > 1000 and "^" in text
+
+    def refuse(*_):
+        raise AssertionError("polynomial arithmetic on a single monomial")
+
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(TruncatedPoly2, name, refuse)
+    assert parse_map_germ(text) == moved
+    with pytest.raises(AssertionError, match="single monomial"):
+        parse_poly("(y^3+x)^2")
+    with pytest.raises(AssertionError, match="single monomial"):
+        parse_poly("(1+x)*(1-y)")
+
+
+def test_multi_term_operands_reach_polynomial_algebra(monkeypatch):
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        method = getattr(TruncatedPoly2, name)
+
+        def record(self, other, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, other)
+
+        monkeypatch.setattr(TruncatedPoly2, name, record)
+    assert parse_poly("(y^3+x)^2").coeffs == {(2, 0): 1, (1, 3): 2, (0, 6): 1}
+    assert calls[0] == "__pow__"
+    calls.clear()
+    assert parse_poly("(1+x)*(1-y)").coeffs == {(0, 0): 1, (1, 0): 1, (0, 1): -1, (1, 1): -1}
+    assert calls[0] == "__mul__"
+    calls.clear()
+    parse_poly("2/3*x^2*y - y^4")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "base, bits, exponent",
+    [
+        # 64-bit numerator: 64 * 64 is the budget itself, 64 * 63 below it
+        (f"{2**63}*x", 64, 64),
+        (f"{2**63}*x", 64, 63),
+        # 65-bit numerator or denominator: just over at exponent 64, just under at 63
+        (f"{2**64}*x", 65, 64),
+        (f"{2**64}*x", 65, 63),
+        (f"1/{2**64}*y", 65, 64),
+        (f"y*1/{2**64}", 65, 63),
+    ],
+)
+def test_power_bit_budget_on_a_single_monomial(monkeypatch, base, bits, exponent):
+    text = f"(x, y^2 + ({base})^{exponent}, 0, 0)"
+    want = parse_outcome(reference_parse_map_germ, text, 6)
+    monkeypatch.setattr(TruncatedPoly2, "__pow__", None)
+    got = parse_outcome(parse_map_germ, text, 6)
+    assert got == want
+    if bits * exponent > MAX_POWER_BITS:
+        assert got == (
+            "parse error",
+            f"power of {bits}-bit coefficients to exponent {exponent} "
+            f"exceeds {MAX_POWER_BITS} bits",
+            text.index(f"^{exponent}") + 1,
+        )
+    else:
+        # the power's degree is above the order, so only y^2 is left
+        assert got[1][1] == [((0, 2), F, 1)]
 
 
 def test_template_parameters_and_binding():

@@ -9,7 +9,7 @@ import curvpar.oracle
 from curvpar.config import DEFAULT_TOL, Tolerances
 from curvpar.forms import second_form
 from curvpar.germs import MapGermR4, TruncatedPoly2
-from curvpar.report import analyze_germ, fmt_float, render_json, run_verification
+from curvpar.report import analyze_germ, fmt_float, render_json, render_text, run_verification
 
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
 from golden import GOLDEN_GERMS
@@ -121,3 +121,13 @@ def test_fd_hessian_oracle_checks_the_adaptation(rng):
     comps = res.adapted.germ.components
     adapted = replace(res.adapted, germ=MapGermR4([comps[0]] + [p + bump for p in comps[1:]]))
     assert not hessian_check(replace(res, adapted=adapted, sf=second_form(adapted))).passed
+
+
+@pytest.mark.parametrize("render", [render_json, render_text])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_render_refuses_non_finite_values(render, bad):
+    report = {"labels": {"orbit": "(x,xy,y^2,0)"}, "values": [[1.0, 2.0], [0.5, bad]]}
+    with pytest.raises(ValueError, match=r"^report\.values\[1\]\[1\] is -?(nan|inf): "):
+        render(report)
+    report["values"][1][1] = 1e308
+    assert "1e+308" in render(report)
