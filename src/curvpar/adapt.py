@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .germs import MapGermR4, TruncatedPoly2
-from .linalg import householder_rotation_to_e1, rank3
+from .linalg import householder_rotation_to_e1, rank3, scale_of
 
 __all__ = ["CorankError", "AdaptedGerm", "check_corank", "adapt"]
 
@@ -115,7 +115,8 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     rot = householder_rotation_to_e1(jac @ vt[0])
     lin = rot @ jac @ vt.T
     forms = vt @ np.einsum("ij,jkl->ikl", rot, [_quadratic_form(p) for p in f.components]) @ vt.T
-    scale = max(np.abs(lin).max(), np.abs(forms).max(), 2 * np.abs(forms[:, 0, 1]).max())
+    # no adapted 2-jet exists yet: the residue test reads the moved germ's own jets
+    ref = scale_of(lin.ravel(), forms.ravel(), 2 * forms[:, 0, 1])
 
     c, e = lin[0]
     sub = np.array([[1.0 / c, -e / c], [0.0, 1.0]])
@@ -123,7 +124,7 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     s2 = -forms[0] / c  # as R J v0 = c e1, components 2..4 have no x-term for s2 to reach
 
     for val in (lin @ sub)[1:].ravel():
-        if abs(val) > tol.eps_jet * max(scale, 1.0):
+        if abs(val) > tol.eps_jet * ref:
             raise RuntimeError(
                 f"adaptation left 1-jet entry {val:.3e} in a normal component"
             )

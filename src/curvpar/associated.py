@@ -20,6 +20,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .directions import AsymptoticSet, point_type, solve_quadratic, type_of_count
 from .forms import SecondForm, form_rows
 from .germs import TruncatedPoly2
+from .linalg import scale_of
 from .parabola import ParabolaProfile
 
 __all__ = [
@@ -114,8 +115,8 @@ def s_asymptotic_directions(s: RegularSurfaceR4, tol: Tolerances = DEFAULT_TOL):
     a = l1 * m2 - l2 * m1
     b = l1 * n2 - l2 * n1
     c = m1 * n2 - m2 * n1
-    scale = max(abs(l1), abs(m1), abs(n1), abs(l2), abs(m2), abs(n2), 1.0)
-    thresh = tol.eps_rank * scale * scale
+    ref = scale_of(*s.coeffs)  # S's own rows: the germ's umbilic part is not in S
+    thresh = tol.eps_rank * ref * ref
     if abs(a) <= thresh and abs(b) <= thresh and abs(c) <= thresh:
         return "all"
     if abs(c) > thresh:

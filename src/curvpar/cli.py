@@ -22,7 +22,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .germs import GermParseError, parse_map_germ, template_parameters
 from .heights import sample_cone
 from .parabola import sample_parabola
-from .report import analyze_germ, render_json, render_text
+from .report import analyze_germ, check_finite, render_json, render_text
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -174,6 +174,7 @@ def _cmd_sweep(args) -> int:
     for value in _sweep_values(lo, hi, args.samples):
         germ = parse_map_germ(text, order=args.order, params={name: value})
         res = analyze_germ(germ, order=args.order, tol=tol, input_text=text)
+        check_finite(res.report, f"the row {name} = {value}: report")
         n_asym = "inf" if res.aset.kind == "all" else str(res.aset.count)
         n_bin = "inf" if res.bset.kind == "all" else str(res.bset.count)
         labels = (res.profile.orbit, res.profile.shape.label(), res.ptype, n_asym, n_bin)
@@ -209,28 +210,22 @@ def _cmd_plotdata(args) -> int:
     text = _germ_text(args)
     if not args.out:
         raise _CliError("plotdata requires --out DIRECTORY")
-    os.makedirs(args.out, exist_ok=True)
     res = analyze_germ(text, order=args.order, tol=tol)
 
+    # every file is computed before any is written, so a failure leaves none
     lo, hi = float(Fraction(args.range[0])), float(Fraction(args.range[1]))
     frame = res.adapted.normal_frame
     rows = []
     for y, e1, e2, e3 in sample_parabola(res.profile, lo, hi, args.samples):
         ambient = frame.T @ np.array([e1, e2, e3])
         rows.append([_fmt(y)] + [_fmt(c) for c in ambient])
-    _write(
-        os.path.join(args.out, "parabola.csv"),
-        _csv_content(["y", "c1", "c2", "c3", "c4"], rows),
-    )
+    files = {"parabola.csv": _csv_content(["y", "c1", "c2", "c3", "c4"], rows)}
 
     cone_rows = [
         [_fmt(theta), _fmt(phi), str(sign), _fmt(value)]
         for theta, phi, sign, value in sample_cone(res.cone, tol=tol)
     ]
-    _write(
-        os.path.join(args.out, "cone.csv"),
-        _csv_content(["theta", "phi", "det_sign", "det_value"], cone_rows),
-    )
+    files["cone.csv"] = _csv_content(["theta", "phi", "det_sign", "det_value"], cone_rows)
 
     if args.ellipse:
         ell_rows = []
@@ -238,10 +233,11 @@ def _cmd_plotdata(args) -> int:
             theta = 2.0 * math.pi * k / 360.0
             e = curvature_ellipse(res.projection, theta)
             ell_rows.append([_fmt(theta), _fmt(e[0]), _fmt(e[1])])
-        _write(
-            os.path.join(args.out, "ellipse.csv"),
-            _csv_content(["theta", "eta1", "eta2"], ell_rows),
-        )
+        files["ellipse.csv"] = _csv_content(["theta", "eta1", "eta2"], ell_rows)
+
+    os.makedirs(args.out, exist_ok=True)
+    for name, content in files.items():
+        _write(os.path.join(args.out, name), content)
     return EXIT_OK
 
 
@@ -268,7 +264,7 @@ def main(argv=None) -> int:
     except CorankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORANK
-    except (GermParseError, ValueError, OSError) as exc:
+    except (GermParseError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

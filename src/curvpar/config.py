@@ -22,7 +22,7 @@ RETIRED_KEYS = {
 
 @dataclass(frozen=True)
 class Tolerances:
-    # rank / zero decisions on numeric data (relative to the largest scale)
+    # float zero tests |x| <= eps_rank * ref**d (ref = scale_of(whole 2-jet), d = degree of x); ranks: vs top singular value
     eps_rank: float = 1e-9
     # "vanishing" 1-jet entries after numeric adaptation
     eps_jet: float = 1e-10

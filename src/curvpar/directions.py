@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
 from .germs import extract_jet2
-from .linalg import cross3, dot3, negligible, scale_of
+from .linalg import cross3, dot3, negligible
 from .parabola import ParabolaProfile
 
 __all__ = [
@@ -288,12 +288,12 @@ def ik_classify(adapted, tol: Tolerances = DEFAULT_TOL) -> str:
     """
     j2 = extract_jet2(adapted)
     vals = (j2.a20, j2.a11 - 1, j2.a02, j2.c11, j2.c02)
-    bound = tol.eps_rank * max(scale_of(*j2.rows()), 1.0)
+    bound = tol.eps_rank * j2.ref
     if not (all(negligible(v, bound) for v in vals) and j2.b02 > 0):
         raise ValueError(
             "germ 2-jet is not in the reduced form (x, xy, b20 x^2 + b11 xy + b02 y^2, c20 x^2)"
         )
     b20 = j2.b20
-    if negligible(b20, tol.eps_rank * max(scale_of(j2.rows()[1]), 1.0)):
+    if negligible(b20, bound):
         return "parabolic"
     return "hyperbolic" if b20 > 0 else "elliptic"

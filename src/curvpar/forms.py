@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import is_exact_scalar, rank3
+from .linalg import is_exact_scalar, rank3, scale_of
 
 __all__ = [
     "FirstForm",
@@ -40,13 +40,15 @@ class SecondForm:
     coefficients (l, m, n) of x^2, xy and y^2 directions.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "ref")
 
     def __init__(self, matrix):
         rows = tuple(tuple(row) for row in matrix)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("second form matrix must be 3x3")
         object.__setattr__(self, "matrix", rows)
+        # the scale of every float zero test on this 2-jet: |x| <= eps * ref**d at degree d
+        object.__setattr__(self, "ref", scale_of(*rows))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SecondForm is immutable")

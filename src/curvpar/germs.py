@@ -16,10 +16,11 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .config import DEFAULT_TOL
-from .linalg import is_exact_scalar, negligible
+from .linalg import is_exact_scalar, negligible, scale_of
 
 __all__ = [
     "GermParseError",
@@ -376,6 +377,9 @@ class _Parser:
         self.text = text
         self.order = order
         self.params = params or {}
+        for name, value in self.params.items():
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"parameter {name!r} is bound to {value!r}: bindings must be rational")
         self.tokens = _tokenize(text)
         self.idx = 0
         self.depth = 0
@@ -582,6 +586,10 @@ class Jet2:
             (self.b20, self.b11, self.b02),
             (self.c20, self.c11, self.c02),
         )
+
+    @cached_property
+    def ref(self) -> float:  # scale_of of the second-form rows: its SecondForm's ref
+        return scale_of(*((2 * a, m, 2 * c) for a, m, c in self.rows()))
 
 
 def extract_jet2(germ, jet_tol: float = DEFAULT_TOL.eps_jet) -> Jet2:

@@ -44,6 +44,7 @@ class DegeneracyCone:
     quad: tuple
     corank2_dim: int
     corank2_basis: np.ndarray
+    ref: float  # the second form's ref; the entries of quad have degree 2
 
     def det_value(self, nu) -> float:
         v = np.asarray([float(c) for c in nu], dtype=float)
@@ -83,7 +84,7 @@ def degeneracy_cone(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> Degeneracy
     else:
         _, _, vt = np.linalg.svd(arr)
         basis = vt[3 - dim :]
-    return DegeneracyCone(quad=quad, corank2_dim=dim, corank2_basis=basis)
+    return DegeneracyCone(quad=quad, corank2_dim=dim, corank2_basis=basis, ref=sf.ref)
 
 
 @dataclass(frozen=True)
@@ -158,9 +159,9 @@ def cone_parabola_orthogonality(pp, aset: AsymptoticSet, bset: BinormalSet) -> b
     for b in bset.items:
         if b.param is None or isinstance(b.param, str):
             continue
-        eta = np.asarray([float(c) for c in pp.eta(float(b.param))])
-        inner = abs(float(np.dot(eta, b.vector)))
-        ok = ok and inner <= 1e-8 * (1.0 + float(np.linalg.norm(eta)))
+        y = float(b.param)  # eta(y) = L + 2yM + y^2 N: degree 1 in the jet, 2 in y
+        eta = np.asarray([float(c) for c in pp.eta(y)])
+        ok = ok and abs(float(np.dot(eta, b.vector))) <= 1e-8 * pp.ref * (1.0 + y * y)
     return ok
 
 
@@ -172,7 +173,6 @@ def sample_cone(
 ):
     """Sample (theta, phi, det_sign, det_value) on a spherical grid of the normal space."""
     q = np.asarray([[float(x) for x in row] for row in dc.quad], dtype=float)
-    scale = max(float(np.max(np.abs(q))), 1e-300)
     rows = []
     for i in range(n_theta):
         theta = 2.0 * np.pi * i / n_theta
@@ -182,7 +182,7 @@ def sample_cone(
                 [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
             )
             value = float(nu @ q @ nu)
-            if abs(value) <= tol.eps_rank * scale:
+            if abs(value) <= tol.eps_rank * dc.ref * dc.ref:
                 sign = 0
             else:
                 sign = 1 if value > 0 else -1

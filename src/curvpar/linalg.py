@@ -1,9 +1,9 @@
 """Small vector/matrix helpers shared by the geometry modules.
 
 Decision helpers (``negligible``, ``vec_is_zero``, ``collinear3``, ``rank3``)
-run exactly on Fraction entries and fall back to scaled tolerances on floats,
-so callers never branch on exactness themselves.  Anything producing a norm or
-an orthonormal frame is float by nature.
+run exactly on Fraction entries, so callers never branch on exactness.  On
+floats a degree-d quantity is zero when |x| <= eps * ref**d, ref = ``scale_of``
+of the whole 2-jet.  Norms and orthonormal frames are float by nature.
 """
 
 from __future__ import annotations
@@ -62,8 +62,12 @@ def float_vec(v) -> np.ndarray:
 
 
 def scale_of(*vecs) -> float:
-    """Largest norm among the given vectors; the reference scale for zero tests."""
-    return max((vec_norm(v) for v in vecs), default=0.0)
+    """Reference scale of float zero tests: ``2**e`` with ``2**(e-1) <= m < 2**e`` for the
+    largest absolute coefficient ``m`` (1 when m = 0), a power of two so dividing is exact."""
+    mags = [abs(float(c)) for v in vecs for c in v]
+    if not all(map(math.isfinite, mags)):
+        raise OverflowError("a coefficient left the float range")
+    return 2.0 ** math.frexp(max(mags, default=0.0))[1]
 
 
 def negligible(x, bound: float) -> bool:
@@ -73,10 +77,10 @@ def negligible(x, bound: float) -> bool:
     return abs(x) <= bound
 
 
-def vec_is_zero(v, eps: float, scale: float = 1.0) -> bool:
+def vec_is_zero(v, eps: float, ref: float) -> bool:
     if is_exact_vec(v):
         return all(c == 0 for c in v)
-    return vec_norm(v) <= eps * max(scale, 1.0)
+    return vec_norm(v) <= eps * ref
 
 
 def collinear3(a, b, eps: float) -> bool:
@@ -136,15 +140,17 @@ def orthonormal_extension(vectors, dim: int) -> np.ndarray:
     """Complete the given (float) vectors to an orthonormal basis of R^dim.
 
     Extension vectors are picked deterministically: coordinate axes in index
-    order, Gram-Schmidt orthogonalized against what is already there.
+    order, Gram-Schmidt orthogonalized against what is already there.  An
+    input is dependent when its residue is below 1e-13 of its own norm.
     """
     basis = []
     for v in vectors:
-        w = np.asarray([float(c) for c in v], dtype=float).copy()
+        w = np.asarray([float(c) for c in v], dtype=float)
+        size = np.linalg.norm(w)
         for b in basis:
-            w -= np.dot(w, b) * b
+            w = w - np.dot(w, b) * b
         n = np.linalg.norm(w)
-        if n <= 1e-13:
+        if n <= 1e-13 * size:
             raise ValueError("input vectors are numerically dependent")
         basis.append(w / n)
     for axis in range(dim):

@@ -19,7 +19,6 @@ from .linalg import (
     float_vec,
     negligible,
     orthonormal_extension,
-    scale_of,
     unit,
     vec_is_zero,
 )
@@ -120,6 +119,7 @@ class ParabolaProfile:
     aff: AffineSubspace
     ep: PlaneBasis
     stratum: int
+    ref: float  # the second form's ref: the scale of every float zero test
 
     def eta(self, y):
         return tuple(
@@ -139,11 +139,11 @@ _SHAPE_TO_ORBIT = {
 }
 
 
-def _decide_shape(L, M, N, tol: Tolerances) -> ParabolaShape:
-    scale = scale_of(L, M, N)
-    n_zero = vec_is_zero(N, tol.eps_rank, scale)
-    m_zero = vec_is_zero(M, tol.eps_rank, scale)
-    l_zero = vec_is_zero(L, tol.eps_rank, scale)
+def _decide_shape(sf: SecondForm, tol: Tolerances) -> ParabolaShape:
+    L, M, N, ref = sf.L, sf.M, sf.N, sf.ref
+    n_zero = vec_is_zero(N, tol.eps_rank, ref)
+    m_zero = vec_is_zero(M, tol.eps_rank, ref)
+    l_zero = vec_is_zero(L, tol.eps_rank, ref)
     if n_zero and m_zero:
         return ParabolaShape(kind="point", is_origin=l_zero)
     if n_zero:
@@ -152,7 +152,7 @@ def _decide_shape(L, M, N, tol: Tolerances) -> ParabolaShape:
     if m_zero or collinear3(M, N, tol.eps_rank):
         mu = dot3(M, N) / dot3(N, N)
         vertex = tuple(l - mu * mu * n for l, n in zip(L, N))
-        vertex_zero = vec_is_zero(vertex, tol.eps_rank, scale)
+        vertex_zero = vec_is_zero(vertex, tol.eps_rank, ref)
         radial = vertex_zero or collinear3(vertex, N, tol.eps_rank)
         return ParabolaShape(
             kind="half_line",
@@ -226,7 +226,7 @@ def _build_frames(L, M, N, shape: ParabolaShape):
 def build_parabola(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> ParabolaProfile:
     """Classify the parabola trace of a second form and attach hull, plane, stratum."""
     L, M, N = sf.L, sf.M, sf.N
-    shape = _decide_shape(L, M, N, tol)
+    shape = _decide_shape(sf, tol)
     aff, ep = _build_frames(L, M, N, shape)
     return ParabolaProfile(
         Lvec=L,
@@ -237,6 +237,7 @@ def build_parabola(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> ParabolaPro
         aff=aff,
         ep=ep,
         stratum=rank_second_form(sf, tol),
+        ref=sf.ref,
     )
 
 
@@ -248,19 +249,17 @@ def build_parabola(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> ParabolaPro
 def classify_two_jet(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> str:
     """Orbit label from the 2-jet coefficient criteria, independent of geometry.
 
-    Decided exactly on rational coefficients; float input falls back to
-    scaled zero tests.
+    Decided exactly on rational coefficients; float input compares the
+    degree-2 minors and the degree-1 columns with the whole jet's scale.
     """
     g1 = j2.a11 * j2.b02 - j2.a02 * j2.b11
     g2 = j2.a11 * j2.c02 - j2.a02 * j2.c11
     g3 = j2.c11 * j2.b02 - j2.c02 * j2.b11
     xy_col = (j2.a11, j2.b11, j2.c11)
     yy_col = (j2.a02, j2.b02, j2.c02)
-    scale = scale_of(xy_col, yy_col)
-    thresh = tol.eps_rank * max(scale * scale, 1.0)
-    gamma_zero = all(negligible(g, thresh) for g in (g1, g2, g3))
-    yy_zero = vec_is_zero(yy_col, tol.eps_rank, scale)
-    xy_zero = vec_is_zero(xy_col, tol.eps_rank, scale)
+    gamma_zero = all(negligible(g, tol.eps_rank * j2.ref * j2.ref) for g in (g1, g2, g3))
+    yy_zero = vec_is_zero(yy_col, tol.eps_rank, j2.ref)
+    xy_zero = vec_is_zero(xy_col, tol.eps_rank, j2.ref)
     if not gamma_zero:
         return ORBIT_PARABOLA
     if not yy_zero:
@@ -376,10 +375,10 @@ def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwo
         return np.array([w1, w2, np.cross(w1, w2)])
 
     def secondary_axis(w1, v):
-        # unit vector orthogonal to w1, following v when v has a usable
-        # component off the w1-line, the canonical extension otherwise
+        # unit vector orthogonal to w1, following v (the x^2 column, shorter than
+        # ref) when it has a usable component off the w1-line, else the canonical one
         off_line = np.linalg.norm(v - np.dot(v, w1) * w1)
-        if off_line > 1e-13 * max(np.linalg.norm(v), 1.0):
+        if off_line > 1e-13 * j2.ref:
             return orthonormal_extension([w1, v], 3)[1]
         return orthonormal_extension([w1], 3)[1]
 

@@ -58,7 +58,7 @@ from .parabola import (
 )
 from .umbilic import UmbilicResult, kappa_stratum_check, umbilic_curvature
 
-__all__ = ["AnalysisResult", "analyze_germ", "fmt_float", "format_value", "render_text"]
+__all__ = ["AnalysisResult", "analyze_germ", "check_finite", "fmt_float", "format_value", "render_text"]
 
 
 def fmt_float(x: float) -> float:
@@ -392,7 +392,7 @@ def analyze_germ(
     return res
 
 
-def _check_finite(node, path: str = "report") -> None:
+def check_finite(node, path: str = "report") -> None:
     """Refuse a report holding NaN or an infinity, naming the first such entry.
 
     Such values come from float arithmetic that left its range (exact
@@ -403,23 +403,23 @@ def _check_finite(node, path: str = "report") -> None:
             raise ValueError(f"{path} is {node}: the analysis left the float range")
     elif isinstance(node, dict):
         for key, value in node.items():
-            _check_finite(value, f"{path}.{key}")
+            check_finite(value, f"{path}.{key}")
     elif isinstance(node, list):
         for idx, value in enumerate(node):
-            _check_finite(value, f"{path}[{idx}]")
+            check_finite(value, f"{path}[{idx}]")
 
 
 def render_json(report: dict) -> str:
     try:
         return json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        _check_finite(report)  # names the non-finite entry
+        check_finite(report)  # names the non-finite entry
         raise
 
 
 def render_text(report: dict, indent: int = 0) -> str:
     """Human-readable rendering with the same deterministic ordering."""
-    _check_finite(report)
+    check_finite(report)
     lines = []
 
     def walk(node, depth):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
-from .linalg import cross3, dot3, float_vec, scale_of, vec_norm
+from .linalg import cross3, dot3, float_vec, vec_is_zero, vec_norm
 from .parabola import ParabolaProfile
 
 __all__ = ["UmbilicResult", "umbilic_curvature", "kappa_stratum_check"]
@@ -38,16 +38,15 @@ def umbilic_curvature(
     Nondegenerate parabola: |<eta(y), nu3>| with nu3 normal to the
     distinguished plane (constant in y, asserted at y in {-1, 0, 1}).
     Half-line or line: |det(eta, eta', nu3)| / |eta'| at a parameter with
-    nonvanishing velocity (vertex+1 for half-lines, 0 for lines, stepped by
-    one until the velocity is usable).  Point: the distance to the point.
+    nonvanishing velocity (vertex+1 for half-lines, 0 for lines; the shape
+    test rules out a zero N or M).  Point: the distance to the point.
     """
     shape = pp.shape
     nu3 = pp.ep.nu3
-    scale = scale_of(pp.Lvec, pp.Mvec, pp.Nvec)
 
     if shape.kind == "parabola":
         values = [abs(float(np.dot(float_vec(pp.eta(y)), nu3))) for y in (-1.0, 0.0, 1.0)]
-        if max(values) - min(values) > 1e-10 * (1.0 + max(values)):
+        if max(values) - min(values) > 1e-10 * pp.ref:
             raise RuntimeError(
                 "projection onto the plane normal is not constant along the parabola"
             )
@@ -55,12 +54,8 @@ def umbilic_curvature(
         formula = "nondegenerate_proj"
     elif shape.kind in ("half_line", "line"):
         y = float(shape.vertex_param) + 1.0 if shape.kind == "half_line" else 0.0
-        for _ in range(8):
-            velocity = float_vec(pp.eta_prime(y))
-            if np.linalg.norm(velocity) >= 1e-12:
-                break
-            y += 1.0
-        else:
+        velocity = float_vec(pp.eta_prime(y))  # 2N for half-lines, 2M for lines
+        if vec_is_zero(velocity, 1e-12, pp.ref):
             raise RuntimeError("could not find a parameter with nonvanishing velocity")
         point = float_vec(pp.eta(y))
         kappa = abs(_det3f(point, velocity, nu3)) / float(np.linalg.norm(velocity))
@@ -70,7 +65,7 @@ def umbilic_curvature(
         formula = "point_distance"
 
     if not sf.is_exact:
-        is_zero = kappa <= tol.eps_rank * (1.0 + scale)
+        is_zero = kappa <= tol.eps_rank * pp.ref
     elif shape.kind == "parabola":
         is_zero = dot3(pp.Lvec, cross3(pp.Mvec, pp.Nvec)) == 0
     elif shape.kind == "point":

@@ -202,6 +202,99 @@ def test_exactness_is_decided_in_linalg():
     assert sites == ["directions.asymptotic_directions", "umbilic.umbilic_curvature"]
 
 
+def is_tolerance(node):
+    """A tolerance read (``tol.eps_*``, possibly wrapped in a call) or a literal below 1e-6."""
+    if isinstance(node, ast.Call):
+        return any(is_tolerance(a) for a in node.args)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float) and 0 < node.value < 1e-6
+    return isinstance(node, ast.Attribute) and node.attr.startswith("eps_")
+
+
+def factors(node):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return factors(node.left) + factors(node.right)
+    return [node]
+
+
+def reads_magnitude(node):
+    """Whether an expression reads a size: a ref, a scale, a norm, an abs or a max."""
+    names = {"ref", "scale", "scale_of", "norm", "vec_norm", "abs", "max"}
+    return any(getattr(n, "attr", getattr(n, "id", None)) in names for n in ast.walk(node))
+
+
+def zero_test_sites(path):
+    """``(kind, module.function)`` of each float zero test not on the one ref.
+
+    Kinds: ``floor``, a ``max(..., 1)`` (or any float constant) or a ``1 + ...``
+    factor that reads a magnitude; ``own scale``, a product of a tolerance
+    without a ref factor or with another factor reading a magnitude, or a
+    ``vec_is_zero`` not given a ref; ``literal``, a comparison with a bare
+    constant below 1e-6; ``scale_of``, each call of the helper.  A ref is a
+    ``.ref`` attribute, a ``scale_of(...)`` call, or a name bound to either.
+    """
+    tree = ast.parse(path.read_text())
+    is_call = lambda n, name: isinstance(n, ast.Call) and getattr(n.func, "id", None) == name
+    is_ref_source = lambda n: is_call(n, "scale_of") or (isinstance(n, ast.Attribute) and n.attr == "ref")
+    tuples = lambda n: all(isinstance(x, ast.Tuple) for x in (n.targets[0], n.value))
+    unpack = lambda n: zip(n.targets[0].elts, n.value.elts) if tuples(n) else [(t, n.value) for t in n.targets]
+    refs = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign) for t, v in unpack(n) if is_ref_source(v)}
+    is_ref = lambda n: is_ref_source(n) or (isinstance(n, ast.Name) and n.id in refs)
+    one = lambda n: isinstance(n, ast.Constant) and n.value == 1
+    small = lambda n: isinstance(n, ast.Constant) and isinstance(n.value, float) and 0 < n.value < 1e-6
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        site = f"{path.stem}.{func}"
+        if is_call(node, "max") and any(one(a) or (isinstance(a, ast.Constant) and isinstance(a.value, float)) for a in node.args):
+            sites.append(("floor", site))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            fs = factors(node)
+            plus_one = [f for f in fs if isinstance(f, ast.BinOp) and isinstance(f.op, ast.Add) and (one(f.left) or one(f.right))]
+            if any(map(reads_magnitude, plus_one)):
+                sites.append(("floor", site))
+            own = [f for f in fs if not is_tolerance(f) and not is_ref(f) and reads_magnitude(f)]
+            if any(map(is_tolerance, fs)) and (own or not any(map(is_ref, fs))):
+                sites.append(("own scale", site))
+        if is_call(node, "vec_is_zero") and not is_ref(node.args[2]):
+            sites.append(("own scale", site))
+        if isinstance(node, ast.Compare) and any(map(small, [node.left, *node.comparators])):
+            sites.append(("literal", site))
+        if is_call(node, "scale_of"):
+            sites.append(("scale_of", site))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_float_zero_tests_read_one_ref():
+    # Every float zero test is |x| <= eps * ref**d: ref is linalg.scale_of of
+    # the whole 2-jet, read once into SecondForm.ref and Jet2.ref, and d the
+    # degree of x in the jet.  No floor of 1, no scale of a site's own, and no
+    # bare absolute threshold.  linalg's relative tests take their operands'
+    # norms; the oracle agreement checks are exempt.
+    src = Path(curvpar.__file__).parent
+    found = {"floor": [], "own scale": [], "literal": [], "scale_of": []}
+    for p in sorted(src.glob("*.py")):
+        for kind, site in zero_test_sites(p) if p.name != "oracle.py" else []:
+            if site != "report.run_verification" and (kind, p.name) != ("own scale", "linalg.py"):
+                found[kind].append(site)
+    assert found == {
+        "floor": [],
+        # a cancellation test: the discriminant against its own terms
+        "own scale": ["directions.solve_quadratic"],
+        # sign and axis choices on unit vectors, whose norm is 1
+        "literal": ["directions._fix_sign", "linalg.orthonormal_extension", "parabola._plane_basis_from_normal"],
+        # adapt tests the moved germ before its adapted 2-jet exists, and the
+        # projection S has rows of its own
+        "scale_of": ["adapt.adapt", "associated.s_asymptotic_directions", "forms.__init__", "germs.ref"],
+    }
+
+
 @pytest.mark.parametrize("flag", ["--eps-rank", "--eps-jet", "--eps-disc"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-3"])
 def test_tolerance_flags_reject_non_finite_and_negative(capsys, flag, value):
@@ -261,6 +354,44 @@ def test_non_finite_report_exits_1(capsys, fmt):
     assert err == (
         "error: report.reduced_two_jet.jet2.a20 is nan: the analysis left the float range\n"
     )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_exits_1_on_a_non_finite_row(tmp_path, capsys):
+    out_file = tmp_path / "sweep.csv"
+    code, out, err = run_cli(
+        capsys,
+        "sweep",
+        "--germ",
+        "(x, (10^51)^6*t*x*y, y^2, x^2)",
+        "--range",
+        "1",
+        "1",
+        "--samples",
+        "1",
+        "--out",
+        str(out_file),
+    )
+    assert code == 1
+    assert out == "" and not out_file.exists()
+    assert err == (
+        "error: the row t = 1: report.reduced_two_jet.jet2.a20 is nan: the analysis left the float range\n"
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_plotdata_overflow_exits_1_and_writes_nothing(tmp_path, capsys):
+    # the cone's quadric overflows after the parabola samples were computed
+    out_dir = tmp_path / "plots"
+    code, out, err = run_cli(
+        capsys, "plotdata", "--germ", "(x, (10^51)^6*x*y, y^2, x^2)", "--out", str(out_dir), "--ellipse"
+    )
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert not out_dir.exists()
+    # the same boundary holds for analyze: a degree-8 discriminant beyond the float range
+    code, out, err = run_cli(capsys, "analyze", "--germ", "(x, x*y, (10^60)^2*y^2 + x^2, 0)")
+    assert (code, out) == (1, "") and err.startswith("error: ")
 
 
 def test_sweep_ik_family(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from curvpar.adapt import adapt
 from curvpar.forms import II_along, SecondForm, first_form, rank_second_form, second_form
@@ -95,6 +96,14 @@ def test_rank_examples():
     assert rank_second_form(second_form(adapt(germ("(x, x*y, y^2, y^5)")))) == 2
     assert rank_second_form(SecondForm([[0, 0, 0]] * 3)) == 0
     assert rank_second_form(SecondForm([(0, 1, 0), (2, 0, 2), (2, 0, 0)])) == 3
+
+
+def test_ref_is_a_power_of_two_and_refuses_non_finite_entries():
+    assert SecondForm([(0, Fraction(3, 4), 0), (0, 0, 0), (0, 0, -1.0)]).ref == 2.0
+    assert SecondForm([[0, 0, 0]] * 3).ref == 1.0
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(OverflowError, match="left the float range"):
+            SecondForm([(0, 1, 0), (bad, 0, 0), (0, 0, 0)]).ref
 
 
 def test_coordinate_independence_congruence():

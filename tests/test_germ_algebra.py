@@ -465,6 +465,11 @@ def test_template_parameters_and_binding():
     assert g.components[2].coeffs == {(2, 0): F(-1, 2), (0, 2): 1}
 
 
+def test_float_binding_is_refused_by_name():
+    with pytest.raises(TypeError, match=r"parameter 't' is bound to 0\.5: bindings must be rational"):
+        parse_map_germ("(x, x*y, t*x^2 + y^2, 0)", params={"t": 0.5})
+
+
 def test_differentiate_examples():
     y2 = parse_poly("y^2", order=4)
     assert y2.diff("y").coeffs == {(0, 1): 2}

@@ -169,6 +169,20 @@ def test_cone_parabola_orthogonality_cases():
     assert cone_parabola_orthogonality(pp, aset, bset)
 
 
+def test_cone_parabola_orthogonality_at_a_large_parameter():
+    # M nearly parallel to N puts one asymptotic parameter near 6.7e5; the
+    # normal rotation spreads the rounding of eta(y) ~ y^2 N over every axis
+    a, b, c, s = F(3, 5), F(4, 5), F(5, 13), F(12, 13)
+    rot = [[1, 0, 0, 0], [0, a, -b * c, b * s], [0, b, a * c, -a * s], [0, 0, s, c]]
+    g = germ("(x, x*y + 1/3*y^2 - x^2, 1/10^6*y^2 + x^2, 1/7*x^2)", order=4).rotate_target(rot)
+    sf = second_form(adapt(g))
+    pp = build_parabola(sf)
+    aset = asymptotic_directions(pp, sf)
+    bset = binormal_directions(pp, sf, aset)
+    assert sf.is_exact and max(abs(float(y)) for y in aset.params) > 5e5
+    assert cone_parabola_orthogonality(pp, aset, bset)
+
+
 def test_sample_cone_zero_germ_all_zero():
     _, _, _, _, _, _, dc = pipeline("(x, 0, 0, 0)", order=2)
     rows = sample_cone(dc)

@@ -2,13 +2,15 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import curvpar.oracle
 from curvpar.config import DEFAULT_TOL, Tolerances
 from curvpar.forms import second_form
-from curvpar.germs import MapGermR4, TruncatedPoly2
+from curvpar.germs import Jet2, MapGermR4, TruncatedPoly2
 from curvpar.report import analyze_germ, fmt_float, render_json, render_text, run_verification
 
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
@@ -18,7 +20,16 @@ from golden import GOLDEN_GERMS
 SMALL_SCALE_TWINS = {
     "(x, 1/10^10*x*y, 1/10^10*x^2 + 1/10^10*y^2, 0)": "(x, x*y, x^2 + y^2, 0)",
     "(x, 1/10^10*y^2, 1/10^10*x^2, 0)": "(x, y^2, x^2, 0)",
+    "(x, 1/10^14*y^2, 1/10^14*x^2, 0)": "(x, y^2, x^2, 0)",
+    "(x, 1/10^14*x*y, 1/10^14*x^2, 0)": "(x, x*y, x^2, 0)",
 }
+# non-prenormal text germs at small scales, adapted in floats
+MOVED_SMALL_SCALE_TWINS = {
+    f"(x + y^2, {s}*x*y, {s}*y^2 + {s}*x^2, {s}*x^2)": "(x, x*y, y^2 + x^2, x^2)"
+    for s in ("1/10^9", "1/10^10")
+}
+# normal scales of the random jets: powers of two and of ten
+SCALES = [Fraction(2) ** k for k in (-50, -40, -20, 20, 40)] + [Fraction(10) ** k for k in (-14, -12, -6, 6, 12)]
 
 
 def labels(res):
@@ -55,9 +66,51 @@ def test_exact_labels_never_read_a_tolerance(text, order):
     assert [labels(res) for res in results[1:]] == [labels(results[0])] * 2
 
 
-@pytest.mark.parametrize("small,twin", SMALL_SCALE_TWINS.items())
+def twin_labels(res):
+    """Every label of an analysis, the transfer flags included."""
+    return labels(res) + (res.transfer.directions_match, res.transfer.types_match)
+
+
+@pytest.mark.parametrize("small,twin", [*SMALL_SCALE_TWINS.items(), *MOVED_SMALL_SCALE_TWINS.items()])
 def test_small_scale_exact_germs_label_like_their_twins(small, twin):
-    assert labels(analyze_germ(small)) == labels(analyze_germ(twin))
+    assert twin_labels(analyze_germ(small)) == twin_labels(analyze_germ(twin))
+
+
+@pytest.mark.parametrize("family", ["any", "collinear", "line", "point"])
+def test_scaled_random_jets_label_like_their_twins(rng, family):
+    # Each float zero test is relative to a power of two of the whole jet, so
+    # scaling the normal space changes no label, exact or moved.  Zero jets and
+    # parabolic points are left out: floats decide them from rounding noise.
+    checked = 0
+    for _ in range(5):
+        j2 = random_jet2(rng, family)
+        coeffs = [c for row in j2.rows() for c in row]
+        twin = analyze_germ(jet2_to_germ(j2, order=3))
+        if not any(coeffs) or (twin.profile.shape.kind == "parabola" and twin.ptype == "parabolic"):
+            continue
+        want = twin_labels(twin)
+        assert want[-2:] == (True, True), j2
+        for s in SCALES:
+            scaled = jet2_to_germ(Jet2(*(s * c for c in coeffs)), order=3)
+            src = rng.uniform(-2.0, 2.0, size=(2, 2))
+            while abs(np.linalg.det(src)) <= 0.3:
+                src = rng.uniform(-2.0, 2.0, size=(2, 2))
+            moved = transform_germ(scaled, src, random_rotation(rng, 4))
+            assert twin_labels(analyze_germ(scaled)) == want, (j2, s)
+            assert twin_labels(analyze_germ(moved)) == want, (j2, s, src)
+            checked += 1
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("k", [5, 9, 12])
+def test_transfer_verdict_reads_the_projections_own_scale(k):
+    # The umbilic part (x^2 in the fourth component) dwarfs the plane part, so
+    # the projection S keeps only 10^-k-sized coefficients: its zero test must
+    # be relative to them, not to the germ's whole 2-jet.
+    s = f"1/10^{k}"
+    res = analyze_germ(f"(x, {s}*x*y + {s}*x^2, {s}*y^2 + {s}*x^2, x^2)")
+    assert (res.ptype, res.transfer.s_point_type) == ("hyperbolic", "hyperbolic")
+    assert res.transfer.directions_match
 
 
 def test_report_json_round_trips():
