@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
 from .germs import extract_jet2
-from .linalg import cross3, dot3, negligible
+from .linalg import negligible
 from .parabola import ParabolaProfile
 
 __all__ = [
@@ -43,8 +43,10 @@ class AsymptoticSet:
     """Either finitely many asymptotic parameters or all tangent directions.
 
     ``quadratic`` holds the coefficients (q0, q1, q2) of the root polynomial
-    q0 + q1*y + q2*y^2 in the plane frame; it is kept even when the shape
-    rule, not the quadratic, decided the answer.
+    q0 + q1*y + q2*y^2 in the plane frame, kept even when the shape rule
+    decided.  A parabola's roots and ``discriminant`` are those of
+    ``SecondForm.asymptotic_quadratic``, the same polynomial times +-|M x N|,
+    so its discriminant is |M x N|^2 times that of ``quadratic``.
     """
 
     kind: str                 # "finite" | "all"
@@ -99,22 +101,6 @@ class Hyperplane:
     normal: np.ndarray
 
 
-def _det3(a, b, c):
-    return dot3(a, cross3(b, c))
-
-
-def _quadratic_exact(sf: SecondForm):
-    """Exact root polynomial for the nondegenerate case, up to a positive factor.
-
-    With w = M x N, the collinearity determinant of the projected parabola
-    equals det(eta, eta', w) / |w| up to sign, and det(eta(y), eta'(y), w) =
-    2*(det(L,M,w) + det(L,N,w) y + det(M,N,w) y^2) has exact coefficients.
-    """
-    L, M, N = sf.L, sf.M, sf.N
-    w = cross3(M, N)
-    return (_det3(L, M, w), _det3(L, N, w), _det3(M, N, w))
-
-
 def solve_quadratic(q0, q1, q2, tol: Tolerances):
     """Real roots of q0 + q1*t + q2*t^2 with the declared double-root policy.
 
@@ -128,8 +114,10 @@ def solve_quadratic(q0, q1, q2, tol: Tolerances):
     if negligible(disc, threshold):
         return [-q1 / (2 * q2)], disc
     if disc > 0:
-        sq = math.sqrt(disc)
-        return [(-q1 - sq) / (2 * q2), (-q1 + sq) / (2 * q2)], disc
+        # q takes the sign of -q1, so neither root cancels
+        sq = math.copysign(math.sqrt(disc), q1)
+        q = -(q1 + sq) / 2
+        return ([q / q2, q0 / q] if sq > 0 else [q0 / q, q / q2]), disc
     return [], disc
 
 
@@ -148,35 +136,16 @@ def asymptotic_directions(
 
     shape = pp.shape
     if shape.kind == "parabola":
-        q = _quadratic_exact(sf) if sf.is_exact else quad
-        roots, disc = solve_quadratic(*q, tol)
-        return AsymptoticSet(
-            kind="finite",
-            params=tuple(sorted(roots)),
-            includes_infinity=False,
-            quadratic=quad,
-            discriminant=disc,
-        )
+        # solved monic (q2 = |w|^2 > 0): the discriminant, the squared root
+        # difference, lies in the float range whenever the roots do
+        q0, q1, q2 = sf.asymptotic_quadratic
+        roots, disc = solve_quadratic(q0 / q2, q1 / q2, 1, tol)
+        return AsymptoticSet("finite", tuple(sorted(roots)), False, quad, disc * q2 * q2)
     disc = quad[1] * quad[1] - 4 * quad[0] * quad[2]
-    if shape.kind == "half_line" and not shape.radial:
-        return AsymptoticSet(
-            kind="finite",
-            params=(shape.vertex_param,),
-            includes_infinity=True,
-            quadratic=quad,
-            discriminant=disc,
-        )
-    if shape.kind == "line" and not shape.radial:
-        return AsymptoticSet(
-            kind="finite",
-            params=(),
-            includes_infinity=True,
-            quadratic=quad,
-            discriminant=disc,
-        )
-    return AsymptoticSet(
-        kind="all", params=(), includes_infinity=True, quadratic=quad, discriminant=disc
-    )
+    if shape.kind in ("half_line", "line") and not shape.radial:
+        params = (shape.vertex_param,) if shape.kind == "half_line" else ()
+        return AsymptoticSet("finite", params, True, quad, disc)
+    return AsymptoticSet("all", (), True, quad, disc)
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:

@@ -9,9 +9,10 @@ when the germ is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import is_exact_scalar, rank3, scale_of
+from .linalg import cross3, dot3, is_exact_scalar, rank3, scale_of
 
 __all__ = [
     "FirstForm",
@@ -37,10 +38,10 @@ class SecondForm:
     """3x3 coefficient matrix of the second fundamental form.
 
     Rows follow the normal frame (nu1, nu2, nu3); columns hold the
-    coefficients (l, m, n) of x^2, xy and y^2 directions.
+    coefficients (l, m, n) of x^2, xy and y^2 directions.  The invariants
+    that decide the labels are computed here, once and when first read, in
+    the entries' own arithmetic (exact on rationals).
     """
-
-    __slots__ = ("matrix", "ref")
 
     def __init__(self, matrix):
         rows = tuple(tuple(row) for row in matrix)
@@ -77,6 +78,34 @@ class SecondForm:
     @property
     def N(self):
         return tuple(row[2] for row in self.matrix)
+
+    # the deciding invariants of the parabola trace
+    @cached_property
+    def w(self):
+        """M x N, normal to the plane of a nondegenerate trace."""
+        return cross3(self.M, self.N)
+
+    @cached_property
+    def l_x_n(self):
+        return cross3(self.L, self.N)
+
+    @cached_property
+    def l_x_m(self):
+        return cross3(self.L, self.M)
+
+    @cached_property
+    def triple(self):
+        """L . (M x N), zero exactly when L, M and N lie in a plane through the origin."""
+        return dot3(self.L, self.w)
+
+    @cached_property
+    def asymptotic_quadratic(self):
+        """(det(L,M,w), det(L,N,w), det(M,N,w)): det(eta, eta', w) / 2 as a quadratic in y.
+
+        Its roots are the asymptotic parameters of a nondegenerate trace.
+        """
+        w = self.w
+        return (dot3(w, self.l_x_m), dot3(w, self.l_x_n), dot3(w, w))
 
     def value_along(self, nu, u, v):
         """Bilinear value II_nu(u, v) for a normal-frame vector nu."""

@@ -22,6 +22,7 @@ __all__ = [
     "float_vec",
     "scale_of",
     "negligible",
+    "negligible_quotient",
     "vec_is_zero",
     "collinear3",
     "unit",
@@ -77,23 +78,30 @@ def negligible(x, bound: float) -> bool:
     return abs(x) <= bound
 
 
+def negligible_quotient(num, den, bound: float) -> bool:
+    """Zero test for ``|num| / |den|``, a scalar over a nonzero vector: ``num == 0`` on
+    rationals, ``|num| <= bound * |den|`` on floats."""
+    if is_exact_scalar(num):
+        return num == 0
+    return abs(num) <= bound * math.hypot(*map(float, den))
+
+
 def vec_is_zero(v, eps: float, ref: float) -> bool:
     if is_exact_vec(v):
         return all(c == 0 for c in v)
     return vec_norm(v) <= eps * ref
 
 
-def collinear3(a, b, eps: float) -> bool:
-    """Whether two 3-vectors are linearly dependent.
+def collinear3(axb, a, b, eps: float) -> bool:
+    """Whether two 3-vectors are linearly dependent, given their cross product.
 
     Exact on rational entries; numerically the cross product is compared
     against eps times the product of the norms, so callers must rule out
     vectors that are themselves negligible first.
     """
-    c = cross3(a, b)
-    if is_exact_vec(a) and is_exact_vec(b):
-        return all(v == 0 for v in c)
-    return vec_norm(c) <= eps * vec_norm(a) * vec_norm(b)
+    if is_exact_vec(axb):
+        return all(v == 0 for v in axb)
+    return vec_norm(axb) <= eps * vec_norm(a) * vec_norm(b)
 
 
 def unit(v) -> np.ndarray:

@@ -158,13 +158,15 @@ def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanRe
     q1 = mp[0] + np_[0] * ys
     q2 = mp[1] + np_[1] * ys
 
+    # a score has degree 1 in the jet, so its zero bound scales with ref
+    zero = tol.scan_zero_tol * sf.ref
     scores = scan_scores(p1, p2, q1, q2, N_CANDIDATES)
-    marked = scores <= tol.scan_zero_tol
+    marked = scores <= zero
     fraction = float(marked.mean())
 
     # the null tangent direction (0, 1)
     inf_score = float(scan_scores([mp[0]], [mp[1]], [np_[0]], [np_[1]], N_CANDIDATES)[0])
-    includes_infinity = inf_score <= tol.scan_zero_tol
+    includes_infinity = inf_score <= zero
 
     if fraction >= tol.scan_saturation:
         return ScanResult(

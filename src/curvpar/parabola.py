@@ -53,7 +53,8 @@ class ParabolaShape:
     flag tells whether the line containing the trace passes through the
     origin; for half-lines the vertex data is recorded separately because the
     binormal count distinguishes a radial half-line with vertex at the origin
-    from one with the vertex elsewhere.
+    from one with the vertex elsewhere.  ``vertex`` is the half-line's
+    vertex point, in the entries' own arithmetic.
     """
 
     kind: str
@@ -61,6 +62,7 @@ class ParabolaShape:
     vertex_param: object | None = None
     vertex_is_origin: bool | None = None
     is_origin: bool | None = None
+    vertex: tuple | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -147,18 +149,20 @@ def _decide_shape(sf: SecondForm, tol: Tolerances) -> ParabolaShape:
     if n_zero and m_zero:
         return ParabolaShape(kind="point", is_origin=l_zero)
     if n_zero:
-        radial = l_zero or collinear3(L, M, tol.eps_rank)
+        radial = l_zero or collinear3(sf.l_x_m, L, M, tol.eps_rank)
         return ParabolaShape(kind="line", radial=radial)
-    if m_zero or collinear3(M, N, tol.eps_rank):
+    if m_zero or collinear3(sf.w, M, N, tol.eps_rank):
         mu = dot3(M, N) / dot3(N, N)
         vertex = tuple(l - mu * mu * n for l, n in zip(L, N))
         vertex_zero = vec_is_zero(vertex, tol.eps_rank, ref)
-        radial = vertex_zero or collinear3(vertex, N, tol.eps_rank)
+        # the line through the vertex along N misses the origin by |L x N| / |N|
+        radial = l_zero or vertex_zero or collinear3(sf.l_x_n, L, N, tol.eps_rank)
         return ParabolaShape(
             kind="half_line",
             radial=radial,
             vertex_param=-mu,
             vertex_is_origin=vertex_zero,
+            vertex=vertex,
         )
     return ParabolaShape(kind="parabola")
 
@@ -184,54 +188,36 @@ def _plane_basis_from_normal(nu3: np.ndarray, forced: bool) -> PlaneBasis:
     return PlaneBasis(u1=u1, u2=u2, nu3=nu3, forced=forced)
 
 
-def _build_frames(L, M, N, shape: ParabolaShape):
-    lf, mf, nf = float_vec(L), float_vec(M), float_vec(N)
+def _build_frames(sf: SecondForm, shape: ParabolaShape):
+    lf = float_vec(sf.L)
     if shape.kind == "parabola":
-        nu3 = unit(np.cross(mf, nf))
-        ep = _plane_basis_from_normal(nu3, forced=True)
+        ep = _plane_basis_from_normal(unit(sf.w), forced=True)
         aff = AffineSubspace(point=lf, basis=np.array([ep.u1, ep.u2]), dim=2)
         return aff, ep
-    if shape.kind == "half_line":
-        direction = unit(nf)
-        mu = float(dot3(M, N)) / float(dot3(N, N))
-        vertex = lf - mu * mu * nf
-        aff = AffineSubspace(point=vertex, basis=np.array([direction]), dim=1)
-        if shape.radial:
-            rows = orthonormal_extension([direction], 3)
-            ep = PlaneBasis(rows[0], rows[1], np.cross(rows[0], rows[1]), forced=False)
-        else:
-            rows = orthonormal_extension([direction, vertex], 3)
-            ep = PlaneBasis(rows[0], rows[1], np.cross(rows[0], rows[1]), forced=True)
-        return aff, ep
-    if shape.kind == "line":
-        direction = unit(mf)
-        aff = AffineSubspace(point=lf, basis=np.array([direction]), dim=1)
-        if shape.radial:
-            rows = orthonormal_extension([direction], 3)
-            ep = PlaneBasis(rows[0], rows[1], np.cross(rows[0], rows[1]), forced=False)
-        else:
-            rows = orthonormal_extension([direction, lf], 3)
-            ep = PlaneBasis(rows[0], rows[1], np.cross(rows[0], rows[1]), forced=True)
-        return aff, ep
-    # point: the plane must contain the segment from the origin to the trace
-    aff = AffineSubspace(point=lf, basis=np.zeros((0, 3)), dim=0)
-    if shape.is_origin:
-        rows = np.eye(3)
-    else:
-        rows = orthonormal_extension([unit(lf)], 3)
-    ep = PlaneBasis(rows[0], rows[1], np.cross(rows[0], rows[1]), forced=False)
+    if shape.kind == "point":
+        # the plane must contain the segment from the origin to the trace
+        aff = AffineSubspace(point=lf, basis=np.zeros((0, 3)), dim=0)
+        rows = np.eye(3) if shape.is_origin else orthonormal_extension([unit(lf)], 3)
+        return aff, PlaneBasis(rows[0], rows[1], np.cross(rows[0], rows[1]), forced=False)
+    # half-line along N from its vertex, or line along M through L; off the
+    # origin, the plane is spanned by the direction and L
+    half = shape.kind == "half_line"
+    direction = unit(sf.N if half else sf.M)
+    point = float_vec(shape.vertex) if half else lf
+    aff = AffineSubspace(point=point, basis=np.array([direction]), dim=1)
+    rows = orthonormal_extension([direction] if shape.radial else [direction, lf], 3)
+    ep = PlaneBasis(rows[0], rows[1], np.cross(rows[0], rows[1]), forced=not shape.radial)
     return aff, ep
 
 
 def build_parabola(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> ParabolaProfile:
     """Classify the parabola trace of a second form and attach hull, plane, stratum."""
-    L, M, N = sf.L, sf.M, sf.N
     shape = _decide_shape(sf, tol)
-    aff, ep = _build_frames(L, M, N, shape)
+    aff, ep = _build_frames(sf, shape)
     return ParabolaProfile(
-        Lvec=L,
-        Mvec=M,
-        Nvec=N,
+        Lvec=sf.L,
+        Mvec=sf.M,
+        Nvec=sf.N,
         shape=shape,
         orbit=_SHAPE_TO_ORBIT[shape.kind],
         aff=aff,

@@ -1,19 +1,20 @@
 """Umbilic curvature: distance from the singular point to the parabola's affine hull.
 
-Three closed forms cover the three shape families.  The independent
+Four closed forms in the second form's invariants cover the four shapes:
+|L.(M x N)| / |M x N| for a nondegenerate parabola, |L x N| / |N| for a
+half-line, |L x M| / |M| for a line and |L| for a point.  The independent
 least-squares estimate from sampled parabola points
 (``oracle.parabola_hull_distance``) runs only under verification.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
-from .linalg import cross3, dot3, float_vec, vec_is_zero, vec_norm
+from .linalg import negligible_quotient
 from .parabola import ParabolaProfile
 
 __all__ = ["UmbilicResult", "umbilic_curvature", "kappa_stratum_check"]
@@ -26,54 +27,30 @@ class UmbilicResult:
     is_zero: bool          # decided exactly on the rational path
 
 
-def _det3f(a, b, c) -> float:
-    return float(np.linalg.det(np.array([a, b, c], dtype=float)))
-
-
 def umbilic_curvature(
     pp: ParabolaProfile, sf: SecondForm, tol: Tolerances = DEFAULT_TOL
 ) -> UmbilicResult:
-    """Umbilic curvature with the shape-appropriate formula.
+    """Umbilic curvature, the distance from the origin to the trace's affine hull.
 
-    Nondegenerate parabola: |<eta(y), nu3>| with nu3 normal to the
-    distinguished plane (constant in y, asserted at y in {-1, 0, 1}).
-    Half-line or line: |det(eta, eta', nu3)| / |eta'| at a parameter with
-    nonvanishing velocity (vertex+1 for half-lines, 0 for lines; the shape
-    test rules out a zero N or M).  Point: the distance to the point.
+    Nondegenerate parabola: |L.(M x N)| / |M x N|, zero when that distance
+    is negligible at degree 1 (on rationals, when the triple product
+    vanishes).  Half-line |L x N| / |N| and line |L x M| / |M|: zero when
+    the shape test calls the trace radial.  Point: |L|, zero at the origin.
+    The shape test rules out a zero divisor.
     """
     shape = pp.shape
-    nu3 = pp.ep.nu3
-
     if shape.kind == "parabola":
-        values = [abs(float(np.dot(float_vec(pp.eta(y)), nu3))) for y in (-1.0, 0.0, 1.0)]
-        if max(values) - min(values) > 1e-10 * pp.ref:
-            raise RuntimeError(
-                "projection onto the plane normal is not constant along the parabola"
-            )
-        kappa = values[1]
-        formula = "nondegenerate_proj"
-    elif shape.kind in ("half_line", "line"):
-        y = float(shape.vertex_param) + 1.0 if shape.kind == "half_line" else 0.0
-        velocity = float_vec(pp.eta_prime(y))  # 2N for half-lines, 2M for lines
-        if vec_is_zero(velocity, 1e-12, pp.ref):
-            raise RuntimeError("could not find a parameter with nonvanishing velocity")
-        point = float_vec(pp.eta(y))
-        kappa = abs(_det3f(point, velocity, nu3)) / float(np.linalg.norm(velocity))
-        formula = "halfline_det"
-    else:
-        kappa = vec_norm(pp.Lvec)
-        formula = "point_distance"
-
-    if not sf.is_exact:
-        is_zero = kappa <= tol.eps_rank * pp.ref
-    elif shape.kind == "parabola":
-        is_zero = dot3(pp.Lvec, cross3(pp.Mvec, pp.Nvec)) == 0
+        num, den, formula = (sf.triple,), sf.w, "nondegenerate_proj"
+        is_zero = negligible_quotient(sf.triple, sf.w, tol.eps_rank * sf.ref)
     elif shape.kind == "point":
-        is_zero = bool(shape.is_origin)
+        num, den, formula = sf.L, (1,), "point_distance"
+        is_zero = shape.is_origin
     else:
-        is_zero = bool(shape.radial)
-
-    return UmbilicResult(kappa_u=float(kappa), formula_used=formula, is_zero=is_zero)
+        half = shape.kind == "half_line"
+        num, den = (sf.l_x_n, sf.N) if half else (sf.l_x_m, sf.M)
+        formula, is_zero = "halfline_det", shape.radial
+    kappa = math.hypot(*map(float, num)) / math.hypot(*map(float, den))
+    return UmbilicResult(kappa_u=kappa, formula_used=formula, is_zero=bool(is_zero))
 
 
 def kappa_stratum_check(pp: ParabolaProfile, ur: UmbilicResult) -> bool:

@@ -169,6 +169,22 @@ def test_every_tolerance_field_is_read():
     assert unread == []
 
 
+@pytest.mark.parametrize(
+    "text", ["(x, y^2 + (10^20)^2*x*y, x^2, 0)", "(x, y^2 + 10^20*x*y, x^2, 0)", "(x, y^2 + 10^5*x*y, x^2, 0)"]
+)
+def test_half_line_with_a_far_vertex_is_analysed(capsys, text):
+    # the vertex lies almost along N (at parameter -5e39 for the first germ),
+    # so the half-line's plane is spanned by N and L, not by N and the vertex
+    code, out, _ = run_cli(capsys, "analyze", "--germ", text)
+    assert code == 0
+    report = json.loads(out)
+    assert report["parabola"]["shape"] == "non-radial half-line"
+    assert report["point_type"] == "hyperbolic"
+    assert report["umbilic"]["kappa_u"] == 2.0
+    assert report["orbit"]["consistent"] and report["kappa_stratum_consistent"]
+    assert report["heights"]["corank2"]["agrees"]
+
+
 def exactness_branches(path):
     """``module.function`` of each branch whose condition asks whether a value is exact."""
     names = {"exact", "is_exact", "is_exact_scalar", "is_exact_vec"}
@@ -193,13 +209,50 @@ def exactness_branches(path):
 
 def test_exactness_is_decided_in_linalg():
     # Zero, collinearity and rank tests decide exact-or-float per value in
-    # linalg.  Two forks keep a reason of their own: the exact root
-    # polynomial of the asymptotic quadratic, and the shape-based zero rule
-    # of the umbilic curvature.  adapt's identity path turns on
-    # is_prenormal(), not on an exactness test.
+    # linalg; the invariants they read are computed in the entries' own
+    # arithmetic (forms.SecondForm), so no caller branches on exactness.
+    # adapt's identity path turns on is_prenormal(), not on an exactness test.
     src = Path(curvpar.__file__).parent
     sites = [s for p in sorted(src.glob("*.py")) if p.name != "linalg.py" for s in exactness_branches(p)]
-    assert sites == ["directions.asymptotic_directions", "umbilic.umbilic_curvature"]
+    assert sites == []
+
+
+def column_product_sites(path):
+    """``module.function`` of each ``cross3``/``np.cross`` call on second-form columns."""
+    columns = {"L", "M", "N", "Lvec", "Mvec", "Nvec", "lf", "mf", "nf"}
+    is_column = lambda n: getattr(n, "attr", getattr(n, "id", None)) in columns
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("cross3", "cross")
+            and any(map(is_column, node.args))
+        ):
+            sites.append(f"{path.stem}.{func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_column_products_are_the_second_forms_invariants():
+    # Every label, frame and umbilic curvature reads the cross and triple
+    # products of the columns L, M, N off forms.SecondForm, which computes
+    # each once.  oracle.py is exempt: it re-derives results by sampling.
+    # Two references re-derive part of the invariants on purpose, by their
+    # own formulas and from the 2-jet rather than the second form, so that
+    # they can check the label path: classify_two_jet's gamma minors are
+    # w = M x N (up to a factor 2), and with its zero tests of the xy and
+    # y^2 columns they decide the orbit that orbit.consistent compares with
+    # the shape; ik_classify reads the point type off a reduced 2-jet's b20,
+    # the sign that the asymptotic quadratic's discriminant decides.
+    src = Path(curvpar.__file__).parent
+    sites = [s for p in sorted(src.glob("*.py")) if p.name != "oracle.py" for s in column_product_sites(p)]
+    assert sites == ["forms.w", "forms.l_x_n", "forms.l_x_m"]
 
 
 def is_tolerance(node):

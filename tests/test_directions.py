@@ -1,11 +1,13 @@
 """Asymptotic/binormal directions, point types, counting per shape."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from curvpar.adapt import adapt
+from curvpar.config import DEFAULT_TOL
 from curvpar.directions import (
     Y_INF,
     asymptotic_directions,
@@ -13,6 +15,7 @@ from curvpar.directions import (
     ik_classify,
     osculating_hyperplanes,
     point_type,
+    solve_quadratic,
 )
 from curvpar.forms import second_form
 from curvpar.parabola import build_parabola
@@ -210,3 +213,18 @@ def test_all_asymptotic_witness_for_radial_shapes(rng):
             u = tuple(rng.normal(size=2))
             v = tuple(rng.normal(size=2))
             assert abs(float(sf.value_along(nu, u, v))) <= 1e-8
+
+
+@pytest.mark.parametrize("coeffs", [(1, 10**8, 1), (1.0, 1e8, 1.0), (1.0, -1e8, 1.0)])
+def test_solve_quadratic_keeps_the_small_root(coeffs):
+    # (-q1 + sqrt(disc)) / (2*q2) cancels to a relative error of 0.5 here
+    q0, q1, q2 = coeffs
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sq = (Decimal(q1) ** 2 - 4 * Decimal(q0) * Decimal(q2)).sqrt()
+        exact = [float((-Decimal(q1) + s * sq) / (2 * Decimal(q2))) for s in (-1, 1)]
+    roots, _ = solve_quadratic(q0, q1, q2, DEFAULT_TOL)
+    # in the order (-q1 - sqrt(disc)) / (2*q2), (-q1 + sqrt(disc)) / (2*q2)
+    assert len(roots) == 2
+    for got, want in zip(roots, exact):
+        assert abs(got - want) <= 1e-15 * abs(want)

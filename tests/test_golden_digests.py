@@ -6,6 +6,8 @@ and numpy versions it was made with.  A change that alters a digest announces
 the change in CHANGES.md and regenerates the file:
 
     PYTHONPATH=src:tests python3 tests/test_golden_digests.py
+
+which prints each entry whose digest changed, for that announcement.
 """
 
 import hashlib
@@ -56,4 +58,10 @@ def test_golden_reports_match_digests():
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps({**versions(), "entries": compute()}, indent=1) + "\n")
+    old = json.loads(DIGESTS.read_text())["entries"] if DIGESTS.exists() else []
+    old = {(e["germ"], e["order"], e["verify"]): e["sha256"] for e in old}
+    entries = compute()
+    DIGESTS.write_text(json.dumps({**versions(), "entries": entries}, indent=1) + "\n")
+    for e in entries:
+        if old.get((e["germ"], e["order"], e["verify"])) != e["sha256"]:
+            print(f"changed: {e['germ']} (order {e['order']}, verify {e['verify']})")

@@ -97,6 +97,18 @@ def test_scan_non_radial_half_line_vertex_and_infinity():
     assert scan.includes_infinity
 
 
+@pytest.mark.parametrize("scale", ["1/10^6", "1/10^12", "10^6"])
+def test_scan_is_scale_invariant(scale):
+    # a score has degree 1 in the jet: scaling the normal space scales the
+    # scores, and the zero bound scales with ref
+    text = "(x, x*y, y^2 + x^2, 0)"
+    scaled = f"(x, {scale}*x*y, {scale}*y^2 + {scale}*x^2, 0)"
+    twin, scan = scan_for(text, order=4), scan_for(scaled, order=4)
+    assert (scan.kind, scan.includes_infinity) == (twin.kind, twin.includes_infinity)
+    assert len(scan.clusters) == len(twin.clusters) == 2
+    assert np.allclose(scan.clusters, twin.clusters, atol=1e-9)
+
+
 def test_fd_hessian_example():
     ad = adapt(germ("(x, x*y, y^2, 0)", order=4))
     h = finite_difference_hessian(ad, (0.0, 0.0, 1.0, 0.0))

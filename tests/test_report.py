@@ -28,6 +28,13 @@ MOVED_SMALL_SCALE_TWINS = {
     f"(x + y^2, {s}*x*y, {s}*y^2 + {s}*x^2, {s}*x^2)": "(x, x*y, y^2 + x^2, x^2)"
     for s in ("1/10^9", "1/10^10")
 }
+# moved germs with a small column, each with its exact twin: nondegenerate
+# traces whose |M x N| lies far below ref^2, so that kappa_u = |L.w| / |w|
+# (degree 1) is not negligible while |L.w| is below eps * ref^3
+SMALL_COLUMN_TWINS = {
+    "(x + y^2, y^2, 1/10^5*x*y, 1/10^5*x^2)": "(x, y^2, 1/10^5*x*y, 1/10^5*x^2)",
+    "(x + y^2, y^2, 1/10^7*x*y, 1/10^3*x^2)": "(x, y^2, 1/10^7*x*y, 1/10^3*x^2)",
+}
 # normal scales of the random jets: powers of two and of ten
 SCALES = [Fraction(2) ** k for k in (-50, -40, -20, 20, 40)] + [Fraction(10) ** k for k in (-14, -12, -6, 6, 12)]
 
@@ -71,7 +78,9 @@ def twin_labels(res):
     return labels(res) + (res.transfer.directions_match, res.transfer.types_match)
 
 
-@pytest.mark.parametrize("small,twin", [*SMALL_SCALE_TWINS.items(), *MOVED_SMALL_SCALE_TWINS.items()])
+@pytest.mark.parametrize(
+    "small,twin", [*SMALL_SCALE_TWINS.items(), *MOVED_SMALL_SCALE_TWINS.items(), *SMALL_COLUMN_TWINS.items()]
+)
 def test_small_scale_exact_germs_label_like_their_twins(small, twin):
     assert twin_labels(analyze_germ(small)) == twin_labels(analyze_germ(twin))
 
@@ -100,6 +109,29 @@ def test_scaled_random_jets_label_like_their_twins(rng, family):
             assert twin_labels(analyze_germ(moved)) == want, (j2, s, src)
             checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("family", ["any", "collinear", "line", "point"])
+def test_far_scaled_moved_jets_label_like_their_twins(rng, family):
+    # At 2^+-130 the square of the asymptotic quadratic (degree 8 in the jet)
+    # leaves the float range: the roots and the double-root test must not
+    # read it.  A parabola's printed discriminant has that degree 8, so at
+    # 2^130 it overflows (and its report does not render), exact or moved;
+    # the labels must not.  Only moved germs, whose analysis runs in floats.
+    checked = 0
+    for _ in range(5):
+        j2 = random_jet2(rng, family)
+        coeffs = [c for row in j2.rows() for c in row]
+        twin = analyze_germ(jet2_to_germ(j2, order=3))
+        if not any(coeffs) or (twin.profile.shape.kind == "parabola" and twin.ptype == "parabolic"):
+            continue
+        for s in (Fraction(2) ** -140, Fraction(2) ** -130, Fraction(2) ** 130):
+            scaled = jet2_to_germ(Jet2(*(s * c for c in coeffs)), order=3)
+            moved = transform_germ(scaled, np.array([[1.0, 0.5], [0.0, 1.0]]), random_rotation(rng, 4))
+            with np.errstate(over="ignore"):
+                assert twin_labels(analyze_germ(moved)) == twin_labels(twin), (j2, s)
+            checked += 1
+    assert checked >= 6
 
 
 @pytest.mark.parametrize("k", [5, 9, 12])
