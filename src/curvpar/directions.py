@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
 from .germs import extract_jet2
-from .linalg import negligible
+from .linalg import negligible, unit
 from .parabola import ParabolaProfile
 
 __all__ = [
@@ -168,9 +168,9 @@ def _null_direction_binormal(pp, sf, y):
     row2 = pp.ep.to_plane_coords(
         tuple(m + n * u[1] for m, n in zip(sf.M, sf.N))
     )
-    r = row1 if np.linalg.norm(row1) >= np.linalg.norm(row2) else row2
-    ab = np.array([-r[1], r[0]])
-    ab = ab / np.linalg.norm(ab)
+    with np.errstate(over="ignore"):  # a norm beyond the float range compares as the larger
+        r = row1 if np.linalg.norm(row1) >= np.linalg.norm(row2) else row2
+    ab = unit([-r[1], r[0]])
     vec = pp.ep.from_plane_coords(ab[0], ab[1])
     return _fix_sign(vec)
 

@@ -322,14 +322,32 @@ class MapGermR4:
 #   factor   := base ("^" uint)?
 #   base     := "x" | "y" | ident | rational | "(" expr ")"
 #   rational := uint ("/" uint)?
-# ``ident`` covers sweep-template parameters bound through ``params``.
+# ``ident`` covers sweep-template parameters bound through ``params``.  The
+# tokenizer reads a complete monomial term such as ``3/4*x^2*y`` as one token
+# wherever a term can start; the grammar it parses is the same.
 # ---------------------------------------------------------------------------
 
 # Digits and names are ASCII: ``\d`` and ``\w`` would also match other
-# scripts' digits, which ``int`` reads.  The last group catches any other
-# character, so that every non-blank character of the input is either a
-# token or reported at its position.
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,])|(\S))")
+# scripts' digits, which ``int`` reads.  The group ``other`` catches any
+# other character, so that every non-blank character of the input is either
+# a token or reported at its position.
+_PLAIN = r"(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()+\-*/^,])|(?P<other>\S)"
+_PLAIN_RE = re.compile(r"\s*(?:" + _PLAIN + ")")
+
+# A complete monomial term: ``N[/D]``, ``x[^i]`` and ``y[^j]``, each
+# optional, in that order, joined by ``*`` and followed by a term boundary.
+# Groups 2 to 7 are N, D, x, i, y and j.  No quantifier is nested, so
+# matching stays linear.
+_TERM_END = r"(?=\s*(?:[-+,)]|\Z))"
+_MONO = (
+    r"(?=[0-9xy])"
+    r"(?:([0-9]+)(?:/([0-9]+))?(?:\*(?=[xy])|" + _TERM_END + "))?"
+    r"(?:(x)(?:\^([0-9]+))?(?:\*(?=y)|" + _TERM_END + "))?"
+    r"(?:(y)(?:\^([0-9]+))?)?" + _TERM_END
+)
+_TOKEN_RE = re.compile(r"\s*(?:(?P<mono>" + _MONO + ")|" + _PLAIN + ")")
+# the tokens after which a term or a factor starts, as at the start of the text
+_TERM_START = frozenset("(,+-*")
 
 # Bounds that keep hostile input from exhausting the stack or the memory:
 # parentheses nest at most MAX_NESTING deep, and an exponent above
@@ -346,17 +364,35 @@ _ONE = Fraction(1)
 
 
 def _tokenize(text: str):
+    """Tokens ``(kind, text, position)``, and ``("mono", text, position, (i, j, c))``.
+
+    Wherever a term can start, a complete monomial term ``c*x^i*y^j`` is one
+    ``mono`` token; its text is that of its first plain token, so an error
+    message quotes what it would quote for the plain tokens.  A term that
+    would raise (a zero denominator, an exponent above ``MAX_EXPONENT``) and a
+    match where no term can start are read as plain tokens, whose parse
+    raises the same error at the same position.
+    """
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        number, name, punct, other = m.groups()
-        if number is not None:
-            tokens.append(("int", number, m.start(1)))
-        elif name is not None:
-            tokens.append(("ident", name, m.start(2)))
-        elif punct is not None:
-            tokens.append((punct, punct, m.start(3)))
+        if m.lastgroup == "mono":
+            num, den, x, i, y, j = m.group(2, 3, 4, 5, 6, 7)
+            den = int(den) if den else None
+            i = int(i) if i else 1 if x else 0
+            j = int(j) if j else 1 if y else 0
+            if (not tokens or tokens[-1][0] in _TERM_START) and den != 0 and max(i, j) <= MAX_EXPONENT:
+                c = (Fraction(int(num), den) if den else Fraction(int(num))) if num else _ONE
+                tokens.append(("mono", num or x or y, m.start(1), (i, j, c)))
+                continue
+            plain = _PLAIN_RE.finditer(text, m.start(1), m.end(1))
         else:
-            raise GermParseError(f"unexpected character {other!r}", m.start(4))
+            plain = (m,)
+        for m in plain:
+            kind = m.lastgroup
+            value = m.group(kind)
+            if kind == "other":
+                raise GermParseError(f"unexpected character {value!r}", m.start(kind))
+            tokens.append((value if kind == "punct" else kind, value, m.start(kind)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -365,12 +401,12 @@ class _Parser:
     """Recursive descent over monomial dicts ``{(i, j): coeff}``.
 
     Each dict holds only monomials of total degree at most ``order`` with
-    non-zero coefficients.  A leaf builds its dict directly; a product or
-    power of single monomials adds (or scales) the exponents and multiplies
-    (or raises) the coefficient.  Only products and powers with a multi-term
-    operand, such as ``(y^3+x)^2``, go through ``TruncatedPoly2``'s
-    arithmetic, and ``parse_component`` wraps each component in one
-    ``TruncatedPoly2``.
+    non-zero coefficients.  A leaf, such as a complete monomial term read as
+    one token, builds its dict directly; a product or power of single
+    monomials adds (or scales) the exponents and multiplies (or raises) the
+    coefficient.  Only products and powers with a multi-term operand, such
+    as ``(y^3+x)^2``, go through ``TruncatedPoly2``'s arithmetic, and
+    ``parse_component`` wraps each component in one ``TruncatedPoly2``.
     """
 
     def __init__(self, text: str, order: int, params=None):
@@ -425,7 +461,11 @@ class _Parser:
         op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
         while True:
             for key, c in self.parse_term().items():
-                total = acc.get(key, 0) + c if op == "+" else acc.get(key, 0) - c
+                if key not in acc:
+                    # 0 + c without int-Fraction arithmetic: c is never zero
+                    acc[key] = +c if op == "+" else -c
+                    continue
+                total = acc[key] + c if op == "+" else acc[key] - c
                 if total == 0:
                     acc.pop(key, None)
                 else:
@@ -443,7 +483,15 @@ class _Parser:
                 acc = (TruncatedPoly2(acc, self.order) * TruncatedPoly2(factor, self.order)).coeffs
             elif acc and factor:
                 ((i1, j1), c1), ((i2, j2), c2) = *acc.items(), *factor.items()
-                acc = self.monomial(i1 + i2, j1 + j2, c1 * c2)
+                # a Fraction times the unit x or y is itself; an int parameter
+                # times it becomes a Fraction, as in TruncatedPoly2's product
+                if c2 is _ONE and type(c1) is Fraction:
+                    c = c1
+                elif c1 is _ONE and type(c2) is Fraction:
+                    c = c2
+                else:
+                    c = c1 * c2
+                acc = self.monomial(i1 + i2, j1 + j2, c)
             else:
                 acc = {}
         return acc
@@ -475,7 +523,8 @@ class _Parser:
                 return {(0, 0): _ONE}
             if base:
                 ((i, j), c), = base.items()
-                c = c**exponent
+                if c is not _ONE:
+                    c = c**exponent
                 # TruncatedPoly2.__pow__ multiplies from Fraction(1)
                 if isinstance(c, int):
                     c = Fraction(c)
@@ -488,6 +537,8 @@ class _Parser:
 
     def parse_base(self) -> dict:
         tok = self.advance()
+        if tok[0] == "mono":
+            return self.monomial(*tok[3])
         kind, value, pos = tok
         if kind == "int":
             num = int(value)
@@ -551,9 +602,9 @@ def parse_map_germ(text: str, order: int = 6, params=None) -> MapGermR4:
 def template_parameters(text: str):
     """Names used in a germ template beyond the variables x and y."""
     names = set()
-    for kind, value, _ in _tokenize(text):
-        if kind == "ident" and value not in ("x", "y"):
-            names.add(value)
+    for tok in _tokenize(text):
+        if tok[0] == "ident" and tok[1] not in ("x", "y"):
+            names.add(tok[1])
     return sorted(names)
 
 

@@ -106,7 +106,12 @@ def collinear3(axb, a, b, eps: float) -> bool:
 
 def unit(v) -> np.ndarray:
     arr = float_vec(v)
-    n = np.linalg.norm(arr)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(arr)
+    if math.isinf(n) and np.isfinite(arr).all():
+        # the squares left the float range: divide by the largest entry first
+        arr = arr / np.abs(arr).max()
+        n = np.linalg.norm(arr)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return arr / n

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -377,6 +378,9 @@ def test_negative_sample_count_exits_1(tmp_path, capsys, command):
     assert "non-negative integer" in err
 
 
+FLAT_PRODUCT = "(x, " + "2*" * 20000 + "x^65, y^2, 0)"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -387,36 +391,83 @@ def test_negative_sample_count_exits_1(tmp_path, capsys, command):
         "(x, \u0663*y^2, 0, 0)",
         "(x, x*y, \uff12*y^2, 0)",
         "(x, x*y, (10^60)^6*y^2, 0)",
+        # a flat product ending in a complete term whose exponent is refused
+        pytest.param(FLAT_PRODUCT, id="flat-product-2*...*x^65"),
     ],
 )
 def test_hostile_germ_text_exits_1(capsys, text):
+    t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", "--germ", text)
+    assert time.perf_counter() - t0 < 5.0
     assert code == 1
     assert out == ""
     assert err.startswith("error: parse error")
+    if text == FLAT_PRODUCT:
+        assert err == f"error: parse error at position {text.index('^65') + 1}: exponent 65 exceeds 64\n"
 
 
-# numpy warns of the overflow that produces the non-finite entries
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# Each germ is a template: {p} is the sweep parameter t (swept over [1, 1])
+# for sweep and the literal 1 for the other subcommands.
+BOUNDARY_GERMS = {
+    "parse-error": "(x, {p}*x*, y^2, 0)",
+    "not-at-origin": "(x, {p} + y^2, x*y, 0)",
+    "overflow": "(x, x*y, (10^60)^6*{p}*y^2, 0)",
+    "corank-2": "(x^2, x*y, y^2, {p}*x^3)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_GERMS))
+@pytest.mark.parametrize("command", ["analyze", "verify", "sweep", "plotdata"])
+def test_every_subcommand_exits_like_analyze(tmp_path, capsys, command, case):
+    template = BOUNDARY_GERMS[case]
+    want, _, _ = run_cli(capsys, "analyze", "--germ", template.format(p="1"))
+    assert want in (1, 3)
+    out_path = tmp_path / "out"
+    argv = [command, "--out", str(out_path)]
+    if command == "sweep":
+        argv += ["--germ", template.format(p="t"), "--range", "1", "1", "--samples", "1"]
+    else:
+        argv += ["--germ", template.format(p="1")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# The norm of N (about 2e180) overflows while N is finite: linalg.unit
+# rescales it, with no warning, and the discriminant then leaves the float range.
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_non_finite_report_exits_1(capsys, fmt):
-    text = "(x, (10^51)^6*x*y, y^2, x^2)"
+    text = "(x, (10^60)^3*y^2, x^2, 0)"
     code, out, err = run_cli(capsys, "analyze", "--format", fmt, "--germ", text)
     assert code == 1
     assert out == ""
-    assert err == (
-        "error: report.reduced_two_jet.jet2.a20 is nan: the analysis left the float range\n"
-    )
+    assert err == "error: report.asymptotic.discriminant is inf: the analysis left the float range\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_vectors_whose_squares_overflow_get_the_twins_frames(capsys):
+    # |B|^2 and the binormal system's norms overflow while B (about 1e306) is
+    # finite; rescaled unit vectors give the twin's labels, binormal and
+    # osculating hyperplane, with no warning
+    code, out, _ = run_cli(capsys, "analyze", "--germ", "(x, (10^51)^6*x*y, y^2, x^2)")
+    assert code == 0
+    _, twin, _ = run_cli(capsys, "analyze", "--germ", "(x, x*y, y^2, x^2)")
+    got, want = json.loads(out), json.loads(twin)
+    for key in ("orbit", "binormal", "osculating_hyperplanes", "point_type", "umbilic"):
+        assert got[key] == want[key], key
+    for key in ("shape", "stratum", "plane"):
+        assert got["parabola"][key] == want["parabola"][key], key
+    assert got["asymptotic"]["parameters"] == want["asymptotic"]["parameters"]
+
+
 def test_sweep_exits_1_on_a_non_finite_row(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, out, err = run_cli(
         capsys,
         "sweep",
         "--germ",
-        "(x, (10^51)^6*t*x*y, y^2, x^2)",
+        "(x, (10^60)^3*t*y^2, x^2, 0)",
         "--range",
         "1",
         "1",
@@ -428,7 +479,7 @@ def test_sweep_exits_1_on_a_non_finite_row(tmp_path, capsys):
     assert code == 1
     assert out == "" and not out_file.exists()
     assert err == (
-        "error: the row t = 1: report.reduced_two_jet.jet2.a20 is nan: the analysis left the float range\n"
+        "error: the row t = 1: report.asymptotic.discriminant is inf: the analysis left the float range\n"
     )
 
 

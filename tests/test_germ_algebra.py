@@ -1,6 +1,7 @@
 """Polynomial arithmetic, parsing, and 2-jet extraction."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from curvpar.germs import (
     GermParseError,
     MapGermR4,
     TruncatedPoly2,
-    _tokenize,
     extract_jet2,
     parse_map_germ,
     parse_poly,
@@ -144,18 +144,39 @@ def test_parse_power_bit_budget_boundary():
 # -- the parser against polynomial algebra on every token -------------------
 
 
+_PLAIN_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,])|(\S))")
+
+
+def plain_tokenize(text):
+    """The parser's tokens before it read a monomial term as one token."""
+    tokens = []
+    for m in _PLAIN_TOKEN_RE.finditer(text):
+        number, name, punct, other = m.groups()
+        if number is not None:
+            tokens.append(("int", number, m.start(1)))
+        elif name is not None:
+            tokens.append(("ident", name, m.start(2)))
+        elif punct is not None:
+            tokens.append((punct, punct, m.start(3)))
+        else:
+            raise GermParseError(f"unexpected character {other!r}", m.start(4))
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
 class ReferenceParser:
     """The germ parser as it was before it worked on monomial dicts.
 
     Every number, variable and parameter becomes a ``TruncatedPoly2``, and
     every product and power goes through ``TruncatedPoly2.__mul__`` and
-    ``__pow__``.  The checks and their messages are the parser's.
+    ``__pow__``.  Every number, name and operator is its own token.  The checks
+    and their messages are the parser's.
     """
 
     def __init__(self, text, order, params=None):
         self.order = order
         self.params = params or {}
-        self.tokens = _tokenize(text)
+        self.tokens = plain_tokenize(text)
         self.idx = 0
         self.depth = 0
 
@@ -369,8 +390,15 @@ def test_parser_matches_polynomial_algebra_reference():
     exprs += [mutate(rng, e) for e in exprs[:40]]
     exprs += ["x^0", "0^0", "z^0*x", "(y^3+x)^2", "(x - x)^3", "-(-(x*y))", "(10^60)^6"]
     exprs += ["u", "u*u*x", "u^2", "u^0 - y", "u^3*y^2 - x"]
+    # the edges of a monomial term read as one token: a term that raises, one
+    # after "^", terms in another factor order, and terms with no "*"
+    exprs += ["2^2*x", "3/4^2*x", "1/0*x", "0/0*y", "x^65", "x^2^3"]
+    exprs += ["2*x*(1+y)", "3*2*x", "x*2", "y*x", "x*x*y", "-0*x", "x^0", "u*x^2"]
+    exprs += ["2x", "x2", "xy", "3 / 4 * x ^ 2"]
     germs = [random_germ(rng) for _ in range(30)]
     germs += [mutate(rng, g) for g in germs[:15]]
+    # a germ whose first token is a complete term: the error quotes its first plain token
+    germs += ["2*x, y^2, 0, 0)", "x^2*y)"]
     for order in range(7):
         for text in exprs:
             want = parse_outcome(reference_parse_poly, text, order)
@@ -378,6 +406,15 @@ def test_parser_matches_polynomial_algebra_reference():
         for text in germs:
             want = parse_outcome(reference_parse_map_germ, text, order)
             assert parse_outcome(parse_map_germ, text, order) == want, (text, order)
+
+
+def test_flat_germ_of_many_terms_matches_the_reference():
+    text = "(x, " + " + ".join(["1/3*x*y"] * 20000) + ", y^2 - 2*x*y^2, 0)"
+    t0 = time.perf_counter()
+    got = parse_outcome(parse_map_germ, text, 6)
+    assert time.perf_counter() - t0 < 5.0
+    assert got == parse_outcome(reference_parse_map_germ, text, 6)
+    assert got[1][1] == [((1, 1), F, F(20000, 3))]
 
 
 def expanded_moved_germ():

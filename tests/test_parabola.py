@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from curvpar.adapt import adapt
 from curvpar.forms import second_form
 from curvpar.germs import Jet2, extract_jet2
-from curvpar.linalg import cross3, dot3
+from curvpar.linalg import cross3, dot3, unit
 from curvpar.parabola import (
     ORBIT_HALF_LINE,
     ORBIT_LINE,
@@ -254,3 +254,11 @@ def test_sample_parabola_rows():
         (0.0, 0.0, 0.0, 0.0),
         (1.0, 2.0, 2.0, 0.0),
     ]
+
+
+def test_unit_rescales_only_a_vector_whose_squares_overflow():
+    rng = np.random.default_rng(7)
+    for v in rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-140, 140, size=(50, 1)):
+        assert np.array_equal(unit(v), v / np.linalg.norm(v))
+    # |v|^2 = 2.5e401 is beyond the float range, v itself is not; no warning is raised
+    assert np.allclose(unit([F(3 * 10**200), 4e200, 0]), [0.6, 0.8, 0.0], rtol=0, atol=1e-15)
