@@ -174,23 +174,19 @@ def _cmd_sweep(args) -> int:
     for value in _sweep_values(lo, hi, args.samples):
         germ = parse_map_germ(text, order=args.order, params={name: value})
         res = analyze_germ(germ, order=args.order, tol=tol, input_text=text)
-        check_finite(res.report, f"the row {name} = {value}: report")
-        n_asym = "inf" if res.aset.kind == "all" else str(res.aset.count)
-        n_bin = "inf" if res.bset.kind == "all" else str(res.bset.count)
-        labels = (res.profile.orbit, res.profile.shape.label(), res.ptype, n_asym, n_bin)
-        transition = prev_labels is not None and labels != prev_labels
-        rows.append(
-            [
-                _fmt(float(value)),
-                res.profile.orbit,
-                res.profile.shape.label(),
-                res.ptype,
-                _fmt(res.umbilic.kappa_u),
-                n_asym,
-                n_bin,
-                "yes" if transition else "no",
-            ]
+        report = res.report
+        check_finite(report, f"the row {name} = {value}: report")
+        labels = (
+            report["orbit"]["from_geometry"],
+            report["parabola"]["shape"],
+            report["point_type"],
+            str(report["asymptotic"]["count"]),
+            str(report["binormal"]["count"]),
         )
+        transition = prev_labels is not None and labels != prev_labels
+        orbit, shape, ptype, n_asym, n_bin = labels
+        kappa_u = _fmt(res.umbilic.kappa_u)
+        rows.append([_fmt(float(value)), orbit, shape, ptype, kappa_u, n_asym, n_bin, "yes" if transition else "no"])
         prev_labels = labels
     content = _csv_content(header, rows)
     _write(args.out, content)

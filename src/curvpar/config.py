@@ -43,7 +43,8 @@ class Tolerances:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 <= value < math.inf):
                 raise ValueError(f"{f.name} must be a finite non-negative number, got {value!r}")
         # the scan needs a grid spacing, so at least two grid points
         if not isinstance(self.scan_points, int) or self.scan_points < 2:
@@ -54,13 +55,15 @@ class Tolerances:
 
     @classmethod
     def from_file(cls, path) -> "Tolerances":
-        """Load overrides from a JSON file; unknown keys are rejected.
+        """Load overrides from a JSON file holding one object; unknown keys are rejected.
 
         Retired keys (``RETIRED_KEYS``) are accepted with a
         ``DeprecationWarning`` and ignored.
         """
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path} must hold one JSON object of tolerances")
         for key in sorted(RETIRED_KEYS.keys() & data.keys()):
             del data[key]
             warnings.warn(

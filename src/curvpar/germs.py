@@ -90,10 +90,6 @@ class TruncatedPoly2:
         return self.coeffs.get((i, j), 0)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_exact(self) -> bool:
         return all(is_exact_scalar(c) for c in self.coeffs.values())
 
@@ -148,40 +144,6 @@ class TruncatedPoly2:
             k >>= 1
             if k:
                 base = base * base
-        return result
-
-    def diff(self, var: str) -> "TruncatedPoly2":
-        """Formal partial derivative; the truncation order drops by one."""
-        out = {}
-        if var == "x":
-            for (i, j), c in self.coeffs.items():
-                if i > 0:
-                    out[(i - 1, j)] = c * i
-        elif var == "y":
-            for (i, j), c in self.coeffs.items():
-                if j > 0:
-                    out[(i, j - 1)] = c * j
-        else:
-            raise ValueError(f"unknown variable {var!r}")
-        return TruncatedPoly2(out, max(self.order - 1, 0))
-
-    def compose(self, px: "TruncatedPoly2", py: "TruncatedPoly2") -> "TruncatedPoly2":
-        """Substitute x -> px, y -> py; both must vanish at the origin."""
-        if px.coefficient(0, 0) != 0 or py.coefficient(0, 0) != 0:
-            raise ValueError("composition requires substitutions with zero constant term")
-        order = min(self.order, px.order, py.order)
-        max_i = max((i for i, _ in self.coeffs), default=0)
-        max_j = max((j for _, j in self.coeffs), default=0)
-        one = TruncatedPoly2.const(Fraction(1), order)
-        x_pows = [one]
-        for _ in range(max_i):
-            x_pows.append(x_pows[-1] * px)
-        y_pows = [one]
-        for _ in range(max_j):
-            y_pows.append(y_pows[-1] * py)
-        result = TruncatedPoly2.zero(order)
-        for (i, j), c in self.coeffs.items():
-            result = result + (x_pows[i] * y_pows[j]) * c
         return result
 
     def evaluate(self, x, y):
@@ -277,20 +239,6 @@ class MapGermR4:
 
     def evaluate(self, x, y):
         return [p.evaluate(x, y) for p in self.components]
-
-    def compose_source(self, px: TruncatedPoly2, py: TruncatedPoly2) -> "MapGermR4":
-        return MapGermR4([p.compose(px, py) for p in self.components])
-
-    def rotate_target(self, matrix) -> "MapGermR4":
-        """Apply a linear target map: component_i <- sum_j matrix[i][j] * component_j."""
-        out = []
-        for row in matrix:
-            acc = TruncatedPoly2.zero(self.order)
-            for entry, comp in zip(row, self.components):
-                if entry != 0:
-                    acc = acc + comp * entry
-            out.append(acc)
-        return MapGermR4(out)
 
     def to_float(self) -> "MapGermR4":
         return MapGermR4([p.to_float() for p in self.components])

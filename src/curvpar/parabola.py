@@ -17,7 +17,6 @@ from .linalg import (
     collinear3,
     dot3,
     float_vec,
-    negligible,
     orthonormal_extension,
     unit,
     vec_is_zero,
@@ -235,17 +234,18 @@ def build_parabola(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> ParabolaPro
 def classify_two_jet(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> str:
     """Orbit label from the 2-jet coefficient criteria, independent of geometry.
 
-    Decided exactly on rational coefficients; float input compares the
-    degree-2 minors and the degree-1 columns with the whole jet's scale.
+    Decided exactly on rational coefficients.  On floats the xy and y^2
+    columns are compared with the whole jet's scale, and the degree-2 minors
+    (their cross product, up to sign) with the product of their norms.
     """
+    xy_col = (j2.a11, j2.b11, j2.c11)
+    yy_col = (j2.a02, j2.b02, j2.c02)
+    yy_zero = vec_is_zero(yy_col, tol.eps_rank, j2.ref)
+    xy_zero = vec_is_zero(xy_col, tol.eps_rank, j2.ref)
     g1 = j2.a11 * j2.b02 - j2.a02 * j2.b11
     g2 = j2.a11 * j2.c02 - j2.a02 * j2.c11
     g3 = j2.c11 * j2.b02 - j2.c02 * j2.b11
-    xy_col = (j2.a11, j2.b11, j2.c11)
-    yy_col = (j2.a02, j2.b02, j2.c02)
-    gamma_zero = all(negligible(g, tol.eps_rank * j2.ref * j2.ref) for g in (g1, g2, g3))
-    yy_zero = vec_is_zero(yy_col, tol.eps_rank, j2.ref)
-    xy_zero = vec_is_zero(xy_col, tol.eps_rank, j2.ref)
+    gamma_zero = yy_zero or xy_zero or collinear3((g1, g2, g3), xy_col, yy_col, tol.eps_rank)
     if not gamma_zero:
         return ORBIT_PARABOLA
     if not yy_zero:

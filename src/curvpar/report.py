@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -53,7 +53,6 @@ from .parabola import (
     apply_source_to_jet,
     apply_target_to_jet,
     build_parabola,
-    classify_two_jet,
     reduce_to_normal_form,
 )
 from .umbilic import UmbilicResult, kappa_stratum_check, umbilic_curvature
@@ -68,21 +67,27 @@ def fmt_float(x: float) -> float:
 
 
 def format_value(v):
-    """Recursively prepare a value for JSON output; rationals keep exact text form."""
-    if isinstance(v, bool) or v is None or isinstance(v, str):
-        return v
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
+    """Recursively prepare a value for JSON output; rationals keep exact text form.
+
+    Dispatches on the exact type, floats first: the report holds mostly floats.
+    """
+    t = type(v)
+    if t is float:
         return fmt_float(v)
-    if isinstance(v, np.ndarray):
-        return [format_value(c) for c in v.tolist()]
-    if isinstance(v, (list, tuple)):
-        return [format_value(c) for c in v]
-    if isinstance(v, dict):
+    if t is Fraction:
+        return int(v) if v.denominator == 1 else str(v)
+    if t is str or t is bool or t is int or v is None:
+        return v
+    if t is dict:
         return {k: format_value(val) for k, val in v.items()}
+    if t is list or t is tuple:
+        return [format_value(c) for c in v]
+    if t is np.ndarray:
+        return [format_value(c) for c in v.tolist()]
+    if isinstance(v, np.floating):
+        return fmt_float(v)
+    if isinstance(v, np.integer):
+        return int(v)
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
@@ -113,18 +118,20 @@ def _count_or_inf(value):
     return "inf" if value == math.inf else int(value)
 
 
-def _binormal_param(p):
-    if p is None:
-        return "shape"
-    if isinstance(p, str):
-        return p
-    return format_value(float(p))
+def _field_values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
-    ad = res.adapted
-    pp = res.profile
-    report = {
+    """The report: raw values, converted for JSON in one ``format_value`` walk.
+
+    The only conversions made here choose how a value prints: the parameters
+    and the asymptotic quadratic print as floats even when exact, and an
+    infinite count prints as ``"inf"``.
+    """
+    ad, pp, umb = res.adapted, res.profile, res.umbilic
+    vertex = pp.shape.vertex_param
+    return format_value({
         "input": {
             "germ": input_text if input_text is not None else res.germ.to_expression(),
             "order": res.germ.order,
@@ -132,20 +139,13 @@ def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
         },
         "adaptation": {
             "exact": ad.exact,
-            "tangent_frame": format_value(ad.tangent_frame),
-            "normal_frame": format_value(ad.normal_frame),
-            "target_rotation": format_value(ad.target_rotation),
+            "tangent_frame": ad.tangent_frame,
+            "normal_frame": ad.normal_frame,
+            "target_rotation": ad.target_rotation,
         },
-        "first_form": {
-            "E": format_value(res.first.E),
-            "F": format_value(res.first.F),
-            "G": format_value(res.first.G),
-        },
-        "second_form": format_value([list(r) for r in res.sf.matrix]),
-        "jet2": {
-            name: format_value(getattr(res.jet2, name))
-            for name in ("a20", "a11", "a02", "b20", "b11", "b02", "c20", "c11", "c02")
-        },
+        "first_form": {"E": res.first.E, "F": res.first.F, "G": res.first.G},
+        "second_form": res.sf.matrix,
+        "jet2": _field_values(res.jet2),
         "orbit": {
             "from_coefficients": res.orbit_table,
             "from_geometry": pp.orbit,
@@ -155,88 +155,66 @@ def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
             "shape": pp.shape.label(),
             "kind": pp.shape.kind,
             "radial": pp.shape.radial,
-            "vertex_param": format_value(
-                float(pp.shape.vertex_param) if pp.shape.vertex_param is not None else None
-            ),
+            "vertex_param": None if vertex is None else float(vertex),
             "vertex_is_origin": pp.shape.vertex_is_origin,
             "point_is_origin": pp.shape.is_origin,
             "stratum": f"M{pp.stratum}",
-            "affine_hull": {
-                "point": format_value(pp.aff.point),
-                "basis": format_value(pp.aff.basis),
-                "dim": pp.aff.dim,
-            },
-            "plane": {
-                "u1": format_value(pp.ep.u1),
-                "u2": format_value(pp.ep.u2),
-                "normal": format_value(pp.ep.nu3),
-                "forced": pp.ep.forced,
-            },
+            "affine_hull": {"point": pp.aff.point, "basis": pp.aff.basis, "dim": pp.aff.dim},
+            "plane": {"u1": pp.ep.u1, "u2": pp.ep.u2, "normal": pp.ep.nu3, "forced": pp.ep.forced},
         },
         "asymptotic": {
             "kind": res.aset.kind,
-            "parameters": [format_value(float(y)) for y in res.aset.params],
+            "parameters": [float(y) for y in res.aset.params],
             "includes_infinity": res.aset.includes_infinity,
-            "quadratic": format_value([float(q) for q in res.aset.quadratic]),
-            "discriminant": format_value(float(res.aset.discriminant)),
+            "quadratic": [float(q) for q in res.aset.quadratic],
+            "discriminant": float(res.aset.discriminant),
             "count": _count_or_inf(res.aset.count),
         },
         "binormal": {
             "kind": res.bset.kind,
             "items": [
-                {"param": _binormal_param(b.param), "vector": format_value(b.vector)}
+                {
+                    # no parameter when the shape rule decided; y_inf is a string
+                    "param": "shape" if b.param is None
+                    else b.param if type(b.param) is str else float(b.param),
+                    "vector": b.vector,
+                }
                 for b in res.bset.items
             ],
             "count": _count_or_inf(res.bset.count),
         },
         "osculating_hyperplanes": (
-            "all"
-            if res.bset.kind == "all"
-            else [format_value(h.normal) for h in osculating_hyperplanes(res.bset)]
+            "all" if res.bset.kind == "all" else [h.normal for h in osculating_hyperplanes(res.bset)]
         ),
         "point_type": res.ptype,
-        "umbilic": {
-            "kappa_u": format_value(res.umbilic.kappa_u),
-            "formula": res.umbilic.formula_used,
-            "is_zero": res.umbilic.is_zero,
-        },
-        "kappa_stratum_consistent": kappa_stratum_check(pp, res.umbilic),
+        "umbilic": {"kappa_u": umb.kappa_u, "formula": umb.formula_used, "is_zero": umb.is_zero},
+        "kappa_stratum_consistent": kappa_stratum_check(pp, umb),
         "heights": {
-            "cone_quadratic": format_value([list(r) for r in res.cone.quad]),
+            "cone_quadratic": res.cone.quad,
             "corank2": {
                 "dim": res.cone.corank2_dim,
-                "basis": format_value(res.cone.corank2_basis),
+                "basis": res.cone.corank2_basis,
                 "expected_dim": res.corank2.expected_dim,
                 "case": res.corank2.case,
                 "agrees": res.corank2.agrees,
             },
-            "cone_parabola_orthogonal": cone_parabola_orthogonality(
-                pp, res.aset, res.bset
-            ),
+            "cone_parabola_orthogonal": cone_parabola_orthogonality(pp, res.aset, res.bset),
         },
         "reduced_two_jet": {
             "orbit": res.reduced.orbit,
-            "jet2": {
-                name: format_value(getattr(res.reduced.jet2, name))
-                for name in ("a20", "a11", "a02", "b20", "b11", "b02", "c20", "c11", "c02")
-            },
-            "source_matrix": format_value(res.reduced.source_matrix),
-            "target_rotation": format_value(res.reduced.target_rotation),
+            "jet2": _field_values(res.reduced.jet2),
+            "source_matrix": res.reduced.source_matrix,
+            "target_rotation": res.reduced.target_rotation,
         },
         "transfer": {
-            "m_directions": format_value(res.transfer.m_directions)
-            if res.transfer.m_directions != "all"
-            else "all",
-            "s_directions": format_value(res.transfer.s_directions)
-            if res.transfer.s_directions != "all"
-            else "all",
+            "m_directions": res.transfer.m_directions,
+            "s_directions": res.transfer.s_directions,
             "directions_match": res.transfer.directions_match,
             "m_point_type": res.transfer.m_point_type,
             "s_point_type": res.transfer.s_point_type,
             "types_match": res.transfer.types_match,
         },
-    }
-    return report
+    })
 
 
 def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationReport:
@@ -261,12 +239,10 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         in_window = [
             float(y) for y in res.aset.params if abs(float(y)) < tol.scan_window * 0.99
         ]
-        ok = scan.kind == "finite" and len(scan.clusters) == len(in_window)
-        if ok:
-            for y in in_window:
-                ok = ok and min(
-                    (abs(y - c) for c in scan.clusters), default=float("inf")
-                ) <= tol.oracle_root_tol
+        # one cluster per root in the window, each root near a cluster
+        ok = scan.kind == "finite" and len(scan.clusters) == len(in_window) and all(
+            min(abs(y - c) for c in scan.clusters) <= tol.oracle_root_tol for y in in_window
+        )
         vr.add(
             "asymptotic_scan_roots",
             in_window,
@@ -339,7 +315,6 @@ def analyze_germ(
     first = first_form(adapted)
     sf = second_form(adapted)
     jet2 = extract_jet2(adapted, tol.eps_jet)
-    orbit_table = classify_two_jet(jet2, tol)
     profile = build_parabola(sf, tol)
     aset = asymptotic_directions(profile, sf, tol)
     bset = binormal_directions(profile, sf, aset, tol)
@@ -358,7 +333,7 @@ def analyze_germ(
         first=first,
         sf=sf,
         jet2=jet2,
-        orbit_table=orbit_table,
+        orbit_table=reduced.orbit,  # reduce_to_normal_form classified the jet
         profile=profile,
         aset=aset,
         bset=bset,
@@ -376,19 +351,9 @@ def analyze_germ(
     if verify:
         vr = run_verification(res, tol)
         res.verification = vr
-        res.report["verification"] = {
-            "passed": vr.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "closed_form": format_value(c.closed_form),
-                    "oracle": format_value(c.oracle),
-                    "tolerance": format_value(c.tolerance),
-                    "passed": c.passed,
-                }
-                for c in vr.checks
-            ],
-        }
+        res.report["verification"] = format_value(
+            {"passed": vr.passed, "checks": [_field_values(c) for c in vr.checks]}
+        )
     return res
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from curvpar.germs import Jet2, MapGermR4, TruncatedPoly2, parse_map_germ
 
+from composition import compose_source, rotate_target
+
 
 @pytest.fixture
 def rng():
@@ -67,7 +69,7 @@ def transform_germ(g, source_mat, target_mat):
     y = TruncatedPoly2.variable("y", order).map_coeffs(float)
     px = x * float(source_mat[0][0]) + y * float(source_mat[0][1])
     py = x * float(source_mat[1][0]) + y * float(source_mat[1][1])
-    return g.to_float().compose_source(px, py).rotate_target(target_mat)
+    return rotate_target(compose_source(g.to_float(), px, py), target_mat)
 
 
 def signed_sum(*terms):

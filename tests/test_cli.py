@@ -134,6 +134,25 @@ def test_config_rejects_non_finite_and_negative_values(tmp_path, capsys):
         assert "eps_rank must be a finite non-negative number" in err
 
 
+@pytest.mark.parametrize("data", ["[1, 2]", "null", "3", '"eps_rank"'])
+def test_config_must_hold_one_object(tmp_path, capsys, data):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(data)
+    code, out, err = run_cli(capsys, "analyze", "--germ", "(x, x*y, y^2, 0)", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "must hold one JSON object of tolerances" in err
+
+
+def test_config_rejects_booleans(tmp_path, capsys):
+    cfg = tmp_path / "tol.json"
+    for key in ("eps_rank", "scan_points"):
+        cfg.write_text(json.dumps({key: True}))
+        code, out, err = run_cli(capsys, "verify", "--germ", "(x, x*y, y^2, 0)", "--config", str(cfg))
+        assert code == 1 and out == "", key
+        assert err.count("error:") == 1 and f"{key} must be a finite non-negative number" in err
+
+
 @pytest.mark.parametrize("points", [1, 0, 2.5])
 def test_config_rejects_scan_points_below_two_or_fractional(tmp_path, capsys, points):
     cfg = tmp_path / "tol.json"
@@ -253,6 +272,39 @@ def test_column_products_are_the_second_forms_invariants():
     src = Path(curvpar.__file__).parent
     sites = [s for p in sorted(src.glob("*.py")) if p.name != "oracle.py" for s in column_product_sites(p)]
     assert sites == ["forms.w", "forms.l_x_n", "forms.l_x_m"]
+
+
+def format_value_sites(path):
+    """``module.function: statement`` of each ``format_value`` call outside its own body.
+
+    The statement is ``return`` or the assignment target that the call's
+    value goes to; ``nested`` when the call sits inside a larger expression.
+    """
+    sites = []
+
+    def visit(node, func, stmt):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "format_value" and func != "format_value":
+            if isinstance(stmt, ast.Return) and stmt.value is node:
+                sites.append(f"{path.stem}.{func}: return")
+            elif isinstance(stmt, ast.Assign) and stmt.value is node:
+                sites.append(f"{path.stem}.{func}: {ast.unparse(stmt.targets[0])}")
+            else:
+                sites.append(f"{path.stem}.{func}: nested")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, node if isinstance(node, ast.stmt) else stmt)
+
+    visit(ast.parse(path.read_text()), None, None)
+    return sites
+
+
+def test_the_report_is_converted_in_one_walk():
+    # build_report hands format_value one dict of raw values, and the
+    # verification block is one more call; no field is converted on its own
+    src = Path(curvpar.__file__).parent
+    sites = [s for p in sorted(src.glob("*.py")) for s in format_value_sites(p)]
+    assert sites == ["report.build_report: return", "report.analyze_germ: res.report['verification']"]
 
 
 def is_tolerance(node):

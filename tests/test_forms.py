@@ -10,6 +10,7 @@ from curvpar.forms import II_along, SecondForm, first_form, rank_second_form, se
 from curvpar.germs import TruncatedPoly2
 from curvpar.oracle import finite_difference_hessian
 
+from composition import compose_source
 from conftest import germ
 
 F = Fraction
@@ -116,7 +117,7 @@ def test_coordinate_independence_congruence():
     x = TruncatedPoly2.variable("x", order)
     y = TruncatedPoly2.variable("y", order)
     psi_y = x * c + y * d + x * y * F(1, 5) + y * y * F(2, 7)
-    moved = g.compose_source(x, psi_y)
+    moved = compose_source(g, x, psi_y)
     sf_moved = second_form(adapt(moved))
     dpsi = np.array([[1.0, 0.0], [float(c), float(d)]])
     for row_new, row_old in zip(sf_moved.matrix, sf.matrix):

@@ -20,6 +20,7 @@ from curvpar.oracle import finite_difference_hessian
 from curvpar.parabola import build_parabola
 from curvpar.umbilic import umbilic_curvature
 
+from composition import rotate_target
 from conftest import germ, jet2_to_germ, random_jet2
 
 F = Fraction
@@ -174,7 +175,7 @@ def test_cone_parabola_orthogonality_at_a_large_parameter():
     # normal rotation spreads the rounding of eta(y) ~ y^2 N over every axis
     a, b, c, s = F(3, 5), F(4, 5), F(5, 13), F(12, 13)
     rot = [[1, 0, 0, 0], [0, a, -b * c, b * s], [0, b, a * c, -a * s], [0, 0, s, c]]
-    g = germ("(x, x*y + 1/3*y^2 - x^2, 1/10^6*y^2 + x^2, 1/7*x^2)", order=4).rotate_target(rot)
+    g = rotate_target(germ("(x, x*y + 1/3*y^2 - x^2, 1/10^6*y^2 + x^2, 1/7*x^2)", order=4), rot)
     sf = second_form(adapt(g))
     pp = build_parabola(sf)
     aset = asymptotic_directions(pp, sf)

@@ -20,7 +20,9 @@ from curvpar.parabola import (
     reduce_to_normal_form,
     sample_parabola,
 )
+from curvpar.report import analyze_germ
 
+from composition import compose_source, rotate_target
 from conftest import germ, jet2_to_germ, random_jet2
 
 F = Fraction
@@ -114,6 +116,14 @@ def test_classify_two_jet_table_rows():
     assert pp.shape.kind == "point" and not pp.shape.is_origin
 
 
+def test_small_independent_columns_label_like_their_twin():
+    # xy and y^2 columns of size 1e-5 in a jet of scale 1: their minors (about
+    # 1e-10) are below eps_rank * ref^2, yet the columns are independent
+    for text in ("(x + y^2, x^2, 1/10^5*x*y, 1/10^5*y^2)", "(x, x^2, 1/10^5*x*y, 1/10^5*y^2)"):
+        orbit = analyze_germ(text).report["orbit"]
+        assert orbit == {"from_coefficients": ORBIT_PARABOLA, "from_geometry": ORBIT_PARABOLA, "consistent": True}
+
+
 jet_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
@@ -173,7 +183,7 @@ def reconstruct(j2: Jet2, reduced):
     s = reduced.source_matrix
     px = x * float(s[0, 0]) + y * float(s[0, 1])
     py = x * float(s[1, 0]) + y * float(s[1, 1])
-    return g.compose_source(px, py).rotate_target(reduced.target_rotation)
+    return rotate_target(compose_source(g, px, py), reduced.target_rotation)
 
 
 def assert_witnesses_reproduce(j2, reduced, tol=1e-9):

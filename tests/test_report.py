@@ -11,7 +11,14 @@ import curvpar.oracle
 from curvpar.config import DEFAULT_TOL, Tolerances
 from curvpar.forms import second_form
 from curvpar.germs import Jet2, MapGermR4, TruncatedPoly2
-from curvpar.report import analyze_germ, fmt_float, render_json, render_text, run_verification
+from curvpar.report import (
+    analyze_germ,
+    fmt_float,
+    format_value,
+    render_json,
+    render_text,
+    run_verification,
+)
 
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
 from golden import GOLDEN_GERMS
@@ -149,6 +156,23 @@ def test_report_json_round_trips():
     res = analyze_germ("(x, x*y, y^2 + 1/3*x^2, 2*x^2)")
     text = render_json(res.report)
     assert json.loads(text) == res.report
+
+
+def one_walk_inputs(rng):
+    """Each golden germ as text, then moved by a float motion as a float MapGermR4."""
+    for text, order in GOLDEN_GERMS:
+        yield text, order
+        yield transform_germ(germ(text, order=order), random_rotation(rng, 2), random_rotation(rng, 4)), order
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_reports_hold_only_json_native_values(rng, verify):
+    # every field went through the one format_value walk: another walk
+    # changes nothing, and the JSON text reads back as the same report
+    for source, order in one_walk_inputs(rng):
+        report = analyze_germ(source, order=order, verify=verify).report
+        assert format_value(report) == report, source
+        assert json.loads(render_json(report)) == report, source
 
 
 def test_report_matches_library_values():

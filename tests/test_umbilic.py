@@ -13,6 +13,7 @@ from curvpar.oracle import parabola_hull_distance
 from curvpar.parabola import PlaneBasis, build_parabola
 from curvpar.umbilic import kappa_stratum_check, umbilic_curvature
 
+from composition import compose_source
 from conftest import germ, jet2_to_germ, random_jet2
 
 
@@ -103,7 +104,7 @@ def test_parameter_reversal_invariance():
     base = germ("(x, y^2 + x*y, x^2, 0)", order=4)
     x = TruncatedPoly2.variable("x", 4)
     y = TruncatedPoly2.variable("y", 4)
-    flipped = base.compose_source(x, -y)
+    flipped = compose_source(base, x, -y)
     for g in (base, flipped):
         ad = adapt(g)
         sf = second_form(ad)
