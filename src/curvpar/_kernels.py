@@ -34,6 +34,11 @@ def scan_scores(p1, p2, q1, q2, n) -> np.ndarray:
     """
     p1, p2, q1, q2 = (np.asarray(a, dtype=np.float64) for a in (p1, p2, q1, q2))
     det = np.abs(p1 * q2 - p2 * q1)
-    reach = np.sqrt(p1 * p1 + p2 * p2 + (q1 * q1 + q2 * q2) + 2.0 * np.abs(p1 * q1 + p2 * q2))
+    reach = scan_reach(p1, p2, q1, q2)
     reach[reach == 0.0] = 1.0
     return det / reach
+
+
+def scan_reach(p1, p2, q1, q2) -> np.ndarray:
+    """``max(|p + q|, |p - q|)`` per tangent sample: the denominator of the score."""
+    return np.sqrt(p1 * p1 + p2 * p2 + (q1 * q1 + q2 * q2) + 2.0 * np.abs(p1 * q1 + p2 * q2))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import N_CANDIDATES, scan_scores
+from ._kernels import N_CANDIDATES, scan_reach, scan_scores
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
 from .linalg import float_vec
@@ -113,26 +113,35 @@ def _cluster_roots(candidates, gap: float):
     return tuple(centers)
 
 
-def _root_candidates(ys, det, marked):
+def _root_candidates(ys, det, marked, absdet=None):
     """Candidate roots of the collinearity determinant along the grid.
 
     Sign changes give linearly interpolated (precise) roots and exact zeros
     give precise grid roots.  Touching roots, where |det| dips to the scale
     of the discrete second difference without a sign change, and grid points
-    marked by the scan give coarse candidates.  Returns ``(y, precise)``
-    pairs.
+    marked by the scan give coarse candidates.  ``absdet`` is ``|det|`` when
+    the caller has it.  Returns ``(y, precise)`` pairs.
     """
     h = ys[1] - ys[0]
-    signs = np.sign(det)
-    i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    if absdet is None:
+        absdet = np.abs(det)
+    neg, pos = det < 0.0, det > 0.0
+    i = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
     crossings = ys[i] - det[i] * h / (det[i + 1] - det[i])
-    absdet = np.abs(det)
+    # a touching root is a local minimum of |det|
     mid = absdet[1:-1]
-    dd = np.abs(det[2:] - 2.0 * det[1:-1] + det[:-2])
-    touching = (mid <= absdet[:-2]) & (mid <= absdet[2:]) & (mid <= 0.3 * dd) & (dd > 0)
-    precise = np.concatenate((crossings, ys[signs == 0]))
-    coarse = np.concatenate((ys[1:-1][touching], ys[marked]))
+    j = np.flatnonzero((mid <= absdet[:-2]) & (mid <= absdet[2:])) + 1
+    dd = np.abs(det[j + 1] - 2.0 * det[j] + det[j - 1])
+    touching = j[(absdet[j] <= 0.3 * dd) & (dd > 0)]
+    # det == 0.0, not ~(neg | pos), which would also match NaN
+    precise = np.concatenate((crossings, ys[det == 0.0]))
+    coarse = np.concatenate((ys[touching], ys[marked]))
     return [(y, True) for y in precise.tolist()] + [(y, False) for y in coarse.tolist()]
+
+
+def _tangent_pairs(lp, mp, np_, ys):
+    """Plane coordinates ``p1, p2, q1, q2`` of II((1, y), v) for the two basis tangent vectors v."""
+    return lp[0] + mp[0] * ys, lp[1] + mp[1] * ys, mp[0] + np_[0] * ys, mp[1] + np_[1] * ys
 
 
 def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanResult:
@@ -144,6 +153,15 @@ def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanRe
     zero threshold means every direction is asymptotic.  Isolated roots are
     located from the collinearity determinant along the grid (see
     ``_root_candidates``).
+
+    A score is ``|det| / reach`` (see ``_kernels``), and ``reach`` is convex
+    in y because ``p`` and ``q`` are affine in y, so its largest grid value
+    ``R`` sits at an end of the grid.  A sample with ``|det|`` above
+    ``zero * R`` cannot be marked, and one with ``det == 0`` scores exactly
+    0, so the kernel scores only the samples left.  The bound's slack covers
+    the rounding of ``p`` and ``q``, a few ulps of ``R``; it holds while the
+    kernel's squares stay normal floats, and outside that range every sample
+    is scored.
     """
     lp = ep.to_plane_coords(sf.L)
     mp = ep.to_plane_coords(sf.M)
@@ -152,17 +170,33 @@ def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanRe
     ys = np.linspace(-tol.scan_window, tol.scan_window, tol.scan_points)
     h = ys[1] - ys[0]
 
-    # plane coordinates of II((1,y), v) for the two basis tangent vectors v
-    p1 = lp[0] + mp[0] * ys
-    p2 = lp[1] + mp[1] * ys
-    q1 = mp[0] + np_[0] * ys
-    q2 = mp[1] + np_[1] * ys
+    # det = p1*q2 - p2*q1 in three buffers, in _tangent_pairs' operation order
+    det = np.multiply(mp[0], ys)
+    det += lp[0]
+    buf = np.multiply(np_[1], ys)
+    buf += mp[1]
+    det *= buf
+    np.multiply(mp[1], ys, out=buf)
+    buf += lp[1]
+    absdet = np.multiply(np_[0], ys)
+    absdet += mp[0]
+    buf *= absdet
+    det -= buf
+    np.abs(det, out=absdet)
 
     # a score has degree 1 in the jet, so its zero bound scales with ref
     zero = tol.scan_zero_tol * sf.ref
-    scores = scan_scores(p1, p2, q1, q2, N_CANDIDATES)
-    marked = scores <= zero
-    fraction = float(marked.mean())
+    reach = float(np.max(scan_reach(*_tangent_pairs(lp, mp, np_, ys[[0, -1]]))))
+    # a zero reach means p = q = 0 on the whole grid, so every score is 0
+    if reach == 0.0 or (1e-150 <= min(zero, reach) and reach <= 1e150):
+        marked, bound = det == 0.0, zero * reach * (1.0 + 1e-9)
+    else:
+        marked, bound = np.zeros(ys.size, dtype=bool), np.inf
+    scored = np.flatnonzero(~((absdet > bound) | marked))
+    if scored.size:
+        pairs = _tangent_pairs(lp, mp, np_, ys[scored])
+        marked[scored] = scan_scores(*pairs, N_CANDIDATES) <= zero
+    fraction = float(np.count_nonzero(marked) / ys.size)
 
     # the null tangent direction (0, 1)
     inf_score = float(scan_scores([mp[0]], [mp[1]], [np_[0]], [np_[1]], N_CANDIDATES)[0])
@@ -173,8 +207,7 @@ def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanRe
             kind="all", clusters=(), includes_infinity=True, marked_fraction=fraction
         )
 
-    det = p1 * q2 - p2 * q1
-    clusters = _cluster_roots(_root_candidates(ys, det, marked), gap=20.0 * h)
+    clusters = _cluster_roots(_root_candidates(ys, det, marked, absdet), gap=20.0 * h)
     return ScanResult(
         kind="finite",
         clusters=clusters,

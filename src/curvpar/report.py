@@ -243,10 +243,11 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         ok = scan.kind == "finite" and len(scan.clusters) == len(in_window) and all(
             min(abs(y - c) for c in scan.clusters) <= tol.oracle_root_tol for y in in_window
         )
+        # a saturated scan marked every sample: say so, not that it found no root
         vr.add(
             "asymptotic_scan_roots",
             in_window,
-            list(scan.clusters),
+            list(scan.clusters) if scan.kind == "finite" else "all",
             tol.oracle_root_tol,
             ok,
         )

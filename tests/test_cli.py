@@ -670,6 +670,16 @@ def test_verify_failure_exits_2(tmp_path, capsys):
     assert "verification failed" in err
 
 
+def test_verify_reports_a_saturated_scan_as_all(capsys):
+    # the scan marks every sample against one finite closed-form root
+    code, out, err = run_cli(capsys, "verify", "--germ", "(x, y^2 + (10^20)^2*x*y, x^2, 0)")
+    assert code == 2
+    assert "asymptotic_scan_roots" in err
+    (check,) = (c for c in json.loads(out)["verification"]["checks"]
+                if c["name"] == "asymptotic_scan_roots")
+    assert (check["closed_form"], check["oracle"], check["passed"]) == ([], "all", False)
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "curvpar.cli", "analyze", "--germ", "(x, y, 0, 0)"],

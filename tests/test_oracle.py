@@ -1,6 +1,7 @@
 """Brute-force verifiers and the scan kernel."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from curvpar._kernels import N_CANDIDATES, scan_scores
 from curvpar.adapt import adapt
 from curvpar.config import DEFAULT_TOL
 from curvpar.forms import second_form
+from curvpar.germs import Jet2
 from curvpar.heights import height_hessian
 from curvpar.oracle import (
+    ScanResult,
+    _cluster_roots,
     _root_candidates,
     affine_hull_distance,
     asymptotic_scan,
@@ -20,7 +24,7 @@ from curvpar.oracle import (
 )
 from curvpar.parabola import build_parabola
 
-from conftest import germ, random_rotation, transform_germ
+from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
 from golden import GOLDEN_GERMS
 
 
@@ -243,3 +247,162 @@ def test_root_candidates_match_loop_version_on_golden_corpus():
         det = p1 * q2 - p2 * q1
         got = sorted(_root_candidates(ys, det, marked))
         assert got == sorted(_loop_candidates(ys, det, marked)), text
+
+
+# -- the bounded scan against the whole-grid scan ------------------------------
+
+
+def full_grid_scan(sf, ep, tol=DEFAULT_TOL):
+    """The whole-grid scan that ``asymptotic_scan`` replaced, kept as its reference.
+
+    It scores every grid sample with the kernel and finds root candidates
+    over the whole grid.
+    """
+    lp, mp, np_ = (ep.to_plane_coords(v) for v in (sf.L, sf.M, sf.N))
+    ys = np.linspace(-tol.scan_window, tol.scan_window, tol.scan_points)
+    h = ys[1] - ys[0]
+    p1 = lp[0] + mp[0] * ys
+    p2 = lp[1] + mp[1] * ys
+    q1 = mp[0] + np_[0] * ys
+    q2 = mp[1] + np_[1] * ys
+    zero = tol.scan_zero_tol * sf.ref
+    marked = scan_scores(p1, p2, q1, q2, N_CANDIDATES) <= zero
+    fraction = float(marked.mean())
+    inf_score = float(scan_scores([mp[0]], [mp[1]], [np_[0]], [np_[1]], N_CANDIDATES)[0])
+    if fraction >= tol.scan_saturation:
+        return ScanResult(kind="all", clusters=(), includes_infinity=True, marked_fraction=fraction)
+
+    det = p1 * q2 - p2 * q1
+    signs = np.sign(det)
+    i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    crossings = ys[i] - det[i] * h / (det[i + 1] - det[i])
+    absdet = np.abs(det)
+    mid = absdet[1:-1]
+    dd = np.abs(det[2:] - 2.0 * det[1:-1] + det[:-2])
+    touching = (mid <= absdet[:-2]) & (mid <= absdet[2:]) & (mid <= 0.3 * dd) & (dd > 0)
+    precise = np.concatenate((crossings, ys[signs == 0]))
+    coarse = np.concatenate((ys[1:-1][touching], ys[marked]))
+    candidates = [(y, True) for y in precise.tolist()] + [(y, False) for y in coarse.tolist()]
+    return ScanResult(
+        kind="finite",
+        clusters=_cluster_roots(candidates, gap=20.0 * h),
+        includes_infinity=inf_score <= zero,
+        marked_fraction=fraction,
+    )
+
+
+def assert_scan_matches_full_grid(sf, ep, label, tol=DEFAULT_TOL):
+    got, want = asymptotic_scan(sf, ep, tol), full_grid_scan(sf, ep, tol)
+    assert got == want, label
+    assert got.marked_fraction == want.marked_fraction, label
+
+
+def forms_of(g):
+    sf = second_form(adapt(g))
+    return sf, build_parabola(sf).ep
+
+
+def test_bounded_scan_equals_full_grid_on_golden_corpus():
+    # a zero scan_zero_tol leaves the bound no room: every sample is scored
+    for tol in (DEFAULT_TOL, DEFAULT_TOL.updated(scan_zero_tol=0.0)):
+        for text, order in GOLDEN_GERMS:
+            assert_scan_matches_full_grid(*forms_of(germ(text, order=order)), text, tol)
+
+
+SCALES = [Fraction(2) ** k for k in (-60, -30, 0, 30, 60)] + [
+    Fraction(10) ** k for k in (-12, -6, 6, 12)
+]
+
+
+def test_bounded_scan_equals_full_grid_on_scaled_random_jets(rng):
+    kinds = ["any", "any", "collinear", "line", "point"]
+    for i in range(10):
+        j2 = random_jet2(rng, kinds[i % len(kinds)])
+        src = rng.uniform(-2.0, 2.0, size=(2, 2))
+        src[0, 0] += 3.0  # keeps the source change invertible
+        rot = random_rotation(rng, 4)
+        for s in SCALES:
+            exact = jet2_to_germ(Jet2(*(s * c for row in j2.rows() for c in row)), order=3)
+            for name, g in (("exact", exact), ("moved", transform_germ(exact, src, rot))):
+                assert_scan_matches_full_grid(*forms_of(g), (j2, s, name))
+
+
+class _PlaneForms:
+    """A second form given directly by plane coordinates, with identity plane basis."""
+
+    def __init__(self, l, m, n):
+        self.L, self.M, self.N = l, m, n
+        self.ref = float(np.max(np.abs([l, m, n])))
+
+    @staticmethod
+    def to_plane_coords(v):
+        return np.asarray(v, dtype=float)
+
+
+def test_bounded_scan_equals_full_grid_on_degenerate_planes():
+    ys = np.linspace(-DEFAULT_TOL.scan_window, DEFAULT_TOL.scan_window, DEFAULT_TOL.scan_points)
+    cases = {"point shape": ((0.3, -1.7), (0.0, 0.0), (0.0, 0.0))}
+    # p = q = 0 at a grid sample: L = N y0^2 and M = -N y0, with det ≡ 0
+    # exactly or as rounding noise
+    for k in (0, 1234, 61_803):
+        y0 = ys[k]
+        for n in ((1.0, 0.0), (0.6, 0.8), (1 / 3, -2 / 7)):
+            l = tuple(c * y0 * y0 for c in n)
+            m = tuple(-c * y0 for c in n)
+            cases[f"p = q = 0 at ys[{k}], N = {n}"] = (l, m, n)
+    # a hyperbolic plane out of the range where the kernel's squares are
+    # normal floats, and just inside it
+    for s in (1e-160, 1e-140, 1.0, 1e140, 1e151):
+        cases[f"hyperbolic x {s}"] = ((s, 0.0), (0.0, s), (s, 0.0))
+    for label, (l, m, n) in cases.items():
+        forms = _PlaneForms(l, m, n)
+        assert_scan_matches_full_grid(forms, forms, label)
+
+
+def test_bounded_scan_equals_full_grid_where_the_bound_is_tight():
+    # det = 1 - a*y^2 has roots +-y0 near the grid's ends, where reach is
+    # close to its largest grid value R.  The zero bound is first loose, then
+    # exactly the score of the end sample, whose reach is R itself.
+    tol = DEFAULT_TOL
+    for y0 in (49.0, 49.9, 49.99):
+        forms = _PlaneForms((1.0, 0.0), (0.0, 1.0), (1.0 / (y0 * y0), 0.0))
+        lp, mp, np_ = forms.L, forms.M, forms.N
+        end = np.array([tol.scan_window])
+        end_score = scan_scores(lp[0] + mp[0] * end, lp[1] + mp[1] * end,
+                                mp[0] + np_[0] * end, mp[1] + np_[1] * end, N_CANDIDATES)[0]
+        for zero_tol in (1e-3, end_score / forms.ref):
+            scan_tol = tol.updated(scan_zero_tol=float(zero_tol))
+            assert_scan_matches_full_grid(forms, forms, (y0, zero_tol), scan_tol)
+            assert asymptotic_scan(forms, forms, scan_tol).marked_fraction > 0.0
+
+
+def test_bounded_scan_equals_full_grid_on_moved_radial_half_lines(rng):
+    # the collinearity determinant of a moved radial half-line is rounding noise
+    for text in ("(x, y^2, 0, 0)", "(x, 2*x^2 + y^2, 0, 0)", "(x, y^2 + 4*x*y + 4*x^2, 0, 0)"):
+        for _ in range(4):
+            src = rng.uniform(-2.0, 2.0, size=(2, 2))
+            src[0, 0] += 3.0
+            moved = transform_germ(germ(text, order=4), src, random_rotation(rng, 4))
+            assert_scan_matches_full_grid(*forms_of(moved), text)
+
+
+def test_kernel_sees_only_samples_near_roots(monkeypatch):
+    # a deterministic guard on the convexity bound: a finite scan scores at
+    # most 1% of the grid plus the null direction, and a point shape (det ≡ 0)
+    # only the null direction
+    seen = []
+
+    def counted(p1, *args):
+        seen.append(len(p1))
+        return scan_scores(p1, *args)
+
+    monkeypatch.setattr(curvpar.oracle, "scan_scores", counted)
+    for text, order in GOLDEN_GERMS:
+        seen.clear()
+        sf = second_form(adapt(germ(text, order=order)))
+        pp = build_parabola(sf)
+        scan = asymptotic_scan(sf, pp.ep, DEFAULT_TOL)
+        if pp.shape.kind == "point":
+            assert seen == [1], text
+        elif scan.kind == "finite":
+            assert sum(seen) <= 0.01 * DEFAULT_TOL.scan_points + 1, (text, seen)
