@@ -24,11 +24,10 @@ from .directions import (
     BinormalSet,
     asymptotic_directions,
     binormal_directions,
-    ik_classify,
     osculating_hyperplanes,
     point_type,
 )
-from .forms import FirstForm, SecondForm, II_along, first_form, rank_second_form, second_form
+from .forms import FirstForm, SecondForm, first_form, rank_second_form, second_form
 from .germs import (
     GermParseError,
     Jet2,

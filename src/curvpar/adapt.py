@@ -3,14 +3,14 @@
 An arbitrary corank-1 germ is brought to a parametrisation whose first
 component is the first source coordinate and whose remaining components have
 vanishing 1-jets, recording the source change and target rotation that did it.
-Exact rational germs that are already prenormal pass through untouched, which
-keeps the whole downstream pipeline exact.  Any other germ is adapted as its
-2-jet, in closed form: with ``J = U S V^T`` the SVD of the Jacobian and ``R``
-the Householder rotation taking ``J v0`` to the first axis, each component's
-quadratic part ``H_j`` becomes ``V^T (sum_j R_ij H_j) V``; then, with ``(c, e)``
-the first row of ``R J V``, the source change ``x -> (x - e y)/c + s2``, where
-``s2`` is minus component 1's quadratic part over ``c``, is the whole series
-inversion at order 2.
+The result is the prenormal 2-jet, which fixes the second-order geometry; a
+prenormal germ keeps its own, so exact input stays exact downstream.  Any
+other germ is adapted in closed form: with ``J = U S V^T`` the SVD of the
+Jacobian and ``R`` the Householder rotation taking ``J v0`` to the first
+axis, each component's quadratic part ``H_j`` becomes
+``V^T (sum_j R_ij H_j) V``; then, with ``(c, e)`` the first row of ``R J V``,
+the source change ``x -> (x - e y)/c + s2``, where ``s2`` is minus component
+1's quadratic part over ``c``, is the whole series inversion at order 2.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ class AdaptedGerm:
 
     ``tangent_frame`` spans the tangent line and ``normal_frame`` (three rows)
     the normal hyperplane, both in the coordinates of the input germ.
-    For already-prenormal input everything is the identity, ``germ`` is the
-    input at its full order and ``exact`` is True.  Otherwise ``germ`` and
-    ``source_change`` are 2-jets: ``target_rotation @ input  composed with
+    ``germ`` and ``source_change`` are 2-jets (truncated at the input's order
+    when that is lower): ``target_rotation @ input  composed with
     source_change`` reproduces ``germ`` up to degree 2, which determines the
-    whole second-order geometry.
+    whole second-order geometry.  For already-prenormal input the changes are
+    the identity, ``germ`` is the input's 2-jet and ``exact`` tells whether
+    the input's coefficients are all rational.
     """
 
     germ: MapGermR4
@@ -55,10 +56,6 @@ class AdaptedGerm:
     target_rotation: np.ndarray
     exact: bool
 
-    @property
-    def order(self) -> int:
-        return self.germ.order
-
 
 def check_corank(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of the 4x2 Jacobian of the 1-jet at the origin (0, 1, or 2)."""
@@ -67,9 +64,9 @@ def check_corank(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def _identity_adaptation(f: MapGermR4) -> AdaptedGerm:
-    order = f.order
+    order = min(f.order, 2)
     return AdaptedGerm(
-        germ=f,
+        germ=MapGermR4([TruncatedPoly2(p.coeffs, order) for p in f.components]),
         tangent_frame=np.array([1.0, 0.0, 0.0, 0.0]),
         normal_frame=np.eye(4)[1:],
         source_change=(
@@ -94,12 +91,12 @@ def _poly(linear, form, order: int) -> TruncatedPoly2:
 
 
 def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
-    """Normalize a corank-1 germ to prenormal form with witnessing changes.
+    """Normalize a corank-1 germ to its prenormal 2-jet with witnessing changes.
 
-    Non-prenormal input is adapted as its 2-jet, in the closed form above:
-    every closed form reads only the degree-2 coefficients, and a source
-    change or rotation does not mix higher degrees into them.  Raises
-    ``CorankError`` when the Jacobian rank at the origin is not 1.
+    The prenormal test reads the whole input.  Raises ``CorankError`` when
+    the Jacobian rank at the origin is not 1, and ``ValueError`` when an
+    adapted normal component keeps a 1-jet entry above ``eps_jet`` times
+    the jet's scale.
     """
     rank = check_corank(f, tol)
     if rank != 1:
@@ -125,7 +122,7 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
 
     for val in (lin @ sub)[1:].ravel():
         if abs(val) > tol.eps_jet * ref:
-            raise RuntimeError(
+            raise ValueError(
                 f"adaptation left 1-jet entry {val:.3e} in a normal component"
             )
     x_var = TruncatedPoly2.variable("x", order).map_coeffs(float)

@@ -4,9 +4,10 @@ A prenormal singular germ lifts to an immersion into R^5 by re-inserting the
 kernel coordinate, and projects to a regular surface in R^4 spanned by the
 tangent plane of the lift and the distinguished plane.  The lift shares the
 singular surface's second fundamental form; the projection shares its
-asymptotic directions and point type.  Both surfaces have the 1-jet
-(x, y, 0, ...), so their second forms are read off their 2-jets with
-``forms.form_rows``.
+asymptotic directions and point type.  The lift has the 1-jet
+(x, y, 0, ...), so its second form is read off its 2-jet with
+``forms.form_rows``; the projection is built from its second form, which
+is the germ's along the plane's basis (``ParabolaProfile.plane_rows``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .directions import AsymptoticSet, point_type, solve_quadratic, type_of_count
+from .directions import AsymptoticSet, plane_quadratic, point_type, solve_quadratic, type_of_count
 from .forms import SecondForm, form_rows
 from .germs import TruncatedPoly2
 from .linalg import scale_of
@@ -75,34 +76,18 @@ def lift_to_r5(adapted) -> RegularSurfaceR5:
 def project_to_s(adapted, pp: ParabolaProfile) -> RegularSurfaceR4:
     """Regular surface spanned by the lift's tangent plane and the distinguished plane.
 
-    The germ's normal components are rotated so the distinguished plane
-    becomes the first two normal coordinates; the surface keeps those two.
-    When the plane already is the first coordinate plane the components pass
-    through unchanged (exactness preserved).  The kept components have no
-    linear terms, so the surface's 1-jet is (x, y, 0, 0) and its
-    second-form coefficients (as floats) are the form rows of those two.
+    Its normals are the plane's basis (u1, u2), so its second-form rows are
+    ``pp.plane_rows`` and its 2-jet is (x, y, l1/2 x^2 + m1 xy + n1/2 y^2,
+    l2/2 x^2 + m2 xy + n2/2 y^2), in floats.
     """
     g = adapted.germ if hasattr(adapted, "germ") else adapted
     order = g.order
-    rows = pp.ep.rows()
-    if np.array_equal(rows, np.eye(3)):
-        rotated = list(g.components[1:])
-    else:
-        rotated = []
-        for frame_vec in rows:
-            acc = TruncatedPoly2.zero(order)
-            for w, comp in zip(frame_vec, g.components[1:]):
-                if w != 0.0:
-                    acc = acc + comp.map_coeffs(float) * float(w)
-            rotated.append(acc)
-    comps = (
-        g.components[0],
-        TruncatedPoly2.variable("y", order),
-        rotated[0],
-        rotated[1],
+    normals = (
+        TruncatedPoly2({(2, 0): l / 2, (1, 1): m, (0, 2): n / 2}, order)
+        for l, m, n in pp.plane_rows
     )
-    coeffs = tuple(tuple(float(v) for v in row) for row in form_rows(comps[2:]))
-    return RegularSurfaceR4(components=comps, coeffs=coeffs)
+    comps = (g.components[0], TruncatedPoly2.variable("y", order), *normals)
+    return RegularSurfaceR4(components=comps, coeffs=pp.plane_rows)
 
 
 def s_asymptotic_directions(s: RegularSurfaceR4, tol: Tolerances = DEFAULT_TOL):
@@ -111,10 +96,7 @@ def s_asymptotic_directions(s: RegularSurfaceR4, tol: Tolerances = DEFAULT_TOL):
     Returns "all" when the equation vanishes identically, otherwise unit
     projective tangent directions (dx, dy).
     """
-    (l1, m1, n1), (l2, m2, n2) = s.coeffs
-    a = l1 * m2 - l2 * m1
-    b = l1 * n2 - l2 * n1
-    c = m1 * n2 - m2 * n1
+    a, b, c = plane_quadratic(s.coeffs)
     ref = scale_of(*s.coeffs)  # S's own rows: the germ's umbilic part is not in S
     thresh = tol.eps_rank * ref * ref
     if abs(a) <= thresh and abs(b) <= thresh and abs(c) <= thresh:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
-from .germs import extract_jet2
 from .linalg import negligible, unit
 from .parabola import ParabolaProfile
 
@@ -31,7 +30,7 @@ __all__ = [
     "osculating_hyperplanes",
     "point_type",
     "type_of_count",
-    "ik_classify",
+    "plane_quadratic",
     "solve_quadratic",
 ]
 
@@ -101,6 +100,13 @@ class Hyperplane:
     normal: np.ndarray
 
 
+def plane_quadratic(rows) -> tuple:
+    """Asymptotic equation q0 dx^2 + q1 dx dy + q2 dy^2 = 0 of second-form rows
+    (l, m, n) along two normals: det([[l1, m1, n1], [l2, m2, n2], [dy^2, -dx dy, dx^2]])."""
+    (l1, m1, n1), (l2, m2, n2) = rows
+    return (l1 * m2 - l2 * m1, l1 * n2 - l2 * n1, m1 * n2 - m2 * n1)
+
+
 def solve_quadratic(q0, q1, q2, tol: Tolerances):
     """Real roots of q0 + q1*t + q2*t^2 with the declared double-root policy.
 
@@ -130,9 +136,7 @@ def asymptotic_directions(
     sign, non-radial half-line {vertex, y_inf}, non-radial line {y_inf},
     and every direction for the radial and point shapes.
     """
-    frame = sf.reframe(pp.ep.rows())
-    (l1, m1, n1), (l2, m2, n2), _ = frame.matrix
-    quad = (l1 * m2 - l2 * m1, l1 * n2 - l2 * n1, m1 * n2 - m2 * n1)
+    quad = plane_quadratic(pp.plane_rows)
 
     shape = pp.shape
     if shape.kind == "parabola":
@@ -247,22 +251,3 @@ def type_of_count(n) -> str:
 def point_type(aset: AsymptoticSet) -> str:
     """Point type from the number of asymptotic directions."""
     return type_of_count(aset.count)
-
-
-def ik_classify(adapted, tol: Tolerances = DEFAULT_TOL) -> str:
-    """Point type of a germ in the reduced nondegenerate normal form.
-
-    Requires the 2-jet (x, xy, b20 x^2 + b11 xy + b02 y^2, c20 x^2) with
-    b02 > 0; the answer is the sign of b20.
-    """
-    j2 = extract_jet2(adapted)
-    vals = (j2.a20, j2.a11 - 1, j2.a02, j2.c11, j2.c02)
-    bound = tol.eps_rank * j2.ref
-    if not (all(negligible(v, bound) for v in vals) and j2.b02 > 0):
-        raise ValueError(
-            "germ 2-jet is not in the reduced form (x, xy, b20 x^2 + b11 xy + b02 y^2, c20 x^2)"
-        )
-    b20 = j2.b20
-    if negligible(b20, bound):
-        return "parabolic"
-    return "hyperbolic" if b20 > 0 else "elliptic"

@@ -20,7 +20,6 @@ __all__ = [
     "first_form",
     "form_rows",
     "second_form",
-    "II_along",
     "rank_second_form",
 ]
 
@@ -107,28 +106,6 @@ class SecondForm:
         w = self.w
         return (dot3(w, self.l_x_m), dot3(w, self.l_x_n), dot3(w, w))
 
-    def value_along(self, nu, u, v):
-        """Bilinear value II_nu(u, v) for a normal-frame vector nu."""
-        a, b = u
-        c, d = v
-        total = 0
-        for w, (l, m, n) in zip(nu, self.matrix):
-            if w != 0:
-                total = total + w * (a * c * l + (a * d + b * c) * m + b * d * n)
-        return total
-
-    def reframe(self, frame_rows) -> "SecondForm":
-        """Coefficients w.r.t. a new orthonormal normal frame (rows, floats)."""
-        new = []
-        for frame_vec in frame_rows:
-            row = []
-            for col in range(3):
-                row.append(
-                    sum(float(frame_vec[i]) * float(self.matrix[i][col]) for i in range(3))
-                )
-            new.append(tuple(row))
-        return SecondForm(new)
-
 
 def first_form(adapted) -> FirstForm:
     """Coefficients (E, F, G) of the pseudometric at the origin."""
@@ -159,11 +136,6 @@ def second_form(adapted) -> SecondForm:
     """
     g = getattr(adapted, "germ", adapted)
     return SecondForm(form_rows(g.components[1:]))
-
-
-def II_along(adapted, nu, u, v):
-    """II_nu(u, v) for tangent pairs u, v and a normal-frame vector nu."""
-    return second_form(adapted).value_along(nu, u, v)
 
 
 def rank_second_form(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -5,10 +5,9 @@ criterion downstream can be decided without tolerances.  The same containers
 carry float coefficients after numeric frame changes; all arithmetic here is
 agnostic to the coefficient type.
 
-The parser works on monomial dicts ``{(i, j): coeff}``: a product or power of
-single monomials adds the exponents and multiplies the coefficients, so an
-expanded germ is parsed without polynomial algebra.  Only products and powers
-with a multi-term operand go through ``TruncatedPoly2``.
+The parser works on monomial dicts ``{(i, j): coeff}``, and products and
+powers go through ``TruncatedPoly2``.  The tokenizer reads a complete monomial
+term as one token, so an expanded germ is parsed without polynomial algebra.
 """
 
 from __future__ import annotations
@@ -354,10 +353,8 @@ class _Parser:
 
     Each dict holds only monomials of total degree at most ``order`` with
     non-zero coefficients.  A leaf, such as a complete monomial term read as
-    one token, builds its dict directly; a product or power of single
-    monomials adds (or scales) the exponents and multiplies (or raises) the
-    coefficient.  Only products and powers with a multi-term operand, such
-    as ``(y^3+x)^2``, go through ``TruncatedPoly2``'s arithmetic, and
+    one token, builds its dict directly; products and powers, such as
+    ``(y^3+x)^2``, go through ``TruncatedPoly2``'s arithmetic, and
     ``parse_component`` wraps each component in one ``TruncatedPoly2``.
     """
 
@@ -431,13 +428,7 @@ class _Parser:
         while self.peek()[0] == "*":
             self.advance()
             factor = self.parse_factor()
-            if len(acc) > 1 or len(factor) > 1:
-                acc = (TruncatedPoly2(acc, self.order) * TruncatedPoly2(factor, self.order)).coeffs
-            elif acc and factor:
-                ((i1, j1), c1), ((i2, j2), c2) = *acc.items(), *factor.items()
-                acc = self.monomial(i1 + i2, j1 + j2, c1 * c2)
-            else:
-                acc = {}
+            acc = (TruncatedPoly2(acc, self.order) * TruncatedPoly2(factor, self.order)).coeffs
         return acc
 
     def parse_factor(self) -> dict:
@@ -461,17 +452,7 @@ class _Parser:
                     f"{MAX_POWER_BITS} bits",
                     tok[2],
                 )
-            if len(base) > 1:
-                return (TruncatedPoly2(base, self.order) ** exponent).coeffs
-            if exponent == 0:
-                return {(0, 0): _ONE}
-            if base:
-                ((i, j), c), = base.items()
-                c = c**exponent
-                # TruncatedPoly2.__pow__ multiplies from Fraction(1)
-                if isinstance(c, int):
-                    c = Fraction(c)
-                return self.monomial(i * exponent, j * exponent, c)
+            return (TruncatedPoly2(base, self.order) ** exponent).coeffs
         return base
 
     def monomial(self, i: int, j: int, c) -> dict:

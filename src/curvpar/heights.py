@@ -46,11 +46,6 @@ class DegeneracyCone:
     corank2_basis: np.ndarray
     ref: float  # the second form's ref; the entries of quad have degree 2
 
-    def det_value(self, nu) -> float:
-        v = np.asarray([float(c) for c in nu], dtype=float)
-        q = np.asarray([[float(x) for x in row] for row in self.quad], dtype=float)
-        return float(v @ q @ v)
-
 
 def height_hessian(sf: SecondForm, nu):
     """Hessian [[l_nu, m_nu], [m_nu, n_nu]] of the height function along nu.
@@ -101,9 +96,6 @@ class Corank2Verdict:
 
     case: str
     expected_dim: int
-    expected_basis: np.ndarray
-    computed_dim: int
-    computed_basis: np.ndarray
     agrees: bool
 
 
@@ -144,9 +136,6 @@ def corank2_conditions(
     return Corank2Verdict(
         case=case,
         expected_dim=expected.shape[0],
-        expected_basis=expected,
-        computed_dim=dc.corank2_dim,
-        computed_basis=dc.corank2_basis,
         agrees=bool(agrees),
     )
 

@@ -8,6 +8,8 @@ exactly on rational input; the frames attached to the profile are float.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
@@ -128,8 +130,17 @@ class ParabolaProfile:
             for l, m, n in zip(self.Lvec, self.Mvec, self.Nvec)
         )
 
-    def eta_prime(self, y):
-        return tuple(2 * m + 2 * n * y for m, n in zip(self.Mvec, self.Nvec))
+    @cached_property
+    def plane_rows(self) -> tuple:
+        """The second form's rows (l, m, n) along u1 and u2, in floats.
+
+        A cache, not a field, so that ``dataclasses.replace`` recomputes it.
+        """
+        cols = (self.Lvec, self.Mvec, self.Nvec)
+        return tuple(
+            tuple(sum(float(u[i]) * float(col[i]) for i in range(3)) for col in cols)
+            for u in (self.ep.u1, self.ep.u2)
+        )
 
 
 _SHAPE_TO_ORBIT = {

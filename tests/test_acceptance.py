@@ -13,7 +13,7 @@ import numpy as np
 from curvpar.adapt import adapt
 from curvpar.associated import lift_to_r5, project_to_s, verify_transfer
 from curvpar.config import DEFAULT_TOL
-from curvpar.directions import asymptotic_directions, binormal_directions, ik_classify, point_type
+from curvpar.directions import asymptotic_directions, binormal_directions, point_type
 from curvpar.forms import first_form, second_form
 from curvpar.germs import parse_map_germ
 from curvpar.heights import (
@@ -35,6 +35,7 @@ from conftest import (
     transform_germ,
 )
 from golden import GOLDEN_GERMS
+from references import ik_classify
 
 F = Fraction
 

@@ -16,6 +16,7 @@ from curvpar.report import analyze_germ
 
 from composition import compose, compose_source, rotate_target
 from conftest import germ, rand_fraction, random_rotation, transform_germ
+from golden import GOLDEN_GERMS
 
 
 def test_corank_examples():
@@ -35,10 +36,23 @@ def test_adapt_identity_on_prenormal():
     g = germ("(x, x*y, y^2, y^5)")
     ad = adapt(g)
     assert ad.exact
-    assert ad.germ == g
+    # the prenormal test read y^5; the adapted germ is the 2-jet
+    assert ad.germ == germ("(x, x*y, y^2, 0)", order=2)
+    assert ad.source_change == (germ("(x, y, 0, 0)", order=2).components[:2])
     assert np.allclose(ad.tangent_frame, [1, 0, 0, 0])
     assert np.allclose(ad.normal_frame, np.eye(4)[1:])
     assert np.allclose(ad.target_rotation, np.eye(4))
+
+
+def test_adapted_germ_is_a_2_jet_on_both_paths(rng):
+    for text, order in GOLDEN_GERMS:
+        g = germ(text, order=order)
+        moved = transform_germ(g, random_rotation(rng, 2), random_rotation(rng, 4))
+        for f, exact in ((g, True), (moved, False)):
+            ad = adapt(f)
+            assert ad.exact is exact
+            assert ad.germ.order == 2 and all(p.order == 2 for p in ad.source_change)
+            assert all(i + j <= 2 for p in ad.germ.components for i, j in p.coeffs), text
 
 
 def test_adapt_identity_on_zero_germ():
@@ -194,7 +208,7 @@ def test_closed_form_matches_composition_and_series_inversion(rng, monkeypatch):
 def test_adapt_raises_on_a_normal_1_jet_below_the_rank_tolerance():
     # singular values 1 and 5e-10: rank 1 under eps_rank, yet a 1-jet entry of
     # 5e-10 in component 2 exceeds eps_jet
-    with pytest.raises(RuntimeError, match="adaptation left 1-jet entry 5.000e-10"):
+    with pytest.raises(ValueError, match="adaptation left 1-jet entry 5.000e-10"):
         adapt(germ("(x, 1/2000000000*y, x*y, y^2)", order=2).to_float())
 
 

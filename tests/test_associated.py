@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,18 +18,21 @@ from curvpar.associated import (
 )
 from curvpar.directions import asymptotic_directions
 from curvpar.forms import form_rows, rank_second_form, second_form
-from curvpar.germs import TruncatedPoly2
+from curvpar.germs import MapGermR4, TruncatedPoly2, parse_poly
 from curvpar.parabola import PlaneBasis, build_parabola
 from curvpar.report import analyze_germ
 
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
+from golden import GOLDEN_GERMS
+from references import reframe, rotated_projection
 
 
 def test_lift_reference_germ():
+    # the lift is built on the adapted 2-jet: y^5 is not in it
     ad = adapt(germ("(x, x*y, y^2, y^5)"))
     lift = lift_to_r5(ad)
-    exprs = [p.to_expression() for p in lift.components]
-    assert exprs == ["x", "y", "x*y", "y^2", "y^5"]
+    assert [p.to_expression() for p in lift.components] == ["x", "y", "x*y", "y^2", "0"]
+    assert all(p.order == 2 for p in lift.components)
 
 
 def test_lift_zero_germ():
@@ -56,15 +61,17 @@ def test_lift_rank_equals_stratum(rng):
 
 
 def test_projection_orbit1_normal_form_keeps_components():
+    # the plane is the first coordinate plane: S keeps the 2-jets of the
+    # first two normal components, in floats
     ad = adapt(germ("(x, x*y + y^3, 2*x^2 + x*y + y^2 + x^3, x^2 + x^2*y)", order=4))
     pp = build_parabola(second_form(ad))
+    assert np.array_equal(pp.ep.rows(), np.eye(3))
     s = project_to_s(ad, pp)
-    from curvpar.germs import parse_poly
-
-    assert s.components[0] == parse_poly("x", order=4)
-    assert s.components[1] == parse_poly("y", order=4)
-    assert s.components[2] == parse_poly("x*y + y^3", order=4)
-    assert s.components[3] == parse_poly("2*x^2 + x*y + y^2 + x^3", order=4)
+    assert s.components[0] == parse_poly("x", order=2)
+    assert s.components[1] == parse_poly("y", order=2)
+    assert s.components[2] == TruncatedPoly2({(1, 1): 1.0}, 2)
+    assert s.components[3] == TruncatedPoly2({(2, 0): 2.0, (1, 1): 1.0, (0, 2): 1.0}, 2)
+    assert s.coeffs == ((0.0, 1.0, 0.0), (4.0, 1.0, 2.0))
 
 
 def test_projection_zero_germ():
@@ -102,6 +109,11 @@ def test_bde_roots_ik():
     assert slopes == pytest.approx([-1.0, 1.0], abs=1e-12)
 
 
+def float_bits(rows):
+    """Each float's hex form: equal exactly when the values, signs of zero included, are."""
+    return tuple(tuple(float(v).hex() for v in row) for row in rows)
+
+
 def test_projection_coeffs_equal_reframed_second_form(rng):
     # the projection keeps the first two rows of the second form in the plane frame
     kinds = ["any", "collinear", "line", "point"]
@@ -112,9 +124,74 @@ def test_projection_coeffs_equal_reframed_second_form(rng):
     for ad in adapted:
         sf = second_form(ad)
         pp = build_parabola(sf)
-        expected = np.array(sf.reframe(pp.ep.rows()).matrix[:2])
-        coeffs = np.array(project_to_s(ad, pp).coeffs)
-        assert np.max(np.abs(coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
+        expected = reframe(sf, pp.ep.rows()).matrix[:2]
+        assert float_bits(project_to_s(ad, pp).coeffs) == float_bits(expected)
+
+
+def scaled_normals(g, k):
+    return MapGermR4([g.components[0]] + [p * k for p in g.components[1:]])
+
+
+def projection_cases(rng):
+    """(germ, profile) pairs: golden germs, random jets of the four families,
+    moved copies of both, and the adapted 2-jets of all of these with the
+    normals scaled by 2^+-1000.
+
+    A scaled jet's plane is its twin's: the profile's float frames overflow
+    or underflow at that scale, but the plane does not depend on it.
+    """
+    kinds = ["any", "collinear", "line", "point"]
+    exact = [germ(text, order=order) for text, order in GOLDEN_GERMS]
+    exact += [jet2_to_germ(random_jet2(rng, kinds[i % 4]), order=4) for i in range(40)]
+    moved = [
+        transform_germ(g, random_rotation(rng, 2), random_rotation(rng, 4))
+        for g in exact[::3]
+    ]
+    for g in exact + moved:
+        ad = adapt(g)
+        pp = build_parabola(second_form(ad))
+        yield g, pp
+        for k in (Fraction(2) ** 1000, Fraction(1, 2**1000)):
+            twin = scaled_normals(ad.germ, k if ad.germ.is_exact else float(k))
+            sf = second_form(adapt(twin))
+            yield twin, dataclasses.replace(pp, Lvec=sf.L, Mvec=sf.M, Nvec=sf.N)
+
+
+def subnormal_products(g, pp) -> bool:
+    """Whether the rotation multiplies a frame weight and a coefficient into a subnormal."""
+    return any(
+        0.0 < abs(float(w) * float(c)) < sys.float_info.min
+        for w in pp.ep.rows()[:2].ravel()
+        for p in g.components[1:]
+        for c in p.coeffs.values()
+    )
+
+
+def test_projection_equals_the_polynomial_rotation(rng):
+    # The reference rotates every monomial of the full prenormal input.  S's
+    # rows double each coefficient before the rotation's products, not after
+    # its sum; that is exact, so S's rows and 2-jet are the same bit for bit,
+    # unless a product is subnormal: then each row entry stays within 3 units
+    # of the subnormal grid.
+    cases = subnormal = 0
+    for g, pp in projection_cases(rng):
+        ad = adapt(g)
+        s = project_to_s(ad, pp)
+        ref = g if g.is_prenormal() else ad.germ
+        comps, coeffs = rotated_projection(ref, pp)
+        cases += 1
+        if subnormal_products(ref, pp):
+            subnormal += 1
+            diffs = [abs(a - b) for r1, r2 in zip(s.coeffs, coeffs) for a, b in zip(r1, r2)]
+            assert max(diffs) <= 3 * 2.0**-1074, g
+            continue
+        assert float_bits(s.coeffs) == float_bits(coeffs), g
+        order = ad.germ.order
+        assert s.components[:2] == tuple(TruncatedPoly2(p.coeffs, order) for p in comps[:2])
+        assert s.components[2:] == tuple(
+            TruncatedPoly2(p.map_coeffs(float).coeffs, order) for p in comps[2:]
+        ), g
+    assert cases == 297 and subnormal <= 30
 
 
 def test_transfer_keeps_s_root_order():

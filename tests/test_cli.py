@@ -63,6 +63,17 @@ def test_analyze_exit_1_on_parse_error(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("eps_jet", ["0", "1e-20"])
+def test_analyze_exit_1_when_adaptation_leaves_a_normal_1_jet(capsys, eps_jet):
+    # the Jacobian has exact rank 1; the closed form leaves rounding noise of
+    # about 3e-16 in a normal 1-jet, above a zero or tiny eps_jet
+    text = "(2*x + 3*y + x^2, 5*x + 15/2*y, y^2, x^2)"
+    code, out, err = run_cli(capsys, "analyze", "--germ", text, "--eps-jet", eps_jet)
+    assert code == 1 and out == ""
+    assert err.startswith("error: adaptation left 1-jet entry ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_analyze_exit_1_without_germ(capsys):
     code, _, err = run_cli(capsys, "analyze")
     assert code == 1

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from curvpar.adapt import adapt
-from curvpar.forms import II_along, SecondForm, first_form, rank_second_form, second_form
+from curvpar.forms import SecondForm, first_form, rank_second_form, second_form
 from curvpar.germs import TruncatedPoly2
 from curvpar.oracle import finite_difference_hessian
 
 from composition import compose_source
 from conftest import germ
+from references import value_along
 
 F = Fraction
 
@@ -64,33 +65,35 @@ def test_second_form_orbit1_pattern():
 
 
 def test_II_along_examples():
-    ad = adapt(germ("(x, x*y, y^2, y^5)"))
-    assert II_along(ad, (0, 1, 0), (0, 1), (0, 1)) == 2
-    assert II_along(ad, (1, 1, 1), (0, 0), (1, 1)) == 0
+    sf = second_form(adapt(germ("(x, x*y, y^2, y^5)")))
+    assert value_along(sf, (0, 1, 0), (0, 1), (0, 1)) == 2
+    assert value_along(sf, (1, 1, 1), (0, 0), (1, 1)) == 0
 
 
 def test_II_along_matches_fd_hessian(rng):
-    ad = adapt(germ("(x, x*y + x^3, 2*x^2 - y^2, x^2 + 3*x*y)", order=4))
+    # the input is prenormal, so its own coordinates are the adapted ones
+    g = germ("(x, x*y + x^3, 2*x^2 - y^2, x^2 + 3*x*y)", order=4)
+    sf = second_form(adapt(g))
     for _ in range(10):
         nu = rng.normal(size=3)
         nu /= np.linalg.norm(nu)
-        fd = finite_difference_hessian(ad, np.concatenate(([0.0], nu)))
+        fd = finite_difference_hessian(g, np.concatenate(([0.0], nu)))
         closed = np.array(
             [
-                [float(II_along(ad, nu, (1, 0), (1, 0))), float(II_along(ad, nu, (1, 0), (0, 1)))],
-                [float(II_along(ad, nu, (0, 1), (1, 0))), float(II_along(ad, nu, (0, 1), (0, 1)))],
+                [float(value_along(sf, nu, (1, 0), (1, 0))), float(value_along(sf, nu, (1, 0), (0, 1)))],
+                [float(value_along(sf, nu, (0, 1), (1, 0))), float(value_along(sf, nu, (0, 1), (0, 1)))],
             ]
         )
         assert np.max(np.abs(fd - closed)) < 1e-6
 
 
 def test_II_symmetric(rng):
-    ad = adapt(germ("(x, x*y + x^3, 2*x^2 - y^2, x^2 + 3*x*y)", order=4))
+    sf = second_form(adapt(germ("(x, x*y + x^3, 2*x^2 - y^2, x^2 + 3*x*y)", order=4)))
     for _ in range(5):
         nu = rng.normal(size=3)
         u = tuple(rng.normal(size=2))
         v = tuple(rng.normal(size=2))
-        assert abs(II_along(ad, nu, u, v) - II_along(ad, nu, v, u)) < 1e-12
+        assert abs(value_along(sf, nu, u, v) - value_along(sf, nu, v, u)) < 1e-12
 
 
 def test_rank_examples():

@@ -22,6 +22,7 @@ from curvpar.umbilic import umbilic_curvature
 
 from composition import rotate_target
 from conftest import germ, jet2_to_germ, random_jet2
+from references import det_value
 
 F = Fraction
 
@@ -76,7 +77,7 @@ def test_cone_orbit1_degenerate_parametrisation(rng):
             continue
         for sign in (1.0, -1.0):
             v2 = -b11 * v3 + sign * 2.0 * math.sqrt(radicand)
-            assert abs(dc.det_value((v2, v3, v4))) < 1e-9 * (1 + v2 * v2 + v3 * v3 + v4 * v4) ** 2
+            assert abs(det_value(dc, (v2, v3, v4))) < 1e-9 * (1 + v2 * v2 + v3 * v3 + v4 * v4) ** 2
 
 
 def test_cone_zero_form_everything_degenerate():
@@ -89,7 +90,7 @@ def test_cone_point_case():
     # 2-jet (x, 0, b20 x^2, 0): Hessian [[2 b20 v3, 0], [0, 0]]
     _, sf, _, _, _, _, dc = pipeline("(x, y^3, 4*x^2, x^2*y)", order=4)
     for nu in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.3, -0.4, 0.5)):
-        assert dc.det_value(nu) == pytest.approx(0.0, abs=1e-12)
+        assert det_value(dc, nu) == pytest.approx(0.0, abs=1e-12)
     assert dc.corank2_dim == 2
     # corank-2 locus is v3 = 0 (second frame coordinate is the x^2 column here)
     for basis_vec in dc.corank2_basis:
@@ -157,7 +158,7 @@ def test_cone_membership_sign_agreement(rng):
         nu = rng.normal(size=3)
         hess = np.array([[float(v) for v in row] for row in height_hessian(sf, nu)])
         direct = float(np.linalg.det(hess))
-        quad = dc.det_value(nu)
+        quad = det_value(dc, nu)
         assert abs(direct - quad) <= 1e-9 * max(abs(direct), abs(quad), 1.0)
 
 

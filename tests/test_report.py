@@ -226,7 +226,7 @@ def test_fd_hessian_oracle_checks_the_adaptation(rng):
         return check
 
     assert hessian_check(res).passed
-    bump = TruncatedPoly2({(2, 0): 1e-3, (1, 1): 1e-3, (0, 2): 1e-3}, res.adapted.order)
+    bump = TruncatedPoly2({(2, 0): 1e-3, (1, 1): 1e-3, (0, 2): 1e-3}, res.adapted.germ.order)
     comps = res.adapted.germ.components
     adapted = replace(res.adapted, germ=MapGermR4([comps[0]] + [p + bump for p in comps[1:]]))
     assert not hessian_check(replace(res, adapted=adapted, sf=second_form(adapted))).passed
@@ -240,3 +240,15 @@ def test_render_refuses_non_finite_values(render, bad):
         render(report)
     report["values"][1][1] = 1e308
     assert "1e+308" in render(report)
+
+
+@pytest.mark.parametrize("text,order", GOLDEN_GERMS)
+def test_golden_report_is_the_same_at_orders_2_4_and_6(text, order):
+    # the analysis reads the 2-jet only; the prenormal test reads the whole input
+    texts = []
+    for k in (2, 4, 6):
+        report = analyze_germ(text, order=k).report
+        assert report["input"].pop("order") == k
+        texts.append(render_json(report))
+    assert texts[0] == texts[1] == texts[2]
+
