@@ -64,14 +64,13 @@ def check_corank(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def _identity_adaptation(f: MapGermR4) -> AdaptedGerm:
-    order = min(f.order, 2)
     return AdaptedGerm(
-        germ=MapGermR4([TruncatedPoly2(p.coeffs, order) for p in f.components]),
+        germ=f,
         tangent_frame=np.array([1.0, 0.0, 0.0, 0.0]),
         normal_frame=np.eye(4)[1:],
         source_change=(
-            TruncatedPoly2.variable("x", order),
-            TruncatedPoly2.variable("y", order),
+            TruncatedPoly2.variable("x", f.order),
+            TruncatedPoly2.variable("y", f.order),
         ),
         target_rotation=np.eye(4),
         exact=f.is_exact,
@@ -93,11 +92,12 @@ def _poly(linear, form, order: int) -> TruncatedPoly2:
 def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     """Normalize a corank-1 germ to its prenormal 2-jet with witnessing changes.
 
-    The prenormal test reads the whole input.  Raises ``CorankError`` when
-    the Jacobian rank at the origin is not 1, and ``ValueError`` when an
-    adapted normal component keeps a 1-jet entry above ``eps_jet`` times
-    the jet's scale.
+    The corank and prenormal tests read the input's 2-jet.  Raises
+    ``CorankError`` when the Jacobian rank at the origin is not 1, and
+    ``ValueError`` when an adapted normal component keeps a 1-jet entry
+    above ``eps_jet`` times the jet's scale.
     """
+    f = f.truncated(2)
     rank = check_corank(f, tol)
     if rank != 1:
         raise CorankError(rank)
@@ -105,7 +105,6 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     if f.is_prenormal():
         return _identity_adaptation(f)
 
-    order = min(f.order, 2)
     jac = np.array([[float(v) for v in row] for row in f.jacobian_at_origin()])
     # rows of vt: the unit source direction off the kernel of df at 0, then the kernel
     vt = np.linalg.svd(jac)[2]
@@ -125,14 +124,14 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
             raise ValueError(
                 f"adaptation left 1-jet entry {val:.3e} in a normal component"
             )
-    x_var = TruncatedPoly2.variable("x", order).map_coeffs(float)
-    adapted = MapGermR4([x_var] + [_poly((0.0, 0.0), h, order) for h in forms[1:]])
+    x_var = TruncatedPoly2.variable("x", f.order).map_coeffs(float)
+    adapted = MapGermR4([x_var] + [_poly((0.0, 0.0), h, f.order) for h in forms[1:]])
     src = vt.T @ sub
     return AdaptedGerm(
         germ=adapted,
         tangent_frame=rot[0].copy(),
         normal_frame=rot[1:4].copy(),
-        source_change=tuple(_poly(src[k], vt[0, k] * s2, order) for k in range(2)),
+        source_change=tuple(_poly(src[k], vt[0, k] * s2, f.order) for k in range(2)),
         target_rotation=rot,
         exact=False,
     )

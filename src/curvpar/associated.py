@@ -62,10 +62,9 @@ def lift_to_r5(adapted) -> RegularSurfaceR5:
     lift's second form equals the germ's entrywise.
     """
     g = adapted.germ if hasattr(adapted, "germ") else adapted
-    order = g.order
     comps = (
         g.components[0],
-        TruncatedPoly2.variable("y", order),
+        TruncatedPoly2.variable("y", g.order),
         g.components[1],
         g.components[2],
         g.components[3],

@@ -60,7 +60,6 @@ def build_parser() -> _Parser:
     def add_common(p, verify_flag=True):
         p.add_argument("--germ", "-g", help="germ expression, e.g. \"(x, x*y, y^2, y^5)\"")
         p.add_argument("--file", "-f", help="file containing the germ expression")
-        p.add_argument("--order", type=int, default=6, help="jet truncation order (default 6)")
         p.add_argument("--config", help="JSON file overriding tolerances")
         p.add_argument("--eps-rank", type=float, default=None, help="rank/zero tolerance")
         p.add_argument("--eps-jet", type=float, default=None, help="vanishing 1-jet tolerance")
@@ -126,7 +125,7 @@ def _write(path, content: str):
 def _cmd_analyze(args, verify: bool) -> int:
     tol = _load_tolerances(args)
     text = _germ_text(args)
-    res = analyze_germ(text, order=args.order, tol=tol, verify=verify)
+    res = analyze_germ(text, tol=tol, verify=verify)
     content = render_json(res.report) if args.format == "json" else render_text(res.report)
     _write(args.out, content)
     if verify and not res.verification.passed:
@@ -172,8 +171,8 @@ def _cmd_sweep(args) -> int:
     rows = []
     prev_labels = None
     for value in _sweep_values(lo, hi, args.samples):
-        germ = parse_map_germ(text, order=args.order, params={name: value})
-        res = analyze_germ(germ, order=args.order, tol=tol, input_text=text)
+        germ = parse_map_germ(text, 2, params={name: value})
+        res = analyze_germ(germ, tol=tol, input_text=text)
         report = res.report
         check_finite(report, f"the row {name} = {value}: report")
         labels = (
@@ -206,7 +205,7 @@ def _cmd_plotdata(args) -> int:
     text = _germ_text(args)
     if not args.out:
         raise _CliError("plotdata requires --out DIRECTORY")
-    res = analyze_germ(text, order=args.order, tol=tol)
+    res = analyze_germ(text, tol=tol)
 
     # every file is computed before any is written, so a failure leaves none
     lo, hi = float(Fraction(args.range[0])), float(Fraction(args.range[1]))

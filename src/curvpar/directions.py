@@ -43,9 +43,10 @@ class AsymptoticSet:
 
     ``quadratic`` holds the coefficients (q0, q1, q2) of the root polynomial
     q0 + q1*y + q2*y^2 in the plane frame, kept even when the shape rule
-    decided.  A parabola's roots and ``discriminant`` are those of
-    ``SecondForm.asymptotic_quadratic``, the same polynomial times +-|M x N|,
-    so its discriminant is |M x N|^2 times that of ``quadratic``.
+    decided.  A parabola's roots are those of
+    ``SecondForm.asymptotic_quadratic``, solved monic, and its
+    ``discriminant`` is the monic one's, (y1 - y2)^2; a degenerate shape's
+    is that of ``quadratic``.
     """
 
     kind: str                 # "finite" | "all"
@@ -144,7 +145,7 @@ def asymptotic_directions(
         # difference, lies in the float range whenever the roots do
         q0, q1, q2 = sf.asymptotic_quadratic
         roots, disc = solve_quadratic(q0 / q2, q1 / q2, 1, tol)
-        return AsymptoticSet("finite", tuple(sorted(roots)), False, quad, disc * q2 * q2)
+        return AsymptoticSet("finite", tuple(sorted(roots)), False, quad, disc)
     disc = quad[1] * quad[1] - 4 * quad[0] * quad[2]
     if shape.kind in ("half_line", "line") and not shape.radial:
         params = (shape.vertex_param,) if shape.kind == "half_line" else ()

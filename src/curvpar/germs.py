@@ -242,6 +242,10 @@ class MapGermR4:
     def to_float(self) -> "MapGermR4":
         return MapGermR4([p.to_float() for p in self.components])
 
+    def truncated(self, order: int) -> "MapGermR4":
+        """The germ truncated at ``order``, or at its own order when that is lower."""
+        return MapGermR4([TruncatedPoly2(p.coeffs, min(p.order, order)) for p in self.components])
+
     def is_prenormal(self, tol: float = 0.0) -> bool:
         """First component x, components 2..4 with vanishing 1-jet.
 

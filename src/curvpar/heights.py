@@ -17,6 +17,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .directions import AsymptoticSet, BinormalSet
 from .forms import SecondForm, rank_second_form
 from .linalg import orthonormal_extension, subspace_distance, unit
+from .parabola import _plane_basis_from_normal
 
 __all__ = [
     "DegeneracyCone",
@@ -38,7 +39,9 @@ class DegeneracyCone:
 
     ``quad`` is symmetric 3x3 with nu . quad . nu = det of the height Hessian
     along nu; ``corank2_basis`` rows span the directions whose Hessian
-    vanishes entirely.
+    vanishes entirely, in a canonical basis that rounding noise cannot turn
+    as it turns the SVD's: a null line's unit vector with its first nonzero
+    entry positive, a null plane's (u1, u2) as ``PlaneBasis`` builds them.
     """
 
     quad: tuple
@@ -73,12 +76,12 @@ def degeneracy_cone(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> Degeneracy
         for i in range(3)
     )
     dim = 3 - rank_second_form(sf, tol)
-    arr = np.asarray([[float(v) for v in row] for row in (L, M, N)], dtype=float)
-    if dim == 3:
-        basis = np.eye(3)
+    if dim in (0, 3):
+        basis = np.eye(3)[:dim]
     else:
-        _, _, vt = np.linalg.svd(arr)
-        basis = vt[3 - dim :]
+        vt = np.linalg.svd(np.asarray([[float(v) for v in row] for row in (L, M, N)]))[2]
+        ep = _plane_basis_from_normal(vt[2] if dim == 1 else vt[0], forced=False)
+        basis = np.array([ep.nu3] if dim == 1 else [ep.u1, ep.u2])
     return DegeneracyCone(quad=quad, corank2_dim=dim, corank2_basis=basis, ref=sf.ref)
 
 

@@ -219,22 +219,19 @@ def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanRe
 def finite_difference_hessian(germ, nu, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Central-difference Hessian at the origin of the height function along nu.
 
-    ``nu`` has 4 ambient coordinates.  The Richardson pair
-    ``(4 D(step/2) - D(step)) / 3`` of central differences cancels their
-    O(step^2) term, so the error is O(step^4).
+    ``nu`` has 4 ambient coordinates.  The Hessian at the origin is the 2-jet's,
+    so the stencil differentiates the 2-jet, a quadratic, on which central
+    differences are exact up to rounding.
     """
-    g = getattr(germ, "germ", germ).to_float()
+    g = getattr(germ, "germ", germ).truncated(2).to_float()
     nu = np.asarray([float(c) for c in nu], dtype=float)
 
     def height(x, y):
         return float(np.dot(nu, g.evaluate(x, y)))
 
+    s = tol.fd_step
     h0 = height(0.0, 0.0)
-
-    def central(s):
-        hxx = (height(s, 0.0) - 2.0 * h0 + height(-s, 0.0)) / (s * s)
-        hyy = (height(0.0, s) - 2.0 * h0 + height(0.0, -s)) / (s * s)
-        hxy = (height(s, s) - height(s, -s) - height(-s, s) + height(-s, -s)) / (4.0 * s * s)
-        return np.array([[hxx, hxy], [hxy, hyy]])
-
-    return (4.0 * central(tol.fd_step / 2) - central(tol.fd_step)) / 3.0
+    hxx = (height(s, 0.0) - 2.0 * h0 + height(-s, 0.0)) / (s * s)
+    hyy = (height(0.0, s) - 2.0 * h0 + height(0.0, -s)) / (s * s)
+    hxy = (height(s, s) - height(s, -s) - height(-s, s) + height(-s, -s)) / (4.0 * s * s)
+    return np.array([[hxx, hxy], [hxy, hyy]])

@@ -240,8 +240,8 @@ def test_criterion_7_height_function_suite():
 def test_criterion_8_oracle_equivalence_golden_corpus():
     start = time.perf_counter()
     assert len(GOLDEN_GERMS) >= 30
-    for text, order in GOLDEN_GERMS:
-        g = germ(text, order=order)
+    for text in GOLDEN_GERMS:
+        g = germ(text)
         ad, sf, pp, aset, bset, ur = full_pipeline(g)
 
         hull = parabola_hull_distance(pp)

@@ -45,8 +45,8 @@ def test_adapt_identity_on_prenormal():
 
 
 def test_adapted_germ_is_a_2_jet_on_both_paths(rng):
-    for text, order in GOLDEN_GERMS:
-        g = germ(text, order=order)
+    for text in GOLDEN_GERMS:
+        g = germ(text)
         moved = transform_germ(g, random_rotation(rng, 2), random_rotation(rng, 4))
         for f, exact in ((g, True), (moved, False)):
             ad = adapt(f)

@@ -141,7 +141,7 @@ def projection_cases(rng):
     or underflow at that scale, but the plane does not depend on it.
     """
     kinds = ["any", "collinear", "line", "point"]
-    exact = [germ(text, order=order) for text, order in GOLDEN_GERMS]
+    exact = [germ(text) for text in GOLDEN_GERMS]
     exact += [jet2_to_germ(random_jet2(rng, kinds[i % 4]), order=4) for i in range(40)]
     moved = [
         transform_germ(g, random_rotation(rng, 2), random_rotation(rng, 4))

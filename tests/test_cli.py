@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import curvpar
 from curvpar.cli import main
 from curvpar.config import DEFAULT_TOL, Tolerances
+from curvpar.report import fmt_float
 
 
 def run_cli(capsys, *argv):
@@ -87,16 +89,20 @@ def test_analyze_report_deterministic(capsys):
 
 
 def test_verify_passes_on_good_germ(capsys):
-    # the quartic term of the second germ defeats a plain central difference
+    # the oracle differentiates the 2-jet, which the quartic term of the
+    # second germ is not part of; no check compares an expression with itself
     for text in ("(x, x*y, y^2 + x^2, 0)", "(x, x*y + 1000*x^4, y^2, 0)"):
         code, out, _ = run_cli(capsys, "verify", "--germ", text)
         assert code == 0
         report = json.loads(out)
         assert report["verification"]["passed"] is True
-        names = {c["name"] for c in report["verification"]["checks"]}
-        assert "umbilic_vs_affine_hull" in names
-        assert "asymptotic_scan_roots" in names
-        assert "height_hessian_vs_fd" in names
+        assert [c["name"] for c in report["verification"]["checks"]] == [
+            "umbilic_vs_affine_hull",
+            "asymptotic_scan_roots",
+            "asymptotic_scan_infinity",
+            "height_hessian_vs_fd",
+            "reduced_jet_witnesses",
+        ]
 
 
 def test_analyze_text_format(capsys):
@@ -495,6 +501,15 @@ def test_every_subcommand_exits_like_analyze(tmp_path, capsys, command, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify", "sweep", "plotdata"])
+def test_no_subcommand_takes_a_jet_order(capsys, command):
+    # the analysis reads the 2-jet alone, so there is no order to choose
+    argv = [command, "--germ", "(x, x*y, t*y^2, 0)", "--range", "0", "1", "--order", "4"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unrecognized arguments: ") and "--order 4" in err
+
+
 # The norm of N (about 2e180) overflows while N is finite: linalg.unit
 # rescales it, with no warning, and the discriminant then leaves the float range.
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -553,9 +568,14 @@ def test_plotdata_overflow_exits_1_and_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert out == "" and err.startswith("error: ")
     assert not out_dir.exists()
-    # the same boundary holds for analyze: a degree-8 discriminant beyond the float range
+    # the printed discriminant is the monic quadratic's, (y1 - y2)^2, which
+    # stays in the float range with the roots
     code, out, err = run_cli(capsys, "analyze", "--germ", "(x, x*y, (10^60)^2*y^2 + x^2, 0)")
-    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["point_type"] == "hyperbolic"
+    assert report["asymptotic"]["parameters"] == [-1e-60, 1e-60]
+    assert report["asymptotic"]["discriminant"] == 4e-120
 
 
 def test_sweep_ik_family(tmp_path, capsys):
@@ -657,7 +677,7 @@ def test_plotdata_files(tmp_path, capsys):
 def test_plotdata_cone_zero_germ(tmp_path, capsys):
     out_dir = tmp_path / "plots"
     code, _, _ = run_cli(
-        capsys, "plotdata", "--germ", "(x, 0, 0, 0)", "--order", "2", "--out", str(out_dir)
+        capsys, "plotdata", "--germ", "(x, 0, 0, 0)", "--out", str(out_dir)
     )
     assert code == 0
     for line in (out_dir / "cone.csv").read_text().splitlines()[1:]:
@@ -685,10 +705,13 @@ def test_verify_reports_a_saturated_scan_as_all(capsys):
     # the scan marks every sample against one finite closed-form root
     code, out, err = run_cli(capsys, "verify", "--germ", "(x, y^2 + (10^20)^2*x*y, x^2, 0)")
     assert code == 2
-    assert "asymptotic_scan_roots" in err
-    (check,) = (c for c in json.loads(out)["verification"]["checks"]
-                if c["name"] == "asymptotic_scan_roots")
+    assert err == "verification failed: asymptotic_scan_roots\n"
+    checks = {c["name"]: c for c in json.loads(out)["verification"]["checks"]}
+    check = checks["asymptotic_scan_roots"]
     assert (check["closed_form"], check["oracle"], check["passed"]) == ([], "all", False)
+    # the FD Hessian bound scales with the input's 2-jet, here with 2^133
+    check = checks["height_hessian_vs_fd"]
+    assert check["passed"] and check["tolerance"] == fmt_float(1e-6 * 2.0**133)
 
 
 def test_module_entrypoint_subprocess():
@@ -710,3 +733,16 @@ def test_verify_exits_1_when_hull_samples_overflow():
     )
     assert proc.returncode == 1
     assert "error: affine hull samples leave the float range" in proc.stderr
+
+
+def test_reduction_of_a_nearly_degenerate_parabola_stays_finite(capsys):
+    # the y^2 column C is nearly along the xy column B; B's part off C is
+    # taken as C x (B x C), without subtracting nearly equal vectors
+    text = "(x, x*y + y^2, 1/10^9*y^2 + x^2, 0)"
+    code, out, err = run_cli(capsys, "analyze", "--germ", text)
+    assert (code, err) == (0, "")
+    reduced = json.loads(out)["reduced_two_jet"]
+    assert all(math.isfinite(v) for v in reduced["jet2"].values())
+    _, out, _ = run_cli(capsys, "verify", "--germ", text)
+    checks = {c["name"]: c for c in json.loads(out)["verification"]["checks"]}
+    assert checks["reduced_jet_witnesses"]["passed"]

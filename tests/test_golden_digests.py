@@ -29,16 +29,16 @@ def versions():
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def digest(text, order, verify):
-    report = analyze_germ(text, order=order, verify=verify).report
+def digest(text, verify):
+    report = analyze_germ(text, verify=verify).report
     return hashlib.sha256(render_json(report).encode()).hexdigest()
 
 
 def compute():
     return [
-        {"germ": text, "order": order, "verify": verify, "sha256": digest(text, order, verify)}
+        {"germ": text, "verify": verify, "sha256": digest(text, verify)}
         for verify in (False, True)
-        for text, order in GOLDEN_GERMS
+        for text in GOLDEN_GERMS
     ]
 
 
@@ -46,22 +46,22 @@ def test_golden_reports_match_digests():
     recorded = json.loads(DIGESTS.read_text())
     here = versions()
     made = {k: recorded[k] for k in here}
-    entries = {(e["germ"], e["order"], e["verify"]): e["sha256"] for e in recorded["entries"]}
+    entries = {(e["germ"], e["verify"]): e["sha256"] for e in recorded["entries"]}
     assert len(entries) == 2 * len(GOLDEN_GERMS)
-    for text, order in GOLDEN_GERMS:
+    for text in GOLDEN_GERMS:
         for verify in (False, True):
-            got = digest(text, order, verify)
-            assert got == entries[(text, order, verify)], (
-                f"golden report of {text!r} (order {order}) with verify={verify} changed; "
+            got = digest(text, verify)
+            assert got == entries[(text, verify)], (
+                f"golden report of {text!r} with verify={verify} changed; "
                 f"digests made with {made}, recomputed with {here}"
             )
 
 
 if __name__ == "__main__":
     old = json.loads(DIGESTS.read_text())["entries"] if DIGESTS.exists() else []
-    old = {(e["germ"], e["order"], e["verify"]): e["sha256"] for e in old}
+    old = {(e["germ"], e["verify"]): e["sha256"] for e in old}
     entries = compute()
     DIGESTS.write_text(json.dumps({**versions(), "entries": entries}, indent=1) + "\n")
     for e in entries:
-        if old.get((e["germ"], e["order"], e["verify"])) != e["sha256"]:
-            print(f"changed: {e['germ']} (order {e['order']}, verify {e['verify']})")
+        if old.get((e["germ"], e["verify"])) != e["sha256"]:
+            print(f"changed: {e['germ']} (verify {e['verify']})")

@@ -8,7 +8,7 @@ import pytest
 
 from curvpar.adapt import adapt
 from curvpar.directions import asymptotic_directions, binormal_directions
-from curvpar.forms import second_form
+from curvpar.forms import SecondForm, second_form
 from curvpar.heights import (
     cone_parabola_orthogonality,
     corank2_conditions,
@@ -22,6 +22,7 @@ from curvpar.umbilic import umbilic_curvature
 
 from composition import rotate_target
 from conftest import germ, jet2_to_germ, random_jet2
+from golden import GOLDEN_GERMS
 from references import det_value
 
 F = Fraction
@@ -189,3 +190,22 @@ def test_sample_cone_zero_germ_all_zero():
     _, _, _, _, _, _, dc = pipeline("(x, 0, 0, 0)", order=2)
     rows = sample_cone(dc)
     assert all(sign == 0 and value == 0.0 for _, _, sign, value in rows)
+
+
+def test_corank2_basis_is_canonical_under_rounding_noise(rng):
+    # a relative 1e-15 perturbation of the float entries moves neither the
+    # sign of a null vector nor the basis of a null plane
+    checked = 0
+    for text in GOLDEN_GERMS:
+        sf = second_form(adapt(germ(text)))
+        want = degeneracy_cone(sf)
+        if want.corank2_dim not in (1, 2):
+            continue
+        floats = np.array([[float(v) for v in row] for row in sf.matrix])
+        for _ in range(10):
+            noisy = floats * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, size=(3, 3)))
+            got = degeneracy_cone(SecondForm(noisy.tolist()))
+            assert got.corank2_dim == want.corank2_dim, text
+            assert np.max(np.abs(got.corank2_basis - want.corank2_basis)) <= 1e-9, text
+        checked += 1
+    assert checked >= 20

@@ -176,10 +176,10 @@ def test_kernel_matches_four_candidate_reference(rng):
 
 
 def test_scan_with_reference_kernel_agrees_on_golden_corpus(monkeypatch):
-    closed = [scan_for(text, order) for text, order in GOLDEN_GERMS]
+    closed = [scan_for(text) for text in GOLDEN_GERMS]
     monkeypatch.setattr(curvpar.oracle, "scan_scores", four_candidate_scores)
-    for (text, order), got in zip(GOLDEN_GERMS, closed):
-        assert scan_for(text, order) == got, text
+    for text, got in zip(GOLDEN_GERMS, closed):
+        assert scan_for(text) == got, text
 
 
 def test_kernel_never_above_angle_grid(rng):
@@ -237,8 +237,8 @@ def _loop_candidates(ys, det, marked):
 def test_root_candidates_match_loop_version_on_golden_corpus():
     tol = DEFAULT_TOL
     ys = np.linspace(-tol.scan_window, tol.scan_window, tol.scan_points)
-    for text, order in GOLDEN_GERMS:
-        sf = second_form(adapt(germ(text, order=order)))
+    for text in GOLDEN_GERMS:
+        sf = second_form(adapt(germ(text)))
         ep = build_parabola(sf).ep
         lp, mp, np_ = (ep.to_plane_coords(v) for v in (sf.L, sf.M, sf.N))
         p1, p2 = lp[0] + mp[0] * ys, lp[1] + mp[1] * ys
@@ -305,8 +305,8 @@ def forms_of(g):
 def test_bounded_scan_equals_full_grid_on_golden_corpus():
     # a zero scan_zero_tol leaves the bound no room: every sample is scored
     for tol in (DEFAULT_TOL, DEFAULT_TOL.updated(scan_zero_tol=0.0)):
-        for text, order in GOLDEN_GERMS:
-            assert_scan_matches_full_grid(*forms_of(germ(text, order=order)), text, tol)
+        for text in GOLDEN_GERMS:
+            assert_scan_matches_full_grid(*forms_of(germ(text)), text, tol)
 
 
 SCALES = [Fraction(2) ** k for k in (-60, -30, 0, 30, 60)] + [
@@ -397,9 +397,9 @@ def test_kernel_sees_only_samples_near_roots(monkeypatch):
         return scan_scores(p1, *args)
 
     monkeypatch.setattr(curvpar.oracle, "scan_scores", counted)
-    for text, order in GOLDEN_GERMS:
+    for text in GOLDEN_GERMS:
         seen.clear()
-        sf = second_form(adapt(germ(text, order=order)))
+        sf = second_form(adapt(germ(text)))
         pp = build_parabola(sf)
         scan = asymptotic_scan(sf, pp.ep, DEFAULT_TOL)
         if pp.shape.kind == "point":

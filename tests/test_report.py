@@ -68,14 +68,14 @@ def test_fmt_float_12_significant_digits():
     assert fmt_float(123456789.123456789) == 123456789.123
 
 
-@pytest.mark.parametrize("text,order", GOLDEN_GERMS + [(t, 4) for t in SMALL_SCALE_TWINS])
-def test_exact_labels_never_read_a_tolerance(text, order):
+@pytest.mark.parametrize("text", GOLDEN_GERMS + list(SMALL_SCALE_TWINS))
+def test_exact_labels_never_read_a_tolerance(text):
     settings = [
         DEFAULT_TOL,
         Tolerances(eps_rank=0, eps_disc=0, eps_jet=0),
         Tolerances(eps_rank=1e3, eps_disc=1e3, eps_jet=1e3),
     ]
-    results = [analyze_germ(text, order=order, tol=tol) for tol in settings]
+    results = [analyze_germ(text, tol=tol) for tol in settings]
     assert all(res.adapted.exact for res in results)
     assert [labels(res) for res in results[1:]] == [labels(results[0])] * 2
 
@@ -160,17 +160,17 @@ def test_report_json_round_trips():
 
 def one_walk_inputs(rng):
     """Each golden germ as text, then moved by a float motion as a float MapGermR4."""
-    for text, order in GOLDEN_GERMS:
-        yield text, order
-        yield transform_germ(germ(text, order=order), random_rotation(rng, 2), random_rotation(rng, 4)), order
+    for text in GOLDEN_GERMS:
+        yield text
+        yield transform_germ(germ(text), random_rotation(rng, 2), random_rotation(rng, 4))
 
 
 @pytest.mark.parametrize("verify", [False, True])
 def test_reports_hold_only_json_native_values(rng, verify):
     # every field went through the one format_value walk: another walk
     # changes nothing, and the JSON text reads back as the same report
-    for source, order in one_walk_inputs(rng):
-        report = analyze_germ(source, order=order, verify=verify).report
+    for source in one_walk_inputs(rng):
+        report = analyze_germ(source, verify=verify).report
         assert format_value(report) == report, source
         assert json.loads(render_json(report)) == report, source
 
@@ -188,8 +188,8 @@ def test_hull_oracle_runs_only_under_verify(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(curvpar.oracle, "affine_hull_distance", refuse)
-        for text, order in GOLDEN_GERMS:
-            report = analyze_germ(text, order=order).report
+        for text in GOLDEN_GERMS:
+            report = analyze_germ(text).report
             assert set(report["umbilic"]) == {"kappa_u", "formula", "is_zero"}, text
     report = analyze_germ("(x, x*y, y^2, x^2)", verify=True).report
     names = [c["name"] for c in report["verification"]["checks"]]
@@ -210,9 +210,29 @@ def test_report_consistency_flags_random(rng):
 
 
 def test_analysis_on_higher_order_input():
-    res = analyze_germ("(x, x*y + y^6, y^2 - x^5, y^5)", order=8)
+    # text is parsed at order 2; a MapGermR4 of a higher order is kept whole
+    text = "(x, x*y + y^6, y^2 - x^5, y^5)"
+    assert analyze_germ(text).germ.order == 2
+    res = analyze_germ(germ(text, order=8))
     assert res.profile.shape.kind == "parabola"
     assert res.germ.order == 8
+
+
+def test_no_jet_order_in_the_api_or_the_report():
+    with pytest.raises(TypeError):
+        analyze_germ("(x, x*y, y^2, 0)", order=6)
+    with pytest.raises(TypeError):
+        analyze_germ("(x, x*y, y^2, 0)", 6)
+    assert list(analyze_germ("(x, x*y, y^2, 0)").report["input"]) == ["germ", "exact"]
+
+
+def test_first_component_terms_above_degree_2_keep_the_exact_path():
+    # the prenormal test reads the 2-jet, so (x + y^3, ...) is prenormal
+    cubic, twin = (analyze_germ(t, verify=True) for t in ("(x + y^3, x*y, y^2, 0)", "(x, x*y, y^2, 0)"))
+    assert cubic.adapted.exact and cubic.report["adaptation"]["exact"] is True
+    cubic.report["input"].pop("germ")
+    twin.report["input"].pop("germ")
+    assert cubic.report == twin.report
 
 
 def test_fd_hessian_oracle_checks_the_adaptation(rng):
@@ -242,13 +262,16 @@ def test_render_refuses_non_finite_values(render, bad):
     assert "1e+308" in render(report)
 
 
-@pytest.mark.parametrize("text,order", GOLDEN_GERMS)
-def test_golden_report_is_the_same_at_orders_2_4_and_6(text, order):
-    # the analysis reads the 2-jet only; the prenormal test reads the whole input
-    texts = []
-    for k in (2, 4, 6):
-        report = analyze_germ(text, order=k).report
-        assert report["input"].pop("order") == k
-        texts.append(render_json(report))
-    assert texts[0] == texts[1] == texts[2]
+@pytest.mark.parametrize("text", GOLDEN_GERMS)
+def test_golden_report_reads_only_the_2_jet(text):
+    # a MapGermR4 of order 6 is kept whole as the input, and its report is
+    # that of its 2-jet and of its text apart from the input's own text
+    g = germ(text, order=6)
+    for verify in (False, True):
+        texts = []
+        for source in (g, g.truncated(2), text):
+            report = analyze_germ(source, verify=verify).report
+            report["input"].pop("germ")
+            texts.append(render_json(report))
+        assert texts[0] == texts[1] == texts[2], verify
 
