@@ -21,7 +21,7 @@ from curvpar.report import (
 )
 
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
-from golden import GOLDEN_GERMS
+from golden import GOLDEN_GERM_ORDERS, GOLDEN_GERMS
 
 # exact germs at scale 1e-10, each with its scale-1 twin
 SMALL_SCALE_TWINS = {
@@ -68,14 +68,16 @@ def test_fmt_float_12_significant_digits():
     assert fmt_float(123456789.123456789) == 123456789.123
 
 
-@pytest.mark.parametrize("text", GOLDEN_GERMS + list(SMALL_SCALE_TWINS))
-def test_exact_labels_never_read_a_tolerance(text):
+@pytest.mark.parametrize("text,order", GOLDEN_GERM_ORDERS + [(t, 4) for t in SMALL_SCALE_TWINS])
+def test_exact_labels_never_read_a_tolerance(text, order):
+    # the input is the whole germ at its order; the analysis truncates it
     settings = [
         DEFAULT_TOL,
         Tolerances(eps_rank=0, eps_disc=0, eps_jet=0),
         Tolerances(eps_rank=1e3, eps_disc=1e3, eps_jet=1e3),
     ]
-    results = [analyze_germ(text, tol=tol) for tol in settings]
+    source = germ(text, order=order)
+    results = [analyze_germ(source, tol=tol) for tol in settings]
     assert all(res.adapted.exact for res in results)
     assert [labels(res) for res in results[1:]] == [labels(results[0])] * 2
 
@@ -262,14 +264,16 @@ def test_render_refuses_non_finite_values(render, bad):
     assert "1e+308" in render(report)
 
 
-@pytest.mark.parametrize("text", GOLDEN_GERMS)
-def test_golden_report_reads_only_the_2_jet(text):
-    # a MapGermR4 of order 6 is kept whole as the input, and its report is
-    # that of its 2-jet and of its text apart from the input's own text
+@pytest.mark.parametrize("text,order", GOLDEN_GERM_ORDERS)
+def test_golden_report_is_the_same_at_orders_2_4_and_6(text, order):
+    # a MapGermR4 is kept whole as the input, and its report at orders 2, 4
+    # and 6 (the entry's own order among them) is that of its 2-jet and of
+    # its text apart from the input's own text
+    assert order in (2, 4, 6)
     g = germ(text, order=6)
     for verify in (False, True):
         texts = []
-        for source in (g, g.truncated(2), text):
+        for source in (g, germ(text, order=4), germ(text, order=2), g.truncated(2), text):
             report = analyze_germ(source, verify=verify).report
             report["input"].pop("germ")
             texts.append(render_json(report))
