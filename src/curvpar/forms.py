@@ -106,6 +106,17 @@ class SecondForm:
         w = self.w
         return (dot3(w, self.l_x_m), dot3(w, self.l_x_n), dot3(w, w))
 
+    @cached_property
+    def _ranks(self):
+        return {}
+
+    def rank(self, eps: float) -> int:
+        """Matrix rank (see ``linalg.rank3``), computed once per ``eps``."""
+        ranks = self._ranks
+        if eps not in ranks:
+            ranks[eps] = rank3(self.matrix, eps)
+        return ranks[eps]
+
 
 def first_form(adapted) -> FirstForm:
     """Coefficients (E, F, G) of the pseudometric at the origin."""
@@ -140,4 +151,4 @@ def second_form(adapted) -> SecondForm:
 
 def rank_second_form(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> int:
     """Matrix rank; exact over rationals, singular-value threshold otherwise."""
-    return rank3(sf.matrix, tol.eps_rank)
+    return sf.rank(tol.eps_rank)

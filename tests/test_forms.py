@@ -5,7 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import curvpar.forms
 from curvpar.adapt import adapt
+from curvpar.config import DEFAULT_TOL
+from curvpar.heights import degeneracy_cone
+from curvpar.linalg import rank3
+from curvpar.parabola import build_parabola
 from curvpar.forms import SecondForm, first_form, rank_second_form, second_form
 from curvpar.germs import TruncatedPoly2
 from curvpar.oracle import finite_difference_hessian
@@ -151,3 +156,21 @@ def test_height_hessian_equivalence(rng):
         m = sum(float(v) * float(c) for v, c in zip(nu, sf.M))
         n = sum(float(v) * float(c) for v, c in zip(nu, sf.N))
         assert np.max(np.abs(fd - np.array([[l, m], [m, n]]))) < 1e-6
+
+
+def test_rank_is_computed_once_per_eps(monkeypatch):
+    calls = []
+
+    def counted(rows, eps):
+        calls.append(eps)
+        return rank3(rows, eps)
+
+    monkeypatch.setattr(curvpar.forms, "rank3", counted)
+    exact = second_form(adapt(germ("(x, x*y, y^2, 0)")))
+    for sf in (exact, SecondForm([(0.0, 0.5, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])):
+        calls.clear()
+        stratum = build_parabola(sf).stratum
+        assert 3 - degeneracy_cone(sf).corank2_dim == stratum == 2
+        assert calls == [DEFAULT_TOL.eps_rank]
+        assert rank_second_form(sf, DEFAULT_TOL.updated(eps_rank=0.5)) == stratum
+        assert calls == [DEFAULT_TOL.eps_rank, 0.5]

@@ -11,7 +11,7 @@ from curvpar._kernels import N_CANDIDATES, scan_scores
 from curvpar.adapt import adapt
 from curvpar.config import DEFAULT_TOL
 from curvpar.forms import second_form
-from curvpar.germs import Jet2
+from curvpar.germs import Jet2, MapGermR4
 from curvpar.heights import height_hessian
 from curvpar.oracle import (
     ScanResult,
@@ -118,6 +118,25 @@ def test_fd_hessian_example():
     h = finite_difference_hessian(ad, (0.0, 0.0, 1.0, 0.0))
     assert np.max(np.abs(h - np.array([[0.0, 0.0], [0.0, 2.0]]))) < 1e-6
     assert np.max(np.abs(finite_difference_hessian(ad, np.zeros(4)))) == 0.0
+
+
+def test_fd_hessian_evaluates_one_stencil_for_many_normals(monkeypatch, rng):
+    ad = adapt(germ("(x, x*y - y^2, x^2 + 2*y^2, 3*x^2 + x*y)", order=4))
+    normals = [rng.normal(size=4) for _ in range(3)]
+    singles = [finite_difference_hessian(ad, n) for n in normals]
+    calls = []
+    evaluate = MapGermR4.evaluate
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return evaluate(self, x, y)
+
+    monkeypatch.setattr(MapGermR4, "evaluate", counted)
+    stacked = finite_difference_hessian(ad, normals)
+    assert len(calls) == 9
+    assert stacked.shape == (3, 2, 2)
+    for single, h in zip(singles, stacked):
+        assert np.array_equal(single, h)
 
 
 def test_fd_hessian_matches_closed_form(rng):
@@ -406,3 +425,99 @@ def test_kernel_sees_only_samples_near_roots(monkeypatch):
             assert seen == [1], text
         elif scan.kind == "finite":
             assert sum(seen) <= 0.01 * DEFAULT_TOL.scan_points + 1, (text, seen)
+
+
+# -- the block bound ------------------------------------------------------------
+
+
+def assert_same_scan(forms, label, tol):
+    # repr also equates the NaN clusters that a determinant overflowing to
+    # inf - inf gives at extreme scales
+    got, want = asymptotic_scan(forms, forms, tol), full_grid_scan(forms, forms, tol)
+    assert repr(got) == repr(want), label
+
+
+def plane_family(rng, kind):
+    """Plane coordinates of L, M, N for one degeneracy family."""
+    l, m, n = (rng.normal(size=2) for _ in range(3))
+    if kind == "point":
+        m, n = np.zeros(2), np.zeros(2)
+    elif kind == "L = 0":
+        l = np.zeros(2)
+    elif kind == "line":
+        n = np.zeros(2)
+    elif kind == "M || L":
+        m = rng.normal() * l
+    elif kind == "N || M":
+        n = rng.normal() * m
+    elif kind == "nearly N || M":
+        n = rng.normal() * m + 1e-9 * rng.normal(size=2)
+    elif kind == "radial":
+        l, m = rng.normal() * n, rng.normal() * n
+    elif kind == "double root":
+        # det(y) = L x M + y L x N + y^2 M x N = (M x N) (y - y0)^2, with y0 at
+        # a block end of the default grid or inside the narrow window
+        y0 = rng.choice([-50.0 + 100.0 * 64 * rng.integers(1562) / 99_999, rng.uniform(-3, 3)])
+        a = m[0] * n[1] - m[1] * n[0]
+        l = np.linalg.solve([[n[1], -n[0]], [m[1], -m[0]]], [-2.0 * a * y0, a * y0 * y0])
+    return tuple(l), tuple(m), tuple(n)
+
+
+def test_block_scan_equals_full_grid_on_degenerate_families(rng):
+    kinds = [
+        "any", "point", "L = 0", "line", "M || L", "N || M", "nearly N || M", "radial", "double root",
+    ]
+    tols = [
+        DEFAULT_TOL.updated(scan_points=points, **change)
+        for points in (7, 130, 1001, 100_001)
+        for change in ({}, {"scan_zero_tol": 0.0}, {"scan_window": 3.0})
+    ]
+    for kind in kinds:
+        for k, s in enumerate((1e-160, 1e-80, 1e-6, 1.0, 1e6, 1e80, 1e160)):
+            l, m, n = plane_family(rng, kind)
+            forms = _PlaneForms(*(tuple(s * c for c in v) for v in (l, m, n)))
+            for tol in tols[k % 3 :: 3]:
+                with np.errstate(all="ignore"):
+                    assert_same_scan(forms, (kind, s, tol), tol)
+
+
+# the 2-jets of verify_oracle's inputs at seed 1, one per shape
+SHAPE_JETS = {
+    "parabola": "(x, -2*x^2 + 5*x*y + 5*y^2, -3/2*x^2 + 1/2*x*y - 3*y^2, -x^2 - 1/4*x*y - 2*y^2)",
+    "half_line": "(x, y^2, 0, 0)",
+    "line": "(x, -2*x^2 + 3*x*y, -4/3*x^2 + 3/4*x*y, -x^2 - 4/3*x*y)",
+    "point": "(x, 1/2*x^2, -1/3*x^2, x^2)",
+}
+
+
+def test_scan_computes_det_on_few_samples(monkeypatch):
+    read = []
+    det_along = curvpar.oracle._det_along
+
+    def counted(lp, mp, np_, ys):
+        read.append(len(ys))
+        return det_along(lp, mp, np_, ys)
+
+    monkeypatch.setattr(curvpar.oracle, "_det_along", counted)
+    for kind, text in SHAPE_JETS.items():
+        read.clear()
+        sf, ep = forms_of(germ(text))
+        assert build_parabola(sf).shape.kind == kind
+        scan = asymptotic_scan(sf, ep)
+        assert sum(read) < 0.05 * DEFAULT_TOL.scan_points, (kind, read)
+        if kind == "point":
+            # every block is an exact zero: saturated without a sample read
+            assert (scan.kind, read) == ("all", [])
+
+
+def test_scan_grid_is_cached_and_read_only():
+    grid = curvpar.oracle._scan_grid(50.0, 100_000)
+    assert curvpar.oracle._scan_grid(50.0, 100_000) is grid
+    assert np.array_equal(grid.ys, np.linspace(-50.0, 50.0, 100_000))
+    for a in (grid.ys, grid.ends, grid.owned, grid.sizes):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        grid.ys[0] = 0.0
+    other = curvpar.oracle._scan_grid(50.0, 1001)
+    assert other.ys.size == 1001 and grid.ys.size == 100_000
+    assert other.sizes.sum() == 1001 and grid.sizes.sum() == 100_000

@@ -24,6 +24,7 @@ from curvpar.report import analyze_germ
 
 from composition import compose_source, rotate_target
 from conftest import germ, jet2_to_germ, random_jet2
+from golden import GOLDEN_GERMS
 
 F = Fraction
 
@@ -272,3 +273,16 @@ def test_unit_rescales_only_a_vector_whose_squares_overflow():
         assert np.array_equal(unit(v), v / np.linalg.norm(v))
     # |v|^2 = 2.5e401 is beyond the float range, v itself is not; no warning is raised
     assert np.allclose(unit([F(3 * 10**200), 4e200, 0]), [0.6, 0.8, 0.0], rtol=0, atol=1e-15)
+
+
+def test_frames_and_reduction_do_not_call_np_cross(monkeypatch):
+    # np.cross costs about 40 us a call on 3-vectors; linalg.cross3 has its bits
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.cross called")
+
+    monkeypatch.setattr(np, "cross", refuse)
+    shapes = set()
+    for text in GOLDEN_GERMS:
+        res = analyze_germ(text)
+        shapes.add(res.profile.shape.kind)
+    assert shapes == {"parabola", "half_line", "line", "point"}
