@@ -135,6 +135,14 @@ def _cmd_analyze(args, verify: bool) -> int:
     return EXIT_OK
 
 
+def _range(args) -> tuple:
+    """The ``--range`` bounds as Fractions; a malformed bound is an input error."""
+    try:
+        return Fraction(args.range[0]), Fraction(args.range[1])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _CliError(f"bad range: {exc}") from exc
+
+
 def _sweep_values(lo: Fraction, hi: Fraction, n: int):
     if n <= 0:
         return []
@@ -153,10 +161,7 @@ def _cmd_sweep(args) -> int:
             f"sweep template must use exactly one parameter besides x and y, found {names}"
         )
     name = names[0]
-    try:
-        lo, hi = Fraction(args.range[0]), Fraction(args.range[1])
-    except ValueError as exc:
-        raise _CliError(f"bad range: {exc}") from exc
+    lo, hi = _range(args)
 
     header = [
         name,
@@ -205,10 +210,10 @@ def _cmd_plotdata(args) -> int:
     text = _germ_text(args)
     if not args.out:
         raise _CliError("plotdata requires --out DIRECTORY")
+    lo, hi = (float(b) for b in _range(args))
     res = analyze_germ(text, tol=tol)
 
     # every file is computed before any is written, so a failure leaves none
-    lo, hi = float(Fraction(args.range[0])), float(Fraction(args.range[1]))
     frame = res.adapted.normal_frame
     rows = []
     for y, e1, e2, e3 in sample_parabola(res.profile, lo, hi, args.samples):

@@ -1,9 +1,10 @@
-"""Tolerance policy for every numeric decision in the pipeline.
+"""Tolerance policy for every classification decision in the pipeline.
 
-The defaults are the documented policy; a config file and CLI flags may
-override any of them.  Exact-rational inputs bypass the tolerances, except
-in the transfer verdict (``associated.s_asymptotic_directions``), which is
-still decided in floats.
+The three thresholds are the documented policy; a config file and CLI flags
+may override any of them.  The ``--verify`` oracles' own settings are fixed
+constants in ``curvpar.oracle``.  Exact-rational inputs bypass the
+tolerances, except in the transfer verdict
+(``associated.s_asymptotic_directions``), which is still decided in floats.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ from dataclasses import dataclass, fields, replace
 RETIRED_KEYS = {
     "scan_nu_grid": "the scan is exact",
     "eps_orth": "no computed frame is checked for orthogonality",
+    **dict.fromkeys(
+        (
+            "scan_window",
+            "scan_points",
+            "scan_zero_tol",
+            "scan_saturation",
+            "fd_step",
+            "oracle_hull_tol",
+            "oracle_root_tol",
+            "oracle_hessian_tol",
+        ),
+        "the oracle settings are fixed constants in curvpar.oracle",
+    ),
 }
 
 
@@ -28,17 +42,6 @@ class Tolerances:
     eps_jet: float = 1e-10
     # relative discriminant threshold for the double-root decision
     eps_disc: float = 1e-10
-    # oracle scan: grid extent, point counts and marking thresholds
-    scan_window: float = 50.0
-    scan_points: int = 100_000
-    scan_zero_tol: float = 1e-6
-    scan_saturation: float = 0.99
-    # finite-difference step for the Hessian oracle
-    fd_step: float = 1e-4
-    # oracle agreement tolerances (looser than closed-form ones by design)
-    oracle_hull_tol: float = 1e-7
-    oracle_root_tol: float = 1e-3
-    oracle_hessian_tol: float = 1e-6
 
     def __post_init__(self):
         for f in fields(self):
@@ -46,9 +49,6 @@ class Tolerances:
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (number and 0 <= value < math.inf):
                 raise ValueError(f"{f.name} must be a finite non-negative number, got {value!r}")
-        # the scan needs a grid spacing, so at least two grid points
-        if not isinstance(self.scan_points, int) or self.scan_points < 2:
-            raise ValueError(f"scan_points must be an integer of at least 2, got {self.scan_points!r}")
 
     def updated(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

@@ -1,9 +1,11 @@
 """Independent brute-force verifiers for the closed-form pipeline.
 
 Everything here re-derives a result by sampling, scanning, or finite
-differences, never by the formula it is checking.  Tolerances are
-deliberately looser than the closed-form ones; these exist to catch formula
-transcription errors, not to be precise.
+differences, never by the formula it is checking.  The oracles' settings and
+agreement tolerances are the constants below, deliberately looser than the
+closed-form thresholds in ``curvpar.config``; these exist to catch formula
+transcription errors, not to be precise.  The functions read the constants
+at call time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,21 @@ from ._kernels import N_CANDIDATES, scan_reach, scan_scores
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
 from .linalg import float_vec
+
+# the scan grid: SCAN_POINTS tangent parameters spread evenly over [-SCAN_WINDOW, SCAN_WINDOW]
+SCAN_WINDOW = 50.0
+SCAN_POINTS = 100_000
+# a sample is marked when its score is at most SCAN_ZERO_TOL * ref; a scan that
+# marks at least SCAN_SATURATION of the grid finds every direction asymptotic
+SCAN_ZERO_TOL = 1e-6
+SCAN_SATURATION = 0.99
+# the step of the finite-difference Hessian's stencil
+FD_STEP = 1e-4
+# agreement tolerances of the umbilic curvature with the affine hull, of each
+# closed-form root with a scan cluster, and of the Hessians (times the 2-jet's scale)
+ORACLE_HULL_TOL = 1e-7
+ORACLE_ROOT_TOL = 1e-3
+ORACLE_HESSIAN_TOL = 1e-6
 
 __all__ = [
     "CheckResult",
@@ -115,20 +132,18 @@ def _cluster_roots(candidates, gap: float):
     return tuple(centers)
 
 
-def _root_candidates(ys, det, marked, absdet=None, h=None):
+def _root_candidates(ys, det, marked, h=None):
     """Candidate roots of the collinearity determinant along the grid.
 
     Sign changes give linearly interpolated (precise) roots and exact zeros
     give precise grid roots.  Touching roots, where |det| dips to the scale
     of the discrete second difference without a sign change, and grid points
-    marked by the scan give coarse candidates.  ``absdet`` is ``|det|`` when
-    the caller has it; ``h`` is the grid spacing when ``ys`` is a piece of
-    the grid.  Returns ``(y, precise)`` pairs.
+    marked by the scan give coarse candidates.  ``h`` is the grid spacing
+    when ``ys`` is a piece of the grid.  Returns ``(y, precise)`` pairs.
     """
     if h is None:
         h = ys[1] - ys[0]
-    if absdet is None:
-        absdet = np.abs(det)
+    absdet = np.abs(det)
     neg, pos = det < 0.0, det > 0.0
     i = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
     crossings = ys[i] - det[i] * h / (det[i + 1] - det[i])
@@ -233,7 +248,7 @@ def _runs(flags):
     return zip(change[::2].tolist(), change[1::2].tolist())
 
 
-def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanResult:
+def asymptotic_scan(sf: SecondForm, ep) -> ScanResult:
     """Grid-scan estimate of the asymptotic parameter set.
 
     Over a uniform parameter grid the scan scores each tangent direction by
@@ -287,11 +302,11 @@ def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanRe
     mp = ep.to_plane_coords(sf.M)
     np_ = ep.to_plane_coords(sf.N)
 
-    grid = _scan_grid(tol.scan_window, tol.scan_points)
+    grid = _scan_grid(SCAN_WINDOW, SCAN_POINTS)
     ys, n = grid.ys, grid.ys.size
 
     # a score has degree 1 in the jet, so its zero bound scales with ref
-    zero = tol.scan_zero_tol * sf.ref
+    zero = SCAN_ZERO_TOL * sf.ref
     # rows (p1, p2) and (q2, q1) at the block ends, rounded as _tangent_pairs rounds them;
     # the first and last ends are the grid's
     x = lp[:, None] + mp[:, None] * grid.ends
@@ -326,7 +341,7 @@ def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanRe
     inf_score = float(scan_scores([mp[0]], [mp[1]], [np_[0]], [np_[1]], N_CANDIDATES)[0])
     includes_infinity = inf_score <= zero
 
-    if fraction >= tol.scan_saturation:
+    if fraction >= SCAN_SATURATION:
         return ScanResult(
             kind="all", clusters=(), includes_infinity=True, marked_fraction=fraction
         )
@@ -349,19 +364,18 @@ def asymptotic_scan(sf: SecondForm, ep, tol: Tolerances = DEFAULT_TOL) -> ScanRe
     )
 
 
-def finite_difference_hessian(germ, nu, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Central-difference Hessian at the origin of the height function along nu.
+def finite_difference_hessian(germ, normals) -> np.ndarray:
+    """Central-difference Hessians at the origin of the height functions along ``normals``.
 
-    ``nu`` has 4 ambient coordinates, or is a sequence of such normals; then
-    the stencil is evaluated once and one Hessian per normal comes back,
-    stacked.  The Hessian at the origin is the 2-jet's, so the stencil
-    differentiates the 2-jet, a quadratic, on which central differences are
-    exact up to rounding.
+    ``normals`` is a sequence of normals with 4 ambient coordinates each; the
+    stencil is evaluated once and one Hessian per normal comes back, stacked.
+    The Hessian at the origin is the 2-jet's, so the stencil differentiates
+    the 2-jet, a quadratic, on which central differences are exact up to
+    rounding.
     """
     g = getattr(germ, "germ", germ).truncated(2).to_float()
-    single = np.ndim(nu) == 1
-    normals = [np.asarray([float(c) for c in n], dtype=float) for n in ([nu] if single else nu)]
-    s = tol.fd_step
+    normals = [np.asarray([float(c) for c in n], dtype=float) for n in normals]
+    s = FD_STEP
     values = {(i, j): g.evaluate(i * s, j * s) for i in (-1, 0, 1) for j in (-1, 0, 1)}
 
     def hessian(n):
@@ -371,5 +385,4 @@ def finite_difference_hessian(germ, nu, tol: Tolerances = DEFAULT_TOL) -> np.nda
         hxy = (h[1, 1] - h[1, -1] - h[-1, 1] + h[-1, -1]) / (4.0 * s * s)
         return [[hxx, hxy], [hxy, hyy]]
 
-    hessians = np.array([hessian(n) for n in normals])
-    return hessians[0] if single else hessians
+    return np.array([hessian(n) for n in normals])

@@ -40,6 +40,7 @@ from .heights import (
     degeneracy_cone,
     height_hessian,
 )
+from . import oracle
 from .linalg import scale_of
 from .oracle import (
     VerificationReport,
@@ -217,7 +218,10 @@ def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
 
 
 def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationReport:
-    """Cross-check closed-form results against the brute-force oracles."""
+    """Cross-check closed-form results against the brute-force oracles.
+
+    Each check's tolerance is a ``curvpar.oracle`` constant, read at each call.
+    """
     vr = VerificationReport()
 
     ku = res.umbilic.kappa_u
@@ -226,35 +230,35 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         "umbilic_vs_affine_hull",
         ku,
         hull,
-        tol.oracle_hull_tol,
-        abs(ku - hull) <= tol.oracle_hull_tol * (1.0 + ku),
+        oracle.ORACLE_HULL_TOL,
+        abs(ku - hull) <= oracle.ORACLE_HULL_TOL * (1.0 + ku),
     )
 
-    scan = asymptotic_scan(res.sf, res.profile.ep, tol)
+    scan = asymptotic_scan(res.sf, res.profile.ep)
     if res.aset.kind == "all":
         ok = scan.kind == "all"
         vr.add("asymptotic_scan_kind", "all", scan.kind, 0.0, ok)
     else:
         in_window = [
-            float(y) for y in res.aset.params if abs(float(y)) < tol.scan_window * 0.99
+            float(y) for y in res.aset.params if abs(float(y)) < oracle.SCAN_WINDOW * 0.99
         ]
         # one cluster per root in the window, each root near a cluster
         ok = scan.kind == "finite" and len(scan.clusters) == len(in_window) and all(
-            min(abs(y - c) for c in scan.clusters) <= tol.oracle_root_tol for y in in_window
+            min(abs(y - c) for c in scan.clusters) <= oracle.ORACLE_ROOT_TOL for y in in_window
         )
         # a saturated scan marked every sample: say so, not that it found no root
         vr.add(
             "asymptotic_scan_roots",
             in_window,
             list(scan.clusters) if scan.kind == "finite" else "all",
-            tol.oracle_root_tol,
+            oracle.ORACLE_ROOT_TOL,
             ok,
         )
         vr.add(
             "asymptotic_scan_infinity",
             res.aset.includes_infinity,
             scan.includes_infinity,
-            tol.scan_zero_tol,
+            oracle.SCAN_ZERO_TOL,
             scan.includes_infinity == res.aset.includes_infinity,
         )
 
@@ -268,10 +272,10 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         [[float(p.coefficient(1, 0)), float(p.coefficient(0, 1))] for p in res.adapted.source_change]
     )
     jet = res.germ.truncated(2)
-    bound = tol.oracle_hessian_tol * scale_of(*(p.coeffs.values() for p in jet.components))
+    bound = oracle.ORACLE_HESSIAN_TOL * scale_of(*(p.coeffs.values() for p in jet.components))
     nus = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5773502691896258,) * 3)
     # one stencil for the three normals
-    fds = finite_difference_hessian(jet, [rot.T @ np.concatenate(([0.0], nu)) for nu in nus], tol)
+    fds = finite_difference_hessian(jet, [rot.T @ np.concatenate(([0.0], nu)) for nu in nus])
     worst = 0.0
     for nu, fd in zip(nus, fds):
         closed = np.array(

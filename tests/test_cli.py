@@ -13,7 +13,7 @@ import pytest
 
 import curvpar
 from curvpar.cli import main
-from curvpar.config import DEFAULT_TOL, Tolerances
+from curvpar.config import DEFAULT_TOL, RETIRED_KEYS, Tolerances
 from curvpar.report import fmt_float
 
 
@@ -163,22 +163,11 @@ def test_config_must_hold_one_object(tmp_path, capsys, data):
 
 def test_config_rejects_booleans(tmp_path, capsys):
     cfg = tmp_path / "tol.json"
-    for key in ("eps_rank", "scan_points"):
+    for key in ("eps_rank", "eps_jet"):
         cfg.write_text(json.dumps({key: True}))
         code, out, err = run_cli(capsys, "verify", "--germ", "(x, x*y, y^2, 0)", "--config", str(cfg))
         assert code == 1 and out == "", key
         assert err.count("error:") == 1 and f"{key} must be a finite non-negative number" in err
-
-
-@pytest.mark.parametrize("points", [1, 0, 2.5])
-def test_config_rejects_scan_points_below_two_or_fractional(tmp_path, capsys, points):
-    cfg = tmp_path / "tol.json"
-    cfg.write_text(json.dumps({"scan_points": points}))
-    code, out, err = run_cli(
-        capsys, "verify", "--germ", "(x, x*y, y^2, 0)", "--config", str(cfg)
-    )
-    assert code == 1 and out == ""
-    assert "scan_points must be an integer of at least 2" in err
 
 
 def test_config_ignores_deprecated_scan_nu_grid(tmp_path):
@@ -197,12 +186,54 @@ def test_config_ignores_deprecated_scan_nu_grid(tmp_path):
     assert "eps_orth" in messages[0] and "scan_nu_grid" in messages[1]
 
 
+ORACLE_KEYS = [
+    "scan_window",
+    "scan_points",
+    "scan_zero_tol",
+    "scan_saturation",
+    "fd_step",
+    "oracle_hull_tol",
+    "oracle_root_tol",
+    "oracle_hessian_tol",
+]
+
+
+@pytest.mark.parametrize("key", ORACLE_KEYS)
+def test_config_ignores_each_retired_oracle_key(tmp_path, key):
+    # the oracles' settings are constants in curvpar.oracle, not tolerances
+    assert [f.name for f in fields(Tolerances)] == ["eps_rank", "eps_jet", "eps_disc"]
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({key: 1}))
+    with pytest.warns(DeprecationWarning) as caught:
+        tol = Tolerances.from_file(cfg)
+    assert tol == DEFAULT_TOL
+    assert len(caught) == 1 and key in str(caught[0].message)
+
+
+def test_verify_with_retired_keys_prints_the_same_report(tmp_path, capsys):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps(dict.fromkeys(ORACLE_KEYS, 1e300)))
+    argv = ["verify", "--germ", "(x, y^2 + (10^20)^2*x*y, x^2, 0)"]
+    want = run_cli(capsys, *argv)
+    with pytest.warns(DeprecationWarning) as caught:
+        got = run_cli(capsys, *argv, "--config", str(cfg))
+    # the germ's own verdict: its scan saturates against a finite root
+    assert got == want and want[0] == 2
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == len(ORACLE_KEYS)
+    assert all(any(f": {key} is deprecated" in m for m in messages) for key in ORACLE_KEYS)
+
+
 def test_every_tolerance_field_is_read():
-    # a field read nowhere in the package is a knob that changes nothing
+    # a field read nowhere in the package is a knob that changes nothing, and
+    # a retired key read as an attribute would be a knob come back unlisted
     src = Path(curvpar.__file__).parent
     text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "config.py")
     unread = [f.name for f in fields(Tolerances) if not re.search(rf"\.{f.name}\b", text)]
     assert unread == []
+    every = "\n".join(p.read_text() for p in sorted(src.glob("*.py")))
+    read = [key for key in RETIRED_KEYS if re.search(rf"\.{key}\b", every)]
+    assert read == []
 
 
 @pytest.mark.parametrize(
@@ -446,6 +477,24 @@ def test_negative_sample_count_exits_1(tmp_path, capsys, command):
     assert "non-negative integer" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "plotdata"])
+def test_zero_denominator_range_exits_1(tmp_path, capsys, command):
+    code, out, err = run_cli(
+        capsys,
+        command,
+        "--germ",
+        "(x, t*x*y, y^2, 0)" if command == "sweep" else "(x, x*y, y^2, 0)",
+        "--range",
+        "1/0",
+        "1",
+        "--out",
+        str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert out == "" and not (tmp_path / "out").exists()
+    assert err == "error: bad range: Fraction(1, 0)\n"
+
+
 FLAT_PRODUCT = "(x, " + "2*" * 20000 + "x^65, y^2, 0)"
 
 
@@ -685,18 +734,10 @@ def test_plotdata_cone_zero_germ(tmp_path, capsys):
         assert sign == "0" and value == "0"
 
 
-def test_verify_failure_exits_2(tmp_path, capsys):
+def test_verify_failure_exits_2(capsys, monkeypatch):
     # a huge scan threshold saturates the scan, contradicting the finite answer
-    cfg = tmp_path / "tol.json"
-    cfg.write_text(json.dumps({"scan_zero_tol": 1e300}))
-    code, _, err = run_cli(
-        capsys,
-        "verify",
-        "--germ",
-        "(x, x*y, y^2 + x^2, 2*x^2)",
-        "--config",
-        str(cfg),
-    )
+    monkeypatch.setattr(curvpar.oracle, "SCAN_ZERO_TOL", 1e300)
+    code, _, err = run_cli(capsys, "verify", "--germ", "(x, x*y, y^2 + x^2, 2*x^2)")
     assert code == 2
     assert "verification failed" in err
 

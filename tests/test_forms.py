@@ -82,7 +82,7 @@ def test_II_along_matches_fd_hessian(rng):
     for _ in range(10):
         nu = rng.normal(size=3)
         nu /= np.linalg.norm(nu)
-        fd = finite_difference_hessian(g, np.concatenate(([0.0], nu)))
+        fd = finite_difference_hessian(g, [np.concatenate(([0.0], nu))])[0]
         closed = np.array(
             [
                 [float(value_along(sf, nu, (1, 0), (1, 0))), float(value_along(sf, nu, (1, 0), (0, 1)))],
@@ -151,7 +151,7 @@ def test_height_hessian_equivalence(rng):
     for _ in range(20):
         nu = rng.normal(size=3)
         nu /= np.linalg.norm(nu)
-        fd = finite_difference_hessian(ad, np.concatenate(([0.0], nu)))
+        fd = finite_difference_hessian(ad, [np.concatenate(([0.0], nu))])[0]
         l = sum(float(v) * float(c) for v, c in zip(nu, sf.L))
         m = sum(float(v) * float(c) for v, c in zip(nu, sf.M))
         n = sum(float(v) * float(c) for v, c in zip(nu, sf.N))

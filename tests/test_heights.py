@@ -62,7 +62,7 @@ def test_height_hessian_matches_fd(rng):
     for _ in range(10):
         nu = rng.normal(size=3)
         closed = np.array([[float(v) for v in row] for row in height_hessian(sf, nu)])
-        fd = finite_difference_hessian(ad, np.concatenate(([0.0], nu)))
+        fd = finite_difference_hessian(ad, [np.concatenate(([0.0], nu))])[0]
         assert np.max(np.abs(closed - fd)) < 1e-6
 
 

@@ -9,7 +9,6 @@ import pytest
 import curvpar.oracle
 from curvpar._kernels import N_CANDIDATES, scan_scores
 from curvpar.adapt import adapt
-from curvpar.config import DEFAULT_TOL
 from curvpar.forms import second_form
 from curvpar.germs import Jet2, MapGermR4
 from curvpar.heights import height_hessian
@@ -62,7 +61,7 @@ def scan_for(text, order=6):
     ad = adapt(germ(text, order=order))
     sf = second_form(ad)
     pp = build_parabola(sf)
-    return asymptotic_scan(sf, pp.ep, DEFAULT_TOL)
+    return asymptotic_scan(sf, pp.ep)
 
 
 def test_scan_hyperbolic_clusters():
@@ -115,15 +114,15 @@ def test_scan_is_scale_invariant(scale):
 
 def test_fd_hessian_example():
     ad = adapt(germ("(x, x*y, y^2, 0)", order=4))
-    h = finite_difference_hessian(ad, (0.0, 0.0, 1.0, 0.0))
+    h = finite_difference_hessian(ad, [(0.0, 0.0, 1.0, 0.0)])[0]
     assert np.max(np.abs(h - np.array([[0.0, 0.0], [0.0, 2.0]]))) < 1e-6
-    assert np.max(np.abs(finite_difference_hessian(ad, np.zeros(4)))) == 0.0
+    assert np.max(np.abs(finite_difference_hessian(ad, [np.zeros(4)])[0])) == 0.0
 
 
 def test_fd_hessian_evaluates_one_stencil_for_many_normals(monkeypatch, rng):
     ad = adapt(germ("(x, x*y - y^2, x^2 + 2*y^2, 3*x^2 + x*y)", order=4))
     normals = [rng.normal(size=4) for _ in range(3)]
-    singles = [finite_difference_hessian(ad, n) for n in normals]
+    singles = [finite_difference_hessian(ad, [n])[0] for n in normals]
     calls = []
     evaluate = MapGermR4.evaluate
 
@@ -147,7 +146,7 @@ def test_fd_hessian_matches_closed_form(rng):
         closed = np.array(
             [[float(v) for v in row] for row in height_hessian(sf, nu)]
         )
-        fd = finite_difference_hessian(ad, np.concatenate(([0.0], nu)))
+        fd = finite_difference_hessian(ad, [np.concatenate(([0.0], nu))])[0]
         assert np.max(np.abs(closed - fd)) < 1e-6
 
 
@@ -254,15 +253,15 @@ def _loop_candidates(ys, det, marked):
 
 
 def test_root_candidates_match_loop_version_on_golden_corpus():
-    tol = DEFAULT_TOL
-    ys = np.linspace(-tol.scan_window, tol.scan_window, tol.scan_points)
+    o = curvpar.oracle
+    ys = np.linspace(-o.SCAN_WINDOW, o.SCAN_WINDOW, o.SCAN_POINTS)
     for text in GOLDEN_GERMS:
         sf = second_form(adapt(germ(text)))
         ep = build_parabola(sf).ep
         lp, mp, np_ = (ep.to_plane_coords(v) for v in (sf.L, sf.M, sf.N))
         p1, p2 = lp[0] + mp[0] * ys, lp[1] + mp[1] * ys
         q1, q2 = mp[0] + np_[0] * ys, mp[1] + np_[1] * ys
-        marked = scan_scores(p1, p2, q1, q2, N_CANDIDATES) <= tol.scan_zero_tol
+        marked = scan_scores(p1, p2, q1, q2, N_CANDIDATES) <= o.SCAN_ZERO_TOL
         det = p1 * q2 - p2 * q1
         got = sorted(_root_candidates(ys, det, marked))
         assert got == sorted(_loop_candidates(ys, det, marked)), text
@@ -271,24 +270,26 @@ def test_root_candidates_match_loop_version_on_golden_corpus():
 # -- the bounded scan against the whole-grid scan ------------------------------
 
 
-def full_grid_scan(sf, ep, tol=DEFAULT_TOL):
+def full_grid_scan(sf, ep):
     """The whole-grid scan that ``asymptotic_scan`` replaced, kept as its reference.
 
     It scores every grid sample with the kernel and finds root candidates
-    over the whole grid.
+    over the whole grid.  Like the scan, it reads the oracle's constants
+    when called.
     """
+    o = curvpar.oracle
     lp, mp, np_ = (ep.to_plane_coords(v) for v in (sf.L, sf.M, sf.N))
-    ys = np.linspace(-tol.scan_window, tol.scan_window, tol.scan_points)
+    ys = np.linspace(-o.SCAN_WINDOW, o.SCAN_WINDOW, o.SCAN_POINTS)
     h = ys[1] - ys[0]
     p1 = lp[0] + mp[0] * ys
     p2 = lp[1] + mp[1] * ys
     q1 = mp[0] + np_[0] * ys
     q2 = mp[1] + np_[1] * ys
-    zero = tol.scan_zero_tol * sf.ref
+    zero = o.SCAN_ZERO_TOL * sf.ref
     marked = scan_scores(p1, p2, q1, q2, N_CANDIDATES) <= zero
     fraction = float(marked.mean())
     inf_score = float(scan_scores([mp[0]], [mp[1]], [np_[0]], [np_[1]], N_CANDIDATES)[0])
-    if fraction >= tol.scan_saturation:
+    if fraction >= o.SCAN_SATURATION:
         return ScanResult(kind="all", clusters=(), includes_infinity=True, marked_fraction=fraction)
 
     det = p1 * q2 - p2 * q1
@@ -310,8 +311,20 @@ def full_grid_scan(sf, ep, tol=DEFAULT_TOL):
     )
 
 
-def assert_scan_matches_full_grid(sf, ep, label, tol=DEFAULT_TOL):
-    got, want = asymptotic_scan(sf, ep, tol), full_grid_scan(sf, ep, tol)
+# the scan settings that tests vary, at their defaults
+SCAN_DEFAULTS = {
+    name: getattr(curvpar.oracle, name) for name in ("SCAN_WINDOW", "SCAN_POINTS", "SCAN_ZERO_TOL")
+}
+
+
+def set_scan(monkeypatch, **settings):
+    """Set the scan's constants to their defaults, overridden by ``settings``."""
+    for name, value in {**SCAN_DEFAULTS, **settings}.items():
+        monkeypatch.setattr(curvpar.oracle, name, value)
+
+
+def assert_scan_matches_full_grid(sf, ep, label):
+    got, want = asymptotic_scan(sf, ep), full_grid_scan(sf, ep)
     assert got == want, label
     assert got.marked_fraction == want.marked_fraction, label
 
@@ -321,11 +334,12 @@ def forms_of(g):
     return sf, build_parabola(sf).ep
 
 
-def test_bounded_scan_equals_full_grid_on_golden_corpus():
-    # a zero scan_zero_tol leaves the bound no room: every sample is scored
-    for tol in (DEFAULT_TOL, DEFAULT_TOL.updated(scan_zero_tol=0.0)):
+def test_bounded_scan_equals_full_grid_on_golden_corpus(monkeypatch):
+    # a zero SCAN_ZERO_TOL leaves the bound no room: every sample is scored
+    for zero_tol in (SCAN_DEFAULTS["SCAN_ZERO_TOL"], 0.0):
+        set_scan(monkeypatch, SCAN_ZERO_TOL=zero_tol)
         for text in GOLDEN_GERMS:
-            assert_scan_matches_full_grid(*forms_of(germ(text)), text, tol)
+            assert_scan_matches_full_grid(*forms_of(germ(text)), (text, zero_tol))
 
 
 SCALES = [Fraction(2) ** k for k in (-60, -30, 0, 30, 60)] + [
@@ -359,7 +373,7 @@ class _PlaneForms:
 
 
 def test_bounded_scan_equals_full_grid_on_degenerate_planes():
-    ys = np.linspace(-DEFAULT_TOL.scan_window, DEFAULT_TOL.scan_window, DEFAULT_TOL.scan_points)
+    ys = np.linspace(-curvpar.oracle.SCAN_WINDOW, curvpar.oracle.SCAN_WINDOW, curvpar.oracle.SCAN_POINTS)
     cases = {"point shape": ((0.3, -1.7), (0.0, 0.0), (0.0, 0.0))}
     # p = q = 0 at a grid sample: L = N y0^2 and M = -N y0, with det ≡ 0
     # exactly or as rounding noise
@@ -378,21 +392,20 @@ def test_bounded_scan_equals_full_grid_on_degenerate_planes():
         assert_scan_matches_full_grid(forms, forms, label)
 
 
-def test_bounded_scan_equals_full_grid_where_the_bound_is_tight():
+def test_bounded_scan_equals_full_grid_where_the_bound_is_tight(monkeypatch):
     # det = 1 - a*y^2 has roots +-y0 near the grid's ends, where reach is
     # close to its largest grid value R.  The zero bound is first loose, then
     # exactly the score of the end sample, whose reach is R itself.
-    tol = DEFAULT_TOL
     for y0 in (49.0, 49.9, 49.99):
         forms = _PlaneForms((1.0, 0.0), (0.0, 1.0), (1.0 / (y0 * y0), 0.0))
         lp, mp, np_ = forms.L, forms.M, forms.N
-        end = np.array([tol.scan_window])
+        end = np.array([SCAN_DEFAULTS["SCAN_WINDOW"]])
         end_score = scan_scores(lp[0] + mp[0] * end, lp[1] + mp[1] * end,
                                 mp[0] + np_[0] * end, mp[1] + np_[1] * end, N_CANDIDATES)[0]
         for zero_tol in (1e-3, end_score / forms.ref):
-            scan_tol = tol.updated(scan_zero_tol=float(zero_tol))
-            assert_scan_matches_full_grid(forms, forms, (y0, zero_tol), scan_tol)
-            assert asymptotic_scan(forms, forms, scan_tol).marked_fraction > 0.0
+            set_scan(monkeypatch, SCAN_ZERO_TOL=float(zero_tol))
+            assert_scan_matches_full_grid(forms, forms, (y0, zero_tol))
+            assert asymptotic_scan(forms, forms).marked_fraction > 0.0
 
 
 def test_bounded_scan_equals_full_grid_on_moved_radial_half_lines(rng):
@@ -420,20 +433,20 @@ def test_kernel_sees_only_samples_near_roots(monkeypatch):
         seen.clear()
         sf = second_form(adapt(germ(text)))
         pp = build_parabola(sf)
-        scan = asymptotic_scan(sf, pp.ep, DEFAULT_TOL)
+        scan = asymptotic_scan(sf, pp.ep)
         if pp.shape.kind == "point":
             assert seen == [1], text
         elif scan.kind == "finite":
-            assert sum(seen) <= 0.01 * DEFAULT_TOL.scan_points + 1, (text, seen)
+            assert sum(seen) <= 0.01 * curvpar.oracle.SCAN_POINTS + 1, (text, seen)
 
 
 # -- the block bound ------------------------------------------------------------
 
 
-def assert_same_scan(forms, label, tol):
+def assert_same_scan(forms, label):
     # repr also equates the NaN clusters that a determinant overflowing to
     # inf - inf gives at extreme scales
-    got, want = asymptotic_scan(forms, forms, tol), full_grid_scan(forms, forms, tol)
+    got, want = asymptotic_scan(forms, forms), full_grid_scan(forms, forms)
     assert repr(got) == repr(want), label
 
 
@@ -463,22 +476,23 @@ def plane_family(rng, kind):
     return tuple(l), tuple(m), tuple(n)
 
 
-def test_block_scan_equals_full_grid_on_degenerate_families(rng):
+def test_block_scan_equals_full_grid_on_degenerate_families(rng, monkeypatch):
     kinds = [
         "any", "point", "L = 0", "line", "M || L", "N || M", "nearly N || M", "radial", "double root",
     ]
-    tols = [
-        DEFAULT_TOL.updated(scan_points=points, **change)
+    settings = [
+        dict(SCAN_POINTS=points, **change)
         for points in (7, 130, 1001, 100_001)
-        for change in ({}, {"scan_zero_tol": 0.0}, {"scan_window": 3.0})
+        for change in ({}, {"SCAN_ZERO_TOL": 0.0}, {"SCAN_WINDOW": 3.0})
     ]
     for kind in kinds:
         for k, s in enumerate((1e-160, 1e-80, 1e-6, 1.0, 1e6, 1e80, 1e160)):
             l, m, n = plane_family(rng, kind)
             forms = _PlaneForms(*(tuple(s * c for c in v) for v in (l, m, n)))
-            for tol in tols[k % 3 :: 3]:
+            for setting in settings[k % 3 :: 3]:
+                set_scan(monkeypatch, **setting)
                 with np.errstate(all="ignore"):
-                    assert_same_scan(forms, (kind, s, tol), tol)
+                    assert_same_scan(forms, (kind, s, setting))
 
 
 # the 2-jets of verify_oracle's inputs at seed 1, one per shape
@@ -504,7 +518,7 @@ def test_scan_computes_det_on_few_samples(monkeypatch):
         sf, ep = forms_of(germ(text))
         assert build_parabola(sf).shape.kind == kind
         scan = asymptotic_scan(sf, ep)
-        assert sum(read) < 0.05 * DEFAULT_TOL.scan_points, (kind, read)
+        assert sum(read) < 0.05 * curvpar.oracle.SCAN_POINTS, (kind, read)
         if kind == "point":
             # every block is an exact zero: saturated without a sample read
             assert (scan.kind, read) == ("all", [])
