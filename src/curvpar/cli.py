@@ -135,11 +135,12 @@ def _cmd_analyze(args, verify: bool) -> int:
     return EXIT_OK
 
 
-def _range(args) -> tuple:
-    """The ``--range`` bounds as Fractions; a malformed bound is an input error."""
+def _range(args, number=Fraction) -> tuple:
+    """The ``--range`` bounds as Fractions, converted by ``number``; a bound that is
+    malformed or that ``number`` cannot hold is an input error."""
     try:
-        return Fraction(args.range[0]), Fraction(args.range[1])
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(number(Fraction(b)) for b in args.range)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _CliError(f"bad range: {exc}") from exc
 
 
@@ -210,7 +211,7 @@ def _cmd_plotdata(args) -> int:
     text = _germ_text(args)
     if not args.out:
         raise _CliError("plotdata requires --out DIRECTORY")
-    lo, hi = (float(b) for b in _range(args))
+    lo, hi = _range(args, float)
     res = analyze_germ(text, tol=tol)
 
     # every file is computed before any is written, so a failure leaves none

@@ -38,8 +38,10 @@ class SecondForm:
 
     Rows follow the normal frame (nu1, nu2, nu3); columns hold the
     coefficients (l, m, n) of x^2, xy and y^2 directions.  The invariants
-    that decide the labels are computed here, once and when first read, in
-    the entries' own arithmetic (exact on rationals).
+    that decide the labels are computed here, once and when first read.  On
+    exact entries the ``linalg`` kernels compute them in integers, one
+    common denominator per vector, and return Fractions; on floats they keep
+    the float expressions.
     """
 
     def __init__(self, matrix):

@@ -9,14 +9,13 @@ coefficient columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .directions import AsymptoticSet, BinormalSet
 from .forms import SecondForm, rank_second_form
-from .linalg import orthonormal_extension, subspace_distance, unit
+from .linalg import cone_quadratic, orthonormal_extension, subspace_distance, unit
 from .parabola import _plane_basis_from_normal
 
 __all__ = [
@@ -62,19 +61,10 @@ def height_hessian(sf: SecondForm, nu):
     return ((l, m), (m, n))
 
 
-def _half(value):
-    if isinstance(value, int):
-        return Fraction(value, 2)
-    return value / 2
-
-
 def degeneracy_cone(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> DegeneracyCone:
     """Expand det H(h_nu) = <L,nu><N,nu> - <M,nu>^2 and solve the corank-2 system."""
     L, M, N = sf.L, sf.M, sf.N
-    quad = tuple(
-        tuple(_half(L[i] * N[j] + N[i] * L[j]) - M[i] * M[j] for j in range(3))
-        for i in range(3)
-    )
+    quad = cone_quadratic(L, M, N)
     dim = 3 - rank_second_form(sf, tol)
     if dim in (0, 3):
         basis = np.eye(3)[:dim]

@@ -4,6 +4,11 @@ Decision helpers (``negligible``, ``vec_is_zero``, ``collinear3``, ``rank3``)
 run exactly on Fraction entries, so callers never branch on exactness.  On
 floats a degree-d quantity is zero when |x| <= eps * ref**d, ref = ``scale_of``
 of the whole 2-jet.  Norms and orthonormal frames are float by nature.
+
+The exact kernels (``dot3``, ``cross3``, ``cone_quadratic``, ``rank3``) work in
+integers: each exact vector is cleared of its denominators once, the
+arithmetic runs on Python ints, and each result entry becomes one Fraction.
+Vectors with a float entry take the plain float expressions.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ __all__ = [
     "is_exact_vec",
     "dot3",
     "cross3",
+    "cone_quadratic",
     "vec_norm",
     "float_vec",
     "scale_of",
@@ -33,24 +39,85 @@ __all__ = [
 ]
 
 
+# the usual exact types, looked up before isinstance: Fraction's ABC makes
+# isinstance slow on every other type
+_EXACT_TYPES = frozenset({Fraction, int, bool})
+
+
 def is_exact_scalar(v) -> bool:
-    return isinstance(v, (Fraction, int))
+    return type(v) in _EXACT_TYPES or (not isinstance(v, float) and isinstance(v, (Fraction, int)))
 
 
 def is_exact_vec(v) -> bool:
     return all(is_exact_scalar(c) for c in v)
 
 
+def _integers(v):
+    """``(nums, den)`` with ``v[i] == nums[i] / den`` and ``den > 0`` when ``v`` is
+    exact (``is_exact_vec``), None otherwise."""
+    ratios = []
+    for c in v:
+        if not is_exact_scalar(c):
+            return None
+        ratios.append(c.as_integer_ratio())
+    den = math.lcm(*[d for _, d in ratios])
+    return [n if d == den else n * (den // d) for n, d in ratios], den
+
+
 def dot3(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    """a . b: one Fraction on exact vectors, the float expression otherwise."""
+    ia = _integers(a)
+    ib = None if ia is None else _integers(b)
+    if ib is None:
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    (x, dx), (y, dy) = ia, ib
+    return Fraction(x[0] * y[0] + x[1] * y[1] + x[2] * y[2], dx * dy)
 
 
 def cross3(a, b):
+    """a x b: Fractions on exact vectors, the float expressions otherwise."""
+    ia = _integers(a)
+    ib = None if ia is None else _integers(b)
+    if ib is None:
+        return (
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        )
+    (x, dx), (y, dy) = ia, ib
+    den = dx * dy
     return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
+        Fraction(x[1] * y[2] - x[2] * y[1], den),
+        Fraction(x[2] * y[0] - x[0] * y[2], den),
+        Fraction(x[0] * y[1] - x[1] * y[0], den),
     )
+
+
+def cone_quadratic(L, M, N) -> tuple:
+    """Symmetric 3x3 Q with nu . Q . nu = <L,nu><N,nu> - <M,nu>^2.
+
+    Q = (L N^T + N L^T) / 2 - M M^T.  On exact columns its six distinct
+    entries are Fractions over the one denominator 2 dL dN dM^2; otherwise
+    each entry is the float expression, an int sum halved exactly.
+    """
+    il, im, i_n = _integers(L), _integers(M), _integers(N)
+    if il is None or im is None or i_n is None:
+        quad = []
+        for i in range(3):
+            row = []
+            for j in range(3):
+                s = L[i] * N[j] + N[i] * L[j]
+                row.append((Fraction(s, 2) if isinstance(s, int) else s / 2) - M[i] * M[j])
+            quad.append(tuple(row))
+        return tuple(quad)
+    (l, dl), (m, dm), (n, dn) = il, im, i_n
+    sym, cross = dm * dm, 2 * dl * dn
+    den = sym * cross
+    q = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            q[i][j] = q[j][i] = Fraction(sym * (l[i] * n[j] + n[i] * l[j]) - cross * m[i] * m[j], den)
+    return tuple(map(tuple, q))
 
 
 def vec_norm(v) -> float:
@@ -108,8 +175,8 @@ def unit(v) -> np.ndarray:
     arr = float_vec(v)
     with np.errstate(over="ignore"):
         n = np.linalg.norm(arr)
-    if math.isinf(n) and np.isfinite(arr).all():
-        # the squares left the float range: divide by the largest entry first
+    if (math.isinf(n) or n == 0.0) and np.isfinite(arr).all() and arr.any():
+        # the squares overflowed or underflowed: divide by the largest entry first
         arr = arr / np.abs(arr).max()
         n = np.linalg.norm(arr)
     if n == 0.0:
@@ -118,26 +185,23 @@ def unit(v) -> np.ndarray:
 
 
 def rank3(rows, eps: float) -> int:
-    """Rank of a small matrix: exact elimination on rationals, SVD otherwise."""
-    if all(is_exact_scalar(v) for row in rows for v in row):
-        m = [list(map(Fraction, row)) for row in rows]
+    """Rank of a small matrix: fraction-free elimination on the integers of
+    exact rows (a row's denominator does not change the rank), SVD otherwise."""
+    ints = [_integers(row) for row in rows]
+    if all(r is not None for r in ints):
+        m = [nums for nums, _ in ints]
         rank = 0
         ncols = len(m[0]) if m else 0
-        col = 0
         for col in range(ncols):
-            pivot = None
-            for r in range(rank, len(m)):
-                if m[r][col] != 0:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
             if pivot is None:
                 continue
             m[rank], m[pivot] = m[pivot], m[rank]
             pv = m[rank][col]
             for r in range(rank + 1, len(m)):
-                if m[r][col] != 0:
-                    factor = m[r][col] / pv
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+                f = m[r][col]
+                if f != 0:
+                    m[r] = [pv * a - f * b for a, b in zip(m[r], m[rank])]
             rank += 1
         return rank
     arr = np.asarray([[float(v) for v in row] for row in rows], dtype=float)

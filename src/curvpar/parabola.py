@@ -254,10 +254,8 @@ def classify_two_jet(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> str:
     yy_col = (j2.a02, j2.b02, j2.c02)
     yy_zero = vec_is_zero(yy_col, tol.eps_rank, j2.ref)
     xy_zero = vec_is_zero(xy_col, tol.eps_rank, j2.ref)
-    g1 = j2.a11 * j2.b02 - j2.a02 * j2.b11
-    g2 = j2.a11 * j2.c02 - j2.a02 * j2.c11
-    g3 = j2.c11 * j2.b02 - j2.c02 * j2.b11
-    gamma_zero = yy_zero or xy_zero or collinear3((g1, g2, g3), xy_col, yy_col, tol.eps_rank)
+    minors = cross3(xy_col, yy_col)
+    gamma_zero = yy_zero or xy_zero or collinear3(minors, xy_col, yy_col, tol.eps_rank)
     if not gamma_zero:
         return ORBIT_PARABOLA
     if not yy_zero:

@@ -254,7 +254,7 @@ def test_half_line_with_a_far_vertex_is_analysed(capsys, text):
 
 def exactness_branches(path):
     """``module.function`` of each branch whose condition asks whether a value is exact."""
-    names = {"exact", "is_exact", "is_exact_scalar", "is_exact_vec"}
+    names = {"exact", "is_exact", "is_exact_scalar", "is_exact_vec", "_integers"}
     sites = []
 
     def visit(node, func):
@@ -493,6 +493,15 @@ def test_zero_denominator_range_exits_1(tmp_path, capsys, command):
     assert code == 1
     assert out == "" and not (tmp_path / "out").exists()
     assert err == "error: bad range: Fraction(1, 0)\n"
+
+
+def test_plotdata_range_beyond_floats_exits_1(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    args = ("--germ", "(x, x*y, y^2, 0)", "--range", "1e400", "1", "--out", str(out_dir))
+    code, out, err = run_cli(capsys, "plotdata", *args)
+    assert code == 1
+    assert out == "" and not out_dir.exists()
+    assert err.startswith("error: bad range: ")
 
 
 FLAT_PRODUCT = "(x, " + "2*" * 20000 + "x^65, y^2, 0)"

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -273,6 +274,15 @@ def test_unit_rescales_only_a_vector_whose_squares_overflow():
         assert np.array_equal(unit(v), v / np.linalg.norm(v))
     # |v|^2 = 2.5e401 is beyond the float range, v itself is not; no warning is raised
     assert np.allclose(unit([F(3 * 10**200), 4e200, 0]), [0.6, 0.8, 0.0], rtol=0, atol=1e-15)
+
+
+def test_unit_rescales_a_vector_whose_squares_underflow():
+    # |v|^2 = 2^-1200 is below the smallest subnormal, v itself is not
+    tiny = 2.0**-600
+    assert np.array_equal(unit([0.0, 3 * tiny, 4 * tiny]), [0.0, 0.6, 0.8])
+    assert np.array_equal(unit([F(1, 2**700), 0, 0]), [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="zero vector"):
+        unit([0.0, F(0), 0])
 
 
 def test_frames_and_reduction_do_not_call_np_cross(monkeypatch):

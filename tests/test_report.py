@@ -80,6 +80,17 @@ def test_exact_labels_never_read_a_tolerance(text, order):
     results = [analyze_germ(source, tol=tol) for tol in settings]
     assert all(res.adapted.exact for res in results)
     assert [labels(res) for res in results[1:]] == [labels(results[0])] * 2
+    # the same germ with Python int coefficients is exact too: no division of
+    # its invariants may fall back to floats
+    if all(c.denominator == 1 for p in source.components for c in p.coeffs.values()):
+        twin = MapGermR4([p.map_coeffs(int) for p in source.components])
+        assert [analyze_germ(twin, tol=tol).report for tol in settings] == [res.report for res in results]
+
+
+def test_tiny_exact_germ_labels_like_its_twin():
+    # |M x N|^2 = 2^-1198 underflows to zero in floats; unit() rescales first
+    tiny = analyze_germ("(x, (1/2^60)^5*x*y, (1/2^60)^5*y^2 + (1/2^60)^5*x^2, 0)")
+    assert labels(tiny) == labels(analyze_germ("(x, x*y, y^2 + x^2, 0)"))
 
 
 def twin_labels(res):
