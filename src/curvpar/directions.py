@@ -24,7 +24,6 @@ __all__ = [
     "AsymptoticSet",
     "Binormal",
     "BinormalSet",
-    "Hyperplane",
     "asymptotic_directions",
     "binormal_directions",
     "osculating_hyperplanes",
@@ -92,13 +91,6 @@ class BinormalSet:
         if self.kind == "all":
             return math.inf
         return len(self.items)
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Osculating hyperplane through the origin, stored by its unit normal in R^4."""
-
-    normal: np.ndarray
 
 
 def plane_quadratic(rows) -> tuple:
@@ -225,18 +217,15 @@ def binormal_directions(
 
 
 def osculating_hyperplanes(bs: BinormalSet):
-    """One hyperplane (unit normal through the origin) per binormal; "all" marker otherwise.
+    """The unit normal in R^4 of the osculating hyperplane (through the origin)
+    of each binormal; "all" marker otherwise.
 
     Normals are embedded in the adapted target coordinates, where the tangent
     line is the first axis.
     """
     if bs.kind == "all":
         return "all"
-    planes = []
-    for b in bs.items:
-        normal = np.concatenate(([0.0], np.asarray(b.vector, dtype=float)))
-        planes.append(Hyperplane(normal=normal))
-    return planes
+    return [np.concatenate(([0.0], np.asarray(b.vector, dtype=float))) for b in bs.items]
 
 
 _POINT_TYPES = {0: "elliptic", 1: "parabolic", 2: "hyperbolic", math.inf: "inflection"}

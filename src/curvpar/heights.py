@@ -30,6 +30,9 @@ __all__ = [
 
 # operator-norm distance below which the expected and computed corank-2 loci agree
 BASIS_TOL = 1e-9
+# sample_cone's spherical grid: azimuth and polar angle counts, poles included
+CONE_THETA_SAMPLES = 36
+CONE_PHI_SAMPLES = 19
 
 
 @dataclass(frozen=True)
@@ -147,19 +150,14 @@ def cone_parabola_orthogonality(pp, aset: AsymptoticSet, bset: BinormalSet) -> b
     return ok
 
 
-def sample_cone(
-    dc: DegeneracyCone,
-    n_theta: int = 36,
-    n_phi: int = 19,
-    tol: Tolerances = DEFAULT_TOL,
-):
+def sample_cone(dc: DegeneracyCone, tol: Tolerances = DEFAULT_TOL):
     """Sample (theta, phi, det_sign, det_value) on a spherical grid of the normal space."""
     q = np.asarray([[float(x) for x in row] for row in dc.quad], dtype=float)
     rows = []
-    for i in range(n_theta):
-        theta = 2.0 * np.pi * i / n_theta
-        for j in range(n_phi):
-            phi = np.pi * j / (n_phi - 1)
+    for i in range(CONE_THETA_SAMPLES):
+        theta = 2.0 * np.pi * i / CONE_THETA_SAMPLES
+        for j in range(CONE_PHI_SAMPLES):
+            phi = np.pi * j / (CONE_PHI_SAMPLES - 1)
             nu = np.array(
                 [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
             )

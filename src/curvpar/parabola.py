@@ -66,10 +66,6 @@ class ParabolaShape:
     is_origin: bool | None = None
     vertex: tuple | None = None
 
-    @property
-    def degenerate(self) -> bool:
-        return self.kind != "parabola"
-
     def label(self) -> str:
         if self.kind == "parabola":
             return "nondegenerate parabola"

@@ -51,8 +51,6 @@ from .oracle import (
 from .parabola import (
     ParabolaProfile,
     ReducedTwoJet,
-    apply_source_to_jet,
-    apply_target_to_jet,
     build_parabola,
     reduce_to_normal_form,
 )
@@ -183,9 +181,7 @@ def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
             ],
             "count": _count_or_inf(res.bset.count),
         },
-        "osculating_hyperplanes": (
-            "all" if res.bset.kind == "all" else [h.normal for h in osculating_hyperplanes(res.bset)]
-        ),
+        "osculating_hyperplanes": osculating_hyperplanes(res.bset),
         "point_type": res.ptype,
         "umbilic": {"kappa_u": umb.kappa_u, "formula": umb.formula_used, "is_zero": umb.is_zero},
         "kappa_stratum_consistent": kappa_stratum_check(pp, umb),
@@ -283,19 +279,6 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         )
         worst = max(worst, float(np.max(np.abs(closed - lin.T @ fd @ lin))))
     vr.add("height_hessian_vs_fd", 0.0, worst, bound, worst <= bound)
-
-    rows = [[float(v) for v in row] for row in res.jet2.rows()]
-    rot3 = res.reduced.target_rotation[1:, 1:]
-    lam = float(res.reduced.source_matrix[1, 0])
-    mu = float(res.reduced.source_matrix[1, 1])
-    rebuilt = apply_source_to_jet(apply_target_to_jet(rows, rot3), lam, mu)
-    worst = max(
-        abs(float(a) - float(b))
-        for ra, rb in zip(rebuilt, res.reduced.jet2.rows())
-        for a, b in zip(ra, rb)
-    )
-    vr.add("reduced_jet_witnesses", 0.0, worst, 1e-9, worst <= 1e-9)
-
     return vr
 
 

@@ -101,7 +101,6 @@ def test_verify_passes_on_good_germ(capsys):
             "asymptotic_scan_roots",
             "asymptotic_scan_infinity",
             "height_hessian_vs_fd",
-            "reduced_jet_witnesses",
         ]
 
 
@@ -793,6 +792,3 @@ def test_reduction_of_a_nearly_degenerate_parabola_stays_finite(capsys):
     assert (code, err) == (0, "")
     reduced = json.loads(out)["reduced_two_jet"]
     assert all(math.isfinite(v) for v in reduced["jet2"].values())
-    _, out, _ = run_cli(capsys, "verify", "--germ", text)
-    checks = {c["name"]: c for c in json.loads(out)["verification"]["checks"]}
-    assert checks["reduced_jet_witnesses"]["passed"]

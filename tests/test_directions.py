@@ -105,9 +105,9 @@ def test_osculating_hyperplanes():
     _, _, _, aset, bset = pipeline("(x, x*y, y^2 + x^2, 0)", order=4)
     planes = osculating_hyperplanes(bset)
     assert len(planes) == 2
-    for h in planes:
-        assert abs(np.linalg.norm(h.normal) - 1.0) < 1e-12
-        assert h.normal[0] == 0.0
+    for normal in planes:
+        assert abs(np.linalg.norm(normal) - 1.0) < 1e-12
+        assert normal[0] == 0.0
     _, _, _, _, bset_all = pipeline("(x, 0, 0, 0)", order=2)
     assert osculating_hyperplanes(bset_all) == "all"
 

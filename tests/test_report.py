@@ -93,6 +93,27 @@ def test_tiny_exact_germ_labels_like_its_twin():
     assert labels(tiny) == labels(analyze_germ("(x, x*y, y^2 + x^2, 0)"))
 
 
+@pytest.mark.parametrize("c", ["10^20", "10^64", "(10^50)^2", "(10^50)^5", "(10^50)^6"])
+@pytest.mark.parametrize(
+    "template,ptype,stratum,kappa_u",
+    [
+        ("(x, {c}*x*y, y^2, x^2)", "parabolic", "M3", 2.0),
+        ("(x, x*y, y^2 + {c}*x^2, 0)", "hyperbolic", "M2", 0.0),
+        ("(x, x*y, {c}*y^2 + x^2, 0)", "hyperbolic", "M2", 0.0),
+    ],
+)
+def test_exact_germs_with_one_huge_column_keep_their_labels(template, ptype, stratum, kappa_u, c):
+    # the small columns sit up to 300 orders of magnitude below the huge one;
+    # dividing the jet by its scale would push them toward underflow
+    report = analyze_germ(template.format(c=c)).report
+    assert (report["point_type"], report["parabola"]["stratum"]) == (ptype, stratum)
+    assert report["umbilic"]["kappa_u"] == kappa_u
+    assert report["umbilic"]["is_zero"] is (kappa_u == 0.0)
+    # the transfer verdict, decided in floats, is false on these germs
+    assert report["orbit"]["consistent"] and report["kappa_stratum_consistent"]
+    assert report["heights"]["corank2"]["agrees"] and report["heights"]["cone_parabola_orthogonal"]
+
+
 def twin_labels(res):
     """Every label of an analysis, the transfer flags included."""
     return labels(res) + (res.transfer.directions_match, res.transfer.types_match)
@@ -263,6 +284,59 @@ def test_fd_hessian_oracle_checks_the_adaptation(rng):
     comps = res.adapted.germ.components
     adapted = replace(res.adapted, germ=MapGermR4([comps[0]] + [p + bump for p in comps[1:]]))
     assert not hessian_check(replace(res, adapted=adapted, sf=second_form(adapted))).passed
+
+
+def _wrong_kappa(res):
+    return replace(res, umbilic=replace(res.umbilic, kappa_u=res.umbilic.kappa_u + 0.1))
+
+
+def _wrong_param(res):
+    params = list(res.aset.params)
+    params[0] += 0.1
+    return replace(res, aset=replace(res.aset, params=tuple(params)))
+
+
+def _wrong_infinity(res):
+    return replace(res, aset=replace(res.aset, includes_infinity=not res.aset.includes_infinity))
+
+
+def _wrong_kind(res):
+    kind = "finite" if res.aset.kind == "all" else "all"
+    return replace(res, aset=replace(res.aset, kind=kind))
+
+
+def _wrong_second_form(res):
+    bump = TruncatedPoly2({(2, 0): 1e-3, (1, 1): 1e-3, (0, 2): 1e-3}, res.adapted.germ.order)
+    comps = res.adapted.germ.components
+    bumped = replace(res.adapted, germ=MapGermR4([comps[0]] + [p + bump for p in comps[1:]]))
+    return replace(res, sf=second_form(bumped))
+
+
+# one golden germ per shape kind: parabola, half-line, line and point
+SHAPE_GERMS = ("(x, x*y, x^2 + y^2, 0)", "(x, y^2, x^2, 0)", "(x, x*y, x^2, 0)", "(x, x^2, 0, 0)")
+# a wrong closed-form value and the check it fails.  Only the parabola's and
+# the half-line's asymptotic sets have a finite parameter; the point's is
+# "all", so its scan saturates and a finite kind fails the roots check.
+WRONG_VALUES = (
+    [(t, _wrong_kappa, "umbilic_vs_affine_hull") for t in SHAPE_GERMS]
+    + [(t, _wrong_param, "asymptotic_scan_roots") for t in SHAPE_GERMS[:2]]
+    + [(t, _wrong_infinity, "asymptotic_scan_infinity") for t in SHAPE_GERMS[:3]]
+    + [(t, _wrong_kind, "asymptotic_scan_kind") for t in SHAPE_GERMS[:3]]
+    + [(SHAPE_GERMS[3], _wrong_kind, "asymptotic_scan_roots")]
+    + [(t, _wrong_second_form, "height_hessian_vs_fd") for t in SHAPE_GERMS]
+)
+
+
+@pytest.mark.parametrize("text,wrong,check", WRONG_VALUES, ids=lambda v: getattr(v, "__name__", v))
+def test_each_verify_check_fails_on_a_wrong_closed_form_value(text, wrong, check):
+    res = analyze_germ(text)
+    assert run_verification(res, DEFAULT_TOL).passed
+    failed = [c.name for c in run_verification(wrong(res), DEFAULT_TOL).checks if not c.passed]
+    if wrong is _wrong_second_form:
+        # the scan reads the second form too, and may fail with the Hessian
+        assert check in failed
+    else:
+        assert failed == [check]
 
 
 @pytest.mark.parametrize("render", [render_json, render_text])
