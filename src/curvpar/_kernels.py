@@ -10,18 +10,17 @@ to a candidate ``w``, each nonzero product is ``|det| / |w|`` with
 ``|det| / max(|p + q|, |p - q|)``: the larger of those two norms,
 ``sqrt(|p|^2 + |q|^2 + 2|p . q|)``, is at least ``|p|`` and ``|q|``.  The
 score comes from ``p`` and ``q`` alone, never from the closed-form quadratic
-the oracle checks.
+the oracle checks.  The kernels import numpy when called, so that importing
+this module does not load it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # candidate directions per tangent sample
 N_CANDIDATES = 4
 
 
-def scan_scores(p1, p2, q1, q2, n) -> np.ndarray:
+def scan_scores(p1, p2, q1, q2, n):
     """min over unit nu of max(|p . nu|, |q . nu|) per tangent sample, exactly.
 
     ``(p1, p2)`` and ``(q1, q2)`` are the plane coordinates of the two
@@ -32,6 +31,8 @@ def scan_scores(p1, p2, q1, q2, n) -> np.ndarray:
     The denominator is zero only for ``p = q = 0``, where the determinant
     is zero too and the score is 0.
     """
+    import numpy as np
+
     p1, p2, q1, q2 = (np.asarray(a, dtype=np.float64) for a in (p1, p2, q1, q2))
     det = np.abs(p1 * q2 - p2 * q1)
     reach = scan_reach(p1, p2, q1, q2)
@@ -39,6 +40,8 @@ def scan_scores(p1, p2, q1, q2, n) -> np.ndarray:
     return det / reach
 
 
-def scan_reach(p1, p2, q1, q2) -> np.ndarray:
+def scan_reach(p1, p2, q1, q2):
     """``max(|p + q|, |p - q|)`` per tangent sample: the denominator of the score."""
+    import numpy as np
+
     return np.sqrt(p1 * p1 + p2 * p2 + (q1 * q1 + q2 * q2) + 2.0 * np.abs(p1 * q1 + p2 * q2))

@@ -5,10 +5,12 @@ component is the first source coordinate and whose remaining components have
 vanishing 1-jets, recording the source change and target rotation that did it.
 The result is the prenormal 2-jet, which fixes the second-order geometry; a
 prenormal germ keeps its own, so exact input stays exact downstream.  Any
-other germ is adapted in closed form: with ``J = U S V^T`` the SVD of the
-Jacobian and ``R`` the Householder rotation taking ``J v0`` to the first
+other germ is adapted in closed form.  The Jacobian ``J`` has rank 1, so
+its largest row spans its row space: ``v0`` is that row made unit and the
+kernel ``v1`` is ``v0`` turned by +90 degrees, the rows of the source frame
+``V``.  With ``R`` the Householder rotation taking ``J v0`` to the first
 axis, each component's quadratic part ``H_j`` becomes
-``V^T (sum_j R_ij H_j) V``; then, with ``(c, e)`` the first row of ``R J V``,
+``V (sum_j R_ij H_j) V^T``; then, with ``(c, e)`` the first row of ``R J V^T``,
 the source change ``x -> (x - e y)/c + s2``, where ``s2`` is minus component
 1's quadratic part over ``c``, is the whole series inversion at order 2.
 """
@@ -16,11 +18,10 @@ the source change ``x -> (x - e y)/c + s2``, where ``s2`` is minus component
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .germs import MapGermR4, TruncatedPoly2
-from .linalg import householder_rotation_to_e1, rank3, scale_of
+from .linalg import float_dot, householder_rotation_to_e1, identity, rank3, scale_of, unit
 
 __all__ = ["CorankError", "AdaptedGerm", "check_corank", "adapt"]
 
@@ -46,14 +47,21 @@ class AdaptedGerm:
     source_change`` reproduces ``germ`` up to degree 2, which determines the
     whole second-order geometry.  For already-prenormal input the changes are
     the identity, ``germ`` is the input's 2-jet and ``exact`` tells whether
-    the input's coefficients are all rational.
+    the input's coefficients are all rational.  Frames and the rotation are
+    tuples of float rows.
+
+    The Jacobian fixes the frames only up to sign; ``adapt`` fixes the signs
+    by one rule.  The source frame ``(v0, v1)`` has det +1, and ``v0`` is
+    chosen of its two signs so that the largest-magnitude entry of
+    ``tangent_frame``, the unit vector along ``J v0``, is positive (the
+    first such entry on a tie).
     """
 
     germ: MapGermR4
-    tangent_frame: np.ndarray
-    normal_frame: np.ndarray
+    tangent_frame: tuple
+    normal_frame: tuple
     source_change: tuple
-    target_rotation: np.ndarray
+    target_rotation: tuple
     exact: bool
 
 
@@ -64,29 +72,50 @@ def check_corank(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def _identity_adaptation(f: MapGermR4) -> AdaptedGerm:
+    eye = identity(4)
     return AdaptedGerm(
         germ=f,
-        tangent_frame=np.array([1.0, 0.0, 0.0, 0.0]),
-        normal_frame=np.eye(4)[1:],
+        tangent_frame=eye[0],
+        normal_frame=eye[1:],
         source_change=(
             TruncatedPoly2.variable("x", f.order),
             TruncatedPoly2.variable("y", f.order),
         ),
-        target_rotation=np.eye(4),
+        target_rotation=eye,
         exact=f.is_exact,
     )
 
 
-def _quadratic_form(p) -> list:
-    """Symmetric 2x2 matrix of the degree-2 part of ``p``, in floats."""
-    half = float(p.coefficient(1, 1)) / 2
-    return [[float(p.coefficient(2, 0)), half], [half, float(p.coefficient(0, 2))]]
+def _quadratic_form(p) -> tuple:
+    """``(a, b, c)`` with ``a x^2 + 2 b xy + c y^2`` the degree-2 part of ``p``, in floats."""
+    return (float(p.coefficient(2, 0)), float(p.coefficient(1, 1)) / 2, float(p.coefficient(0, 2)))
+
+
+def _congruence(form, m) -> tuple:
+    """The form ``M^T F M`` for ``F`` an ``(a, b, c)`` form and ``M`` a 2x2 matrix of rows."""
+    a, b, c = form
+    (p0, q0), (p1, q1) = m  # the columns of M are (p0, p1) and (q0, q1)
+    ap, bp = a * p0 + b * p1, b * p0 + c * p1  # F times the first column
+    return (ap * p0 + bp * p1, ap * q0 + bp * q1, (a * q0 + b * q1) * q0 + (b * q0 + c * q1) * q1)
 
 
 def _poly(linear, form, order: int) -> TruncatedPoly2:
     """The polynomial with 1-jet row ``linear`` and quadratic form ``form``."""
-    vals = (*linear, form[0, 0], 2 * form[0, 1], form[1, 1])
+    vals = (*linear, form[0], 2 * form[1], form[2])
     return TruncatedPoly2(dict(zip(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), vals)), order)
+
+
+def _source_frame(jac) -> tuple:
+    """The unit source direction ``v0`` with the sign rule of ``AdaptedGerm``, and ``J v0``.
+
+    ``J`` has rank 1, so its largest row spans the row space; the kernel is
+    ``v0`` turned by +90 degrees.
+    """
+    v0 = unit(max(jac, key=lambda row: max(map(abs, row))))
+    t = [row[0] * v0[0] + row[1] * v0[1] for row in jac]
+    if max(t, key=abs) < 0:
+        v0, t = (-v0[0], -v0[1]), [-c for c in t]
+    return v0, t
 
 
 def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
@@ -105,33 +134,44 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     if f.is_prenormal():
         return _identity_adaptation(f)
 
-    jac = np.array([[float(v) for v in row] for row in f.jacobian_at_origin()])
-    # rows of vt: the unit source direction off the kernel of df at 0, then the kernel
-    vt = np.linalg.svd(jac)[2]
-    rot = householder_rotation_to_e1(jac @ vt[0])
-    lin = rot @ jac @ vt.T
-    forms = vt @ np.einsum("ij,jkl->ikl", rot, [_quadratic_form(p) for p in f.components]) @ vt.T
+    jac = [[float(v) for v in row] for row in f.jacobian_at_origin()]
+    (a, b), t = _source_frame(jac)
+    vt = ((a, -b), (b, a))  # V^T: its columns are v0 and the kernel v1 = (-b, a)
+    u = [a * row[1] - b * row[0] for row in jac]  # J v1
+    rot = householder_rotation_to_e1(t)
+    lin = [(float_dot(r, t), float_dot(r, u)) for r in rot]  # R J V^T
+    # sum_j R_ij H_j for each row of R, as (a, b, c) forms, then moved by V
+    entries = list(zip(*(_quadratic_form(p) for p in f.components)))
+    forms = [_congruence(tuple(float_dot(r, col) for col in entries), vt) for r in rot]
     # no adapted 2-jet exists yet: the residue test reads the moved germ's own jets
-    ref = scale_of(lin.ravel(), forms.ravel(), 2 * forms[:, 0, 1])
+    ref = scale_of(*lin, *forms, [2 * h[1] for h in forms])
 
     c, e = lin[0]
-    sub = np.array([[1.0 / c, -e / c], [0.0, 1.0]])
-    forms = sub.T @ forms @ sub
-    s2 = -forms[0] / c  # as R J v0 = c e1, components 2..4 have no x-term for s2 to reach
+    sub = ((1.0 / c, -e / c), (0.0, 1.0))
+    forms = [_congruence(h, sub) for h in forms]
+    # as R J v0 = c e1, components 2..4 have no x-term for s2 to reach
+    s2 = tuple(-x / c for x in forms[0])
 
-    for val in (lin @ sub)[1:].ravel():
-        if abs(val) > tol.eps_jet * ref:
-            raise ValueError(
-                f"adaptation left 1-jet entry {val:.3e} in a normal component"
-            )
+    for l0, l1 in lin[1:]:
+        for val in (l0 * sub[0][0], l0 * sub[0][1] + l1):
+            if abs(val) > tol.eps_jet * ref:
+                raise ValueError(
+                    f"adaptation left 1-jet entry {val:.3e} in a normal component"
+                )
     x_var = TruncatedPoly2.variable("x", f.order).map_coeffs(float)
     adapted = MapGermR4([x_var] + [_poly((0.0, 0.0), h, f.order) for h in forms[1:]])
-    src = vt.T @ sub
     return AdaptedGerm(
         germ=adapted,
-        tangent_frame=rot[0].copy(),
-        normal_frame=rot[1:4].copy(),
-        source_change=tuple(_poly(src[k], vt[0, k] * s2, f.order) for k in range(2)),
+        tangent_frame=rot[0],
+        normal_frame=rot[1:4],
+        source_change=tuple(
+            _poly(
+                (row[0] * sub[0][0], row[0] * sub[0][1] + row[1]),
+                tuple(v0k * x for x in s2),
+                f.order,
+            )
+            for row, v0k in zip(vt, (a, b))
+        ),
         target_rotation=rot,
         exact=False,
     )

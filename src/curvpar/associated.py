@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import DEFAULT_TOL, Tolerances
 from .directions import AsymptoticSet, plane_quadratic, point_type, solve_quadratic, type_of_count
 from .forms import SecondForm, form_rows
@@ -115,8 +113,10 @@ def _unit_dir(dx, dy):
     return (dx / n, dy / n)
 
 
-def curvature_ellipse(s: RegularSurfaceR4, theta: float) -> np.ndarray:
+def curvature_ellipse(s: RegularSurfaceR4, theta: float):
     """Normal curvature vector of the normal section at angle theta (two normal coords)."""
+    import numpy as np
+
     (l1, m1, n1), (l2, m2, n2) = s.coeffs
     c, sn = math.cos(theta), math.sin(theta)
     return np.array(

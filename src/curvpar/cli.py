@@ -14,8 +14,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .adapt import CorankError
 from .associated import curvature_ellipse
 from .config import DEFAULT_TOL, Tolerances
@@ -207,6 +205,8 @@ def _csv_content(header, rows) -> str:
 
 
 def _cmd_plotdata(args) -> int:
+    import numpy as np
+
     tol = _load_tolerances(args)
     text = _germ_text(args)
     if not args.out:
@@ -215,7 +215,7 @@ def _cmd_plotdata(args) -> int:
     res = analyze_germ(text, tol=tol)
 
     # every file is computed before any is written, so a failure leaves none
-    frame = res.adapted.normal_frame
+    frame = np.array(res.adapted.normal_frame)
     rows = []
     for y, e1, e2, e3 in sample_parabola(res.profile, lo, hi, args.samples):
         ambient = frame.T @ np.array([e1, e2, e3])

@@ -36,7 +36,7 @@ RETIRED_KEYS = {
 
 @dataclass(frozen=True)
 class Tolerances:
-    # float zero tests |x| <= eps_rank * ref**d (ref = scale_of(whole 2-jet), d = degree of x); ranks: vs top singular value
+    # float zero tests |x| <= eps_rank * ref**d (ref = scale_of(whole 2-jet), d = degree of x); ranks: see linalg.rank3
     eps_rank: float = 1e-9
     # "vanishing" 1-jet entries after numeric adaptation
     eps_jet: float = 1e-10

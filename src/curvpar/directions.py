@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
-from .linalg import negligible, unit
+from .linalg import negligible, unit, vec_norm
 from .parabola import ParabolaProfile
 
 __all__ = [
@@ -78,7 +76,7 @@ class Binormal:
     """
 
     param: object
-    vector: np.ndarray
+    vector: tuple
 
 
 @dataclass(frozen=True)
@@ -145,10 +143,10 @@ def asymptotic_directions(
     return AsymptoticSet("all", (), True, quad, disc)
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
+def _fix_sign(vec: tuple) -> tuple:
     for c in vec:
         if abs(c) > 1e-14:
-            return vec if c > 0 else -vec
+            return vec if c > 0 else tuple(-x for x in vec)
     return vec
 
 
@@ -165,8 +163,8 @@ def _null_direction_binormal(pp, sf, y):
     row2 = pp.ep.to_plane_coords(
         tuple(m + n * u[1] for m, n in zip(sf.M, sf.N))
     )
-    with np.errstate(over="ignore"):  # a norm beyond the float range compares as the larger
-        r = row1 if np.linalg.norm(row1) >= np.linalg.norm(row2) else row2
+    # a norm beyond the float range is inf, which compares as the larger
+    r = row1 if vec_norm(row1) >= vec_norm(row2) else row2
     ab = unit([-r[1], r[0]])
     vec = pp.ep.from_plane_coords(ab[0], ab[1])
     return _fix_sign(vec)
@@ -200,20 +198,20 @@ def binormal_directions(
             if shape.vertex_is_origin:
                 return BinormalSet(kind="all", items=())
             return BinormalSet(
-                kind="finite", items=(Binormal(param=None, vector=u2.copy()),)
+                kind="finite", items=(Binormal(param=None, vector=u2),)
             )
         vertex_binormal = _null_direction_binormal(pp, sf, shape.vertex_param)
         items = [Binormal(param=shape.vertex_param, vector=vertex_binormal)]
-        items.append(Binormal(param=Y_INF, vector=u2.copy()))
+        items.append(Binormal(param=Y_INF, vector=u2))
         return BinormalSet(kind="finite", items=tuple(items))
 
     if shape.kind == "line":
         # one direction whether or not the line is radial
-        return BinormalSet(kind="finite", items=(Binormal(param=Y_INF, vector=u2.copy()),))
+        return BinormalSet(kind="finite", items=(Binormal(param=Y_INF, vector=u2),))
 
     if shape.is_origin:
         return BinormalSet(kind="all", items=())
-    return BinormalSet(kind="finite", items=(Binormal(param=Y_INF, vector=-u2),))
+    return BinormalSet(kind="finite", items=(Binormal(param=Y_INF, vector=tuple(-c for c in u2)),))
 
 
 def osculating_hyperplanes(bs: BinormalSet):
@@ -225,7 +223,7 @@ def osculating_hyperplanes(bs: BinormalSet):
     """
     if bs.kind == "all":
         return "all"
-    return [np.concatenate(([0.0], np.asarray(b.vector, dtype=float))) for b in bs.items]
+    return [(0.0, *b.vector) for b in bs.items]
 
 
 _POINT_TYPES = {0: "elliptic", 1: "parabolic", 2: "hyperbolic", math.inf: "inflection"}

@@ -152,5 +152,5 @@ def second_form(adapted) -> SecondForm:
 
 
 def rank_second_form(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Matrix rank; exact over rationals, singular-value threshold otherwise."""
+    """Matrix rank; exact over rationals, by the float rule of ``linalg.rank3`` otherwise."""
     return sf.rank(tol.eps_rank)

@@ -9,13 +9,22 @@ coefficient columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
+from itertools import combinations
 
 from .config import DEFAULT_TOL, Tolerances
 from .directions import AsymptoticSet, BinormalSet
 from .forms import SecondForm, rank_second_form
-from .linalg import cone_quadratic, orthonormal_extension, subspace_distance, unit
+from .linalg import (
+    cone_quadratic,
+    cross3,
+    dot3,
+    float_vec,
+    identity,
+    orthonormal_extension,
+    subspace_distance,
+    unit,
+)
 from .parabola import _plane_basis_from_normal
 
 __all__ = [
@@ -41,14 +50,14 @@ class DegeneracyCone:
 
     ``quad`` is symmetric 3x3 with nu . quad . nu = det of the height Hessian
     along nu; ``corank2_basis`` rows span the directions whose Hessian
-    vanishes entirely, in a canonical basis that rounding noise cannot turn
-    as it turns the SVD's: a null line's unit vector with its first nonzero
-    entry positive, a null plane's (u1, u2) as ``PlaneBasis`` builds them.
+    vanishes entirely, in a canonical basis that rounding noise cannot turn:
+    a null line's unit vector with its first nonzero entry positive, a null
+    plane's (u1, u2) as ``PlaneBasis`` builds them.
     """
 
     quad: tuple
     corank2_dim: int
-    corank2_basis: np.ndarray
+    corank2_basis: tuple
     ref: float  # the second form's ref; the entries of quad have degree 2
 
 
@@ -65,16 +74,27 @@ def height_hessian(sf: SecondForm, nu):
 
 
 def degeneracy_cone(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> DegeneracyCone:
-    """Expand det H(h_nu) = <L,nu><N,nu> - <M,nu>^2 and solve the corank-2 system."""
+    """Expand det H(h_nu) = <L,nu><N,nu> - <M,nu>^2 and solve the corank-2 system.
+
+    The corank-2 locus is the null space of the rows (L, M, N).  At rank 2 it
+    is the line along the cross product of the two most independent rows,
+    the pair with the largest cross product; at rank 1 it is the plane
+    normal to the largest row.  The rows are divided by ``ref`` first, a
+    power of two, so that their products stay in the float range, and sizes
+    are largest entries; on exact rows the cross product is exact.
+    """
     L, M, N = sf.L, sf.M, sf.N
     quad = cone_quadratic(L, M, N)
     dim = 3 - rank_second_form(sf, tol)
     if dim in (0, 3):
-        basis = np.eye(3)[:dim]
+        basis = identity(3)[:dim]
     else:
-        vt = np.linalg.svd(np.asarray([[float(v) for v in row] for row in (L, M, N)]))[2]
-        ep = _plane_basis_from_normal(vt[2] if dim == 1 else vt[0], forced=False)
-        basis = np.array([ep.nu3] if dim == 1 else [ep.u1, ep.u2])
+        scale = Fraction(sf.ref)
+        rows = [tuple(c / scale for c in v) for v in (L, M, N)]
+        candidates = [cross3(a, b) for a, b in combinations(rows, 2)] if dim == 1 else rows
+        normal = max(candidates, key=lambda v: max(map(abs, v)))
+        ep = _plane_basis_from_normal(unit(normal), forced=False)
+        basis = (ep.nu3,) if dim == 1 else (ep.u1, ep.u2)
     return DegeneracyCone(quad=quad, corank2_dim=dim, corank2_basis=basis, ref=sf.ref)
 
 
@@ -106,15 +126,15 @@ def corank2_conditions(
     if shape.kind == "parabola":
         if nonzero:
             case = "parabola, nonzero umbilic curvature: trivial locus"
-            expected = np.zeros((0, 3))
+            expected = ()
         else:
             case = "parabola, zero umbilic curvature: plane normal"
-            expected = np.array([pp.ep.nu3])
+            expected = (pp.ep.nu3,)
     elif shape.kind in ("half_line", "line"):
         direction = pp.aff.basis[0]
         if nonzero:
             case = f"{shape.kind}, nonzero umbilic curvature: plane normal"
-            expected = np.array([pp.ep.nu3])
+            expected = (pp.ep.nu3,)
         else:
             case = f"{shape.kind}, zero umbilic curvature: complement of the trace line"
             expected = orthonormal_extension([direction], 3)[1:]
@@ -124,15 +144,15 @@ def corank2_conditions(
             expected = orthonormal_extension([unit(pp.Lvec)], 3)[1:]
         else:
             case = "point at origin: all normal directions"
-            expected = np.eye(3)
+            expected = identity(3)
     agrees = (
-        expected.shape[0] == dc.corank2_dim
+        len(expected) == dc.corank2_dim
         and subspace_distance(expected, dc.corank2_basis) <= BASIS_TOL
     )
     return Corank2Verdict(
         case=case,
-        expected_dim=expected.shape[0],
-        agrees=bool(agrees),
+        expected_dim=len(expected),
+        agrees=agrees,
     )
 
 
@@ -145,13 +165,14 @@ def cone_parabola_orthogonality(pp, aset: AsymptoticSet, bset: BinormalSet) -> b
         if b.param is None or isinstance(b.param, str):
             continue
         y = float(b.param)  # eta(y) = L + 2yM + y^2 N: degree 1 in the jet, 2 in y
-        eta = np.asarray([float(c) for c in pp.eta(y)])
-        ok = ok and abs(float(np.dot(eta, b.vector))) <= 1e-8 * pp.ref * (1.0 + y * y)
+        ok = ok and abs(dot3(float_vec(pp.eta(y)), b.vector)) <= 1e-8 * pp.ref * (1.0 + y * y)
     return ok
 
 
 def sample_cone(dc: DegeneracyCone, tol: Tolerances = DEFAULT_TOL):
     """Sample (theta, phi, det_sign, det_value) on a spherical grid of the normal space."""
+    import numpy as np
+
     q = np.asarray([[float(x) for x in row] for row in dc.quad], dtype=float)
     rows = []
     for i in range(CONE_THETA_SAMPLES):

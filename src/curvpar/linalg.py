@@ -9,14 +9,14 @@ The exact kernels (``dot3``, ``cross3``, ``cone_quadratic``, ``rank3``) work in
 integers: each exact vector is cleared of its denominators once, the
 arithmetic runs on Python ints, and each result entry becomes one Fraction.
 Vectors with a float entry take the plain float expressions.
+
+Vectors and matrices are tuples of Python numbers; nothing here needs numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = [
     "is_exact_scalar",
@@ -26,6 +26,7 @@ __all__ = [
     "cone_quadratic",
     "vec_norm",
     "float_vec",
+    "float_dot",
     "scale_of",
     "negligible",
     "negligible_quotient",
@@ -34,6 +35,7 @@ __all__ = [
     "unit",
     "rank3",
     "orthonormal_extension",
+    "identity",
     "householder_rotation_to_e1",
     "subspace_distance",
 ]
@@ -124,9 +126,14 @@ def vec_norm(v) -> float:
     return math.sqrt(float(sum(float(c) * float(c) for c in v)))
 
 
-def float_vec(v) -> np.ndarray:
-    """The entries of a vector, exact or float, as a float array."""
-    return np.asarray([float(c) for c in v], dtype=float)
+def float_vec(v) -> tuple:
+    """The entries of a vector, exact or float, as a tuple of floats."""
+    return tuple(float(c) for c in v)
+
+
+def float_dot(a, b) -> float:
+    """a . b for float vectors of any length, summed left to right."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def scale_of(*vecs) -> float:
@@ -171,22 +178,35 @@ def collinear3(axb, a, b, eps: float) -> bool:
     return vec_norm(axb) <= eps * vec_norm(a) * vec_norm(b)
 
 
-def unit(v) -> np.ndarray:
-    arr = float_vec(v)
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(arr)
-    if (math.isinf(n) or n == 0.0) and np.isfinite(arr).all() and arr.any():
+def unit(v) -> tuple:
+    """v / |v| as a tuple of floats; raises ValueError on the zero vector."""
+    f = float_vec(v)
+    n = vec_norm(f)
+    if (n == math.inf or n == 0.0) and all(map(math.isfinite, f)) and any(f):
         # the squares overflowed or underflowed: divide by the largest entry first
-        arr = arr / np.abs(arr).max()
-        n = np.linalg.norm(arr)
+        big = max(map(abs, f))
+        f = tuple(c / big for c in f)
+        n = vec_norm(f)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return arr / n
+    return tuple(c / n for c in f)
 
 
 def rank3(rows, eps: float) -> int:
-    """Rank of a small matrix: fraction-free elimination on the integers of
-    exact rows (a row's denominator does not change the rank), SVD otherwise."""
+    """Rank of a matrix with at most three columns.
+
+    Exact rows: fraction-free elimination on their integers (a row's
+    denominator does not change the rank).  Float rows, padded to
+    3-vectors, are divided by their largest entry, so that the matrix has
+    scale 1 and no square underflows or overflows; then the rules of the
+    zero tests and ``collinear3`` decide, pivoting on the largest row ``a``.
+    A row is zero when its norm is at most ``eps`` (``vec_is_zero`` at
+    scale 1).  The rank is 1 when every row is dependent on ``a`` by
+    ``collinear3``'s rule, ``|a x b| <= eps |a| |b|``.  Otherwise ``b`` is
+    the independent row farthest from ``a``'s line, and the rank is 3 when
+    some row's distance from the plane of ``a`` and ``b``, a degree-1
+    quantity, exceeds ``eps``, and 2 otherwise.
+    """
     ints = [_integers(row) for row in rows]
     if all(r is not None for r in ints):
         m = [nums for nums, _ in ints]
@@ -204,16 +224,31 @@ def rank3(rows, eps: float) -> int:
                     m[r] = [pv * a - f * b for a, b in zip(m[r], m[rank])]
             rank += 1
         return rank
-    arr = np.asarray([[float(v) for v in row] for row in rows], dtype=float)
-    if arr.size == 0:
+    if any(len(row) > 3 for row in rows):
+        raise ValueError("rank3 takes rows of at most three entries")
+    big = max(abs(float(c)) for row in rows for c in row)
+    if not math.isfinite(big):
+        raise OverflowError("a coefficient left the float range")
+    if big == 0.0:
         return 0
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    vecs = [tuple(float(c) / big for c in row) + (0.0,) * (3 - len(row)) for row in rows]
+    live = [(v, n) for v in vecs if (n := vec_norm(v)) > eps]
+    if not live:
         return 0
-    return int(np.sum(s > eps * s[0]))
+    a, na = max(live, key=lambda item: item[1])
+    # b: of the rows that collinear3 calls independent of a, the farthest from a's line
+    w, nw = None, 0.0
+    for b, nb in live:
+        axb = cross3(a, b)
+        size = vec_norm(axb)
+        if size > eps * na * nb and size > nw:
+            w, nw = axb, size
+    if w is None:
+        return 1
+    return 3 if any(abs(dot3(w, c)) > eps * nw for c, _ in live) else 2
 
 
-def orthonormal_extension(vectors, dim: int) -> np.ndarray:
+def orthonormal_extension(vectors, dim: int) -> tuple:
     """Complete the given (float) vectors to an orthonormal basis of R^dim.
 
     Extension vectors are picked deterministically: coordinate axes in index
@@ -222,53 +257,62 @@ def orthonormal_extension(vectors, dim: int) -> np.ndarray:
     """
     basis = []
     for v in vectors:
-        w = np.asarray([float(c) for c in v], dtype=float)
-        size = np.linalg.norm(w)
+        w = float_vec(v)
+        size = vec_norm(w)
         for b in basis:
-            w = w - np.dot(w, b) * b
-        n = np.linalg.norm(w)
+            d = float_dot(w, b)
+            w = tuple(x - d * y for x, y in zip(w, b))
+        n = vec_norm(w)
         if n <= 1e-13 * size:
             raise ValueError("input vectors are numerically dependent")
-        basis.append(w / n)
+        basis.append(tuple(x / n for x in w))
     for axis in range(dim):
         if len(basis) == dim:
             break
-        w = np.zeros(dim)
-        w[axis] = 1.0
+        w = tuple(float(i == axis) for i in range(dim))
         for b in basis:
-            w -= np.dot(w, b) * b
-        n = np.linalg.norm(w)
+            d = float_dot(w, b)
+            w = tuple(x - d * y for x, y in zip(w, b))
+        n = vec_norm(w)
         if n > 1e-7:
-            basis.append(w / n)
-    return np.asarray(basis)
+            basis.append(tuple(x / n for x in w))
+    return tuple(basis)
 
 
-def householder_rotation_to_e1(w) -> np.ndarray:
+def identity(n: int) -> tuple:
+    """The n x n identity matrix in floats, as a tuple of rows."""
+    return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+
+
+def householder_rotation_to_e1(w) -> tuple:
     """Rotation R (det +1) with R w = |w| e1, built from a Householder reflection."""
     w = float_vec(w)
-    n = w.shape[0]
-    norm = np.linalg.norm(w)
+    n = len(w)
+    norm = vec_norm(w)
     if norm == 0.0:
         raise ValueError("cannot rotate the zero vector")
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    v = w - norm * e1
-    vn = np.linalg.norm(v)
+    v = (w[0] - norm,) + w[1:]
+    vn = vec_norm(v)
     if vn <= 1e-14 * norm:
-        return np.eye(n)
-    h = np.eye(n) - 2.0 * np.outer(v, v) / (vn * vn)
+        return identity(n)
+    vn2 = vn * vn
+    h = [[float(i == j) - 2.0 * (v[i] * v[j]) / vn2 for j in range(n)] for i in range(n)]
     # a reflection has det -1; flip one later axis to restore orientation
-    flip = np.eye(n)
-    flip[-1, -1] = -1.0
-    return flip @ h
+    h[-1] = [-c for c in h[-1]]
+    return tuple(map(tuple, h))
 
 
 def subspace_distance(basis_a, basis_b) -> float:
-    """Operator-norm distance between orthogonal projectors onto two subspaces."""
-    def projector(basis):
-        if len(basis) == 0:
-            return np.zeros((3, 3))
-        b = np.asarray(basis, dtype=float)
-        return b.T @ b
+    """Operator-norm distance between the orthogonal projectors onto two subspaces of R^3.
 
-    return float(np.linalg.norm(projector(basis_a) - projector(basis_b), 2))
+    The bases are orthonormal.  For equal dimensions the distance is the sine
+    of the largest principal angle: ``|a x b|`` between two lines, the same
+    between the normals of two planes, and 0 for two points or all of R^3.
+    Projectors of different ranks are at distance 1.
+    """
+    if len(basis_a) != len(basis_b):
+        return 1.0
+    if len(basis_a) in (0, 3):
+        return 0.0
+    a, b = (x[0] if len(x) == 1 else cross3(*x) for x in (basis_a, basis_b))
+    return vec_norm(cross3(a, b))

@@ -5,7 +5,9 @@ differences, never by the formula it is checking.  The oracles' settings and
 agreement tolerances are the constants below, deliberately looser than the
 closed-form thresholds in ``curvpar.config``; these exist to catch formula
 transcription errors, not to be precise.  The functions read the constants
-at call time.
+at call time.  numpy is imported by the functions that use it, so that
+importing this module, as the analysis does, does not load it; the oracles
+return plain floats, tuples and lists.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from ._kernels import N_CANDIDATES, scan_reach, scan_scores
 from .config import DEFAULT_TOL, Tolerances
@@ -44,6 +44,7 @@ __all__ = [
     "parabola_hull_distance",
     "asymptotic_scan",
     "finite_difference_hessian",
+    "hessian_gap",
 ]
 
 
@@ -74,6 +75,8 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
     The hull dimension is decided from the singular values of the centered
     sample matrix relative to the largest one.
     """
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 3:
         raise ValueError("affine hull estimation needs at least 3 sample points")
@@ -98,10 +101,12 @@ def parabola_hull_distance(pp, tol: Tolerances = DEFAULT_TOL) -> float:
     The samples are summed in the order of ``ParabolaProfile.eta``,
     ``l + 2*m*y + n*y*y``, so each equals ``eta(y)`` bit for bit.
     """
+    import numpy as np
+
     ys = np.linspace(-5.0, 5.0, 101)[:, None]
-    Lf = float_vec(pp.Lvec)
-    M2f = float_vec(2 * m for m in pp.Mvec)
-    Nf = float_vec(pp.Nvec)
+    Lf = np.array(float_vec(pp.Lvec))
+    M2f = np.array(float_vec(2 * m for m in pp.Mvec))
+    Nf = np.array(float_vec(pp.Nvec))
     return affine_hull_distance(Lf + M2f * ys + Nf * ys * ys, tol)
 
 
@@ -141,6 +146,8 @@ def _root_candidates(ys, det, marked, h=None):
     marked by the scan give coarse candidates.  ``h`` is the grid spacing
     when ``ys`` is a piece of the grid.  Returns ``(y, precise)`` pairs.
     """
+    import numpy as np
+
     if h is None:
         h = ys[1] - ys[0]
     absdet = np.abs(det)
@@ -165,6 +172,8 @@ def _tangent_pairs(lp, mp, np_, ys):
 
 def _det_along(lp, mp, np_, ys):
     """``det = p1*q2 - p2*q1`` at each sample, in three buffers, in ``_tangent_pairs``' operation order."""
+    import numpy as np
+
     det = np.multiply(mp[0], ys)
     det += lp[0]
     buf = np.multiply(np_[1], ys)
@@ -197,6 +206,8 @@ class _ScanGrid(NamedTuple):
 @lru_cache(maxsize=4)
 def _scan_grid(window: float, points: int) -> _ScanGrid:
     """The scan grid and its blocks, built once per ``(window, points)``; read-only."""
+    import numpy as np
+
     ys = np.linspace(-window, window, points)
     edges = np.append(np.arange(0, points - 1, SCAN_BLOCK), points - 1)
     owned = edges.copy()
@@ -209,6 +220,8 @@ def _scan_grid(window: float, points: int) -> _ScanGrid:
 
 def _block_ranges(x, y):
     """Per block, the least and greatest rounded product ``x*y`` over the four end-value corners."""
+    import numpy as np
+
     d = x * y
     c1, c2 = x[:, :-1] * y[:, 1:], x[:, 1:] * y[:, :-1]
     lo = np.minimum(np.minimum(d[:, :-1], d[:, 1:]), np.minimum(c1, c2))
@@ -223,6 +236,8 @@ def _classify_blocks(x, y, bound: float):
     block ends.  Ends that overflow (only under an infinite bound) give an
     inf or NaN range, which leaves a block neither clean nor zero.
     """
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         plo, phi = _block_ranges(x, y)
         lo, hi = plo[0] - phi[1], phi[0] - plo[1]
@@ -244,6 +259,8 @@ def _classify_blocks(x, y, bound: float):
 
 def _runs(flags):
     """``(first, stop)`` block indices of each maximal run of set flags."""
+    import numpy as np
+
     change = np.flatnonzero(np.diff(np.concatenate(([False], flags, [False]))))
     return zip(change[::2].tolist(), change[1::2].tolist())
 
@@ -298,9 +315,9 @@ def asymptotic_scan(sf: SecondForm, ep) -> ScanResult:
     infinite bound no block is clean or zero, and the one dirty run is the
     whole grid.
     """
-    lp = ep.to_plane_coords(sf.L)
-    mp = ep.to_plane_coords(sf.M)
-    np_ = ep.to_plane_coords(sf.N)
+    import numpy as np
+
+    lp, mp, np_ = (np.array(ep.to_plane_coords(v)) for v in (sf.L, sf.M, sf.N))
 
     grid = _scan_grid(SCAN_WINDOW, SCAN_POINTS)
     ys, n = grid.ys, grid.ys.size
@@ -364,15 +381,18 @@ def asymptotic_scan(sf: SecondForm, ep) -> ScanResult:
     )
 
 
-def finite_difference_hessian(germ, normals) -> np.ndarray:
+def finite_difference_hessian(germ, normals) -> list:
     """Central-difference Hessians at the origin of the height functions along ``normals``.
 
     ``normals`` is a sequence of normals with 4 ambient coordinates each; the
-    stencil is evaluated once and one Hessian per normal comes back, stacked.
+    stencil is evaluated once and one Hessian per normal comes back, a 2x2
+    list of floats each.
     The Hessian at the origin is the 2-jet's, so the stencil differentiates
     the 2-jet, a quadratic, on which central differences are exact up to
     rounding.
     """
+    import numpy as np
+
     g = getattr(germ, "germ", germ).truncated(2).to_float()
     normals = [np.asarray([float(c) for c in n], dtype=float) for n in normals]
     s = FD_STEP
@@ -385,4 +405,23 @@ def finite_difference_hessian(germ, normals) -> np.ndarray:
         hxy = (h[1, 1] - h[1, -1] - h[-1, 1] + h[-1, -1]) / (4.0 * s * s)
         return [[hxx, hxy], [hxy, hyy]]
 
-    return np.array([hessian(n) for n in normals])
+    return [hessian(n) for n in normals]
+
+
+def hessian_gap(closed, fds, source_change) -> float:
+    """Largest entry of ``closed - lin^T fd lin`` over pairs of Hessians.
+
+    ``closed`` holds the closed-form Hessians in the adapted source
+    coordinates and ``fds`` the finite-difference ones in the input's.  The
+    height along a normal vanishes to first order (the normal is normal to
+    the tangent line), so its Hessian pulls back through the linear part
+    ``lin`` of ``source_change`` as a tensor.
+    """
+    import numpy as np
+
+    lin = np.array([[float(p.coefficient(1, 0)), float(p.coefficient(0, 1))] for p in source_change])
+    worst = 0.0
+    for hess, fd in zip(closed, fds):
+        c = np.array([[float(v) for v in row] for row in hess])
+        worst = max(worst, float(np.max(np.abs(c - lin.T @ np.array(fd) @ lin))))
+    return worst

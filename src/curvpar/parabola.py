@@ -2,15 +2,15 @@
 
 The parabola trace is eta(y) = L + 2 M y + N y^2 in normal-frame coordinates,
 where L, M, N are the columns of the second-form matrix.  Shape decisions run
-exactly on rational input; the frames attached to the profile are float.
+exactly on rational input; the frames attached to the profile are float
+tuples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm, rank_second_form
@@ -20,9 +20,11 @@ from .linalg import (
     cross3,
     dot3,
     float_vec,
+    identity,
     orthonormal_extension,
     unit,
     vec_is_zero,
+    vec_norm,
 )
 
 __all__ = [
@@ -80,8 +82,8 @@ class ParabolaShape:
 class AffineSubspace:
     """Affine subspace of the normal space: base point + orthonormal directions."""
 
-    point: np.ndarray
-    basis: np.ndarray
+    point: tuple
+    basis: tuple
     dim: int
 
 
@@ -93,20 +95,20 @@ class PlaneBasis:
     completed by the canonical free choice (radial and point cases).
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
-    nu3: np.ndarray
+    u1: tuple
+    u2: tuple
+    nu3: tuple
     forced: bool
 
-    def rows(self) -> np.ndarray:
-        return np.array([self.u1, self.u2, self.nu3])
+    def rows(self) -> tuple:
+        return (self.u1, self.u2, self.nu3)
 
-    def to_plane_coords(self, v) -> np.ndarray:
-        arr = np.asarray([float(c) for c in v])
-        return np.array([float(np.dot(self.u1, arr)), float(np.dot(self.u2, arr))])
+    def to_plane_coords(self, v) -> tuple:
+        f = float_vec(v)
+        return (dot3(self.u1, f), dot3(self.u2, f))
 
-    def from_plane_coords(self, a, b) -> np.ndarray:
-        return a * self.u1 + b * self.u2
+    def from_plane_coords(self, a, b) -> tuple:
+        return tuple(a * x + b * y for x, y in zip(self.u1, self.u2))
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def _decide_shape(sf: SecondForm, tol: Tolerances) -> ParabolaShape:
     return ParabolaShape(kind="parabola")
 
 
-def _plane_basis_from_normal(nu3: np.ndarray, forced: bool) -> PlaneBasis:
+def _plane_basis_from_normal(nu3: tuple, forced: bool) -> PlaneBasis:
     """Canonical right-handed basis of the plane with unit normal nu3.
 
     The first basis vector is the projection of the lowest-index coordinate
@@ -184,36 +186,34 @@ def _plane_basis_from_normal(nu3: np.ndarray, forced: bool) -> PlaneBasis:
     for c in nu3:
         if abs(c) > 1e-13:
             if c < 0:
-                nu3 = -nu3
+                nu3 = tuple(-x for x in nu3)
             break
     k = next(i for i in range(3) if abs(nu3[i]) < 0.9)
-    axis = np.zeros(3)
-    axis[k] = 1.0
-    u1 = axis - nu3[k] * nu3
-    u1 /= np.linalg.norm(u1)
-    u2 = np.array(cross3(nu3, u1))
-    return PlaneBasis(u1=u1, u2=u2, nu3=nu3, forced=forced)
+    u1 = tuple(float(i == k) - nu3[k] * x for i, x in enumerate(nu3))
+    size = vec_norm(u1)
+    u1 = tuple(x / size for x in u1)
+    return PlaneBasis(u1=u1, u2=cross3(nu3, u1), nu3=nu3, forced=forced)
 
 
 def _build_frames(sf: SecondForm, shape: ParabolaShape):
     lf = float_vec(sf.L)
     if shape.kind == "parabola":
         ep = _plane_basis_from_normal(unit(sf.w), forced=True)
-        aff = AffineSubspace(point=lf, basis=np.array([ep.u1, ep.u2]), dim=2)
+        aff = AffineSubspace(point=lf, basis=(ep.u1, ep.u2), dim=2)
         return aff, ep
     if shape.kind == "point":
         # the plane must contain the segment from the origin to the trace
-        aff = AffineSubspace(point=lf, basis=np.zeros((0, 3)), dim=0)
-        rows = np.eye(3) if shape.is_origin else orthonormal_extension([unit(lf)], 3)
-        return aff, PlaneBasis(rows[0], rows[1], np.array(cross3(rows[0], rows[1])), forced=False)
+        aff = AffineSubspace(point=lf, basis=(), dim=0)
+        rows = identity(3) if shape.is_origin else orthonormal_extension([unit(lf)], 3)
+        return aff, PlaneBasis(rows[0], rows[1], cross3(rows[0], rows[1]), forced=False)
     # half-line along N from its vertex, or line along M through L; off the
     # origin, the plane is spanned by the direction and L
     half = shape.kind == "half_line"
     direction = unit(sf.N if half else sf.M)
     point = float_vec(shape.vertex) if half else lf
-    aff = AffineSubspace(point=point, basis=np.array([direction]), dim=1)
+    aff = AffineSubspace(point=point, basis=(direction,), dim=1)
     rows = orthonormal_extension([direction] if shape.radial else [direction, lf], 3)
-    ep = PlaneBasis(rows[0], rows[1], np.array(cross3(rows[0], rows[1])), forced=not shape.radial)
+    ep = PlaneBasis(rows[0], rows[1], cross3(rows[0], rows[1]), forced=not shape.radial)
     return aff, ep
 
 
@@ -276,8 +276,8 @@ class ReducedTwoJet:
 
     jet2: Jet2
     orbit: str
-    source_matrix: np.ndarray
-    target_rotation: np.ndarray
+    source_matrix: tuple
+    target_rotation: tuple
 
 
 def _jet_from_matrix(rows) -> Jet2:
@@ -355,21 +355,21 @@ def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwo
         return ReducedTwoJet(
             jet2=j2,
             orbit=orbit,
-            source_matrix=np.eye(2),
-            target_rotation=np.eye(4),
+            source_matrix=identity(2),
+            target_rotation=identity(4),
         )
 
     rows = [[float(v) for v in row] for row in j2.rows()]
-    col = lambda k: np.array([rows[i][k] for i in range(3)])
-    A, B, C = col(0), col(1), col(2)
+    A, B, C = zip(*rows)
 
     def right_handed(w1, w2):
-        return np.array([w1, w2, cross3(w1, w2)])
+        return (w1, w2, cross3(w1, w2))
 
     def secondary_axis(w1, v):
         # unit vector orthogonal to w1, following v (the x^2 column, shorter than
         # ref) when it has a usable component off the w1-line, else the canonical one
-        off_line = np.linalg.norm(v - np.dot(v, w1) * w1)
+        d = dot3(v, w1)
+        off_line = vec_norm([x - d * y for x, y in zip(v, w1)])
         if off_line > 1e-13 * j2.ref:
             return orthonormal_extension([w1, v], 3)[1]
         return orthonormal_extension([w1], 3)[1]
@@ -385,7 +385,7 @@ def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwo
         rot3 = right_handed(w1, secondary_axis(w1, A))
         rotated = apply_target_to_jet(rows, rot3)
         lam = -rotated[0][1] / (2.0 * rotated[0][2])
-        mu = 1.0 / np.sqrt(rotated[0][2])
+        mu = 1.0 / math.sqrt(rotated[0][2])
     elif orbit == ORBIT_LINE:
         w1 = unit(B)
         rot3 = right_handed(w1, secondary_axis(w1, A))
@@ -399,13 +399,11 @@ def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwo
         lam, mu = 0.0, 1.0
 
     reduced = apply_source_to_jet(rotated, lam, mu)
-    target = np.eye(4)
-    target[1:, 1:] = rot3
-    source = np.array([[1.0, 0.0], [lam, mu]])
+    target = ((1.0, 0.0, 0.0, 0.0),) + tuple((0.0, *row) for row in rot3)
     return ReducedTwoJet(
         jet2=_jet_from_matrix(reduced),
         orbit=orbit,
-        source_matrix=source,
+        source_matrix=((1.0, 0.0), (lam, mu)),
         target_rotation=target,
     )
 

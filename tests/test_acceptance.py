@@ -167,7 +167,7 @@ def test_criterion_5_invariance_suite(rng):
             base_pt = rot @ np.concatenate(
                 ([0.0], [float(v) for v in base_pp.eta(y)])
             )
-            moved_pt = ad.normal_frame.T @ np.asarray(
+            moved_pt = np.asarray(ad.normal_frame).T @ np.asarray(
                 [float(v) for v in pp.eta(yp)]
             )
             source_pts.append(base_pt)

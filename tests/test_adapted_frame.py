@@ -143,20 +143,35 @@ def test_moved_germ_report_independent_of_jet_order(rng):
     assert reports[0] == reports[1] == reports[2]
 
 
+def reference_frame(jac):
+    """Rows ``(v0, v1)`` of the source frame by ``AdaptedGerm``'s sign rule, and ``J v0``.
+
+    ``v0`` is the unit largest row of the rank-1 Jacobian, signed so that the
+    first largest-magnitude entry of ``J v0`` is positive; the kernel ``v1``
+    is ``v0`` turned by +90 degrees, so the frame has det +1.
+    """
+    r = max(jac, key=lambda row: max(abs(row[0]), abs(row[1])))
+    n = math.sqrt(r[0] * r[0] + r[1] * r[1])
+    v0 = (r[0] / n, r[1] / n)
+    t = [row[0] * v0[0] + row[1] * v0[1] for row in jac]
+    if max(t, key=abs) < 0:
+        v0, t = (-v0[0], -v0[1]), [-c for c in t]
+    return (v0, (-v0[1], v0[0])), t
+
+
 def reference_adapt(f):
     """Adaptation by polynomial composition and fixed-point series inversion.
 
-    The reference for ``adapt``'s closed form: the same SVD and Householder
-    rotation, then the germ composed with the linear source change, rotated,
-    and composed with the series inverse of its first component, each
-    iteration gaining at least one correct order.  Returns the adapted 2-jet,
-    the source change and the rotation.
+    The reference for ``adapt``'s closed form: the same source frame and
+    Householder rotation, then the germ composed with the linear source
+    change, rotated, and composed with the series inverse of its first
+    component, each iteration gaining at least one correct order.  Returns
+    the adapted 2-jet, the source change and the rotation.
     """
     order = min(f.order, 2)
     f = MapGermR4([TruncatedPoly2(p.coeffs, order) for p in f.components])
-    jac = np.array([[float(v) for v in row] for row in f.jacobian_at_origin()])
-    vt = np.linalg.svd(jac)[2]
-    rot = householder_rotation_to_e1(jac @ vt[0])
+    vt, t = reference_frame([[float(v) for v in row] for row in f.jacobian_at_origin()])
+    rot = householder_rotation_to_e1(t)
     x_var = TruncatedPoly2.variable("x", order).map_coeffs(float)
     y_var = TruncatedPoly2.variable("y", order).map_coeffs(float)
     src_x = x_var * vt[0][0] + y_var * vt[1][0]
@@ -203,6 +218,40 @@ def test_closed_form_matches_composition_and_series_inversion(rng, monkeypatch):
         assert np.array_equal(ad.target_rotation, want_rot)
         assert_polys_close(ad.germ.components, want_germ)
         assert_polys_close(ad.source_change, want_source)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x + y, x*y, y^2, x^2)",
+        "(-x - y, x*y, y^2, x^2)",
+        "(-2*y + x^2, x*y, y^2 + x^2, x^2)",
+        "(y, 3*y + x*y, x^2 - y^2, 0)",
+        "(x, -5*x + y^2, x*y, x^2)",
+        "(-3*x + 4*y, 6*x - 8*y + x*y, y^2, 0)",
+    ],
+)
+def test_adapt_signs_its_frames_by_one_rule(text, rng):
+    # rational germs that are not prenormal, most with a negative largest
+    # Jacobian entry, as given and under a rational source change
+    x, y = TruncatedPoly2.variable("x", 2), TruncatedPoly2.variable("y", 2)
+    a, d = (Fraction(int(rng.choice((-3, -4, 3, 4))), 2) for _ in range(2))
+    b, c = (rand_fraction(rng, span=2, den=2) for _ in range(2))
+    for f in (germ(text, order=2), compose_source(germ(text, order=2), x * a + y * b, x * c + y * d)):
+        ad = adapt(f)
+        assert not ad.exact and f.is_exact
+        t = ad.tangent_frame
+        assert max(t, key=abs) > 0, text
+        # the linear part of the source change is V^T times an upper
+        # triangular matrix with positive diagonal: det V = +1 makes it positive
+        (p, q), (r, s) = [(float(h.coefficient(1, 0)), float(h.coefficient(0, 1))) for h in ad.source_change]
+        assert p * s - q * r > 0, text
+        sx, sy = ad.source_change
+        rebuilt = rotate_target(compose_source(f, sx, sy), ad.target_rotation)
+        for built, target in zip(rebuilt.components, ad.germ.components):
+            for k in set(built.coeffs) | set(target.coeffs):
+                if k[0] + k[1] <= 2:
+                    assert abs(built.coefficient(*k) - target.coefficient(*k)) < 1e-12, (text, k)
 
 
 def test_adapt_raises_on_a_normal_1_jet_below_the_rank_tolerance():

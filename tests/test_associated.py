@@ -90,8 +90,8 @@ def test_projection_free_plane_choice_same_second_form():
     theta = 0.7
     rotated = PlaneBasis(
         u1=pp.ep.u1,
-        u2=math.cos(theta) * pp.ep.u2 + math.sin(theta) * pp.ep.nu3,
-        nu3=-math.sin(theta) * pp.ep.u2 + math.cos(theta) * pp.ep.nu3,
+        u2=math.cos(theta) * np.asarray(pp.ep.u2) + math.sin(theta) * np.asarray(pp.ep.nu3),
+        nu3=-math.sin(theta) * np.asarray(pp.ep.u2) + math.cos(theta) * np.asarray(pp.ep.nu3),
         forced=False,
     )
     s2 = project_to_s(ad, dataclasses.replace(pp, ep=rotated))
@@ -161,7 +161,7 @@ def subnormal_products(g, pp) -> bool:
     """Whether the rotation multiplies a frame weight and a coefficient into a subnormal."""
     return any(
         0.0 < abs(float(w) * float(c)) < sys.float_info.min
-        for w in pp.ep.rows()[:2].ravel()
+        for w in np.asarray(pp.ep.rows())[:2].ravel()
         for p in g.components[1:]
         for c in p.coeffs.values()
     )

@@ -792,3 +792,54 @@ def test_reduction_of_a_nearly_degenerate_parabola_stays_finite(capsys):
     assert (code, err) == (0, "")
     reduced = json.loads(out)["reduced_two_jet"]
     assert all(math.isfinite(v) for v in reduced["jet2"].values())
+
+
+# Run in a fresh interpreter: after each step, print the step's name, its
+# exit code (0 for a library call) and whether numpy has been imported.
+NUMPY_PROBE = """
+import json, runpy, sys, tempfile
+
+def step(name, code):
+    print(json.dumps([name, code, "numpy" in sys.modules]))
+
+def cli(*argv):
+    sys.argv = ["curvpar", *argv]
+    try:
+        runpy.run_module("curvpar.cli", run_name="__main__")
+    except SystemExit as exc:
+        return exc.code
+    return None
+
+from curvpar import analyze_germ
+from curvpar.germs import MapGermR4, TruncatedPoly2
+from curvpar.report import render_json
+
+step("import", 0)
+render_json(analyze_germ("(x, x*y, y^2 + x^2, x^2)").report)
+step("exact prenormal text", 0)
+render_json(analyze_germ("(x + y, x*y, y^2, x^2)").report)
+step("rational non-prenormal text", 0)
+comps = [{(1, 0): 0.6, (0, 1): 0.8, (2, 0): 0.25}, {(1, 1): 1.5}, {(0, 2): -2.0, (2, 0): 0.5}, {(1, 1): 0.125}]
+render_json(analyze_germ(MapGermR4([TruncatedPoly2(c, 2) for c in comps])).report)
+step("float MapGermR4", 0)
+step("cli analyze", cli("analyze", "--germ", "(x, x*y, y^2 + x^2, x^2)"))
+step("cli analyze --verify", cli("analyze", "--verify", "--germ", "(x, x*y, y^2 + x^2, x^2)"))
+with tempfile.TemporaryDirectory() as out:
+    step("cli plotdata", cli("plotdata", "--germ", "(x, x*y, y^2 + x^2, x^2)", "--out", out))
+"""
+
+
+def test_only_verify_and_plotdata_import_numpy():
+    # numpy is most of the start-up; the analysis and its report run on tuples
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert steps == [
+        ["import", 0, False],
+        ["exact prenormal text", 0, False],
+        ["rational non-prenormal text", 0, False],
+        ["float MapGermR4", 0, False],
+        ["cli analyze", 0, False],
+        ["cli analyze --verify", 0, True],
+        ["cli plotdata", 0, True],
+    ]

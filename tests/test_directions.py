@@ -178,7 +178,7 @@ def test_definition_level_oracle_non_asymptotic(rng):
             continue
         u = (1.0, y)
         for t in angles:
-            nu = math.cos(t) * pp.ep.u1 + math.sin(t) * pp.ep.u2
+            nu = math.cos(t) * np.asarray(pp.ep.u1) + math.sin(t) * np.asarray(pp.ep.u2)
             worst = max(
                 abs(float(value_along(sf, nu, u, (1.0, 0.0)))),
                 abs(float(value_along(sf, nu, u, (0.0, 1.0)))),

@@ -206,6 +206,6 @@ def test_corank2_basis_is_canonical_under_rounding_noise(rng):
             noisy = floats * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, size=(3, 3)))
             got = degeneracy_cone(SecondForm(noisy.tolist()))
             assert got.corank2_dim == want.corank2_dim, text
-            assert np.max(np.abs(got.corank2_basis - want.corank2_basis)) <= 1e-9, text
+            assert np.max(np.abs(np.asarray(got.corank2_basis) - np.asarray(want.corank2_basis))) <= 1e-9, text
         checked += 1
     assert checked >= 20

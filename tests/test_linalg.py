@@ -3,9 +3,11 @@
 ``dot3``, ``cross3``, ``cone_quadratic`` and ``rank3`` clear the denominators
 of an exact vector once and work in integers; on float input they keep the
 float expressions operand for operand.  The references here are those
-expressions, run on Fractions for exact input.
+expressions, run on Fractions for exact input, and for ``rank3``'s float
+branch the plain statement of its rule.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +47,14 @@ def plain_cone(L, M, N):
 
 
 def plain_rank(rows, eps):
-    """Elimination on Fractions, SVD on floats."""
+    """Elimination on Fractions; on floats, the rule of the zero tests and ``collinear3``.
+
+    Float rows are divided by their largest entry, and rows of norm at most
+    ``eps`` are dropped.  With ``a`` the largest row, the rank is 1 when
+    ``|a x b| <= eps |a| |b|`` for every row ``b``; otherwise, with ``b`` the
+    row of largest ``|a x b|`` among the others, it is 3 when some row's
+    distance ``|c . (a x b)| / |a x b|`` from their plane exceeds ``eps``.
+    """
     if all(isinstance(v, (Fraction, int)) for row in rows for v in row):
         m = [list(map(Fraction, row)) for row in rows]
         rank = 0
@@ -60,8 +69,20 @@ def plain_rank(rows, eps):
                     m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
             rank += 1
         return rank
-    s = np.linalg.svd(np.asarray(rows, dtype=float), compute_uv=False)
-    return 0 if s[0] == 0.0 else int(np.sum(s > eps * s[0]))
+    big = max(abs(float(v)) for row in rows for v in row)
+    if big == 0.0:
+        return 0
+    vecs = [[float(v) / big for v in row] + [0.0] * (3 - len(row)) for row in rows]
+    norm = lambda v: math.sqrt(sum(c * c for c in v))
+    live = [v for v in vecs if norm(v) > eps]
+    if not live:
+        return 0
+    a = max(live, key=norm)
+    independent = [plain_cross(a, b) for b in live if norm(plain_cross(a, b)) > eps * norm(a) * norm(b)]
+    if not independent:
+        return 1
+    w = max(independent, key=norm)
+    return 3 if any(abs(plain_dot(w, c)) > eps * norm(w) for c in live) else 2
 
 
 def fractions_of(v):

@@ -133,7 +133,7 @@ def test_fd_hessian_evaluates_one_stencil_for_many_normals(monkeypatch, rng):
     monkeypatch.setattr(MapGermR4, "evaluate", counted)
     stacked = finite_difference_hessian(ad, normals)
     assert len(calls) == 9
-    assert stacked.shape == (3, 2, 2)
+    assert np.shape(stacked) == (3, 2, 2)
     for single, h in zip(singles, stacked):
         assert np.array_equal(single, h)
 

@@ -10,7 +10,7 @@ import pytest
 import curvpar.oracle
 from curvpar.config import DEFAULT_TOL, Tolerances
 from curvpar.forms import second_form
-from curvpar.germs import Jet2, MapGermR4, TruncatedPoly2
+from curvpar.germs import Jet2, MapGermR4, TruncatedPoly2, parse_map_germ
 from curvpar.report import (
     analyze_germ,
     fmt_float,
@@ -175,6 +175,33 @@ def test_far_scaled_moved_jets_label_like_their_twins(rng, family):
     assert checked >= 6
 
 
+def test_extreme_scales_render_or_exit_cleanly():
+    # The normal components of the golden germs scaled by 2^k, exact and as
+    # float germs: 2788 analyses.  Each renders or raises ValueError or
+    # OverflowError, which the CLI turns into exit 1.  Python floats raise
+    # where numpy returned inf or NaN (a ZeroDivisionError, say), and no such
+    # traceback may escape.  Within 2^-200 .. 2^250 each germ keeps its
+    # unscaled labels, and no scale that rendered stops rendering (1834 do).
+    rendered = 0
+    for text in GOLDEN_GERMS:
+        g = parse_map_germ(text, 2)
+        want = {"exact": twin_labels(analyze_germ(g)), "float": twin_labels(analyze_germ(g.to_float()))}
+        for k in range(-1000, 1001, 50):
+            s = Fraction(2) ** k
+            exact = MapGermR4([g.components[0]] + [p.map_coeffs(lambda c: c * s) for p in g.components[1:]])
+            for path, source in (("exact", exact), ("float", exact.to_float())):
+                try:
+                    res = analyze_germ(source)
+                    render_json(res.report)
+                except (ValueError, OverflowError):
+                    assert not -200 <= k <= 250, (text, k, path)
+                    continue
+                rendered += 1
+                if -200 <= k <= 250:
+                    assert twin_labels(res) == want[path], (text, k, path)
+    assert rendered >= 1834
+
+
 @pytest.mark.parametrize("k", [5, 9, 12])
 def test_transfer_verdict_reads_the_projections_own_scale(k):
     # The umbilic part (x^2 in the fourth component) dwarfs the plane part, so
@@ -207,6 +234,15 @@ def test_reports_hold_only_json_native_values(rng, verify):
         report = analyze_germ(source, verify=verify).report
         assert format_value(report) == report, source
         assert json.loads(render_json(report)) == report, source
+
+
+def test_numpy_scalar_coefficients_report_like_floats():
+    # a prenormal germ keeps its coefficients, so numpy's scalars reach the report
+    comps = [{(1, 0): 1.0}, {(1, 1): 1.5, (2, 0): 0.5}, {(0, 2): -2.0}, {(2, 0): 3.0}]
+    floats = MapGermR4([TruncatedPoly2(c, 2) for c in comps])
+    scalars = MapGermR4([TruncatedPoly2({k: np.float64(v) for k, v in c.items()}, 2) for c in comps])
+    got, want = analyze_germ(scalars).report, analyze_germ(floats).report
+    assert {**got, "input": None} == {**want, "input": None}
 
 
 def test_report_matches_library_values():

@@ -89,9 +89,10 @@ def test_frame_independence_in_plane_rotation(rng):
     for _ in range(5):
         theta = float(rng.uniform(0, 2 * math.pi))
         c, s = math.cos(theta), math.sin(theta)
+        u1, u2 = np.asarray(pp.ep.u1), np.asarray(pp.ep.u2)
         rotated = PlaneBasis(
-            u1=c * pp.ep.u1 + s * pp.ep.u2,
-            u2=-s * pp.ep.u1 + c * pp.ep.u2,
+            u1=c * u1 + s * u2,
+            u2=-s * u1 + c * u2,
             nu3=pp.ep.nu3,
             forced=pp.ep.forced,
         )
