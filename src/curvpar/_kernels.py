@@ -35,13 +35,7 @@ def scan_scores(p1, p2, q1, q2, n):
 
     p1, p2, q1, q2 = (np.asarray(a, dtype=np.float64) for a in (p1, p2, q1, q2))
     det = np.abs(p1 * q2 - p2 * q1)
-    reach = scan_reach(p1, p2, q1, q2)
+    # max(|p + q|, |p - q|)
+    reach = np.sqrt(p1 * p1 + p2 * p2 + (q1 * q1 + q2 * q2) + 2.0 * np.abs(p1 * q1 + p2 * q2))
     reach[reach == 0.0] = 1.0
     return det / reach
-
-
-def scan_reach(p1, p2, q1, q2):
-    """``max(|p + q|, |p - q|)`` per tangent sample: the denominator of the score."""
-    import numpy as np
-
-    return np.sqrt(p1 * p1 + p2 * p2 + (q1 * q1 + q2 * q2) + 2.0 * np.abs(p1 * q1 + p2 * q2))

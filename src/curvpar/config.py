@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields, replace
 RETIRED_KEYS = {
     "scan_nu_grid": "the scan is exact",
     "eps_orth": "no computed frame is checked for orthogonality",
+    "scan_window": "the scan covers every tangent direction, in two charts, with no window",
     **dict.fromkeys(
         (
-            "scan_window",
             "scan_points",
             "scan_zero_tol",
             "scan_saturation",

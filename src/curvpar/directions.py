@@ -106,8 +106,13 @@ def solve_quadratic(q0, q1, q2, tol: Tolerances):
     order (-q1 - sqrt(disc)) / (2*q2), (-q1 + sqrt(disc)) / (2*q2).
     """
     disc = q1 * q1 - 4 * q0 * q2
-    # in the coefficients' own arithmetic: exact ones may lie beyond the float range
-    threshold = Fraction(tol.eps_disc) * max(q1**2, abs(4 * q0 * q2))
+    # in the coefficients' own arithmetic: exact ones may lie beyond the float
+    # range.  Float q1**2 raises where q1 * q1 would give an infinite
+    # threshold, which would decide a double root
+    try:
+        threshold = Fraction(tol.eps_disc) * max(q1**2, abs(4 * q0 * q2))
+    except OverflowError:
+        raise ValueError("the asymptotic quadratic leaves the float range") from None
     if negligible(disc, threshold):
         return [-q1 / (2 * q2)], disc
     if disc > 0:

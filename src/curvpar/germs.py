@@ -161,14 +161,14 @@ class TruncatedPoly2:
 
     @staticmethod
     def _coeff_str(c) -> str:
-        if isinstance(c, Fraction):
-            return str(c)
-        if isinstance(c, int):
-            return str(c)
-        return repr(c)
+        return str(c) if isinstance(c, (Fraction, int)) else repr(float(c))
 
     def to_expression(self) -> str:
-        """Render as a germ-grammar expression; reparsing recovers the coefficients."""
+        """Render in the germ grammar's notation, other coefficients as ``repr(float(c))``.
+
+        Reparsing recovers exact coefficients only: the grammar reads no
+        decimals, so ``(x, 1.5*x*y, y^2, 0)`` does not parse.
+        """
         if not self.coeffs:
             return "0"
         parts = []

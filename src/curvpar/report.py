@@ -233,27 +233,19 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         ok = scan.kind == "all"
         vr.add("asymptotic_scan_kind", "all", scan.kind, 0.0, ok)
     else:
-        in_window = [
-            float(y) for y in res.aset.params if abs(float(y)) < oracle.SCAN_WINDOW * 0.99
-        ]
-        # one cluster per root in the window, each root near a cluster
-        ok = scan.kind == "finite" and len(scan.clusters) == len(in_window) and all(
-            min(abs(y - c) for c in scan.clusters) <= oracle.ORACLE_ROOT_TOL for y in in_window
+        # each direction in the chart that owns it, the null direction as s = 0;
+        # one cluster per direction, each direction near a cluster in its chart
+        roots = [oracle.chart_point(a, b) for a, b in res.aset.directions()]
+        ok = scan.kind == "finite" and len(scan.clusters) == len(roots) and all(
+            min(oracle.chart_gap(r, c) for c in scan.clusters) <= oracle.ORACLE_ROOT_TOL for r in roots
         )
         # a saturated scan marked every sample: say so, not that it found no root
         vr.add(
             "asymptotic_scan_roots",
-            in_window,
+            roots,
             list(scan.clusters) if scan.kind == "finite" else "all",
             oracle.ORACLE_ROOT_TOL,
             ok,
-        )
-        vr.add(
-            "asymptotic_scan_infinity",
-            res.aset.includes_infinity,
-            scan.includes_infinity,
-            oracle.SCAN_ZERO_TOL,
-            scan.includes_infinity == res.aset.includes_infinity,
         )
 
     # The FD Hessian is taken on the input's 2-jet, not the adapted one, so

@@ -21,7 +21,13 @@ from curvpar.heights import (
     degeneracy_cone,
     height_hessian,
 )
-from curvpar.oracle import asymptotic_scan, finite_difference_hessian, parabola_hull_distance
+from curvpar.oracle import (
+    asymptotic_scan,
+    chart_gap,
+    chart_point,
+    finite_difference_hessian,
+    parabola_hull_distance,
+)
 from curvpar.parabola import build_parabola, classify_two_jet
 from curvpar.umbilic import umbilic_curvature
 
@@ -251,11 +257,11 @@ def test_criterion_8_oracle_equivalence_golden_corpus():
             assert scan.kind == "all", text
         else:
             assert scan.kind == "finite", text
-            roots = sorted(float(y) for y in aset.params)
+            # each direction against the clusters, in the chart that owns it
+            roots = [chart_point(a, b) for a, b in aset.directions()]
             assert len(scan.clusters) == len(roots), (text, roots, scan.clusters)
-            for y, c in zip(roots, sorted(scan.clusters)):
-                assert abs(y - c) <= 1e-3, (text, roots, scan.clusters)
-            assert scan.includes_infinity == aset.includes_infinity, text
+            for r in roots:
+                assert min(chart_gap(r, c) for c in scan.clusters) <= 1e-3, (text, roots, scan.clusters)
 
         for nu in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, -0.8, 0.0)):
             closed = np.array(

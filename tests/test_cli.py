@@ -99,7 +99,6 @@ def test_verify_passes_on_good_germ(capsys):
         assert [c["name"] for c in report["verification"]["checks"]] == [
             "umbilic_vs_affine_hull",
             "asymptotic_scan_roots",
-            "asymptotic_scan_infinity",
             "height_hessian_vs_fd",
         ]
 
@@ -751,13 +750,14 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
 
 
 def test_verify_reports_a_saturated_scan_as_all(capsys):
-    # the scan marks every sample against one finite closed-form root
+    # the scan marks every sample against two closed-form directions: the
+    # vertex y = -5e39, as s = -2e-40, and the null direction, s = 0
     code, out, err = run_cli(capsys, "verify", "--germ", "(x, y^2 + (10^20)^2*x*y, x^2, 0)")
     assert code == 2
     assert err == "verification failed: asymptotic_scan_roots\n"
     checks = {c["name"]: c for c in json.loads(out)["verification"]["checks"]}
     check = checks["asymptotic_scan_roots"]
-    assert (check["closed_form"], check["oracle"], check["passed"]) == ([], "all", False)
+    assert (check["closed_form"], check["oracle"], check["passed"]) == ([[-2e-40, 1.0], [0.0, 1.0]], "all", False)
     # the FD Hessian bound scales with the input's 2-jet, here with 2^133
     check = checks["height_hessian_vs_fd"]
     assert check["passed"] and check["tolerance"] == fmt_float(1e-6 * 2.0**133)
@@ -782,6 +782,17 @@ def test_verify_exits_1_when_hull_samples_overflow():
     )
     assert proc.returncode == 1
     assert "error: affine hull samples leave the float range" in proc.stderr
+
+
+def test_overflowing_asymptotic_quadratic_exits_1_naming_it(capsys):
+    # the golden (x, x*y - y^2, x^2 + x*y, 3*y^2 + x^2) with its normal
+    # components times (2^60)^5: squaring the quadratic's middle coefficient
+    # overflows, and an infinite threshold would decide a double root
+    c = "(2^60)^5"
+    text = f"(x, {c}*x*y - {c}*y^2, {c}*x^2 + {c}*x*y, 3*{c}*y^2 + {c}*x^2)"
+    code, out, err = run_cli(capsys, "analyze", "--germ", text)
+    assert (code, out) == (1, "")
+    assert err == "error: the asymptotic quadratic leaves the float range\n"
 
 
 def test_reduction_of_a_nearly_degenerate_parabola_stays_finite(capsys):

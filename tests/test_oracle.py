@@ -1,7 +1,6 @@
 """Brute-force verifiers and the scan kernel."""
 
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +9,9 @@ import curvpar.oracle
 from curvpar._kernels import N_CANDIDATES, scan_scores
 from curvpar.adapt import adapt
 from curvpar.forms import second_form
-from curvpar.germs import Jet2, MapGermR4
+from curvpar.germs import MapGermR4
 from curvpar.heights import height_hessian
 from curvpar.oracle import (
-    ScanResult,
-    _cluster_roots,
     _root_candidates,
     affine_hull_distance,
     asymptotic_scan,
@@ -23,7 +20,7 @@ from curvpar.oracle import (
 )
 from curvpar.parabola import build_parabola
 
-from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
+from conftest import germ, random_rotation, transform_germ
 from golden import GOLDEN_GERMS
 
 
@@ -65,12 +62,10 @@ def scan_for(text, order=6):
 
 
 def test_scan_hyperbolic_clusters():
+    # the roots y = +-1 lie where the charts meet, and each is found once
     scan = scan_for("(x, x*y, y^2 + x^2, 0)", order=4)
     assert scan.kind == "finite"
-    assert len(scan.clusters) == 2
-    assert abs(scan.clusters[0] + 1.0) < 1e-3
-    assert abs(scan.clusters[1] - 1.0) < 1e-3
-    assert not scan.includes_infinity
+    assert np.allclose(scan.clusters, [(1.0, -1.0), (1.0, 1.0)], rtol=0.0, atol=1e-3)
 
 
 def test_scan_elliptic_empty():
@@ -83,7 +78,7 @@ def test_scan_parabolic_double_root():
     scan = scan_for("(x, x*y, y^2, 0)", order=4)
     assert scan.kind == "finite"
     assert len(scan.clusters) == 1
-    assert abs(scan.clusters[0]) < 1e-3
+    assert scan.clusters[0][0] == 1.0 and abs(scan.clusters[0][1]) < 1e-3
 
 
 def test_scan_radial_half_line_saturates():
@@ -93,11 +88,29 @@ def test_scan_radial_half_line_saturates():
 
 
 def test_scan_non_radial_half_line_vertex_and_infinity():
+    # the null direction (0, 1) is s = 0 in the chart (s, 1)
     scan = scan_for("(x, y^2 + x*y, x^2, 0)", order=4)
     assert scan.kind == "finite"
-    assert len(scan.clusters) == 1
-    assert abs(scan.clusters[0] - (-0.5)) < 1e-3
-    assert scan.includes_infinity
+    assert np.allclose(scan.clusters, [(1.0, -0.5), (0.0, 1.0)], rtol=0.0, atol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "text,roots",
+    [
+        # y = +-100 and +-sqrt(1000): s = +-0.01 and +-0.0316
+        ("(x, x*y, y^2 + 10000*x^2, 0)", [(0.01, 1.0), (-0.01, 1.0)]),
+        ("(x, x*y, 1/10000*y^2 + x^2, 0)", [(0.01, 1.0), (-0.01, 1.0)]),
+        ("(x, x*y, y^2 + 1000*x^2, 0)", [(0.1 ** 1.5, 1.0), (-(0.1 ** 1.5), 1.0)]),
+        # just beyond y = +-1: the chart y marks its end sample y = -1, which
+        # joins the chart s's root across the seam where the cycle closes
+        ("(x, x*y, y^2 + (1 + 1/10^7)^2*x^2, 0)", [(1 / (1 + 1e-7), 1.0), (-1 / (1 + 1e-7), 1.0)]),
+        ("(x, x*y, y^2 + (1 - 1/10^7)^2*x^2, 0)", [(1.0, -(1 - 1e-7)), (1.0, 1 - 1e-7)]),
+    ],
+)
+def test_scan_finds_each_root_once_in_the_chart_that_owns_it(text, roots):
+    scan = scan_for(text, order=4)
+    assert scan.kind == "finite"
+    assert np.allclose(sorted(scan.clusters), sorted(roots), rtol=0.0, atol=1e-5), scan.clusters
 
 
 @pytest.mark.parametrize("scale", ["1/10^6", "1/10^12", "10^6"])
@@ -107,7 +120,7 @@ def test_scan_is_scale_invariant(scale):
     text = "(x, x*y, y^2 + x^2, 0)"
     scaled = f"(x, {scale}*x*y, {scale}*y^2 + {scale}*x^2, 0)"
     twin, scan = scan_for(text, order=4), scan_for(scaled, order=4)
-    assert (scan.kind, scan.includes_infinity) == (twin.kind, twin.includes_infinity)
+    assert scan.kind == twin.kind
     assert len(scan.clusters) == len(twin.clusters) == 2
     assert np.allclose(scan.clusters, twin.clusters, atol=1e-9)
 
@@ -254,284 +267,16 @@ def _loop_candidates(ys, det, marked):
 
 def test_root_candidates_match_loop_version_on_golden_corpus():
     o = curvpar.oracle
-    ys = np.linspace(-o.SCAN_WINDOW, o.SCAN_WINDOW, o.SCAN_POINTS)
+    ts = np.linspace(-1.0, 1.0, o.SCAN_POINTS)
     for text in GOLDEN_GERMS:
         sf = second_form(adapt(germ(text)))
         ep = build_parabola(sf).ep
         lp, mp, np_ = (ep.to_plane_coords(v) for v in (sf.L, sf.M, sf.N))
-        p1, p2 = lp[0] + mp[0] * ys, lp[1] + mp[1] * ys
-        q1, q2 = mp[0] + np_[0] * ys, mp[1] + np_[1] * ys
-        marked = scan_scores(p1, p2, q1, q2, N_CANDIDATES) <= o.SCAN_ZERO_TOL
-        det = p1 * q2 - p2 * q1
-        got = sorted(_root_candidates(ys, det, marked))
-        assert got == sorted(_loop_candidates(ys, det, marked)), text
-
-
-# -- the bounded scan against the whole-grid scan ------------------------------
-
-
-def full_grid_scan(sf, ep):
-    """The whole-grid scan that ``asymptotic_scan`` replaced, kept as its reference.
-
-    It scores every grid sample with the kernel and finds root candidates
-    over the whole grid.  Like the scan, it reads the oracle's constants
-    when called.
-    """
-    o = curvpar.oracle
-    lp, mp, np_ = (ep.to_plane_coords(v) for v in (sf.L, sf.M, sf.N))
-    ys = np.linspace(-o.SCAN_WINDOW, o.SCAN_WINDOW, o.SCAN_POINTS)
-    h = ys[1] - ys[0]
-    p1 = lp[0] + mp[0] * ys
-    p2 = lp[1] + mp[1] * ys
-    q1 = mp[0] + np_[0] * ys
-    q2 = mp[1] + np_[1] * ys
-    zero = o.SCAN_ZERO_TOL * sf.ref
-    marked = scan_scores(p1, p2, q1, q2, N_CANDIDATES) <= zero
-    fraction = float(marked.mean())
-    inf_score = float(scan_scores([mp[0]], [mp[1]], [np_[0]], [np_[1]], N_CANDIDATES)[0])
-    if fraction >= o.SCAN_SATURATION:
-        return ScanResult(kind="all", clusters=(), includes_infinity=True, marked_fraction=fraction)
-
-    det = p1 * q2 - p2 * q1
-    signs = np.sign(det)
-    i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    crossings = ys[i] - det[i] * h / (det[i + 1] - det[i])
-    absdet = np.abs(det)
-    mid = absdet[1:-1]
-    dd = np.abs(det[2:] - 2.0 * det[1:-1] + det[:-2])
-    touching = (mid <= absdet[:-2]) & (mid <= absdet[2:]) & (mid <= 0.3 * dd) & (dd > 0)
-    precise = np.concatenate((crossings, ys[signs == 0]))
-    coarse = np.concatenate((ys[1:-1][touching], ys[marked]))
-    candidates = [(y, True) for y in precise.tolist()] + [(y, False) for y in coarse.tolist()]
-    return ScanResult(
-        kind="finite",
-        clusters=_cluster_roots(candidates, gap=20.0 * h),
-        includes_infinity=inf_score <= zero,
-        marked_fraction=fraction,
-    )
-
-
-# the scan settings that tests vary, at their defaults
-SCAN_DEFAULTS = {
-    name: getattr(curvpar.oracle, name) for name in ("SCAN_WINDOW", "SCAN_POINTS", "SCAN_ZERO_TOL")
-}
-
-
-def set_scan(monkeypatch, **settings):
-    """Set the scan's constants to their defaults, overridden by ``settings``."""
-    for name, value in {**SCAN_DEFAULTS, **settings}.items():
-        monkeypatch.setattr(curvpar.oracle, name, value)
-
-
-def assert_scan_matches_full_grid(sf, ep, label):
-    got, want = asymptotic_scan(sf, ep), full_grid_scan(sf, ep)
-    assert got == want, label
-    assert got.marked_fraction == want.marked_fraction, label
-
-
-def forms_of(g):
-    sf = second_form(adapt(g))
-    return sf, build_parabola(sf).ep
-
-
-def test_bounded_scan_equals_full_grid_on_golden_corpus(monkeypatch):
-    # a zero SCAN_ZERO_TOL leaves the bound no room: every sample is scored
-    for zero_tol in (SCAN_DEFAULTS["SCAN_ZERO_TOL"], 0.0):
-        set_scan(monkeypatch, SCAN_ZERO_TOL=zero_tol)
-        for text in GOLDEN_GERMS:
-            assert_scan_matches_full_grid(*forms_of(germ(text)), (text, zero_tol))
-
-
-SCALES = [Fraction(2) ** k for k in (-60, -30, 0, 30, 60)] + [
-    Fraction(10) ** k for k in (-12, -6, 6, 12)
-]
-
-
-def test_bounded_scan_equals_full_grid_on_scaled_random_jets(rng):
-    kinds = ["any", "any", "collinear", "line", "point"]
-    for i in range(10):
-        j2 = random_jet2(rng, kinds[i % len(kinds)])
-        src = rng.uniform(-2.0, 2.0, size=(2, 2))
-        src[0, 0] += 3.0  # keeps the source change invertible
-        rot = random_rotation(rng, 4)
-        for s in SCALES:
-            exact = jet2_to_germ(Jet2(*(s * c for row in j2.rows() for c in row)), order=3)
-            for name, g in (("exact", exact), ("moved", transform_germ(exact, src, rot))):
-                assert_scan_matches_full_grid(*forms_of(g), (j2, s, name))
-
-
-class _PlaneForms:
-    """A second form given directly by plane coordinates, with identity plane basis."""
-
-    def __init__(self, l, m, n):
-        self.L, self.M, self.N = l, m, n
-        self.ref = float(np.max(np.abs([l, m, n])))
-
-    @staticmethod
-    def to_plane_coords(v):
-        return np.asarray(v, dtype=float)
-
-
-def test_bounded_scan_equals_full_grid_on_degenerate_planes():
-    ys = np.linspace(-curvpar.oracle.SCAN_WINDOW, curvpar.oracle.SCAN_WINDOW, curvpar.oracle.SCAN_POINTS)
-    cases = {"point shape": ((0.3, -1.7), (0.0, 0.0), (0.0, 0.0))}
-    # p = q = 0 at a grid sample: L = N y0^2 and M = -N y0, with det ≡ 0
-    # exactly or as rounding noise
-    for k in (0, 1234, 61_803):
-        y0 = ys[k]
-        for n in ((1.0, 0.0), (0.6, 0.8), (1 / 3, -2 / 7)):
-            l = tuple(c * y0 * y0 for c in n)
-            m = tuple(-c * y0 for c in n)
-            cases[f"p = q = 0 at ys[{k}], N = {n}"] = (l, m, n)
-    # a hyperbolic plane out of the range where the kernel's squares are
-    # normal floats, and just inside it
-    for s in (1e-160, 1e-140, 1.0, 1e140, 1e151):
-        cases[f"hyperbolic x {s}"] = ((s, 0.0), (0.0, s), (s, 0.0))
-    for label, (l, m, n) in cases.items():
-        forms = _PlaneForms(l, m, n)
-        assert_scan_matches_full_grid(forms, forms, label)
-
-
-def test_bounded_scan_equals_full_grid_where_the_bound_is_tight(monkeypatch):
-    # det = 1 - a*y^2 has roots +-y0 near the grid's ends, where reach is
-    # close to its largest grid value R.  The zero bound is first loose, then
-    # exactly the score of the end sample, whose reach is R itself.
-    for y0 in (49.0, 49.9, 49.99):
-        forms = _PlaneForms((1.0, 0.0), (0.0, 1.0), (1.0 / (y0 * y0), 0.0))
-        lp, mp, np_ = forms.L, forms.M, forms.N
-        end = np.array([SCAN_DEFAULTS["SCAN_WINDOW"]])
-        end_score = scan_scores(lp[0] + mp[0] * end, lp[1] + mp[1] * end,
-                                mp[0] + np_[0] * end, mp[1] + np_[1] * end, N_CANDIDATES)[0]
-        for zero_tol in (1e-3, end_score / forms.ref):
-            set_scan(monkeypatch, SCAN_ZERO_TOL=float(zero_tol))
-            assert_scan_matches_full_grid(forms, forms, (y0, zero_tol))
-            assert asymptotic_scan(forms, forms).marked_fraction > 0.0
-
-
-def test_bounded_scan_equals_full_grid_on_moved_radial_half_lines(rng):
-    # the collinearity determinant of a moved radial half-line is rounding noise
-    for text in ("(x, y^2, 0, 0)", "(x, 2*x^2 + y^2, 0, 0)", "(x, y^2 + 4*x*y + 4*x^2, 0, 0)"):
-        for _ in range(4):
-            src = rng.uniform(-2.0, 2.0, size=(2, 2))
-            src[0, 0] += 3.0
-            moved = transform_germ(germ(text, order=4), src, random_rotation(rng, 4))
-            assert_scan_matches_full_grid(*forms_of(moved), text)
-
-
-def test_kernel_sees_only_samples_near_roots(monkeypatch):
-    # a deterministic guard on the convexity bound: a finite scan scores at
-    # most 1% of the grid plus the null direction, and a point shape (det ≡ 0)
-    # only the null direction
-    seen = []
-
-    def counted(p1, *args):
-        seen.append(len(p1))
-        return scan_scores(p1, *args)
-
-    monkeypatch.setattr(curvpar.oracle, "scan_scores", counted)
-    for text in GOLDEN_GERMS:
-        seen.clear()
-        sf = second_form(adapt(germ(text)))
-        pp = build_parabola(sf)
-        scan = asymptotic_scan(sf, pp.ep)
-        if pp.shape.kind == "point":
-            assert seen == [1], text
-        elif scan.kind == "finite":
-            assert sum(seen) <= 0.01 * curvpar.oracle.SCAN_POINTS + 1, (text, seen)
-
-
-# -- the block bound ------------------------------------------------------------
-
-
-def assert_same_scan(forms, label):
-    # repr also equates the NaN clusters that a determinant overflowing to
-    # inf - inf gives at extreme scales
-    got, want = asymptotic_scan(forms, forms), full_grid_scan(forms, forms)
-    assert repr(got) == repr(want), label
-
-
-def plane_family(rng, kind):
-    """Plane coordinates of L, M, N for one degeneracy family."""
-    l, m, n = (rng.normal(size=2) for _ in range(3))
-    if kind == "point":
-        m, n = np.zeros(2), np.zeros(2)
-    elif kind == "L = 0":
-        l = np.zeros(2)
-    elif kind == "line":
-        n = np.zeros(2)
-    elif kind == "M || L":
-        m = rng.normal() * l
-    elif kind == "N || M":
-        n = rng.normal() * m
-    elif kind == "nearly N || M":
-        n = rng.normal() * m + 1e-9 * rng.normal(size=2)
-    elif kind == "radial":
-        l, m = rng.normal() * n, rng.normal() * n
-    elif kind == "double root":
-        # det(y) = L x M + y L x N + y^2 M x N = (M x N) (y - y0)^2, with y0 at
-        # a block end of the default grid or inside the narrow window
-        y0 = rng.choice([-50.0 + 100.0 * 64 * rng.integers(1562) / 99_999, rng.uniform(-3, 3)])
-        a = m[0] * n[1] - m[1] * n[0]
-        l = np.linalg.solve([[n[1], -n[0]], [m[1], -m[0]]], [-2.0 * a * y0, a * y0 * y0])
-    return tuple(l), tuple(m), tuple(n)
-
-
-def test_block_scan_equals_full_grid_on_degenerate_families(rng, monkeypatch):
-    kinds = [
-        "any", "point", "L = 0", "line", "M || L", "N || M", "nearly N || M", "radial", "double root",
-    ]
-    settings = [
-        dict(SCAN_POINTS=points, **change)
-        for points in (7, 130, 1001, 100_001)
-        for change in ({}, {"SCAN_ZERO_TOL": 0.0}, {"SCAN_WINDOW": 3.0})
-    ]
-    for kind in kinds:
-        for k, s in enumerate((1e-160, 1e-80, 1e-6, 1.0, 1e6, 1e80, 1e160)):
-            l, m, n = plane_family(rng, kind)
-            forms = _PlaneForms(*(tuple(s * c for c in v) for v in (l, m, n)))
-            for setting in settings[k % 3 :: 3]:
-                set_scan(monkeypatch, **setting)
-                with np.errstate(all="ignore"):
-                    assert_same_scan(forms, (kind, s, setting))
-
-
-# the 2-jets of verify_oracle's inputs at seed 1, one per shape
-SHAPE_JETS = {
-    "parabola": "(x, -2*x^2 + 5*x*y + 5*y^2, -3/2*x^2 + 1/2*x*y - 3*y^2, -x^2 - 1/4*x*y - 2*y^2)",
-    "half_line": "(x, y^2, 0, 0)",
-    "line": "(x, -2*x^2 + 3*x*y, -4/3*x^2 + 3/4*x*y, -x^2 - 4/3*x*y)",
-    "point": "(x, 1/2*x^2, -1/3*x^2, x^2)",
-}
-
-
-def test_scan_computes_det_on_few_samples(monkeypatch):
-    read = []
-    det_along = curvpar.oracle._det_along
-
-    def counted(lp, mp, np_, ys):
-        read.append(len(ys))
-        return det_along(lp, mp, np_, ys)
-
-    monkeypatch.setattr(curvpar.oracle, "_det_along", counted)
-    for kind, text in SHAPE_JETS.items():
-        read.clear()
-        sf, ep = forms_of(germ(text))
-        assert build_parabola(sf).shape.kind == kind
-        scan = asymptotic_scan(sf, ep)
-        assert sum(read) < 0.05 * curvpar.oracle.SCAN_POINTS, (kind, read)
-        if kind == "point":
-            # every block is an exact zero: saturated without a sample read
-            assert (scan.kind, read) == ("all", [])
-
-
-def test_scan_grid_is_cached_and_read_only():
-    grid = curvpar.oracle._scan_grid(50.0, 100_000)
-    assert curvpar.oracle._scan_grid(50.0, 100_000) is grid
-    assert np.array_equal(grid.ys, np.linspace(-50.0, 50.0, 100_000))
-    for a in (grid.ys, grid.ends, grid.owned, grid.sizes):
-        assert not a.flags.writeable
-    with pytest.raises(ValueError):
-        grid.ys[0] = 0.0
-    other = curvpar.oracle._scan_grid(50.0, 1001)
-    assert other.ys.size == 1001 and grid.ys.size == 100_000
-    assert other.sizes.sum() == 1001 and grid.sizes.sum() == 100_000
+        # the chart y, then the chart s: L and N swapped
+        for a, c in ((lp, np_), (np_, lp)):
+            p1, p2 = a[0] + mp[0] * ts, a[1] + mp[1] * ts
+            q1, q2 = mp[0] + c[0] * ts, mp[1] + c[1] * ts
+            marked = scan_scores(p1, p2, q1, q2, N_CANDIDATES) <= o.SCAN_ZERO_TOL
+            det = p1 * q2 - p2 * q1
+            got = sorted(_root_candidates(ts, det, marked))
+            assert got == sorted(_loop_candidates(ts, det, marked)), text

@@ -242,7 +242,8 @@ def test_numpy_scalar_coefficients_report_like_floats():
     floats = MapGermR4([TruncatedPoly2(c, 2) for c in comps])
     scalars = MapGermR4([TruncatedPoly2({k: np.float64(v) for k, v in c.items()}, 2) for c in comps])
     got, want = analyze_germ(scalars).report, analyze_germ(floats).report
-    assert {**got, "input": None} == {**want, "input": None}
+    assert got["input"]["germ"] == "(x, 1.5*x*y + 0.5*x^2, -2.0*y^2, 3.0*x^2)"
+    assert got == want
 
 
 def test_report_matches_library_values():
@@ -336,6 +337,13 @@ def _wrong_infinity(res):
     return replace(res, aset=replace(res.aset, includes_infinity=not res.aset.includes_infinity))
 
 
+def _wrong_far_root(res):
+    # the largest root moved by 1e-2 in s = 1/y, ten times the root tolerance
+    params = list(res.aset.params)
+    params[-1] = 1.0 / (1.0 / float(params[-1]) + 1e-2)
+    return replace(res, aset=replace(res.aset, params=tuple(params)))
+
+
 def _wrong_kind(res):
     kind = "finite" if res.aset.kind == "all" else "all"
     return replace(res, aset=replace(res.aset, kind=kind))
@@ -350,13 +358,16 @@ def _wrong_second_form(res):
 
 # one golden germ per shape kind: parabola, half-line, line and point
 SHAPE_GERMS = ("(x, x*y, x^2 + y^2, 0)", "(x, y^2, x^2, 0)", "(x, x*y, x^2, 0)", "(x, x^2, 0, 0)")
+# hyperbolic germs whose roots lie far out in the chart y: y = +-100, s = +-0.01
+FAR_ROOT_GERMS = ("(x, x*y, y^2 + 10000*x^2, 0)", "(x, x*y, 1/10000*y^2 + x^2, 0)")
 # a wrong closed-form value and the check it fails.  Only the parabola's and
 # the half-line's asymptotic sets have a finite parameter; the point's is
 # "all", so its scan saturates and a finite kind fails the roots check.
 WRONG_VALUES = (
     [(t, _wrong_kappa, "umbilic_vs_affine_hull") for t in SHAPE_GERMS]
     + [(t, _wrong_param, "asymptotic_scan_roots") for t in SHAPE_GERMS[:2]]
-    + [(t, _wrong_infinity, "asymptotic_scan_infinity") for t in SHAPE_GERMS[:3]]
+    + [(t, _wrong_infinity, "asymptotic_scan_roots") for t in SHAPE_GERMS[:3]]
+    + [(t, _wrong_far_root, "asymptotic_scan_roots") for t in FAR_ROOT_GERMS]
     + [(t, _wrong_kind, "asymptotic_scan_kind") for t in SHAPE_GERMS[:3]]
     + [(SHAPE_GERMS[3], _wrong_kind, "asymptotic_scan_roots")]
     + [(t, _wrong_second_form, "height_hessian_vs_fd") for t in SHAPE_GERMS]
@@ -373,6 +384,27 @@ def test_each_verify_check_fails_on_a_wrong_closed_form_value(text, wrong, check
         assert check in failed
     else:
         assert failed == [check]
+
+
+def test_root_check_lists_every_asymptotic_direction():
+    # no root is left out of the comparison, however far out in y it lies
+    for text in [*GOLDEN_GERMS, *FAR_ROOT_GERMS, "(x, x*y, y^2 + 1000*x^2, 0)"]:
+        res = analyze_germ(text)
+        vr = run_verification(res, DEFAULT_TOL)
+        assert vr.passed, text
+        if res.aset.kind == "finite":
+            (check,) = [c for c in vr.checks if c.name == "asymptotic_scan_roots"]
+            assert len(check.closed_form) == res.aset.count, text
+
+
+def test_nearly_degenerate_parabola_fails_only_the_hull_check():
+    # its root near y = 2e9 is s = 5e-10 in the chart s, where the scan finds
+    # it; the hull oracle reads the trace's 1e-9-thin width as a line
+    res = analyze_germ("(x, x*y + y^2, 1/10^9*y^2 + x^2, 0)")
+    vr = run_verification(res, DEFAULT_TOL)
+    assert [c.name for c in vr.checks if not c.passed] == ["umbilic_vs_affine_hull"]
+    (check,) = [c for c in vr.checks if c.name == "asymptotic_scan_roots"]
+    assert len(check.closed_form) == res.aset.count == 2
 
 
 @pytest.mark.parametrize("render", [render_json, render_text])
