@@ -44,6 +44,7 @@ __all__ = [
     "asymptotic_scan",
     "chart_gap",
     "chart_point",
+    "roots_match",
     "finite_difference_hessian",
     "hessian_gap",
 ]
@@ -184,11 +185,11 @@ def _cycle_point(u) -> tuple:
 
     The chart y runs over u in [-1, 1] and the chart s, from s = 1 down to
     s = -1, over u = 2 - s in [1, 3]; u = 3 is u = -1 again.  The direction
-    comes as ``chart_point`` gives it.
+    comes as ``chart_point`` gives it, so u = 3 gives (1, -1) as u = -1 does.
     """
     if u < -1.0:
         u += 4.0
-    return (1.0, u) if u <= 1.0 else (2.0 - u, 1.0)
+    return chart_point(1.0, u) if u <= 1.0 else chart_point(2.0 - u, 1.0)
 
 
 def chart_point(a, b) -> tuple:
@@ -200,6 +201,18 @@ def chart_gap(root, cluster) -> float:
     """The distance from ``root`` to ``cluster``, two ``chart_point``s, in the chart that owns ``root``."""
     k = 0 if root[0] == 1.0 else 1
     return abs(root[1 - k] - cluster[1 - k] / cluster[k]) if cluster[k] else math.inf
+
+
+def roots_match(roots, clusters, tol) -> bool:
+    """Whether ``roots`` and ``clusters``, ``chart_point``s, pair one to one within ``tol``.
+
+    Each root pairs with its nearest cluster by ``chart_gap``; no two roots
+    may share a cluster and none may be left over on either side.
+    """
+    if len(roots) != len(clusters):
+        return False
+    nearest = [min(range(len(clusters)), key=lambda i: chart_gap(r, clusters[i])) for r in roots]
+    return len(set(nearest)) == len(roots) and all(chart_gap(r, clusters[i]) <= tol for r, i in zip(roots, nearest))
 
 
 def asymptotic_scan(sf: SecondForm, ep) -> ScanResult:
@@ -218,8 +231,9 @@ def asymptotic_scan(sf: SecondForm, ep) -> ScanResult:
     ``_root_candidates``) and clustered by direction, so that the charts
     join at y = s = +-1.  Each cluster is a ``chart_point``.
 
-    ``report.run_verification`` compares each closed-form direction with
-    the clusters in the chart that owns it (``chart_gap``).  For ``|y| > 1``
+    ``report.run_verification`` pairs the closed-form directions one to one
+    with the clusters, each compared in the chart that owns it
+    (``roots_match``).  For ``|y| > 1``
     a tolerance in s is about that tolerance times ``y**2`` in y: looser
     than a fixed tolerance in y, but the same for every direction.
     """

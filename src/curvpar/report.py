@@ -234,11 +234,9 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         vr.add("asymptotic_scan_kind", "all", scan.kind, 0.0, ok)
     else:
         # each direction in the chart that owns it, the null direction as s = 0;
-        # one cluster per direction, each direction near a cluster in its chart
+        # one cluster per direction, each direction near its own cluster in its chart
         roots = [oracle.chart_point(a, b) for a, b in res.aset.directions()]
-        ok = scan.kind == "finite" and len(scan.clusters) == len(roots) and all(
-            min(oracle.chart_gap(r, c) for c in scan.clusters) <= oracle.ORACLE_ROOT_TOL for r in roots
-        )
+        ok = scan.kind == "finite" and oracle.roots_match(roots, scan.clusters, oracle.ORACLE_ROOT_TOL)
         # a saturated scan marked every sample: say so, not that it found no root
         vr.add(
             "asymptotic_scan_roots",

@@ -257,11 +257,17 @@ def test_criterion_8_oracle_equivalence_golden_corpus():
             assert scan.kind == "all", text
         else:
             assert scan.kind == "finite", text
-            # each direction against the clusters, in the chart that owns it
+            # each direction against its own nearest cluster, in the chart that
+            # owns it; the null direction (0, 1) is s = 0 in the chart s
             roots = [chart_point(a, b) for a, b in aset.directions()]
             assert len(scan.clusters) == len(roots), (text, roots, scan.clusters)
-            for r in roots:
-                assert min(chart_gap(r, c) for c in scan.clusters) <= 1e-3, (text, roots, scan.clusters)
+            nearest = [min(range(len(scan.clusters)), key=lambda i: chart_gap(r, scan.clusters[i])) for r in roots]
+            assert len(set(nearest)) == len(roots), (text, roots, scan.clusters)
+            for r, i in zip(roots, nearest):
+                assert chart_gap(r, scan.clusters[i]) <= 1e-3, (text, roots, scan.clusters)
+            # the scan finds the null direction exactly when the closed form does
+            null = [c for c in scan.clusters if c[1] == 1.0 and abs(c[0]) <= 1e-3]
+            assert len(null) == int(aset.includes_infinity), (text, scan.clusters)
 
         for nu in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, -0.8, 0.0)):
             closed = np.array(

@@ -337,6 +337,13 @@ def _wrong_infinity(res):
     return replace(res, aset=replace(res.aset, includes_infinity=not res.aset.includes_infinity))
 
 
+def _wrong_duplicate(res):
+    # the null direction dropped for a copy of the finite root moved by 1e-4:
+    # the count holds, but both roots are nearest the same cluster
+    y = res.aset.params[0]
+    return replace(res, aset=replace(res.aset, params=(y, y + 1e-4), includes_infinity=False))
+
+
 def _wrong_far_root(res):
     # the largest root moved by 1e-2 in s = 1/y, ten times the root tolerance
     params = list(res.aset.params)
@@ -367,6 +374,7 @@ WRONG_VALUES = (
     [(t, _wrong_kappa, "umbilic_vs_affine_hull") for t in SHAPE_GERMS]
     + [(t, _wrong_param, "asymptotic_scan_roots") for t in SHAPE_GERMS[:2]]
     + [(t, _wrong_infinity, "asymptotic_scan_roots") for t in SHAPE_GERMS[:3]]
+    + [(SHAPE_GERMS[1], _wrong_duplicate, "asymptotic_scan_roots")]
     + [(t, _wrong_far_root, "asymptotic_scan_roots") for t in FAR_ROOT_GERMS]
     + [(t, _wrong_kind, "asymptotic_scan_kind") for t in SHAPE_GERMS[:3]]
     + [(SHAPE_GERMS[3], _wrong_kind, "asymptotic_scan_roots")]
