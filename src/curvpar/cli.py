@@ -27,6 +27,9 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_CORANK = 3
 
+# sweep and plotdata build every sample row before writing one
+MAX_SAMPLES = 100_000
+
 
 class _CliError(Exception):
     pass
@@ -46,8 +49,10 @@ def _sample_count(text: str) -> int:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    if not 0 <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer of at most {MAX_SAMPLES}, got {text!r}"
+        )
     return value
 
 

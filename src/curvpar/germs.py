@@ -6,8 +6,10 @@ carry float coefficients after numeric frame changes; all arithmetic here is
 agnostic to the coefficient type.
 
 The parser works on monomial dicts ``{(i, j): coeff}``, and products and
-powers go through ``TruncatedPoly2``.  The tokenizer reads a complete monomial
-term as one token, so an expanded germ is parsed without polynomial algebra.
+powers go through ``TruncatedPoly2``.  The tokenizer reads a run of complete
+monomial terms joined by signs as one token, so an expanded germ is parsed
+without polynomial algebra, and a term of the run above the truncation order
+is checked by the grammar but never converted.
 """
 
 from __future__ import annotations
@@ -274,8 +276,10 @@ class MapGermR4:
 #   base     := "x" | "y" | ident | rational | "(" expr ")"
 #   rational := uint ("/" uint)?
 # ``ident`` covers sweep-template parameters bound through ``params``.  The
-# tokenizer reads a complete monomial term such as ``3/4*x^2*y`` as one token
-# wherever a term can start; the grammar it parses is the same.
+# tokenizer reads a run of complete monomial terms such as
+# ``3/4*x^2*y - x + 2*y^3`` as one token wherever a term can start; the
+# grammar it parses is the same.  A term of the run above the truncation
+# order is checked by this syntax but its digits are never converted.
 # ---------------------------------------------------------------------------
 
 # Digits and names are ASCII: ``\d`` and ``\w`` would also match other
@@ -284,25 +288,6 @@ class MapGermR4:
 # a token or reported at its position.
 _PLAIN = r"(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()+\-*/^,])|(?P<other>\S)"
 _PLAIN_RE = re.compile(r"\s*(?:" + _PLAIN + ")")
-
-# A complete monomial term: ``N[/D]``, ``x[^i]`` and ``y[^j]``, each
-# optional, in that order, joined by ``*`` and followed by a term boundary.
-# Groups 2 to 7 are N, D, x, i, y and j.  No quantifier is nested, so
-# matching stays linear.  A digit group has at most 309 digits, those of the
-# largest float: a term with a longer one is read as plain tokens, so that
-# ``int``'s own digit limit (never below 640 digits) raises, if at all, in the
-# parser's order.
-_TERM_END = r"(?=\s*(?:[-+,)]|\Z))"
-_DIGITS = r"([0-9]{1,309})"
-_MONO = (
-    r"(?=[0-9xy])"
-    r"(?:" + _DIGITS + r"(?:/" + _DIGITS + r")?(?:\*(?=[xy])|" + _TERM_END + "))?"
-    r"(?:(x)(?:\^" + _DIGITS + r")?(?:\*(?=y)|" + _TERM_END + "))?"
-    r"(?:(y)(?:\^" + _DIGITS + r")?)?" + _TERM_END
-)
-_TOKEN_RE = re.compile(r"\s*(?:(?P<mono>" + _MONO + ")|" + _PLAIN + ")")
-# the tokens after which a term or a factor starts, as at the start of the text
-_TERM_START = frozenset("(,+-*")
 
 # Bounds that keep hostile input from exhausting the stack or the memory:
 # parentheses nest at most MAX_NESTING deep, and an exponent above
@@ -317,29 +302,85 @@ MAX_POWER_BITS = 4096
 MAX_COEFFICIENT = int(sys.float_info.max)
 _ONE = Fraction(1)
 
+# A complete monomial term: ``N[/D]``, ``x[^i]`` and ``y[^j]``, at least one
+# of them, in that order, joined by ``*`` and followed by a term boundary.
+# The pattern holds no term whose reading raises, so such a term is read as
+# plain tokens, whose parse raises the error at its position: a denominator
+# is not zero, an exponent is at most MAX_EXPONENT (``[1-5]?[0-9]|6[0-4]``
+# spells 0 to 64 with no leading zero), and a digit group has at most 309
+# digits, those of the largest float, so that ``int``'s own digit limit
+# (never below 640 digits) raises, if at all, in the parser's order.  No
+# quantifier repeats an ambiguous pattern, so matching stays linear.
+_TERM_END = r"(?=\s*(?:[-+,)]|\Z))"
+_DIGITS = r"[0-9]{1,309}"
+_EXPONENT = r"(?:\^(?:[1-5]?[0-9]|6[0-4]))?"
+_X, _Y = "x" + _EXPONENT, "y" + _EXPONENT
+_TERM = (
+    r"(?:" + _DIGITS + r"(?:/(?=0{0,308}[1-9])" + _DIGITS + r")?(?:\*" + _X + r")?(?:\*" + _Y + r")?"
+    r"|" + _X + r"(?:\*" + _Y + r")?|" + _Y + ")" + _TERM_END
+)
+# A run: a maximal sequence of terms joined by signs.
+_TOKEN_RE = re.compile(r"\s*(?:(?P<run>" + _TERM + r"(?:\s*[-+]\s*" + _TERM + r")*)|" + _PLAIN + ")")
+# The sign (none on the first term), coefficient, power of x and power of y
+# of each term of a run that _TOKEN_RE has checked.
+_RUN_TERM_RE = re.compile(r"\s*([-+]?)\s*(?=[0-9xy])([0-9/]*)\*?(x(?:\^[0-9]+)?)?\*?(y(?:\^[0-9]+)?)?")
+# The exponent of each power a term can spell, such as "x^2", and 0 for none.
+_EXPONENTS = {"": 0, "x": 1, "y": 1, **{f"{v}^{k}": k for v in "xy" for k in range(MAX_EXPONENT + 1)}}
+# the tokens after which a term or a factor starts, as at the start of the text
+_TERM_START = frozenset("(,+-*")
 
-def _tokenize(text: str):
-    """Tokens ``(kind, text, position)``, and ``("mono", text, position, (i, j, c))``.
 
-    Wherever a term can start, a complete monomial term ``c*x^i*y^j`` is one
-    ``mono`` token; its text is that of its first plain token, so an error
-    message quotes what it would quote for the plain tokens.  A term that
-    would raise (a zero denominator, an exponent above ``MAX_EXPONENT``) and a
-    match where no term can start are read as plain tokens, whose parse
-    raises the same error at the same position.
+def _run_terms(text: str, start: int, end: int, sign: str, order: int):
+    """``[((i, j), c)]`` of the terms of the run ``text[start:end]`` of degree at most ``order``.
+
+    ``c`` carries the term's sign, and ``sign`` is that of the first term.
+    Zero coefficients are left out, and a term above the order is skipped
+    before its coefficient is read.
+    """
+    terms = []
+    for s, coeff, x, y in _RUN_TERM_RE.findall(text, start, end):
+        i, j = _EXPONENTS[x], _EXPONENTS[y]
+        if i + j > order:
+            continue
+        num, _, den = coeff.partition("/")
+        n = int(num) if num else 1
+        if n:
+            if (s or sign) == "-":
+                n = -n
+            terms.append(((i, j), Fraction(n, int(den)) if den else Fraction(n)))
+    return terms
+
+
+def _tokenize(text: str, order: int):
+    """Tokens ``(kind, text, position)``, and ``("run", text, position, terms)``.
+
+    Wherever a term can start, a run of complete monomial terms
+    ``c*x^i*y^j`` joined by ``+`` and ``-`` is one ``run`` token.  Its
+    ``terms`` are the ``((i, j), c)`` of ``_run_terms``: a term above
+    ``order`` is checked by the syntax but never converted, and each ``c``
+    is signed, the first by the sign token before the run, if any, which
+    the parser reads as the operator of that term.  After ``*`` a run is
+    one term, a factor.  The token's text is that of its first plain token,
+    so an error message quotes what it would quote for the plain tokens.
+    Where no term can start, such as after ``^``, the first term of a match
+    is read as plain tokens, and a run may start after it.
     """
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "mono":
-            num, den, x, i, y, j = m.group(2, 3, 4, 5, 6, 7)
-            den = int(den) if den else None
-            i = int(i) if i else 1 if x else 0
-            j = int(j) if j else 1 if y else 0
-            if (not tokens or tokens[-1][0] in _TERM_START) and den != 0 and max(i, j) <= MAX_EXPONENT:
-                c = (Fraction(int(num), den) if den else Fraction(int(num))) if num else _ONE
-                tokens.append(("mono", num or x or y, m.start(1), (i, j, c)))
+    pos = 0
+    while m := _TOKEN_RE.match(text, pos):
+        pos = m.end()
+        if m.lastgroup == "run":
+            start = m.start("run")
+            prev = tokens[-1][0] if tokens else "("
+            if prev == "*" or prev not in _TERM_START:
+                # a factor, or no term: the first term alone
+                pos = _RUN_TERM_RE.match(text, start).end()
+            if prev in _TERM_START:
+                first = _PLAIN_RE.match(text, start)
+                terms = _run_terms(text, start, pos, prev if prev == "-" else "+", order)
+                tokens.append(("run", first.group(first.lastgroup), start, terms))
                 continue
-            plain = _PLAIN_RE.finditer(text, m.start(1), m.end(1))
+            plain = _PLAIN_RE.finditer(text, start, pos)
         else:
             plain = (m,)
         for m in plain:
@@ -369,7 +410,7 @@ class _Parser:
         for name, value in self.params.items():
             if not isinstance(value, (int, Fraction)):
                 raise TypeError(f"parameter {name!r} is bound to {value!r}: bindings must be rational")
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, order)
         self.idx = 0
         self.depth = 0
 
@@ -413,12 +454,19 @@ class _Parser:
         acc = {}
         op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
         while True:
-            for key, c in self.parse_term().items():
+            tok = self.peek()
+            if tok[0] == "run":
+                # its coefficients are signed, the first by op
+                self.idx += 1
+                terms = tok[3]
+            else:
+                # +c is 0 + c without int-Fraction arithmetic: c is never zero
+                terms = [(key, +c if op == "+" else -c) for key, c in self.parse_term().items()]
+            for key, c in terms:
                 if key not in acc:
-                    # 0 + c without int-Fraction arithmetic: c is never zero
-                    acc[key] = +c if op == "+" else -c
+                    acc[key] = c
                     continue
-                total = acc[key] + c if op == "+" else acc[key] - c
+                total = acc[key] + c
                 if total == 0:
                     acc.pop(key, None)
                 else:
@@ -459,14 +507,11 @@ class _Parser:
             return (TruncatedPoly2(base, self.order) ** exponent).coeffs
         return base
 
-    def monomial(self, i: int, j: int, c) -> dict:
-        """The dict of ``c*x^i*y^j``, empty above the order or for a zero ``c``."""
-        return {(i, j): c} if i + j <= self.order and c != 0 else {}
-
     def parse_base(self) -> dict:
         tok = self.advance()
-        if tok[0] == "mono":
-            return self.monomial(*tok[3])
+        if tok[0] == "run":
+            # a factor after "*": one term
+            return dict(tok[3])
         kind, value, pos = tok
         if kind == "int":
             num = int(value)
@@ -530,7 +575,8 @@ def parse_map_germ(text: str, order: int = 6, params=None) -> MapGermR4:
 def template_parameters(text: str):
     """Names used in a germ template beyond the variables x and y."""
     names = set()
-    for tok in _tokenize(text):
+    # at order -1 no term of a run is converted
+    for tok in _tokenize(text, -1):
         if tok[0] == "ident" and tok[1] not in ("x", "y"):
             names.add(tok[1])
     return sorted(names)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import curvpar
-from curvpar.cli import main
+from curvpar.cli import MAX_SAMPLES, main
 from curvpar.config import DEFAULT_TOL, RETIRED_KEYS, Tolerances
 from curvpar.report import fmt_float
 
@@ -473,6 +473,20 @@ def test_negative_sample_count_exits_1(tmp_path, capsys, command):
     assert code == 1
     assert out == "" and not (tmp_path / "out").exists()
     assert "non-negative integer" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "plotdata"])
+def test_sample_count_above_the_cap_exits_1_before_sampling(tmp_path, capsys, monkeypatch, command):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr("curvpar.cli._sweep_values", refuse)
+    monkeypatch.setattr("curvpar.cli.sample_parabola", refuse)
+    argv = [command, "--germ", "(x, x*y, t*x^2 + y^2, 0)", "--range", "0", "1"]
+    code, out, err = run_cli(capsys, *argv, "--samples", str(MAX_SAMPLES + 1), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == "" and not (tmp_path / "out").exists()
+    assert f"non-negative integer of at most {MAX_SAMPLES}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["sweep", "plotdata"])

@@ -4,6 +4,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from curvpar.germs import (
     GermParseError,
     MapGermR4,
     TruncatedPoly2,
+    _tokenize,
     extract_jet2,
     parse_map_germ,
     parse_poly,
@@ -406,11 +408,24 @@ def test_parser_matches_polynomial_algebra_reference():
     # none, and terms at and past the 309 digits of a term token
     exprs += ["x +) + " + LONG_DIGITS + "*y", LONG_DIGITS + "*x", "x^" + LONG_DIGITS]
     exprs += ["7" * 309 + "/" + "3" * 309 + "*x", "1/1" + "0" * 400 + "*x*y"]
+    # the edges of a run of terms read as one token: a run cut by a term that
+    # raises, a run after a unary minus, a one-term run as a factor after "*",
+    # a term that cancels, and comes back, with dropped terms between its
+    # copies, runs whose terms are all above the order, digit groups of 309
+    # and 310 digits on dropped terms, exponents with a leading zero, and runs
+    # after a term where none starts
+    exprs += ["x + 1/0*y + y^2", "y - x^65 + x", "-x*y + y^2", "(1+x)*3*x^2 + y"]
+    exprs += ["x*y - x^3 + y^2 - x*y + x^3", "x*y - x^3 + y^2 - x*y + x^3 + 2*x*y"]
+    exprs += ["x^7 - 2*x^3*y^4 + y^8", "(1 + x)*(x^4*y^3 - y^9)"]
+    exprs += ["x + " + "3" * 310 + "*x^7 + y", "x + " + "3" * 309 + "*x^7 + y", "y^2 - x^05 + x^064"]
+    exprs += ["(x + y)^2*y - x*y + y^2 - x^3", "2^3*x - x^2 + y"]
     germs = [random_germ(rng) for _ in range(30)]
     germs += [mutate(rng, g) for g in germs[:15]]
     # a germ whose first token is a complete term: the error quotes its first plain token
     germs += ["2*x, y^2, 0, 0)", "x^2*y)"]
     germs += [LONG_DIGITS_GERM]
+    germs += ["(x, x*y - x^3 + y^2 - x*y + x^3, -x*y + y^2, (1+x)*3*x^2 + y)"]
+    germs += ["(-x + x^7, y - x^65 + x, x + 1/0*y + y^2, 0)", "(x, x^7 - y^8, 2*x*y + x^9*y^0, y^2)"]
     for order in range(7):
         for text in exprs:
             want = parse_outcome(reference_parse_poly, text, order)
@@ -453,6 +468,72 @@ def test_expanded_monomial_input_does_no_polynomial_algebra(monkeypatch):
         parse_poly("(y^3+x)^2")
     with pytest.raises(AssertionError, match="single monomial"):
         parse_poly("(1+x)*(1-y)")
+
+
+def test_terms_above_the_order_build_no_fraction(monkeypatch):
+    text, moved = expanded_moved_germ()
+    low = moved.truncated(2)
+    kept = sum(len(p.coeffs) for p in low.components)
+    assert sum(len(p.coeffs) for p in moved.components) > 3 * kept
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr("curvpar.germs.Fraction", counting)
+    assert parse_map_germ(text, 2) == low
+    # one Fraction for each term of degree at most 2, and none for the others
+    assert len(built) == kept
+
+
+def test_a_flat_germ_is_one_run_token_per_component():
+    text, _ = expanded_moved_germ()
+    kinds = [tok[0] for tok in _tokenize(text, 2)]
+    assert kinds.count("run") == 4
+    assert {kind for kind in kinds if kind != "run"} <= set("(),-") | {"eof"}
+    # after "^" no term starts: its first term is read as plain tokens, and a
+    # run starts after it
+    kinds = [tok[0] for tok in _tokenize("(x + y)^2*y - x*y + y^2 - x^3", 2)]
+    assert kinds == ["(", "run", ")", "^", "int", "*", "ident", "-", "run", "eof"]
+
+
+@pytest.mark.parametrize("variable", ["x", "y"])
+def test_a_run_spells_exactly_the_exponents_up_to_the_maximum(variable):
+    for k in range(100):
+        for spelling in (str(k), f"0{k}"):
+            kinds = [tok[0] for tok in _tokenize(f"{variable}^{spelling} + 1", 6)]
+            assert (kinds == ["run", "eof"]) == (spelling == str(k) and k <= MAX_EXPONENT), spelling
+
+
+def test_parser_matches_the_reference_on_the_benchmark_texts(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import run  # perfbench/run.py
+
+    for workload in ("rational_moved", "exact_prenormal"):
+        texts = [spec["text"] for spec in run.make_workload(workload, 7)[0]]
+        assert len(texts) > 100
+        for text in texts:
+            for order in (2, 6):
+                want = parse_outcome(reference_parse_map_germ, text, order)
+                assert parse_outcome(parse_map_germ, text, order) == want, (workload, text, order)
+
+
+@pytest.mark.parametrize(
+    "text, coeffs",
+    [
+        # 10^5 terms
+        (" + ".join(["1/3*x*y", "2*x^3"] * 50_000), {(1, 1): F(50_000, 3)}),
+        # 10^3 terms, each followed by 10^3 blanks
+        ((" " * 1000 + "- ").join(["5/7*x*y^2", "y^2"] * 500) + " " * 1000, {(0, 2): -500}),
+    ],
+    ids=["many_terms", "many_blanks"],
+)
+def test_a_long_run_parses_in_linear_time(text, coeffs):
+    t0 = time.perf_counter()
+    poly = parse_poly(text, 2)
+    assert time.perf_counter() - t0 < 10.0
+    assert poly.coeffs == coeffs
 
 
 def test_multi_term_operands_reach_polynomial_algebra(monkeypatch):
