@@ -168,32 +168,31 @@ class TruncatedPoly2:
     def to_expression(self) -> str:
         """Render in the germ grammar's notation, other coefficients as ``repr(float(c))``.
 
-        Reparsing recovers exact coefficients only: the grammar reads no
-        decimals, so ``(x, 1.5*x*y, y^2, 0)`` does not parse.
+        Terms print by total degree, then by the power of x.  Reparsing
+        recovers exact coefficients only: the grammar reads no decimals, so
+        ``(x, 1.5*x*y, y^2, 0)`` does not parse.
         """
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for (i, j) in sorted(self.coeffs, key=lambda k: (k[0] + k[1], k[0], k[1])):
-            c = self.coeffs[(i, j)]
-            factors = []
-            if i == 1:
-                factors.append("x")
-            elif i > 1:
-                factors.append(f"x^{i}")
-            if j == 1:
-                factors.append("y")
-            elif j > 1:
-                factors.append(f"y^{j}")
-            mag = abs(c)
-            if not factors or mag != 1:
-                factors.insert(0, self._coeff_str(mag))
-            term = "*".join(factors)
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+        for (i, j) in sorted(coeffs, key=lambda k: (k[0] + k[1], k[0])):
+            c = coeffs[(i, j)]
+            if c > 0:
+                sign, mag = " + ", c
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+                sign, mag = " - ", -c
+            factors = []
+            if mag != 1 or not (i or j):
+                factors.append(repr(mag) if type(mag) is float else self._coeff_str(mag))
+            if i:
+                factors.append("x" if i == 1 else f"x^{i}")
+            if j:
+                factors.append("y" if j == 1 else f"y^{j}")
+            parts.append(sign)
+            parts.append("*".join(factors))
+        parts[0] = "" if parts[0] == " + " else "-"
+        return "".join(parts)
 
     def __repr__(self):
         return f"TruncatedPoly2({self.to_expression()!r}, order={self.order})"

@@ -68,6 +68,7 @@ def format_value(v):
     """Recursively prepare a value for JSON output; rationals keep exact text form.
 
     Dispatches on the exact type, floats first: the report holds mostly floats.
+    Every float is rounded by ``fmt_float``, the one rounding rule of the report.
     """
     t = type(v)
     if t is float:

@@ -1,10 +1,13 @@
-"""Second-order evaluations that serve the tests as independent references.
+"""Direct implementations that serve the tests as independent references.
 
 The analysis reads the second form only through its invariants and the
 plane rows of ``ParabolaProfile``; these direct evaluations, the polynomial
-rotation that ``project_to_s`` once made, and the point type of a reduced
-normal form (the acceptance suite's reference) live here.
+rotation that ``project_to_s`` once made, the point type of a reduced
+normal form (the acceptance suite's reference) and the term-by-term
+printing of a polynomial live here.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,3 +97,30 @@ def rotated_projection(g, pp):
     )
     coeffs = tuple(tuple(float(v) for v in row) for row in form_rows(comps[2:]))
     return comps, coeffs
+
+
+def to_expression(p: TruncatedPoly2) -> str:
+    """``p.to_expression()``, built term by term from each monomial's factors."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for (i, j) in sorted(p.coeffs, key=lambda k: (k[0] + k[1], k[0], k[1])):
+        c = p.coeffs[(i, j)]
+        factors = []
+        if i == 1:
+            factors.append("x")
+        elif i > 1:
+            factors.append(f"x^{i}")
+        if j == 1:
+            factors.append("y")
+        elif j > 1:
+            factors.append(f"y^{j}")
+        mag = abs(c)
+        if not factors or mag != 1:
+            factors.insert(0, str(mag) if isinstance(mag, (Fraction, int)) else repr(float(mag)))
+        term = "*".join(factors)
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)

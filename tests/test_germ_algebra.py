@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from curvpar.germs import (
 )
 
 from composition import compose, compose_source, diff, is_zero, rotate_target
+from references import to_expression as reference_to_expression
 
 F = Fraction
 
@@ -696,6 +698,50 @@ def test_germ_print_parse_roundtrip(ca, cb, cc):
     g = MapGermR4(comps)
     reparsed = parse_map_germ(g.to_expression(), order=4)
     assert reparsed == g
+
+
+COEFFICIENT_TYPES = (Fraction, int, float, np.float64, np.float32, np.int64)
+
+
+def random_coefficient(rnd):
+    """A coefficient of a random type: +-1 and small integers often, else a fraction or a float."""
+    kind = rnd.choice(COEFFICIENT_TYPES)
+    raw = rnd.choice([1, -1, rnd.randint(-9, 9), F(rnd.randint(-9, 9), rnd.randint(1, 9)), rnd.uniform(-5, 5)])
+    if kind in (int, np.int64):
+        return kind(int(raw))
+    return F(raw) if kind is Fraction else kind(float(raw))
+
+
+def test_to_expression_matches_the_reference_printer():
+    rnd = random.Random(20261019)
+    polys = [
+        TruncatedPoly2({}, 0),
+        TruncatedPoly2({}, 8),
+        TruncatedPoly2({(0, 0): F(5, 3)}, 0),
+        TruncatedPoly2({(0, 0): -1.0, (1, 0): 1.0, (0, 1): -1.0, (2, 0): 1, (1, 1): -1}, 2),
+        TruncatedPoly2({(0, 0): 1, (0, 2): F(-1), (3, 0): np.float32(-1.0), (1, 2): np.int64(1)}, 3),
+        TruncatedPoly2({(1, 0): float("nan"), (0, 1): float("inf"), (2, 0): -float("inf")}, 2),
+    ]
+    for order in range(9):
+        for _ in range(100):
+            keys = [(i, d - i) for d in range(order + 1) for i in range(d + 1)]
+            chosen = rnd.sample(keys, rnd.randint(0, len(keys)))
+            polys.append(TruncatedPoly2({k: random_coefficient(rnd) for k in chosen}, order))
+    for p in polys:
+        assert p.to_expression() == reference_to_expression(p), p.coeffs
+
+
+def test_to_expression_matches_the_reference_printer_on_the_float_germs(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import run  # perfbench/run.py
+    import worker  # perfbench/worker.py
+
+    specs = run.make_workload("float_moved", 7)[0]
+    assert len(specs) > 100
+    for spec in specs:
+        g = worker.build(spec, (MapGermR4, TruncatedPoly2))
+        want = "(" + ", ".join(reference_to_expression(p) for p in g.components) + ")"
+        assert g.to_expression() == want
 
 
 # -- jet extraction ---------------------------------------------------------

@@ -425,6 +425,34 @@ def test_render_refuses_non_finite_values(render, bad):
     assert "1e+308" in render(report)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_render_json_refuses_a_non_finite_value_in_a_dict(bad):
+    report = {"labels": {"orbit": "(x,xy,y^2,0)"}, "values": {"a": 1.0, "b": bad}}
+    with pytest.raises(ValueError) as err:
+        render_json(report)
+    assert str(err.value) == f"report.values.b is {bad}: the analysis left the float range"
+
+
+def test_a_germ_input_prints_as_the_whole_germ(rng):
+    # every term of a MapGermR4 prints, those above degree 2 included
+    exact = germ("(x, x*y + y^5, y^2 - 1/3*x^3, x^2*y)")
+    moved = transform_germ(exact, random_rotation(rng, 2), random_rotation(rng, 4))
+    for g in (exact, moved):
+        assert analyze_germ(g).report["input"]["germ"] == g.to_expression()
+    assert analyze_germ(exact).report["input"]["germ"] == "(x, x*y + y^5, y^2 - 1/3*x^3, x^2*y)"
+
+
+@pytest.mark.parametrize(
+    "v", [-0.0, 5e-324, 1.7976931348623157e308, 9.9999999999995, 0.1 + 0.2, 123456789012345.6, float("nan")]
+)
+def test_format_value_rounds_every_float_by_fmt_float(v):
+    # fmt_float states the rule for a float at any depth of the walk
+    got = format_value({"k": v, "l": [v], "t": (1, (v, [v]))})
+    want = repr(fmt_float(v))
+    positions = [format_value(v), got["k"], got["l"][0], got["t"][1][0], got["t"][1][1][0]]
+    assert [repr(x) for x in positions] == [want] * 5
+
+
 @pytest.mark.parametrize("text,order", GOLDEN_GERM_ORDERS)
 def test_golden_report_is_the_same_at_orders_2_4_and_6(text, order):
     # a MapGermR4 is kept whole as the input, and its report at orders 2, 4
