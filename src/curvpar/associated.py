@@ -16,7 +16,15 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOL, Tolerances
-from .directions import AsymptoticSet, plane_quadratic, point_type, solve_quadratic, type_of_count
+from .directions import (
+    AsymptoticSet,
+    directions_match,
+    plane_quadratic,
+    point_type,
+    solve_quadratic,
+    type_of_count,
+    unit_direction,
+)
 from .forms import SecondForm, form_rows
 from .germs import TruncatedPoly2
 from .linalg import scale_of
@@ -100,17 +108,12 @@ def s_asymptotic_directions(s: RegularSurfaceR4, tol: Tolerances = DEFAULT_TOL):
         return "all"
     if abs(c) > thresh:
         roots, _ = solve_quadratic(a, b, c, tol)
-        return [_unit_dir(1.0, slope) for slope in roots]
+        return [unit_direction(slope) for slope in roots]
     dirs = [(0.0, 1.0)]
     if abs(b) > thresh:
-        dirs.append(_unit_dir(1.0, -a / b))
+        dirs.append(unit_direction(-a / b))
     # a == 0 too would have been "all"; with only c ~ 0 the (0,1) root is double
     return dirs
-
-
-def _unit_dir(dx, dy):
-    n = math.hypot(dx, dy)
-    return (dx / n, dy / n)
 
 
 def curvature_ellipse(s: RegularSurfaceR4, theta: float):
@@ -141,11 +144,6 @@ class TransferVerdict:
         return self.directions_match and self.types_match
 
 
-def _angular_mismatch(a, b) -> float:
-    # |sin(angle)| between projective unit directions
-    return abs(a[0] * b[1] - a[1] * b[0])
-
-
 def verify_transfer(
     adapted,
     pp: ParabolaProfile,
@@ -156,25 +154,12 @@ def verify_transfer(
     """Check that asymptotic directions and point type transfer to the projection."""
     s_dirs = s_asymptotic_directions(s, tol)
     s_type = type_of_count(math.inf if s_dirs == "all" else len(s_dirs))
-    if aset.kind == "all":
-        m_dirs = "all"
-        directions_match = s_dirs == "all"
-    else:
-        m_dirs = [_unit_dir(*d) for d in aset.directions()]
-        directions_match = s_dirs != "all" and len(m_dirs) == len(s_dirs)
-        if directions_match:
-            remaining = list(s_dirs)
-            for d in m_dirs:
-                best = min(remaining, key=lambda r: _angular_mismatch(d, r))
-                if _angular_mismatch(d, best) > ANGULAR_TOL:
-                    directions_match = False
-                    break
-                remaining.remove(best)
+    m_dirs = "all" if aset.kind == "all" else aset.directions()
     m_type = point_type(aset)
     return TransferVerdict(
         m_directions=m_dirs,
         s_directions=s_dirs,
-        directions_match=bool(directions_match),
+        directions_match=directions_match(m_dirs, s_dirs, ANGULAR_TOL),
         m_point_type=m_type,
         s_point_type=s_type,
         types_match=m_type == s_type,

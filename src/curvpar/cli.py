@@ -181,7 +181,7 @@ def _cmd_sweep(args) -> int:
     prev_labels = None
     for value in _sweep_values(lo, hi, args.samples):
         germ = parse_map_germ(text, 2, params={name: value})
-        res = analyze_germ(germ, tol=tol, input_text=text)
+        res = analyze_germ(germ, tol=tol)
         report = res.report
         check_finite(report, f"the row {name} = {value}: report")
         labels = (

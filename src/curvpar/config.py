@@ -18,12 +18,12 @@ from dataclasses import dataclass, fields, replace
 RETIRED_KEYS = {
     "scan_nu_grid": "the scan is exact",
     "eps_orth": "no computed frame is checked for orthogonality",
-    "scan_window": "the scan covers every tangent direction, in two charts, with no window",
+    "scan_window": "the scan covers every tangent direction, in one cycle, with no window",
+    "scan_saturation": "the scan finds every direction asymptotic only when it marks every sample",
     **dict.fromkeys(
         (
             "scan_points",
             "scan_zero_tol",
-            "scan_saturation",
             "fd_step",
             "oracle_hull_tol",
             "oracle_root_tol",

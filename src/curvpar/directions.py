@@ -8,6 +8,7 @@ vectors span the distinguished plane of the profile.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,11 +25,13 @@ __all__ = [
     "BinormalSet",
     "asymptotic_directions",
     "binormal_directions",
+    "directions_match",
     "osculating_hyperplanes",
     "point_type",
     "type_of_count",
     "plane_quadratic",
     "solve_quadratic",
+    "unit_direction",
 ]
 
 Y_INF = "y_inf"
@@ -59,11 +62,29 @@ class AsymptoticSet:
         return len(self.params) + (1 if self.includes_infinity else 0)
 
     def directions(self):
-        """Finite asymptotic parameters as tangent direction pairs (1, y) / (0, 1)."""
-        dirs = [(1.0, float(y)) for y in self.params]
+        """Finite asymptotic parameters as unit tangent directions: along (1, y), then (0, 1)."""
+        dirs = [unit_direction(y) for y in self.params]
         if self.includes_infinity:
             dirs.append((0.0, 1.0))
         return dirs
+
+
+def unit_direction(y) -> tuple:
+    """The unit tangent direction along (1, y)."""
+    y = float(y)
+    n = math.hypot(1.0, y)
+    return (1.0 / n, y / n)
+
+
+def directions_match(a, b, tol) -> bool:
+    """Whether two lists of unit tangent directions pair one to one, each pair
+    within ``tol`` of the sine of the angle between them; "all" matches only "all"."""
+    if a == "all" or b == "all":
+        return a == b
+    return len(a) == len(b) and any(
+        all(abs(x[0] * y[1] - x[1] * y[0]) <= tol for x, y in zip(a, pairing))
+        for pairing in itertools.permutations(b)
+    )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ closed-form thresholds in ``curvpar.config``; these exist to catch formula
 transcription errors, not to be precise.  The functions read the constants
 at call time.  numpy is imported by the functions that use it, so that
 importing this module, as the analysis does, does not load it; the oracles
-return plain floats, tuples and lists.
+return plain floats, tuples and lists.  The asymptotic scan returns unit
+tangent directions, which ``directions.directions_match`` pairs with the
+closed form's.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
 from .linalg import float_vec
 
-# the scan grid: SCAN_POINTS parameters spread evenly over [-1, 1] in each
-# chart of the tangent directions, (1, y) and (s, 1)
-SCAN_POINTS = 2001
-# a sample is marked when its score is at most SCAN_ZERO_TOL * ref; a scan that
-# marks at least SCAN_SATURATION of its samples finds every direction asymptotic
+# the scan samples one cycle of tangent directions at SCAN_POINTS positions, a
+# step of 1e-3 (see asymptotic_scan)
+SCAN_POINTS = 4000
+# a sample is marked when its score is at most SCAN_ZERO_TOL times the smaller
+# plane value, or times SCAN_ZERO_TOL, in units of ref
 SCAN_ZERO_TOL = 1e-6
-SCAN_SATURATION = 0.99
 # the step of the finite-difference Hessian's stencil
 FD_STEP = 1e-4
 # agreement tolerances of the umbilic curvature with the affine hull, of each
-# closed-form root with a scan cluster, and of the Hessians (times the 2-jet's scale)
+# closed-form direction with a scan direction (a sine of the angle between
+# them), and of the Hessians (times the 2-jet's scale)
 ORACLE_HULL_TOL = 1e-7
 ORACLE_ROOT_TOL = 1e-3
 ORACLE_HESSIAN_TOL = 1e-6
@@ -42,9 +44,6 @@ __all__ = [
     "affine_hull_distance",
     "parabola_hull_distance",
     "asymptotic_scan",
-    "chart_gap",
-    "chart_point",
-    "roots_match",
     "finite_difference_hessian",
     "hessian_gap",
 ]
@@ -115,151 +114,113 @@ def parabola_hull_distance(pp, tol: Tolerances = DEFAULT_TOL) -> float:
 @dataclass(frozen=True)
 class ScanResult:
     kind: str                # "all" | "finite"
-    clusters: tuple          # approximate asymptotic directions as chart_points, in cycle order
-    marked_fraction: float
+    directions: tuple        # approximate asymptotic directions, unit (a, b) with a >= 0, in cycle order
 
 
-def _cluster_roots(candidates, gap: float, period: float):
-    """Group candidate positions on a cycle of length ``period``.
+def _cycle_roots(det, score, marked) -> list:
+    """Positions of the roots of ``det`` on the cycle of samples, each found once.
 
-    Precise (interpolated) entries win inside a group.  A last group that
-    reaches the first across the cycle's seam joins it, and the joined
-    group's center may lie below the first position.
-    """
-    if not candidates:
-        return ()
-    candidates = sorted(candidates)
-    groups = [[candidates[0]]]
-    for item in candidates[1:]:
-        if item[0] - groups[-1][-1][0] <= gap:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
-    if len(groups) > 1 and candidates[0][0] + period - candidates[-1][0] <= gap:
-        groups[0] = [(u - period, precise) for u, precise in groups.pop()] + groups[0]
-    centers = []
-    for group in groups:
-        precise = [y for y, is_precise in group if is_precise]
-        pool = precise if precise else [y for y, _ in group]
-        centers.append(sum(pool) / len(pool))
-    return tuple(centers)
-
-
-def _root_candidates(ys, det, marked):
-    """Candidate roots of the collinearity determinant along the grid.
-
-    Sign changes give linearly interpolated (precise) roots and exact zeros
-    give precise grid roots.  Touching roots, where |det| dips to the scale
-    of the discrete second difference without a sign change, and grid points
-    marked by the scan give coarse candidates.  Returns ``(y, precise)`` pairs.
+    ``marked`` must hold an unmarked sample.  The cycle is rotated to start
+    at one, so that no run of marked samples wraps.  Each run of marked
+    samples gives its least-scored sample.  Each sign change of ``det``
+    between two unmarked neighbours gives its linearly interpolated zero.
+    Each unmarked local minimum of ``|det|`` between unmarked neighbours of
+    its own sign, at or below a third of the second difference, gives its
+    sample: a double root between samples (a tie goes to the first sample).
+    Signs are compared, not products, which can underflow.  Positions lie
+    in ``[0, len(det))``, ascending.
     """
     import numpy as np
 
-    h = ys[1] - ys[0]
-    absdet = np.abs(det)
-    neg, pos = det < 0.0, det > 0.0
-    i = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
-    crossings = ys[i] - det[i] * h / (det[i + 1] - det[i])
-    # a touching root is a local minimum of |det|
-    mid = absdet[1:-1]
-    j = np.flatnonzero((mid <= absdet[:-2]) & (mid <= absdet[2:])) + 1
-    dd = np.abs(det[j + 1] - 2.0 * det[j] + det[j - 1])
-    touching = j[(absdet[j] <= 0.3 * dd) & (dd > 0)]
-    # det == 0.0, not ~(neg | pos), which would also match NaN
-    precise = np.concatenate((crossings, ys[det == 0.0]))
-    coarse = np.concatenate((ys[touching], ys[marked]))
-    return [(y, True) for y in precise.tolist()] + [(y, False) for y in coarse.tolist()]
+    n = len(det)
+    start = int(np.argmin(marked))
+
+    def ring(x):
+        # the rotated cycle with one more sample on each end: sample k at k + 1
+        return np.concatenate(([x[start - 1]], x[start:], x[:start], [x[start]]))
+
+    ext, free = ring(det), ~ring(marked)
+    prv, det, nxt = ext[:-2], ext[1:-1], ext[2:]
+    score, marked = ring(score)[1:-1], ~free[1:-1]
+    # the runs of marked samples: [flip 0, flip 1), [flip 2, flip 3), ...
+    flips = np.flatnonzero(marked[1:] != marked[:-1]) + 1
+    bounds = [*flips.tolist(), n] if marked[-1] else flips.tolist()
+    found = [lo + int(np.argmin(score[lo:hi])) for lo, hi in zip(bounds[0::2], bounds[1::2])]
+    # the sign of an unmarked sample, whose det is nonzero
+    neg = ext < 0.0
+    pair = free[1:-1] & free[2:]  # k and k + 1 unmarked
+    i = np.flatnonzero(pair & (neg[1:-1] != neg[2:]))
+    crossings = zip(i.tolist(), det[i].tolist(), nxt[i].tolist())
+    # the local minima of |det|, a tie going to the first sample
+    absext = np.abs(ext)
+    lows = np.flatnonzero((absext[1:-1] < absext[:-2]) & (absext[1:-1] <= absext[2:]))
+    touching = (
+        pair[lows]
+        & free[lows]
+        & (neg[lows] == neg[lows + 1])
+        & (neg[lows + 1] == neg[lows + 2])
+        & (3.0 * absext[lows + 1] <= np.abs(nxt[lows] - 2.0 * det[lows] + prv[lows]))
+    )
+    found += lows[touching].tolist()
+    positions = [(start + k) % n for k in found]
+    positions += [(start + k) % n + d / (d - e) for k, d, e in crossings]
+    return sorted(positions)
 
 
-def _tangent_pairs(lp, mp, np_, ts):
-    """Plane coordinates ``p1, p2, q1, q2`` of II((1, t), v) for the two basis tangent vectors v.
+def _cycle_direction(x) -> tuple:
+    """The unit direction at position ``x`` of the cycle, ``(a, b)`` with ``a >= 0``.
 
-    Called with L and N swapped, they are II((t, 1), v) for v = e2, e1: the
-    chart s, with p and q swapped, which changes no score and no root.
+    Position k is u = 4k / SCAN_POINTS - 1: the direction (1, u) for u in
+    [-1, 1], then (2 - u, 1) for u in (1, 3); u = 3 is u = -1 again.
     """
-    return lp[0] + mp[0] * ts, lp[1] + mp[1] * ts, mp[0] + np_[0] * ts, mp[1] + np_[1] * ts
-
-
-def _cycle_point(u) -> tuple:
-    """The direction at position ``u`` of the cycle the two charts make.
-
-    The chart y runs over u in [-1, 1] and the chart s, from s = 1 down to
-    s = -1, over u = 2 - s in [1, 3]; u = 3 is u = -1 again.  The direction
-    comes as ``chart_point`` gives it, so u = 3 gives (1, -1) as u = -1 does.
-    """
-    if u < -1.0:
-        u += 4.0
-    return chart_point(1.0, u) if u <= 1.0 else chart_point(2.0 - u, 1.0)
-
-
-def chart_point(a, b) -> tuple:
-    """The tangent direction ``(a, b)`` in the chart that owns it: ``(1, y)`` for ``|y| <= 1``, else ``(s, 1)``."""
-    return (1.0, b / a) if abs(b) <= abs(a) else (a / b, 1.0)
-
-
-def chart_gap(root, cluster) -> float:
-    """The distance from ``root`` to ``cluster``, two ``chart_point``s, in the chart that owns ``root``."""
-    k = 0 if root[0] == 1.0 else 1
-    return abs(root[1 - k] - cluster[1 - k] / cluster[k]) if cluster[k] else math.inf
-
-
-def roots_match(roots, clusters, tol) -> bool:
-    """Whether ``roots`` and ``clusters``, ``chart_point``s, pair one to one within ``tol``.
-
-    Each root pairs with its nearest cluster by ``chart_gap``; no two roots
-    may share a cluster and none may be left over on either side.
-    """
-    if len(roots) != len(clusters):
-        return False
-    nearest = [min(range(len(clusters)), key=lambda i: chart_gap(r, clusters[i])) for r in roots]
-    return len(set(nearest)) == len(roots) and all(chart_gap(r, clusters[i]) <= tol for r, i in zip(roots, nearest))
+    u = x * 4.0 / SCAN_POINTS - 1.0
+    a, b = (1.0, u) if u <= 1.0 else (2.0 - u, 1.0)
+    norm = math.copysign(math.hypot(a, b), a)
+    return (a / norm, b / norm)
 
 
 def asymptotic_scan(sf: SecondForm, ep) -> ScanResult:
     """Grid-scan estimate of the asymptotic directions.
 
-    The scan covers the projective line of tangent directions with its two
-    affine charts, ``(1, y)`` and ``(s, 1)`` for ``|y|, |s| <= 1``, each
-    sampled at ``SCAN_POINTS`` evenly spread parameters; the null direction
-    (0, 1) is s = 0.  In both charts ``p`` and ``q`` are affine in the
-    parameter (see ``_tangent_pairs``).  Each sample is scored by the exact
-    minimum over unit directions of the plane of the largest bilinear-form
-    value against the basis tangent vectors (``_kernels.scan_scores``).
-    Marking at least ``SCAN_SATURATION`` of all samples means every
-    direction is asymptotic.  Otherwise isolated roots are located from the
-    collinearity determinant ``det = p1*q2 - p2*q1`` along each chart (see
-    ``_root_candidates``) and clustered by direction, so that the charts
-    join at y = s = +-1.  Each cluster is a ``chart_point``.
+    The scan samples one cycle of tangent directions at ``SCAN_POINTS``
+    positions: (1, u) for u in [-1, 1], then (2 - u, 1) for u in (1, 3), at
+    the step 1e-3, so that u = -1, 0, 1 and 2 (the null direction (0, 1))
+    are samples.  The plane coordinates of L, M and N are divided by
+    ``sf.ref``, a power of two, first, so that no square leaves the float
+    range.  At a direction t = (a, b) the plane values ``p = II(t, e1)`` and
+    ``q = II(t, e2)`` are scored by the exact minimum over unit directions
+    of the plane of ``max(|p . nu|, |q . nu|)`` (``_kernels.scan_scores``),
+    which is at most ``min(|p|, |q|)``.  A sample is marked when its score
+    is at most ``SCAN_ZERO_TOL * max(min(|p|, |q|), SCAN_ZERO_TOL)``: p and q
+    are parallel to within about 1e-6 rad, or a plane value below 1e-6
+    times ``ref`` counts as zero.  Every direction is asymptotic exactly
+    when every sample is marked.  Otherwise each root of the collinearity
+    determinant ``det = p1*q2 - p2*q1`` is found once (``_cycle_roots``) and
+    comes as a unit direction.
 
     ``report.run_verification`` pairs the closed-form directions one to one
-    with the clusters, each compared in the chart that owns it
-    (``roots_match``).  For ``|y| > 1``
-    a tolerance in s is about that tolerance times ``y**2`` in y: looser
-    than a fixed tolerance in y, but the same for every direction.
+    with these (``directions.directions_match``), within ``ORACLE_ROOT_TOL``
+    of the sine of the angle between them: the same tolerance over the
+    whole projective line.
     """
     import numpy as np
 
-    lp, mp, np_ = (np.array(ep.to_plane_coords(v)) for v in (sf.L, sf.M, sf.N))
-    ts = np.linspace(-1.0, 1.0, SCAN_POINTS)
-    # a score has degree 1 in the jet, so its zero bound scales with ref
-    zero = SCAN_ZERO_TOL * sf.ref
-    # one row per chart: the chart y, then the chart s, which swaps L and N;
-    # each plane coordinate of L and N is a column over the two charts
-    ln, nl = (np.array(rows).T[..., None] for rows in ((lp, np_), (np_, lp)))
-    pairs = _tangent_pairs(ln, mp, nl, ts)
-    p1, p2, q1, q2 = pairs
+    # rows L, M, N in units of ref, a power of two: exact
+    lmn = np.array([ep.to_plane_coords(v) for v in (sf.L, sf.M, sf.N)]) / sf.ref
+    u = np.arange(SCAN_POINTS) * 4.0 / SCAN_POINTS - 1.0
+    a, b = np.minimum(2.0 - u, 1.0), np.minimum(u, 1.0)
+    # the rows p1, p2, q1, q2: p = a*L + b*M and q = a*M + b*N
+    pq = np.multiply.outer(lmn[:2].ravel(), a) + np.multiply.outer(lmn[1:].ravel(), b)
+    p1, p2, q1, q2 = pq
+    score = scan_scores(p1, p2, q1, q2, N_CANDIDATES)
+    sq = pq * pq
+    small = np.sqrt((sq[0::2] + sq[1::2]).min(axis=0))  # min(|p|, |q|)
+    marked = score <= SCAN_ZERO_TOL * np.maximum(small, SCAN_ZERO_TOL)
+    if marked.all():
+        return ScanResult(kind="all", directions=())
     det = p1 * q2 - p2 * q1
-    marked = (scan_scores(*(x.ravel() for x in pairs), N_CANDIDATES) <= zero).reshape(det.shape)
-    fraction = float(np.count_nonzero(marked) / marked.size)
-    if fraction >= SCAN_SATURATION:
-        return ScanResult(kind="all", clusters=(), marked_fraction=fraction)
-
-    candidates = _root_candidates(ts, det[0], marked[0]) + [
-        (2.0 - s, precise) for s, precise in _root_candidates(ts, det[1], marked[1])
-    ]
-    centers = _cluster_roots(candidates, gap=4.0 * (ts[1] - ts[0]), period=4.0)
     return ScanResult(
-        kind="finite", clusters=tuple(_cycle_point(u) for u in centers), marked_fraction=fraction
+        kind="finite", directions=tuple(_cycle_direction(x) for x in _cycle_roots(det, score, marked))
     )
 
 

@@ -27,6 +27,7 @@ from .directions import (
     BinormalSet,
     asymptotic_directions,
     binormal_directions,
+    directions_match,
     osculating_hyperplanes,
     point_type,
 )
@@ -234,18 +235,12 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         ok = scan.kind == "all"
         vr.add("asymptotic_scan_kind", "all", scan.kind, 0.0, ok)
     else:
-        # each direction in the chart that owns it, the null direction as s = 0;
-        # one cluster per direction, each direction near its own cluster in its chart
-        roots = [oracle.chart_point(a, b) for a, b in res.aset.directions()]
-        ok = scan.kind == "finite" and oracle.roots_match(roots, scan.clusters, oracle.ORACLE_ROOT_TOL)
-        # a saturated scan marked every sample: say so, not that it found no root
-        vr.add(
-            "asymptotic_scan_roots",
-            roots,
-            list(scan.clusters) if scan.kind == "finite" else "all",
-            oracle.ORACLE_ROOT_TOL,
-            ok,
-        )
+        # unit directions on both sides, paired one to one; a scan that marked
+        # every sample says so, not that it found no root
+        roots = res.aset.directions()
+        found = list(scan.directions) if scan.kind == "finite" else "all"
+        ok = directions_match(roots, found, oracle.ORACLE_ROOT_TOL)
+        vr.add("asymptotic_scan_roots", roots, found, oracle.ORACLE_ROOT_TOL, ok)
 
     # The FD Hessian is taken on the input's 2-jet, not the adapted one, so
     # that it also checks the adaptation; its entries, and so the bound,
@@ -268,16 +263,12 @@ def analyze_germ(
     *,
     tol: Tolerances = DEFAULT_TOL,
     verify: bool = False,
-    input_text: str | None = None,
 ) -> AnalysisResult:
     """Run the full pipeline on a germ given as text, parsed at order 2 since
     every result reads the 2-jet alone, or as a ``MapGermR4``, which is kept
     whole as ``AnalysisResult.germ``."""
-    if isinstance(source, str):
-        germ = parse_map_germ(source, 2)
-        input_text = source if input_text is None else input_text
-    else:
-        germ = source
+    input_text = source if isinstance(source, str) else None
+    germ = parse_map_germ(source, 2) if input_text is not None else source
     adapted = adapt(germ, tol)
     first = first_form(adapted)
     sf = second_form(adapted)

@@ -12,7 +12,7 @@ import numpy as np
 
 from curvpar.adapt import adapt
 from curvpar.associated import lift_to_r5, project_to_s, verify_transfer
-from curvpar.directions import asymptotic_directions, binormal_directions, point_type
+from curvpar.directions import asymptotic_directions, binormal_directions, directions_match, point_type
 from curvpar.forms import first_form, second_form
 from curvpar.germs import parse_map_germ
 from curvpar.heights import (
@@ -23,8 +23,6 @@ from curvpar.heights import (
 )
 from curvpar.oracle import (
     asymptotic_scan,
-    chart_gap,
-    chart_point,
     finite_difference_hessian,
     parabola_hull_distance,
 )
@@ -257,17 +255,13 @@ def test_criterion_8_oracle_equivalence_golden_corpus():
             assert scan.kind == "all", text
         else:
             assert scan.kind == "finite", text
-            # each direction against its own nearest cluster, in the chart that
-            # owns it; the null direction (0, 1) is s = 0 in the chart s
-            roots = [chart_point(a, b) for a, b in aset.directions()]
-            assert len(scan.clusters) == len(roots), (text, roots, scan.clusters)
-            nearest = [min(range(len(scan.clusters)), key=lambda i: chart_gap(r, scan.clusters[i])) for r in roots]
-            assert len(set(nearest)) == len(roots), (text, roots, scan.clusters)
-            for r, i in zip(roots, nearest):
-                assert chart_gap(r, scan.clusters[i]) <= 1e-3, (text, roots, scan.clusters)
+            # unit directions on both sides, paired one to one within 1e-3 of
+            # the sine of the angle between them
+            roots = aset.directions()
+            assert directions_match(roots, list(scan.directions), 1e-3), (text, roots, scan.directions)
             # the scan finds the null direction exactly when the closed form does
-            null = [c for c in scan.clusters if c[1] == 1.0 and abs(c[0]) <= 1e-3]
-            assert len(null) == int(aset.includes_infinity), (text, scan.clusters)
+            null = [d for d in scan.directions if abs(d[0]) <= 1e-3]
+            assert len(null) == int(aset.includes_infinity), (text, scan.directions)
 
         for nu in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, -0.8, 0.0)):
             closed = np.array(

@@ -208,6 +208,13 @@ def test_config_ignores_each_retired_oracle_key(tmp_path, key):
     assert len(caught) == 1 and key in str(caught[0].message)
 
 
+def test_retired_scan_saturation_names_the_rule_that_replaced_it(tmp_path):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"scan_saturation": 0.99}))
+    with pytest.warns(DeprecationWarning, match="only when it marks every sample"):
+        Tolerances.from_file(cfg)
+
+
 def test_verify_with_retired_keys_prints_the_same_report(tmp_path, capsys):
     cfg = tmp_path / "tol.json"
     cfg.write_text(json.dumps(dict.fromkeys(ORACLE_KEYS, 1e300)))
@@ -648,6 +655,20 @@ def test_plotdata_overflow_exits_1_and_writes_nothing(tmp_path, capsys):
     assert report["asymptotic"]["discriminant"] == 4e-120
 
 
+def test_readme_sweep_example_csv(capsys):
+    # the README's example, byte for byte: elliptic below t = 0, parabolic at
+    # 0 and hyperbolic above, with a transition flag at 0 and at 0.1
+    code, out, err = run_cli(capsys, "sweep", "--germ", "(x, x*y, t*x^2 + y^2, 0)", "--range", "-2", "2", "--samples", "41")
+    assert (code, err) == (0, "")
+    labels = {-1: ("elliptic", 0, "no"), 0: ("parabolic", 1, "yes"), 1: ("hyperbolic", 2, "no")}
+    rows = ["t,orbit,shape,point_type,kappa_u,n_asymptotic,n_binormal,transition"]
+    for k in range(-20, 21):
+        ptype, count, flag = labels[(k > 0) - (k < 0)]
+        flag = "yes" if k == 1 else flag
+        rows.append(f'{k / 10:g},"(x,xy,y^2,0)",nondegenerate parabola,{ptype},0,{count},{count},{flag}')
+    assert out == "\n".join(rows) + "\n"
+
+
 def test_sweep_ik_family(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(
@@ -756,22 +777,23 @@ def test_plotdata_cone_zero_germ(tmp_path, capsys):
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
-    # a huge scan threshold saturates the scan, contradicting the finite answer
-    monkeypatch.setattr(curvpar.oracle, "SCAN_ZERO_TOL", 1e300)
+    # a score is at most the smaller plane value, so a zero tolerance of 1
+    # marks every sample: the scan saturates, contradicting the finite answer
+    monkeypatch.setattr(curvpar.oracle, "SCAN_ZERO_TOL", 1.0)
     code, _, err = run_cli(capsys, "verify", "--germ", "(x, x*y, y^2 + x^2, 2*x^2)")
     assert code == 2
     assert "verification failed" in err
 
 
 def test_verify_reports_a_saturated_scan_as_all(capsys):
-    # the scan marks every sample against two closed-form directions: the
-    # vertex y = -5e39, as s = -2e-40, and the null direction, s = 0
+    # the scan marks every sample against two closed-form directions, as
+    # unit directions: the vertex y = -5e39 and the null direction (0, 1)
     code, out, err = run_cli(capsys, "verify", "--germ", "(x, y^2 + (10^20)^2*x*y, x^2, 0)")
     assert code == 2
     assert err == "verification failed: asymptotic_scan_roots\n"
     checks = {c["name"]: c for c in json.loads(out)["verification"]["checks"]}
     check = checks["asymptotic_scan_roots"]
-    assert (check["closed_form"], check["oracle"], check["passed"]) == ([[-2e-40, 1.0], [0.0, 1.0]], "all", False)
+    assert (check["closed_form"], check["oracle"], check["passed"]) == ([[2e-40, -1.0], [0.0, 1.0]], "all", False)
     # the FD Hessian bound scales with the input's 2-jet, here with 2^133
     check = checks["height_hessian_vs_fd"]
     assert check["passed"] and check["tolerance"] == fmt_float(1e-6 * 2.0**133)

@@ -1,6 +1,8 @@
 """Brute-force verifiers and the scan kernel."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from curvpar.adapt import adapt
 from curvpar.forms import second_form
 from curvpar.germs import MapGermR4
 from curvpar.heights import height_hessian
+from curvpar.directions import directions_match
 from curvpar.oracle import (
-    _root_candidates,
+    _cycle_direction,
+    _cycle_roots,
     affine_hull_distance,
     asymptotic_scan,
     finite_difference_hessian,
@@ -61,68 +65,89 @@ def scan_for(text, order=6):
     return asymptotic_scan(sf, pp.ep)
 
 
-def test_scan_hyperbolic_clusters():
-    # the roots y = +-1 lie where the charts meet, and each is found once
+def unit(a, b):
+    # a tangent direction as the scan prints it: unit, first entry >= 0
+    n = math.copysign(math.hypot(a, b), a)
+    return (a / n, b / n)
+
+
+def test_scan_hyperbolic():
+    # the roots y = +-1 lie where the cycle turns from (1, u) to (2 - u, 1)
+    # and where it closes, and each is found once
     scan = scan_for("(x, x*y, y^2 + x^2, 0)", order=4)
     assert scan.kind == "finite"
-    assert np.allclose(scan.clusters, [(1.0, -1.0), (1.0, 1.0)], rtol=0.0, atol=1e-3)
+    assert np.allclose(scan.directions, [unit(1.0, -1.0), unit(1.0, 1.0)], rtol=0.0, atol=1e-3)
 
 
 def test_scan_elliptic_empty():
     scan = scan_for("(x, x*y, y^2 - x^2, 0)", order=4)
     assert scan.kind == "finite"
-    assert scan.clusters == ()
+    assert scan.directions == ()
 
 
 def test_scan_parabolic_double_root():
     scan = scan_for("(x, x*y, y^2, 0)", order=4)
     assert scan.kind == "finite"
-    assert len(scan.clusters) == 1
-    assert scan.clusters[0][0] == 1.0 and abs(scan.clusters[0][1]) < 1e-3
+    assert scan.directions == ((1.0, 0.0),)
 
 
 def test_scan_radial_half_line_saturates():
     scan = scan_for("(x, y^2, 0, 0)", order=4)
     assert scan.kind == "all"
-    assert scan.marked_fraction > 0.99
+    assert scan.directions == ()
 
 
 def test_scan_non_radial_half_line_vertex_and_infinity():
-    # the null direction (0, 1) is s = 0 in the chart (s, 1)
+    # the null direction (0, 1) is the sample u = 2
     scan = scan_for("(x, y^2 + x*y, x^2, 0)", order=4)
     assert scan.kind == "finite"
-    assert np.allclose(scan.clusters, [(1.0, -0.5), (0.0, 1.0)], rtol=0.0, atol=1e-3)
+    assert np.allclose(scan.directions, [unit(1.0, -0.5), (0.0, 1.0)], rtol=0.0, atol=1e-3)
 
 
 @pytest.mark.parametrize(
     "text,roots",
     [
-        # y = +-100 and +-sqrt(1000): s = +-0.01 and +-0.0316
+        # y = +-100 and +-sqrt(1000): directions near the null direction
         ("(x, x*y, y^2 + 10000*x^2, 0)", [(0.01, 1.0), (-0.01, 1.0)]),
         ("(x, x*y, 1/10000*y^2 + x^2, 0)", [(0.01, 1.0), (-0.01, 1.0)]),
         ("(x, x*y, y^2 + 1000*x^2, 0)", [(0.1 ** 1.5, 1.0), (-(0.1 ** 1.5), 1.0)]),
-        # just beyond y = +-1: the chart y marks its end sample y = -1, which
-        # joins the chart s's root across the seam where the cycle closes
+        # just beyond and just inside y = +-1, on both sides of the turn u = 1
+        # and of the closing sample u = -1
         ("(x, x*y, y^2 + (1 + 1/10^7)^2*x^2, 0)", [(1 / (1 + 1e-7), 1.0), (-1 / (1 + 1e-7), 1.0)]),
         ("(x, x*y, y^2 + (1 - 1/10^7)^2*x^2, 0)", [(1.0, -(1 - 1e-7)), (1.0, 1 - 1e-7)]),
     ],
 )
-def test_scan_finds_each_root_once_in_the_chart_that_owns_it(text, roots):
+def test_scan_finds_each_root_once(text, roots):
     scan = scan_for(text, order=4)
     assert scan.kind == "finite"
-    assert np.allclose(sorted(scan.clusters), sorted(roots), rtol=0.0, atol=1e-5), scan.clusters
+    assert directions_match(list(scan.directions), [unit(*r) for r in roots], 1e-5), scan.directions
 
 
 @pytest.mark.parametrize("scale", ["1/10^6", "1/10^12", "10^6"])
 def test_scan_is_scale_invariant(scale):
     # a score has degree 1 in the jet: scaling the normal space scales the
-    # scores, and the zero bound scales with ref
+    # scores and the plane values alike
     text = "(x, x*y, y^2 + x^2, 0)"
     scaled = f"(x, {scale}*x*y, {scale}*y^2 + {scale}*x^2, 0)"
     twin, scan = scan_for(text, order=4), scan_for(scaled, order=4)
     assert scan.kind == twin.kind
-    assert len(scan.clusters) == len(twin.clusters) == 2
-    assert np.allclose(scan.clusters, twin.clusters, atol=1e-9)
+    assert len(scan.directions) == len(twin.directions) == 2
+    assert np.allclose(scan.directions, twin.directions, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [-300, -350])
+def test_scan_of_golden_germs_scaled_far_down(k):
+    # the plane values are divided by ref, a power of two, so the scan of a
+    # germ scaled by 2^k finds the directions of the unscaled germ
+    s = Fraction(2) ** k
+    for text in GOLDEN_GERMS:
+        g = germ(text, order=2)
+        scaled = MapGermR4([g.components[0]] + [p.map_coeffs(lambda c: c * s) for p in g.components[1:]])
+        sf, twin_sf = second_form(adapt(scaled)), second_form(adapt(g))
+        scan = asymptotic_scan(sf, build_parabola(sf).ep)
+        twin = asymptotic_scan(twin_sf, build_parabola(twin_sf).ep)
+        assert scan.kind == twin.kind, text
+        assert directions_match(list(scan.directions), list(twin.directions), 1e-9), text
 
 
 def test_fd_hessian_example():
@@ -240,43 +265,78 @@ def test_kernel_degenerate_pairs_score_zero(rng):
             assert np.array_equal(got, zero), name
 
 
-def _loop_candidates(ys, det, marked):
-    """The per-point loops that _root_candidates replaced, kept as its reference."""
-    n = len(ys)
-    h = ys[1] - ys[0]
-    candidates = []
-    signs = np.sign(det)
-    for i in range(n - 1):
-        if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-            y_root = ys[i] - det[i] * h / (det[i + 1] - det[i])
-            candidates.append((float(y_root), True))
-        elif signs[i] == 0:
-            candidates.append((float(ys[i]), True))
-    if signs[-1] == 0:
-        candidates.append((float(ys[-1]), True))
-    absdet = np.abs(det)
-    dd = np.abs(det[2:] - 2.0 * det[1:-1] + det[:-2])
-    for i in range(1, n - 1):
-        if absdet[i] <= absdet[i - 1] and absdet[i] <= absdet[i + 1]:
-            if absdet[i] <= 0.3 * dd[i - 1] and dd[i - 1] > 0:
-                candidates.append((float(ys[i]), False))
-    for i in np.flatnonzero(marked):
-        candidates.append((float(ys[i]), False))
-    return candidates
+def cycle_samples(text, monkeypatch):
+    """The scan of a golden germ and the kernel's inputs and scores, as lists of floats."""
+    seen = []
+    kernel = curvpar.oracle.scan_scores
+
+    def recorded(*args):
+        seen.append([*args[:4], kernel(*args)])
+        return seen[-1][-1]
+
+    monkeypatch.setattr(curvpar.oracle, "scan_scores", recorded)
+    scan = scan_for(text)
+    monkeypatch.undo()
+    return scan, [x.tolist() for x in seen[0]]
 
 
-def test_root_candidates_match_loop_version_on_golden_corpus():
-    o = curvpar.oracle
-    ts = np.linspace(-1.0, 1.0, o.SCAN_POINTS)
+def loop_roots(p1, p2, q1, q2, score):
+    """A plain per-sample loop over the cycle, kept as the root finder's reference."""
+    n = len(score)
+    tol = curvpar.oracle.SCAN_ZERO_TOL
+    det, marked = [], []
+    for k in range(n):
+        det.append(p1[k] * q2[k] - p2[k] * q1[k])
+        small = math.sqrt(min(p1[k] * p1[k] + p2[k] * p2[k], q1[k] * q1[k] + q2[k] * q2[k]))
+        marked.append(score[k] <= tol * max(small, tol))
+    if all(marked):
+        return "all"
+    start = marked.index(False)
+    positions = []
+    for j in range(n):
+        k, prv, nxt = (start + j) % n, (start + j - 1) % n, (start + j + 1) % n
+        if marked[k]:
+            if not marked[prv] or score[k] < score[best]:
+                best = k
+            if not marked[nxt]:
+                positions.append(best)
+            continue
+        if marked[nxt]:
+            continue
+        if (det[k] < 0.0) != (det[nxt] < 0.0):
+            positions.append(k + det[k] / (det[k] - det[nxt]))
+        if (
+            not marked[prv]
+            and (det[prv] < 0.0) == (det[k] < 0.0) == (det[nxt] < 0.0)
+            and abs(det[prv]) > abs(det[k]) <= abs(det[nxt])
+            and 3.0 * abs(det[k]) <= abs(det[nxt] - 2.0 * det[k] + det[prv])
+        ):
+            positions.append(k)
+    return sorted(positions)
+
+
+def test_root_finder_matches_loop_version_on_golden_corpus(monkeypatch):
+    # and a double root between samples, found as a touching minimum
+    for text in [*GOLDEN_GERMS, "(x, x*y - 3/2000*x^2, y^2 - 3/1000*x*y + 9/4000000*x^2, 0)"]:
+        scan, samples = cycle_samples(text, monkeypatch)
+        roots = loop_roots(*samples)
+        if roots == "all":
+            assert scan.kind == "all", text
+        else:
+            assert scan.directions == tuple(_cycle_direction(x) for x in roots), text
+
+
+def test_root_finder_reads_signs_at_any_scale(monkeypatch):
+    # the roots of det and of det * 2^-600 are the same: a product of two
+    # such determinants underflows, their signs do not
+    seen = []
+    monkeypatch.setattr(curvpar.oracle, "_cycle_roots", lambda *args: seen.append(args) or _cycle_roots(*args))
     for text in GOLDEN_GERMS:
-        sf = second_form(adapt(germ(text)))
-        ep = build_parabola(sf).ep
-        lp, mp, np_ = (ep.to_plane_coords(v) for v in (sf.L, sf.M, sf.N))
-        # the chart y, then the chart s: L and N swapped
-        for a, c in ((lp, np_), (np_, lp)):
-            p1, p2 = a[0] + mp[0] * ts, a[1] + mp[1] * ts
-            q1, q2 = mp[0] + c[0] * ts, mp[1] + c[1] * ts
-            marked = scan_scores(p1, p2, q1, q2, N_CANDIDATES) <= o.SCAN_ZERO_TOL
-            det = p1 * q2 - p2 * q1
-            got = sorted(_root_candidates(ts, det, marked))
-            assert got == sorted(_loop_candidates(ts, det, marked)), text
+        scan_for(text)
+    tiny = 2.0**-600
+    found = 0
+    for det, score, marked in seen:
+        roots = _cycle_roots(det, score, marked)
+        assert _cycle_roots(det * tiny, score * tiny, marked) == roots
+        found += len(roots)
+    assert found >= 20

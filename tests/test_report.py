@@ -1,13 +1,16 @@
 """Pipeline report: serialization, internal consistency, robustness."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curvpar.oracle
+from curvpar.cli import main
 from curvpar.config import DEFAULT_TOL, Tolerances
 from curvpar.forms import second_form
 from curvpar.germs import Jet2, MapGermR4, TruncatedPoly2, parse_map_germ
@@ -339,13 +342,14 @@ def _wrong_infinity(res):
 
 def _wrong_duplicate(res):
     # the null direction dropped for a copy of the finite root moved by 1e-4:
-    # the count holds, but both roots are nearest the same cluster
+    # the count holds, but both roots pair only with the same scan direction
     y = res.aset.params[0]
     return replace(res, aset=replace(res.aset, params=(y, y + 1e-4), includes_infinity=False))
 
 
 def _wrong_far_root(res):
-    # the largest root moved by 1e-2 in s = 1/y, ten times the root tolerance
+    # the largest root moved by 1e-2 in s = 1/y, about 1e-2 rad: ten times the
+    # root tolerance
     params = list(res.aset.params)
     params[-1] = 1.0 / (1.0 / float(params[-1]) + 1e-2)
     return replace(res, aset=replace(res.aset, params=tuple(params)))
@@ -365,7 +369,7 @@ def _wrong_second_form(res):
 
 # one golden germ per shape kind: parabola, half-line, line and point
 SHAPE_GERMS = ("(x, x*y, x^2 + y^2, 0)", "(x, y^2, x^2, 0)", "(x, x*y, x^2, 0)", "(x, x^2, 0, 0)")
-# hyperbolic germs whose roots lie far out in the chart y: y = +-100, s = +-0.01
+# hyperbolic germs whose roots lie far out in y: y = +-100, 0.01 rad from (0, 1)
 FAR_ROOT_GERMS = ("(x, x*y, y^2 + 10000*x^2, 0)", "(x, x*y, 1/10000*y^2 + x^2, 0)")
 # a wrong closed-form value and the check it fails.  Only the parabola's and
 # the half-line's asymptotic sets have a finite parameter; the point's is
@@ -406,13 +410,55 @@ def test_root_check_lists_every_asymptotic_direction():
 
 
 def test_nearly_degenerate_parabola_fails_only_the_hull_check():
-    # its root near y = 2e9 is s = 5e-10 in the chart s, where the scan finds
-    # it; the hull oracle reads the trace's 1e-9-thin width as a line
+    # its root near y = 2e9 lies 5e-10 rad from the null direction, where the
+    # scan finds it; the hull oracle reads the trace's 1e-9-thin width as a line
     res = analyze_germ("(x, x*y + y^2, 1/10^9*y^2 + x^2, 0)")
     vr = run_verification(res, DEFAULT_TOL)
     assert [c.name for c in vr.checks if not c.passed] == ["umbilic_vs_affine_hull"]
     (check,) = [c for c in vr.checks if c.name == "asymptotic_scan_roots"]
     assert len(check.closed_form) == res.aset.count == 2
+
+
+# hyperbolic germs whose roots the scan must find however far from (1, 0)
+# they lie: y = +-sqrt(c), +-10^(k/2), and the family y = +-10^j, j = 0..4
+FAR_ROOT_VERIFIED = list(dict.fromkeys([
+    *(f"(x, x*y, y^2 + {c}*x^2, 0)" for c in ("10^5", "10^6", "10^8")),
+    *(f"(x, x*y, 1/10^{k}*y^2 + x^2, 0)" for k in (6, 8)),
+    "(x, 1000*x*y, y^2 + 10^6*x^2, 0)",
+    *(f"(x, x*y, y^2 + 10^{2 * j}*x^2, 0)" for j in range(5)),
+]))
+# parabolic germs whose double root y = a lies between the scan's samples
+OFF_GRID_DOUBLE_ROOTS = [f"(x, x*y - {a}*x^2, y^2 - 2*{a}*x*y + ({a})^2*x^2, 0)" for a in ("1/2000", "3/2000", "7/3")]
+
+
+@pytest.mark.parametrize("text", FAR_ROOT_VERIFIED + OFF_GRID_DOUBLE_ROOTS)
+def test_scan_verifies_far_roots_and_double_roots_between_samples(text, capsys):
+    g = parse_map_germ(text, 2)
+    for source in (g, g.to_float()):
+        res = analyze_germ(source, verify=True)
+        assert res.verification.passed, [c for c in res.verification.checks if not c.passed]
+    if text in OFF_GRID_DOUBLE_ROOTS:
+        assert res.ptype == "parabolic"
+    assert main(["verify", "--germ", text]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("workload", ["rational_moved", "float_moved"])
+def test_moved_workload_germs_pass_verification(workload):
+    # the benchmark analyses these inputs unverified; every one must verify
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import run
+    import worker
+
+    specs = run.make_workload(workload, 7)[0]
+    failed = [
+        i
+        for i, spec in enumerate(specs)
+        if not analyze_germ(worker.build(spec, (MapGermR4, TruncatedPoly2)), verify=True).verification.passed
+    ]
+    assert len(specs) > 100 and failed == []
 
 
 @pytest.mark.parametrize("render", [render_json, render_text])
