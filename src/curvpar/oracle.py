@@ -30,6 +30,10 @@ SCAN_POINTS = 4000
 SCAN_ZERO_TOL = 1e-6
 # the step of the finite-difference Hessian's stencil
 FD_STEP = 1e-4
+# the hull oracle keeps each direction whose singular value exceeds
+# HULL_RANK_TOL times the largest: the samples' rounding noise lies near 1e-15
+# of their spread, while a parabola trace may be 1e-9 thin and still a plane
+HULL_RANK_TOL = 1e-12
 # agreement tolerances of the umbilic curvature with the affine hull, of each
 # closed-form direction with a scan direction (a sine of the angle between
 # them), and of the Hessians (times the 2-jet's scale)
@@ -74,7 +78,7 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
     """Distance from the origin to the least-squares affine hull of the samples.
 
     The hull dimension is decided from the singular values of the centered
-    sample matrix relative to the largest one.
+    sample matrix relative to the largest one, cut at ``HULL_RANK_TOL``.
     """
     import numpy as np
 
@@ -90,7 +94,7 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
     if svals.size == 0 or svals[0] <= tol.eps_rank * scale:
         directions = np.zeros((0, pts.shape[1]))
     else:
-        rank = int(np.sum(svals > tol.eps_rank * svals[0]))
+        rank = int(np.sum(svals > HULL_RANK_TOL * svals[0]))
         directions = vt[:rank]
     residual = centroid - directions.T @ (directions @ centroid)
     return float(np.linalg.norm(residual))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .adapt import AdaptedGerm, adapt
@@ -60,17 +60,24 @@ __all__ = ["AnalysisResult", "analyze_germ", "check_finite", "fmt_float", "forma
 
 
 def fmt_float(x: float) -> float:
-    """Round to 12 significant digits for stable serialization."""
-    v = float(f"{float(x):.12g}")
-    return 0.0 if v == 0.0 else v
+    """Round to 12 significant digits for stable serialization; -0.0 prints 0.0.
 
-
-def format_value(v):
-    """Recursively prepare a value for JSON output; rationals keep exact text form.
-
-    Dispatches on the exact type, floats first: the report holds mostly floats.
-    Every float is rounded by ``fmt_float``, the one rounding rule of the report.
+    This is the one rounding rule of the report.  Zeros and units, most of
+    the floats in a report, round to themselves and skip the text round trip;
+    no other float rounds to zero.
     """
+    x = float(x)
+    if x == 0.0:
+        return 0.0
+    if x == 1.0 or x == -1.0:
+        return x
+    return float(f"{x:.12g}")
+
+
+def _leaf(v):
+    """A scalar as the report prints it: a float by ``fmt_float``, a rational
+    as an int or exact text such as ``"1/3"``, and str, bool, int and None as
+    they are."""
     t = type(v)
     if t is float:
         return fmt_float(v)
@@ -78,16 +85,42 @@ def format_value(v):
         return int(v) if v.denominator == 1 else str(v)
     if t is str or t is bool or t is int or v is None:
         return v
-    if t is dict:
-        return {k: format_value(val) for k, val in v.items()}
-    if t is list or t is tuple:
-        return [format_value(c) for c in v]
     # numbers of other types, numpy's scalars in a user's germ among them
     if isinstance(v, numbers.Integral):
         return int(v)
     if isinstance(v, numbers.Real):
         return fmt_float(v)
     raise TypeError(f"cannot serialize {type(v)!r}")
+
+
+def format_value(v):
+    """Recursively prepare a value for JSON output: dicts and lists of ``_leaf`` values.
+
+    Tuples become lists.  The report uses it only where a value's shape
+    varies, such as a set of directions that may read ``"all"``.
+    """
+    t = type(v)
+    if t is dict:
+        return {k: format_value(val) for k, val in v.items()}
+    if t is list or t is tuple:
+        return [format_value(c) for c in v]
+    return _leaf(v)
+
+
+def _vec(v) -> list:
+    return [_leaf(c) for c in v]
+
+
+def _mat(rows) -> list:
+    return [[_leaf(c) for c in row] for row in rows]
+
+
+def _jet2(j) -> dict:
+    return {
+        "a20": _leaf(j.a20), "a11": _leaf(j.a11), "a02": _leaf(j.a02),
+        "b20": _leaf(j.b20), "b11": _leaf(j.b11), "b02": _leaf(j.b02),
+        "c20": _leaf(j.c20), "c11": _leaf(j.c11), "c02": _leaf(j.c02),
+    }
 
 
 @dataclass
@@ -117,33 +150,31 @@ def _count_or_inf(value):
     return "inf" if value == math.inf else int(value)
 
 
-def _field_values(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
-    """The report: raw values, converted for JSON in one ``format_value`` walk.
+    """The report, built in one pass: each value is converted where it is placed.
 
-    The only conversions made here choose how a value prints: the parameters
-    and the asymptotic quadratic print as floats even when exact, and an
-    infinite count prints as ``"inf"``.
+    Scalars go through ``_leaf``, and so every float through ``fmt_float``;
+    vectors and matrices become lists of them.  ``format_value`` converts
+    only the values whose shape varies.  The parameters and the asymptotic
+    quadratic print as floats even when exact, and an infinite count prints
+    as ``"inf"``.
     """
     ad, pp, umb = res.adapted, res.profile, res.umbilic
     vertex = pp.shape.vertex_param
-    return format_value({
+    return {
         "input": {
             "germ": input_text if input_text is not None else res.germ.to_expression(),
             "exact": res.germ.is_exact,
         },
         "adaptation": {
             "exact": ad.exact,
-            "tangent_frame": ad.tangent_frame,
-            "normal_frame": ad.normal_frame,
-            "target_rotation": ad.target_rotation,
+            "tangent_frame": _vec(ad.tangent_frame),
+            "normal_frame": _mat(ad.normal_frame),
+            "target_rotation": _mat(ad.target_rotation),
         },
-        "first_form": {"E": res.first.E, "F": res.first.F, "G": res.first.G},
-        "second_form": res.sf.matrix,
-        "jet2": _field_values(res.jet2),
+        "first_form": {"E": _leaf(res.first.E), "F": _leaf(res.first.F), "G": _leaf(res.first.G)},
+        "second_form": _mat(res.sf.matrix),
+        "jet2": _jet2(res.jet2),
         "orbit": {
             "from_coefficients": res.orbit_table,
             "from_geometry": pp.orbit,
@@ -153,19 +184,19 @@ def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
             "shape": pp.shape.label(),
             "kind": pp.shape.kind,
             "radial": pp.shape.radial,
-            "vertex_param": None if vertex is None else float(vertex),
+            "vertex_param": None if vertex is None else fmt_float(vertex),
             "vertex_is_origin": pp.shape.vertex_is_origin,
             "point_is_origin": pp.shape.is_origin,
             "stratum": f"M{pp.stratum}",
-            "affine_hull": {"point": pp.aff.point, "basis": pp.aff.basis, "dim": pp.aff.dim},
-            "plane": {"u1": pp.ep.u1, "u2": pp.ep.u2, "normal": pp.ep.nu3, "forced": pp.ep.forced},
+            "affine_hull": {"point": _vec(pp.aff.point), "basis": _mat(pp.aff.basis), "dim": pp.aff.dim},
+            "plane": {"u1": _vec(pp.ep.u1), "u2": _vec(pp.ep.u2), "normal": _vec(pp.ep.nu3), "forced": pp.ep.forced},
         },
         "asymptotic": {
             "kind": res.aset.kind,
-            "parameters": [float(y) for y in res.aset.params],
+            "parameters": [fmt_float(y) for y in res.aset.params],
             "includes_infinity": res.aset.includes_infinity,
-            "quadratic": [float(q) for q in res.aset.quadratic],
-            "discriminant": float(res.aset.discriminant),
+            "quadratic": [fmt_float(q) for q in res.aset.quadratic],
+            "discriminant": fmt_float(res.aset.discriminant),
             "count": _count_or_inf(res.aset.count),
         },
         "binormal": {
@@ -174,22 +205,22 @@ def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
                 {
                     # no parameter when the shape rule decided; y_inf is a string
                     "param": "shape" if b.param is None
-                    else b.param if type(b.param) is str else float(b.param),
-                    "vector": b.vector,
+                    else b.param if type(b.param) is str else fmt_float(b.param),
+                    "vector": _vec(b.vector),
                 }
                 for b in res.bset.items
             ],
             "count": _count_or_inf(res.bset.count),
         },
-        "osculating_hyperplanes": osculating_hyperplanes(res.bset),
+        "osculating_hyperplanes": format_value(osculating_hyperplanes(res.bset)),
         "point_type": res.ptype,
-        "umbilic": {"kappa_u": umb.kappa_u, "formula": umb.formula_used, "is_zero": umb.is_zero},
+        "umbilic": {"kappa_u": _leaf(umb.kappa_u), "formula": umb.formula_used, "is_zero": umb.is_zero},
         "kappa_stratum_consistent": kappa_stratum_check(pp, umb),
         "heights": {
-            "cone_quadratic": res.cone.quad,
+            "cone_quadratic": _mat(res.cone.quad),
             "corank2": {
                 "dim": res.cone.corank2_dim,
-                "basis": res.cone.corank2_basis,
+                "basis": _mat(res.cone.corank2_basis),
                 "expected_dim": res.corank2.expected_dim,
                 "case": res.corank2.case,
                 "agrees": res.corank2.agrees,
@@ -198,19 +229,19 @@ def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
         },
         "reduced_two_jet": {
             "orbit": res.reduced.orbit,
-            "jet2": _field_values(res.reduced.jet2),
-            "source_matrix": res.reduced.source_matrix,
-            "target_rotation": res.reduced.target_rotation,
+            "jet2": _jet2(res.reduced.jet2),
+            "source_matrix": _mat(res.reduced.source_matrix),
+            "target_rotation": _mat(res.reduced.target_rotation),
         },
         "transfer": {
-            "m_directions": res.transfer.m_directions,
-            "s_directions": res.transfer.s_directions,
+            "m_directions": format_value(res.transfer.m_directions),
+            "s_directions": format_value(res.transfer.s_directions),
             "directions_match": res.transfer.directions_match,
             "m_point_type": res.transfer.m_point_type,
             "s_point_type": res.transfer.s_point_type,
             "types_match": res.transfer.types_match,
         },
-    })
+    }
 
 
 def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationReport:
@@ -309,9 +340,12 @@ def analyze_germ(
     if verify:
         vr = run_verification(res, tol)
         res.verification = vr
-        res.report["verification"] = format_value(
-            {"passed": vr.passed, "checks": [_field_values(c) for c in vr.checks]}
-        )
+        # the fields of each CheckResult, in order
+        res.report["verification"] = {"passed": vr.passed, "checks": [
+            {"name": c.name, "closed_form": format_value(c.closed_form), "oracle": format_value(c.oracle),
+             "tolerance": _leaf(c.tolerance), "passed": c.passed}
+            for c in vr.checks
+        ]}
     return res
 
 

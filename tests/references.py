@@ -3,18 +3,24 @@
 The analysis reads the second form only through its invariants and the
 plane rows of ``ParabolaProfile``; these direct evaluations, the polynomial
 rotation that ``project_to_s`` once made, the point type of a reduced
-normal form (the acceptance suite's reference) and the term-by-term
-printing of a polynomial live here.
+normal form (the acceptance suite's reference), the term-by-term
+printing of a polynomial and the report as a tree of raw values, which
+``build_report`` once handed to ``format_value`` whole, live here.
 """
 
+import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 
 from curvpar.config import DEFAULT_TOL, Tolerances
+from curvpar.directions import osculating_hyperplanes
 from curvpar.forms import SecondForm, form_rows
 from curvpar.germs import TruncatedPoly2, extract_jet2
+from curvpar.heights import cone_parabola_orthogonality
 from curvpar.linalg import negligible
+from curvpar.umbilic import kappa_stratum_check
 
 
 def value_along(sf: SecondForm, nu, u, v):
@@ -124,3 +130,107 @@ def to_expression(p: TruncatedPoly2) -> str:
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
     return " ".join(parts)
+
+
+def _count_or_inf(value):
+    return "inf" if value == math.inf else int(value)
+
+
+def _field_values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def raw_report(res, input_text):
+    """The report of an ``AnalysisResult`` as raw values, before ``format_value``.
+
+    The only conversions made here choose how a value prints: the parameters
+    and the asymptotic quadratic print as floats even when exact, and an
+    infinite count prints as ``"inf"``.  A verified result adds its
+    ``verification`` block, each check as its fields.
+    """
+    ad, pp, umb = res.adapted, res.profile, res.umbilic
+    vertex = pp.shape.vertex_param
+    report = {
+        "input": {
+            "germ": input_text if input_text is not None else res.germ.to_expression(),
+            "exact": res.germ.is_exact,
+        },
+        "adaptation": {
+            "exact": ad.exact,
+            "tangent_frame": ad.tangent_frame,
+            "normal_frame": ad.normal_frame,
+            "target_rotation": ad.target_rotation,
+        },
+        "first_form": {"E": res.first.E, "F": res.first.F, "G": res.first.G},
+        "second_form": res.sf.matrix,
+        "jet2": _field_values(res.jet2),
+        "orbit": {
+            "from_coefficients": res.orbit_table,
+            "from_geometry": pp.orbit,
+            "consistent": res.orbit_table == pp.orbit,
+        },
+        "parabola": {
+            "shape": pp.shape.label(),
+            "kind": pp.shape.kind,
+            "radial": pp.shape.radial,
+            "vertex_param": None if vertex is None else float(vertex),
+            "vertex_is_origin": pp.shape.vertex_is_origin,
+            "point_is_origin": pp.shape.is_origin,
+            "stratum": f"M{pp.stratum}",
+            "affine_hull": {"point": pp.aff.point, "basis": pp.aff.basis, "dim": pp.aff.dim},
+            "plane": {"u1": pp.ep.u1, "u2": pp.ep.u2, "normal": pp.ep.nu3, "forced": pp.ep.forced},
+        },
+        "asymptotic": {
+            "kind": res.aset.kind,
+            "parameters": [float(y) for y in res.aset.params],
+            "includes_infinity": res.aset.includes_infinity,
+            "quadratic": [float(q) for q in res.aset.quadratic],
+            "discriminant": float(res.aset.discriminant),
+            "count": _count_or_inf(res.aset.count),
+        },
+        "binormal": {
+            "kind": res.bset.kind,
+            "items": [
+                {
+                    "param": "shape" if b.param is None
+                    else b.param if type(b.param) is str else float(b.param),
+                    "vector": b.vector,
+                }
+                for b in res.bset.items
+            ],
+            "count": _count_or_inf(res.bset.count),
+        },
+        "osculating_hyperplanes": osculating_hyperplanes(res.bset),
+        "point_type": res.ptype,
+        "umbilic": {"kappa_u": umb.kappa_u, "formula": umb.formula_used, "is_zero": umb.is_zero},
+        "kappa_stratum_consistent": kappa_stratum_check(pp, umb),
+        "heights": {
+            "cone_quadratic": res.cone.quad,
+            "corank2": {
+                "dim": res.cone.corank2_dim,
+                "basis": res.cone.corank2_basis,
+                "expected_dim": res.corank2.expected_dim,
+                "case": res.corank2.case,
+                "agrees": res.corank2.agrees,
+            },
+            "cone_parabola_orthogonal": cone_parabola_orthogonality(pp, res.aset, res.bset),
+        },
+        "reduced_two_jet": {
+            "orbit": res.reduced.orbit,
+            "jet2": _field_values(res.reduced.jet2),
+            "source_matrix": res.reduced.source_matrix,
+            "target_rotation": res.reduced.target_rotation,
+        },
+        "transfer": {
+            "m_directions": res.transfer.m_directions,
+            "s_directions": res.transfer.s_directions,
+            "directions_match": res.transfer.directions_match,
+            "m_point_type": res.transfer.m_point_type,
+            "s_point_type": res.transfer.s_point_type,
+            "types_match": res.transfer.types_match,
+        },
+    }
+    if res.verification is not None:
+        vr = res.verification
+        report["verification"] = {"passed": vr.passed, "checks": [_field_values(c) for c in vr.checks]}
+    return report

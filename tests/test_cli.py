@@ -328,36 +328,58 @@ def test_column_products_are_the_second_forms_invariants():
 
 
 def format_value_sites(path):
-    """``module.function: statement`` of each ``format_value`` call outside its own body.
-
-    The statement is ``return`` or the assignment target that the call's
-    value goes to; ``nested`` when the call sits inside a larger expression.
-    """
+    """``module.function: argument`` of each ``format_value`` call outside its own body."""
     sites = []
 
-    def visit(node, func, stmt):
+    def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "format_value" and func != "format_value":
-            if isinstance(stmt, ast.Return) and stmt.value is node:
-                sites.append(f"{path.stem}.{func}: return")
-            elif isinstance(stmt, ast.Assign) and stmt.value is node:
-                sites.append(f"{path.stem}.{func}: {ast.unparse(stmt.targets[0])}")
-            else:
-                sites.append(f"{path.stem}.{func}: nested")
+            sites.append(f"{path.stem}.{func}: {ast.unparse(node.args[0])}")
         for child in ast.iter_child_nodes(node):
-            visit(child, func, node if isinstance(node, ast.stmt) else stmt)
+            visit(child, func)
 
-    visit(ast.parse(path.read_text()), None, None)
+    visit(ast.parse(path.read_text()), None)
     return sites
 
 
-def test_the_report_is_converted_in_one_walk():
-    # build_report hands format_value one dict of raw values, and the
-    # verification block is one more call; no field is converted on its own
+def twelve_digit_sites(path):
+    """``module.function`` of each string, docstrings aside, that holds a ``12g`` format."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            for child in [*node.args.defaults, *node.decorator_list, *body]:
+                visit(child, func)
+            return
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "12g" in node.value:
+            sites.append(f"{path.stem}.{func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_the_report_is_built_in_one_pass():
+    # build_report places each value already converted: format_value sees
+    # only the values whose shape varies (a set of directions that may read
+    # "all", a check's closed form and oracle), never the raw tree of the
+    # report; and fmt_float is the one 12-digit rounding of a report float,
+    # beside the CSV cells that cli._fmt prints as text
     src = Path(curvpar.__file__).parent
     sites = [s for p in sorted(src.glob("*.py")) for s in format_value_sites(p)]
-    assert sites == ["report.build_report: return", "report.analyze_germ: res.report['verification']"]
+    assert sites == [
+        "report.build_report: osculating_hyperplanes(res.bset)",
+        "report.build_report: res.transfer.m_directions",
+        "report.build_report: res.transfer.s_directions",
+        "report.analyze_germ: c.closed_form",
+        "report.analyze_germ: c.oracle",
+    ]
+    rounding = [s for p in sorted(src.glob("*.py")) for s in twelve_digit_sites(p)]
+    assert rounding == ["cli._fmt", "report.fmt_float"]
 
 
 def is_tolerance(node):

@@ -1,6 +1,7 @@
 """Pipeline report: serialization, internal consistency, robustness."""
 
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -16,6 +17,7 @@ from curvpar.forms import second_form
 from curvpar.germs import Jet2, MapGermR4, TruncatedPoly2, parse_map_germ
 from curvpar.report import (
     analyze_germ,
+    build_report,
     fmt_float,
     format_value,
     render_json,
@@ -25,6 +27,7 @@ from curvpar.report import (
 
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
 from golden import GOLDEN_GERM_ORDERS, GOLDEN_GERMS
+from references import raw_report
 
 # exact germs at scale 1e-10, each with its scale-1 twin
 SMALL_SCALE_TWINS = {
@@ -69,6 +72,25 @@ def test_fmt_float_12_significant_digits():
     assert fmt_float(1.0 / 3.0) == 0.333333333333
     assert fmt_float(-0.0) == 0.0
     assert fmt_float(123456789.123456789) == 123456789.123
+
+
+def test_fmt_float_matches_the_text_round_trip():
+    # zeros and units skip the round trip; every float rounds as it would
+    # through 12-digit text, bit for bit, and -0.0 prints as 0.0
+    def round_trip(x):
+        v = float(f"{x:.12g}")
+        return 0.0 if v == 0.0 else v
+
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    values = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), math.nextafter(-1.0, -2.0),
+              math.nextafter(-1.0, 0.0), tiny, -tiny, 2.2250738585072014e-308, 1e-310, 1e308, -1e308, huge, -huge]
+    rng = np.random.default_rng(27)
+    values += [float(x) for x in rng.normal(size=200)]
+    values += [float(m * 10.0**e) for m, e in zip(rng.uniform(-10, 10, 200), rng.integers(-320, 300, 200))]
+    values += [float(x) for x in rng.integers(-2**20, 2**20, 50)]
+    for x in values:
+        assert repr(fmt_float(x)) == repr(round_trip(x)), x
+        assert repr(fmt_float(np.float64(x))) == repr(round_trip(x)), x
 
 
 @pytest.mark.parametrize("text,order", GOLDEN_GERM_ORDERS + [(t, 4) for t in SMALL_SCALE_TWINS])
@@ -222,6 +244,12 @@ def test_report_json_round_trips():
     assert json.loads(text) == res.report
 
 
+def scalar_germ(cast=float):
+    """A prenormal germ with coefficients of type ``cast``, which reach the report unchanged."""
+    comps = [{(1, 0): 1.0}, {(1, 1): 1.5, (2, 0): 0.5}, {(0, 2): -2.0}, {(2, 0): 3.0}]
+    return MapGermR4([TruncatedPoly2({k: cast(v) for k, v in c.items()}, 2) for c in comps])
+
+
 def one_walk_inputs(rng):
     """Each golden germ as text, then moved by a float motion as a float MapGermR4."""
     for text in GOLDEN_GERMS:
@@ -231,20 +259,31 @@ def one_walk_inputs(rng):
 
 @pytest.mark.parametrize("verify", [False, True])
 def test_reports_hold_only_json_native_values(rng, verify):
-    # every field went through the one format_value walk: another walk
-    # changes nothing, and the JSON text reads back as the same report
+    # every field is already converted: a format_value walk changes
+    # nothing, and the JSON text reads back as the same report
     for source in one_walk_inputs(rng):
         report = analyze_germ(source, verify=verify).report
         assert format_value(report) == report, source
         assert json.loads(render_json(report)) == report, source
 
 
+@pytest.mark.parametrize("verify", [False, True])
+def test_one_pass_report_equals_the_raw_tree_converted(rng, verify):
+    # build_report converts each value where it places it; the result is the
+    # former raw tree converted whole by format_value, types and key order
+    # included, on exact text, float motions and numpy's scalars
+    for source in [*one_walk_inputs(rng), scalar_germ(np.float64)]:
+        res = analyze_germ(source, verify=verify)
+        text = source if isinstance(source, str) else None
+        want = format_value(raw_report(res, text))
+        assert repr(res.report) == repr(want), source
+        want.pop("verification", None)
+        assert repr(build_report(res, text)) == repr(want), source
+
+
 def test_numpy_scalar_coefficients_report_like_floats():
     # a prenormal germ keeps its coefficients, so numpy's scalars reach the report
-    comps = [{(1, 0): 1.0}, {(1, 1): 1.5, (2, 0): 0.5}, {(0, 2): -2.0}, {(2, 0): 3.0}]
-    floats = MapGermR4([TruncatedPoly2(c, 2) for c in comps])
-    scalars = MapGermR4([TruncatedPoly2({k: np.float64(v) for k, v in c.items()}, 2) for c in comps])
-    got, want = analyze_germ(scalars).report, analyze_germ(floats).report
+    got, want = analyze_germ(scalar_germ(np.float64)).report, analyze_germ(scalar_germ()).report
     assert got["input"]["germ"] == "(x, 1.5*x*y + 0.5*x^2, -2.0*y^2, 3.0*x^2)"
     assert got == want
 
@@ -409,14 +448,17 @@ def test_root_check_lists_every_asymptotic_direction():
             assert len(check.closed_form) == res.aset.count, text
 
 
-def test_nearly_degenerate_parabola_fails_only_the_hull_check():
+def test_nearly_degenerate_parabola_passes_every_check(capsys):
     # its root near y = 2e9 lies 5e-10 rad from the null direction, where the
-    # scan finds it; the hull oracle reads the trace's 1e-9-thin width as a line
-    res = analyze_germ("(x, x*y + y^2, 1/10^9*y^2 + x^2, 0)")
+    # scan finds it; the hull oracle's rank cut keeps the trace's 1e-9-thin
+    # width, so the hull is the plane through the origin, as the closed form says
+    text = "(x, x*y + y^2, 1/10^9*y^2 + x^2, 0)"
+    res = analyze_germ(text)
     vr = run_verification(res, DEFAULT_TOL)
-    assert [c.name for c in vr.checks if not c.passed] == ["umbilic_vs_affine_hull"]
+    assert [c.name for c in vr.checks if not c.passed] == []
     (check,) = [c for c in vr.checks if c.name == "asymptotic_scan_roots"]
     assert len(check.closed_form) == res.aset.count == 2
+    assert main(["verify", "--germ", text]) == 0
 
 
 # hyperbolic germs whose roots the scan must find however far from (1, 0)
