@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
-from .linalg import negligible, unit, vec_norm
+from .linalg import first_entry_positive, negligible, unit, vec_norm
 from .parabola import ParabolaProfile
 
 __all__ = [
@@ -169,13 +169,6 @@ def asymptotic_directions(
     return AsymptoticSet("all", (), True, quad, disc)
 
 
-def _fix_sign(vec: tuple) -> tuple:
-    for c in vec:
-        if abs(c) > 1e-14:
-            return vec if c > 0 else tuple(-x for x in vec)
-    return vec
-
-
 def _null_direction_binormal(pp, sf, y):
     """Binormal for a finite asymptotic parameter from the 2x2 null space.
 
@@ -192,8 +185,7 @@ def _null_direction_binormal(pp, sf, y):
     # a norm beyond the float range is inf, which compares as the larger
     r = row1 if vec_norm(row1) >= vec_norm(row2) else row2
     ab = unit([-r[1], r[0]])
-    vec = pp.ep.from_plane_coords(ab[0], ab[1])
-    return _fix_sign(vec)
+    return first_entry_positive(pp.ep.from_plane_coords(ab[0], ab[1]))
 
 
 def binormal_directions(

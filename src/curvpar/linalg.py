@@ -27,6 +27,7 @@ __all__ = [
     "vec_norm",
     "float_vec",
     "float_dot",
+    "first_entry_positive",
     "scale_of",
     "negligible",
     "negligible_quotient",
@@ -134,6 +135,15 @@ def float_vec(v) -> tuple:
 def float_dot(a, b) -> float:
     """a . b for float vectors of any length, summed left to right."""
     return sum(x * y for x, y in zip(a, b))
+
+
+def first_entry_positive(v) -> tuple:
+    """``v`` or ``-v``, the one whose first entry above 1e-13 in size is positive: the sign
+    rule of unit frame vectors, whose entries are at most 1.  ``v`` when there is none."""
+    for c in v:
+        if abs(c) > 1e-13:
+            return v if c > 0 else tuple(-x for x in v)
+    return v
 
 
 def scale_of(*vecs) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from ._kernels import N_CANDIDATES, scan_scores
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
-from .linalg import float_vec
 
 # the scan samples one cycle of tangent directions at SCAN_POINTS positions, a
 # step of 1e-3 (see asymptotic_scan)
@@ -103,16 +102,18 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
 def parabola_hull_distance(pp, tol: Tolerances = DEFAULT_TOL) -> float:
     """``affine_hull_distance`` of the parabola trace sampled at 101 points of [-5, 5].
 
-    The samples are summed in the order of ``ParabolaProfile.eta``,
-    ``l + 2*m*y + n*y*y``, so each equals ``eta(y)`` bit for bit.
+    The samples are taken in units of ``pp.ref``, a power of two, and the
+    distance multiplied back, so that the oracle reads the trace at unit
+    scale whatever the jet's.  They are summed in the order of
+    ``ParabolaProfile.eta``, ``l + 2*m*y + n*y*y``, so each equals
+    ``eta(y) / ref`` bit for bit (short of subnormals).
     """
     import numpy as np
 
+    ref = pp.ref
     ys = np.linspace(-5.0, 5.0, 101)[:, None]
-    Lf = np.array(float_vec(pp.Lvec))
-    M2f = np.array(float_vec(2 * m for m in pp.Mvec))
-    Nf = np.array(float_vec(pp.Nvec))
-    return affine_hull_distance(Lf + M2f * ys + Nf * ys * ys, tol)
+    Lf, M2f, Nf = (np.array([float(c) / ref for c in v]) for v in (pp.Lvec, [2 * m for m in pp.Mvec], pp.Nvec))
+    return affine_hull_distance(Lf + M2f * ys + Nf * ys * ys, tol) * ref
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,12 @@ def _cycle_roots(det, score, marked) -> list:
     samples gives its least-scored sample.  Each sign change of ``det``
     between two unmarked neighbours gives its linearly interpolated zero.
     Each unmarked local minimum of ``|det|`` between unmarked neighbours of
-    its own sign, at or below a third of the second difference, gives its
-    sample: a double root between samples (a tie goes to the first sample).
+    its own sign gives its sample when the parabola through it and its
+    neighbours, ``d_1, d0, d1`` in units of the larger neighbour, has its
+    vertex at zero: ``|8 s d0 - (d1 - d_1)^2| <= 8 SCAN_ZERO_TOL s^2``, ``s``
+    the second difference.  ``det`` is quadratic along each chart, so a
+    double root between samples passes up to rounding (a tie goes to the
+    first sample), and a minimum c (t^2 + e^2) in steps t only for e < 1.4e-3.
     Signs are compared, not products, which can underflow.  Positions lie
     in ``[0, len(det))``, ascending.
     """
@@ -155,17 +160,25 @@ def _cycle_roots(det, score, marked) -> list:
     pair = free[1:-1] & free[2:]  # k and k + 1 unmarked
     i = np.flatnonzero(pair & (neg[1:-1] != neg[2:]))
     crossings = zip(i.tolist(), det[i].tolist(), nxt[i].tolist())
-    # the local minima of |det|, a tie going to the first sample
+    # the unmarked local minima of |det| between unmarked neighbours of its
+    # sign, a tie going to the first sample: a few, tested one by one
     absext = np.abs(ext)
-    lows = np.flatnonzero((absext[1:-1] < absext[:-2]) & (absext[1:-1] <= absext[2:]))
-    touching = (
-        pair[lows]
-        & free[lows]
-        & (neg[lows] == neg[lows + 1])
-        & (neg[lows + 1] == neg[lows + 2])
-        & (3.0 * absext[lows + 1] <= np.abs(nxt[lows] - 2.0 * det[lows] + prv[lows]))
+    lows = np.flatnonzero(
+        (absext[1:-1] < absext[:-2])
+        & (absext[1:-1] <= absext[2:])
+        & free[:-2]
+        & pair
+        & (neg[:-2] == neg[1:-1])
+        & (neg[1:-1] == neg[2:])
     )
-    found += lows[touching].tolist()
+    for k in lows.tolist():
+        # the samples in units of the larger neighbour
+        d_1, d0, d1 = ext[k : k + 3].tolist()
+        big = max(abs(d_1), abs(d1))
+        d_1, d0, d1 = d_1 / big, d0 / big, d1 / big
+        s = d1 - 2.0 * d0 + d_1
+        if abs(8.0 * s * d0 - (d1 - d_1) ** 2) <= 8.0 * SCAN_ZERO_TOL * s * s:
+            found.append(k)
     positions = [(start + k) % n for k in found]
     positions += [(start + k) % n + d / (d - e) for k, d, e in crossings]
     return sorted(positions)

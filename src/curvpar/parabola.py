@@ -19,6 +19,8 @@ from .linalg import (
     collinear3,
     cross3,
     dot3,
+    first_entry_positive,
+    float_dot,
     float_vec,
     identity,
     orthonormal_extension,
@@ -183,11 +185,7 @@ def _plane_basis_from_normal(nu3: tuple, forced: bool) -> PlaneBasis:
     axis that is not close to the normal, so coordinate planes keep their
     coordinate bases.
     """
-    for c in nu3:
-        if abs(c) > 1e-13:
-            if c < 0:
-                nu3 = tuple(-x for x in nu3)
-            break
+    nu3 = first_entry_positive(nu3)
     k = next(i for i in range(3) if abs(nu3[i]) < 0.9)
     u1 = tuple(float(i == k) - nu3[k] * x for i, x in enumerate(nu3))
     size = vec_norm(u1)
@@ -280,11 +278,6 @@ class ReducedTwoJet:
     target_rotation: tuple
 
 
-def _jet_from_matrix(rows) -> Jet2:
-    flat = [v for row in rows for v in row]
-    return Jet2(*flat)
-
-
 def apply_source_to_jet(rows, lam, mu):
     """Coefficient action of the source change (x, y) -> (x, lam*x + mu*y)."""
     out = []
@@ -299,68 +292,22 @@ def apply_source_to_jet(rows, lam, mu):
     return out
 
 
-def apply_target_to_jet(rows, rot3):
-    """Coefficient action of a target rotation acting on components 2..4."""
-    out = []
-    for i in range(3):
-        out.append(
-            [
-                sum(rot3[i][k] * rows[k][col] for k in range(3))
-                for col in range(3)
-            ]
-        )
-    return out
-
-
-def _already_reduced(j2: Jet2, orbit: str) -> bool:
-    r = j2.rows()
-    if orbit == ORBIT_PARABOLA:
-        return (
-            r[0] == (0, 1, 0)
-            and j2.c11 == 0
-            and j2.c02 == 0
-            and j2.b02 > 0
-        )
-    if orbit == ORBIT_HALF_LINE:
-        return (
-            j2.a11 == 0
-            and j2.a02 == 1
-            and r[1][1] == 0
-            and r[1][2] == 0
-            and r[2] == (0, 0, 0)
-        )
-    if orbit == ORBIT_LINE:
-        return (
-            r[0] == (0, 1, 0)
-            and r[1][1] == 0
-            and r[1][2] == 0
-            and r[2] == (0, 0, 0)
-        )
-    return (
-        r[0] == (0, 0, 0)
-        and r[1][1] == 0
-        and r[1][2] == 0
-        and r[2] == (0, 0, 0)
-    )
-
-
 def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwoJet:
     """Reduce a prenormal 2-jet to its orbit normal form by a source change
     and a target rotation, returning both witnesses.
 
-    Already-reduced jets come back unchanged with identity witnesses.
+    The orbit fixes the rotation of components 2..4 from the columns of the
+    jet, and the source change from the rotated first row.  When both come
+    out as the identity, computed in floats, the jet is already reduced: it
+    comes back as given, exact entries staying exact, with identity
+    witnesses.  So an exact jet within rounding of its normal form, such as
+    one with a02 = 1 + 1/10^20 on the half-line orbit, comes back unchanged,
+    and its witnesses reproduce it exactly.  A point-orbit jet with a zero
+    x^2 column, such as the zero jet, has nothing to rotate and comes back
+    as given too.
     """
     orbit = classify_two_jet(j2, tol)
-    if _already_reduced(j2, orbit):
-        return ReducedTwoJet(
-            jet2=j2,
-            orbit=orbit,
-            source_matrix=identity(2),
-            target_rotation=identity(4),
-        )
-
-    rows = [[float(v) for v in row] for row in j2.rows()]
-    A, B, C = zip(*rows)
+    A, B, C = ([float(v) for v in col] for col in zip(*j2.rows()))
 
     def right_handed(w1, w2):
         return (w1, w2, cross3(w1, w2))
@@ -377,31 +324,29 @@ def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwo
     if orbit == ORBIT_PARABOLA:
         # B's part off C, without the cancellation of subtracting its projection
         rot3 = right_handed(unit(cross3(C, cross3(B, C))), unit(C))
-        rotated = apply_target_to_jet(rows, rot3)
-        lam = -rotated[0][0] / rotated[0][1]
-        mu = 1.0 / rotated[0][1]
-    elif orbit == ORBIT_HALF_LINE:
-        w1 = unit(C)
+    elif orbit in (ORBIT_HALF_LINE, ORBIT_LINE):
+        w1 = unit(C if orbit == ORBIT_HALF_LINE else B)
         rot3 = right_handed(w1, secondary_axis(w1, A))
-        rotated = apply_target_to_jet(rows, rot3)
-        lam = -rotated[0][1] / (2.0 * rotated[0][2])
-        mu = 1.0 / math.sqrt(rotated[0][2])
-    elif orbit == ORBIT_LINE:
-        w1 = unit(B)
-        rot3 = right_handed(w1, secondary_axis(w1, A))
-        rotated = apply_target_to_jet(rows, rot3)
-        lam = -rotated[0][0] / rotated[0][1]
-        mu = 1.0 / rotated[0][1]
-    else:  # ORBIT_POINT: move the x^2 column onto the second normal direction
+    elif any(A):  # ORBIT_POINT: move the x^2 column onto the second normal direction
         a_hat = unit(A)
         rot3 = right_handed(orthonormal_extension([a_hat], 3)[1], a_hat)
-        rotated = apply_target_to_jet(rows, rot3)
+    else:  # a zero x^2 column, as on the zero jet: nothing to rotate
+        rot3 = identity(3)
+    rotated = [[float_dot(r, col) for col in (A, B, C)] for r in rot3]
+    a = rotated[0]
+    if orbit == ORBIT_HALF_LINE:
+        lam, mu = -a[1] / (2.0 * a[2]), 1.0 / math.sqrt(a[2])
+    elif orbit in (ORBIT_PARABOLA, ORBIT_LINE):
+        lam, mu = -a[0] / a[1], 1.0 / a[1]
+    else:
         lam, mu = 0.0, 1.0
+    if rot3 == identity(3) and lam == 0 and mu == 1:
+        return ReducedTwoJet(jet2=j2, orbit=orbit, source_matrix=identity(2), target_rotation=identity(4))
 
     reduced = apply_source_to_jet(rotated, lam, mu)
     target = ((1.0, 0.0, 0.0, 0.0),) + tuple((0.0, *row) for row in rot3)
     return ReducedTwoJet(
-        jet2=_jet_from_matrix(reduced),
+        jet2=Jet2(*(v for row in reduced for v in row)),
         orbit=orbit,
         source_matrix=((1.0, 0.0), (lam, mu)),
         target_rotation=target,

@@ -258,7 +258,7 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         ku,
         hull,
         oracle.ORACLE_HULL_TOL,
-        abs(ku - hull) <= oracle.ORACLE_HULL_TOL * (1.0 + ku),
+        abs(ku - hull) <= oracle.ORACLE_HULL_TOL * (res.profile.ref + ku),
     )
 
     scan = asymptotic_scan(res.sf, res.profile.ep)

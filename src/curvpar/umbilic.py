@@ -53,15 +53,13 @@ def umbilic_curvature(
     return UmbilicResult(kappa_u=kappa, formula_used=formula, is_zero=bool(is_zero))
 
 
-def kappa_stratum_check(pp: ParabolaProfile, ur: UmbilicResult) -> bool:
-    """Whether shape, stratum, and vanishing of the umbilic curvature are consistent.
+# each shape's stratum at a nonzero umbilic curvature: the hull misses the
+# origin, so L adds one to the dimension of the span of M and N
+_STRATUM_OFF_ORIGIN = {"parabola": 3, "half_line": 2, "line": 2, "point": 1}
 
-    Parabola: top stratum iff nonzero.  Half-line or line: stratum 2 iff
-    nonzero.  Point: stratum 1 iff nonzero.
-    """
-    nonzero = not ur.is_zero
-    if pp.shape.kind == "parabola":
-        return (pp.stratum == 3) == nonzero
-    if pp.shape.kind in ("half_line", "line"):
-        return (pp.stratum == 2) == nonzero
-    return (pp.stratum == 1) == nonzero
+
+def kappa_stratum_check(pp: ParabolaProfile, ur: UmbilicResult) -> bool:
+    """Whether the stratum is the one that the shape and the vanishing of the
+    umbilic curvature imply: parabola 3 / 2 (nonzero / zero), half-line and
+    line 2 / 1, point 1 / 0."""
+    return pp.stratum == _STRATUM_OFF_ORIGIN[pp.shape.kind] - (1 if ur.is_zero else 0)

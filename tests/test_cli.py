@@ -467,8 +467,9 @@ def test_float_zero_tests_read_one_ref():
         "floor": [],
         # a cancellation test: the discriminant against its own terms
         "own scale": ["directions.solve_quadratic"],
-        # sign and axis choices on unit vectors, whose norm is 1
-        "literal": ["directions._fix_sign", "linalg.orthonormal_extension", "parabola._plane_basis_from_normal"],
+        # sign and axis choices on unit vectors, whose norm is 1: the one
+        # first-entry sign rule of frame vectors, and the basis completion
+        "literal": ["linalg.first_entry_positive", "linalg.orthonormal_extension"],
         # adapt tests the moved germ before its adapted 2-jet exists, and the
         # projection S has rows of its own
         "scale_of": ["adapt.adapt", "associated.s_asymptotic_directions", "forms.__init__", "germs.ref"],
@@ -830,16 +831,20 @@ def test_module_entrypoint_subprocess():
     assert proc.returncode == 3
 
 
-def test_verify_exits_1_when_hull_samples_overflow():
-    # out of process: the overflow warnings would fail an in-process run
+def test_verify_of_a_near_overflow_coefficient_exits_cleanly_naming_the_check():
+    # out of process, so that a numpy overflow warning would show as it does
+    # to a user.  The hull samples are taken in units of ref and stay in the
+    # float range; the scan cannot resolve the roots of this germ and says so
     proc = subprocess.run(
         [sys.executable, "-m", "curvpar.cli", "verify", "--germ", "(x, (10^51)^6*x*y, y^2, x^2)"],
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 1
-    assert "error: affine hull samples leave the float range" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == "verification failed: asymptotic_scan_roots\n"
+    checks = {c["name"]: c["passed"] for c in json.loads(proc.stdout)["verification"]["checks"]}
+    assert checks == {"umbilic_vs_affine_hull": True, "asymptotic_scan_roots": False, "height_hessian_vs_fd": True}
 
 
 def test_overflowing_asymptotic_quadratic_exits_1_naming_it(capsys):

@@ -15,6 +15,7 @@ from curvpar.germs import MapGermR4
 from curvpar.heights import height_hessian
 from curvpar.directions import directions_match
 from curvpar.oracle import (
+    SCAN_POINTS,
     _cycle_direction,
     _cycle_roots,
     affine_hull_distance,
@@ -49,13 +50,21 @@ def test_affine_hull_needs_three_points():
         affine_hull_distance([np.zeros(3), np.ones(3)])
 
 
+def test_affine_hull_refuses_samples_that_leave_the_float_range():
+    # centring 1.7e308 and -1.7e308 overflows
+    pts = [[1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0]]
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="leave the float range"):
+        affine_hull_distance(pts)
+
+
 def test_parabola_hull_distance_samples_eta_bit_for_bit(rng):
+    # in units of ref, a power of two: eta(y) / ref bit for bit
     exact = germ("(x, 1/3*x*y + y^3, 2/7*x^2 - 5/3*y^2, 3/11*x^2 + x*y)")
     moved = transform_germ(exact, [[1.3, 0.4], [-0.2, 0.9]], random_rotation(rng, 4))
     for g in (exact, moved):
         pp = build_parabola(second_form(adapt(g)))
-        samples = [[float(c) for c in pp.eta(y)] for y in np.linspace(-5.0, 5.0, 101)]
-        assert parabola_hull_distance(pp) == affine_hull_distance(samples)
+        samples = [[float(c) / pp.ref for c in pp.eta(y)] for y in np.linspace(-5.0, 5.0, 101)]
+        assert parabola_hull_distance(pp) == affine_hull_distance(samples) * pp.ref
 
 
 def scan_for(text, order=6):
@@ -309,9 +318,13 @@ def loop_roots(p1, p2, q1, q2, score):
             not marked[prv]
             and (det[prv] < 0.0) == (det[k] < 0.0) == (det[nxt] < 0.0)
             and abs(det[prv]) > abs(det[k]) <= abs(det[nxt])
-            and 3.0 * abs(det[k]) <= abs(det[nxt] - 2.0 * det[k] + det[prv])
         ):
-            positions.append(k)
+            # the vertex of the parabola through the three samples touches zero
+            big = max(abs(det[prv]), abs(det[nxt]))
+            d_1, d0, d1 = det[prv] / big, det[k] / big, det[nxt] / big
+            s = d1 - 2.0 * d0 + d_1
+            if abs(8.0 * s * d0 - (d1 - d_1) ** 2) <= 8.0 * tol * s * s:
+                positions.append(k)
     return sorted(positions)
 
 
@@ -324,6 +337,19 @@ def test_root_finder_matches_loop_version_on_golden_corpus(monkeypatch):
             assert scan.kind == "all", text
         else:
             assert scan.directions == tuple(_cycle_direction(x) for x in roots), text
+
+
+def test_root_finder_tells_a_double_root_from_a_narrow_minimum():
+    # det = (t - t0)^2 + e^2 in steps t around sample 100 of an unmarked cycle:
+    # a double root between samples (e = 0) is found once, at its nearer
+    # sample; a minimum that stays positive is no root, however narrow
+    t = np.arange(SCAN_POINTS) - 100.0
+    marked = np.zeros(SCAN_POINTS, dtype=bool)
+    for t0 in (0.05, 0.3, -0.45):
+        for e, want in ((0.0, [100]), (1e-4, [100]), (1e-2, []), (0.5, []), (0.8, [])):
+            det = (t - t0) ** 2 + e * e
+            assert _cycle_roots(det, det, marked) == want, (t0, e)
+            assert _cycle_roots(-det, det, marked) == want, (t0, e)
 
 
 def test_root_finder_reads_signs_at_any_scale(monkeypatch):

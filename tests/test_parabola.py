@@ -1,7 +1,9 @@
 """Parabola shape, orbit classification, and normal-form reduction."""
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from curvpar.adapt import adapt
 from curvpar.forms import second_form
-from curvpar.germs import Jet2, extract_jet2
+from curvpar.germs import Jet2, TruncatedPoly2, extract_jet2
 from curvpar.linalg import cross3, dot3, unit
 from curvpar.parabola import (
     ORBIT_HALF_LINE,
@@ -25,7 +27,7 @@ from curvpar.parabola import (
 from curvpar.report import analyze_germ
 
 from composition import compose_source, rotate_target
-from conftest import germ, jet2_to_germ, random_jet2
+from conftest import germ, jet2_to_germ, rand_fraction, random_jet2
 from golden import GOLDEN_GERMS
 
 F = Fraction
@@ -257,6 +259,104 @@ def test_reduce_random_jets_land_in_normal_form(rng):
         rot = np.asarray(red.target_rotation)
         assert np.max(np.abs(rot @ rot.T - np.eye(4))) < 1e-12
         assert abs(np.linalg.det(rot) - 1.0) < 1e-12
+
+
+def cayley3(w):
+    """The rational rotation of R^3 that Cayley's formula gives for the vector w."""
+    n = sum(c * c for c in w)
+    skew = ((0, -w[2], w[1]), (w[2], 0, -w[0]), (-w[1], w[0], 0))
+    return [[((1 - n) * (i == j) + 2 * w[i] * w[j] - 2 * skew[i][j]) / (1 + n) for j in range(3)] for i in range(3)]
+
+
+def rotate_rows(rows, rot3):
+    """The 2-jet whose components 2..4 are rot3 applied to ``rows``."""
+    return Jet2(*(sum(rot3[i][k] * rows[k][c] for k in range(3)) for i in range(3) for c in range(3)))
+
+
+def normal_form_rows(orbit, rng, sign):
+    """A normal form of the orbit with b20 of the given sign and random exact entries."""
+    r = lambda: rand_fraction(rng, allow_zero=False)
+    b20 = sign * abs(r())
+    return {
+        ORBIT_PARABOLA: ((0, 1, 0), (b20, r(), abs(r())), (r(), 0, 0)),
+        ORBIT_HALF_LINE: ((r(), 0, 1), (b20, 0, 0), (0, 0, 0)),
+        ORBIT_LINE: ((0, 1, 0), (b20, 0, 0), (0, 0, 0)),
+        ORBIT_POINT: ((0, 0, 0), (b20, 0, 0), (0, 0, 0)),
+    }[orbit]
+
+
+@pytest.mark.parametrize("orbit", [ORBIT_PARABOLA, ORBIT_HALF_LINE, ORBIT_LINE, ORBIT_POINT])
+def test_normal_forms_agree_across_target_rotations(orbit, rng):
+    # a normal form and its images under rational rotations of components
+    # 2..4, diag(1, -1, -1) among them, reduce to the same values, and off the
+    # parabola orbit, where b20 is a signed invariant, whichever the sign of
+    # b20: the reduction, not a pattern, decides what is reduced
+    flip = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+    for _ in range(6):
+        seed = int(rng.integers(2**32))
+        want = None
+        for sign in (1, -1):
+            if orbit == ORBIT_PARABOLA:
+                want = None
+            rows = normal_form_rows(orbit, np.random.default_rng(seed), sign)
+            rot = cayley3([rand_fraction(rng) for _ in range(3)])
+            flipped = rotate_rows(rows, flip)
+            for j2 in (Jet2(*(v for row in rows for v in row)), flipped, rotate_rows(rows, rot), rotate_rows(flipped.rows(), rot)):
+                red = reduce_to_normal_form(j2)
+                assert red.orbit == orbit
+                got = [float(v) for row in red.jet2.rows() for v in row]
+                want = want or got
+                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * j2.ref, (rows, j2)
+                assert_witnesses_reproduce(j2, red)
+        assert want[3] > 0 or orbit == ORBIT_PARABOLA
+
+
+@pytest.mark.parametrize("twins", [
+    ("(x, y^2, x^2, 0)", "(x, y^2, -x^2, 0)", "(x, y^2, 0, -x^2)"),
+    ("(x, x*y, x^2, 0)", "(x, x*y, -x^2, 0)"),
+    ("(x, 0, x^2, 0)", "(x, 0, -x^2, 0)"),
+])
+def test_reports_print_one_normal_form_for_target_rotated_twins(twins):
+    values = [analyze_germ(t).report["reduced_two_jet"]["jet2"] for t in twins]
+    assert all(v == values[0] for v in values), values
+    assert values[0]["b20"] == 1
+
+
+def assert_kept_as_given(j2):
+    red = reduce_to_normal_form(j2)
+    assert red.jet2 is j2
+    assert red.source_matrix == ((1.0, 0.0), (0.0, 1.0))
+    assert red.target_rotation == tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
+    # the witnesses, read as exact rationals, reproduce the exact jet exactly
+    g = jet2_to_germ(j2)
+    x, y = (TruncatedPoly2.variable(v, g.order) for v in "xy")
+    (s00, s01), (s10, s11) = ([F(v) for v in row] for row in red.source_matrix)
+    moved = compose_source(g, x * s00 + y * s01, x * s10 + y * s11)
+    rebuilt = rotate_target(moved, [[F(v) for v in row] for row in red.target_rotation])
+    assert extract_jet2(rebuilt) == j2
+    return red
+
+
+def test_exact_reduced_jets_keep_their_exact_entries():
+    # the benchmark's prenormal jets already in normal form (20 at seed 1), the
+    # zero jet, and a jet within rounding of its normal form: the float
+    # witnesses come out as the identity, so the exact jet comes back as given
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import run  # perfbench/run.py
+
+    kept = []
+    for spec in run.make_workload("exact_prenormal", 1)[0]:
+        j2 = extract_jet2(germ(spec["text"], order=2))
+        if reduce_to_normal_form(j2).jet2 is j2:
+            kept.append(j2)
+    assert len(kept) == 20
+    for j2 in [*kept, Jet2(0, 0, 0, 0, 0, 0, 0, 0, 0)]:
+        assert_kept_as_given(j2)
+    near = Jet2(0, 0, 1 + F(1, 10**20), 3, 0, 0, 0, 0, 0)
+    red = assert_kept_as_given(near)
+    assert red.orbit == ORBIT_HALF_LINE and red.jet2.a02 == 1 + F(1, 10**20)
 
 
 @pytest.mark.parametrize("text", GOLDEN_GERMS + ["(x, x*y + y^2, 1/10^9*y^2 + x^2, 0)"])

@@ -425,6 +425,35 @@ WRONG_VALUES = (
 )
 
 
+def scaled(text, factor):
+    """A germ with its three normal components multiplied by ``factor``, as text."""
+    first, *normal = text[1:-1].split(", ")
+    return f"({first}, {', '.join(f'{factor}*({c})' for c in normal)})"
+
+
+@pytest.mark.parametrize("factor", ["1/2^40", "1", "2^40"])
+@pytest.mark.parametrize("text", SHAPE_GERMS)
+def test_hull_check_fails_on_a_wrong_umbilic_curvature_at_any_scale(text, factor):
+    # the check compares at unit scale: an error of 1e-5 of the jet's scale
+    # fails it at 2^-40 as at 2^40, where the right value passes
+    res = analyze_germ(scaled(text, factor))
+    assert run_verification(res, DEFAULT_TOL).passed
+    umb = replace(res.umbilic, kappa_u=res.umbilic.kappa_u + 1e-5 * res.profile.ref)
+    failed = [c.name for c in run_verification(replace(res, umbilic=umb), DEFAULT_TOL).checks if not c.passed]
+    assert failed == ["umbilic_vs_affine_hull"]
+
+
+def test_hull_check_passes_a_zero_umbilic_curvature_at_a_large_scale(capsys):
+    # kappa_u is exactly 0; the oracle's 3.8e-7 is rounding noise at the scale 2^31
+    text = "(x, 10^9*(1/2*x^2 + x*y), 10^9*(x^2 + y^2), 10^9*(1/2*x^2 + x*y))"
+    res = analyze_germ(text, verify=True)
+    (check,) = [c for c in res.verification.checks if c.name == "umbilic_vs_affine_hull"]
+    assert res.umbilic.kappa_u == 0.0 and 0.0 < check.oracle < 1e-7 * res.profile.ref
+    assert res.verification.passed
+    assert main(["verify", "--germ", text]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("text,wrong,check", WRONG_VALUES, ids=lambda v: getattr(v, "__name__", v))
 def test_each_verify_check_fails_on_a_wrong_closed_form_value(text, wrong, check):
     res = analyze_germ(text)
@@ -471,9 +500,12 @@ FAR_ROOT_VERIFIED = list(dict.fromkeys([
 ]))
 # parabolic germs whose double root y = a lies between the scan's samples
 OFF_GRID_DOUBLE_ROOTS = [f"(x, x*y - {a}*x^2, y^2 - 2*{a}*x*y + ({a})^2*x^2, 0)" for a in ("1/2000", "3/2000", "7/3")]
+# elliptic germs whose |det| has a minimum narrower than a step at the null
+# direction, which is no root
+NARROW_ELLIPTIC = [f"(x, x*y, y^2 - 10^{k}*x^2, 0)" for k in (7, 8)]
 
 
-@pytest.mark.parametrize("text", FAR_ROOT_VERIFIED + OFF_GRID_DOUBLE_ROOTS)
+@pytest.mark.parametrize("text", FAR_ROOT_VERIFIED + OFF_GRID_DOUBLE_ROOTS + NARROW_ELLIPTIC)
 def test_scan_verifies_far_roots_and_double_roots_between_samples(text, capsys):
     g = parse_map_germ(text, 2)
     for source in (g, g.to_float()):
@@ -481,6 +513,8 @@ def test_scan_verifies_far_roots_and_double_roots_between_samples(text, capsys):
         assert res.verification.passed, [c for c in res.verification.checks if not c.passed]
     if text in OFF_GRID_DOUBLE_ROOTS:
         assert res.ptype == "parabolic"
+    if text in NARROW_ELLIPTIC:
+        assert res.ptype == "elliptic"
     assert main(["verify", "--germ", text]) == 0
     capsys.readouterr()
 

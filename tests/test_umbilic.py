@@ -62,6 +62,16 @@ def test_kappa_stratum_equivalence_examples():
     assert kappa_stratum_check(pp, ur)
 
 
+def test_kappa_stratum_check_requires_the_implied_stratum():
+    # a zero umbilic curvature puts L in the plane of the independent M and N,
+    # so the parabola (x, x*y, y^2, 0) lies in stratum 2 and in no lower one
+    _, _, pp, ur = pipeline("(x, x*y, y^2, 0)", order=4)
+    assert (pp.stratum, ur.is_zero) == (2, True)
+    assert kappa_stratum_check(pp, ur)
+    for stratum in (0, 1, 3):
+        assert not kappa_stratum_check(dataclasses.replace(pp, stratum=stratum), ur), stratum
+
+
 def test_kappa_stratum_equivalence_random(rng):
     kinds = ["any", "collinear", "line", "point"]
     for i in range(120):

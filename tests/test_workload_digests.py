@@ -1,10 +1,10 @@
 """The benchmark workloads' reports, byte for byte: the float and moved paths.
 
 ``workload_digests.json`` holds the sha256 of ``render_json(report)`` for
-every input of the four benchmark workloads at seed 7, analysed with
-``verify`` off, each input built by ``perfbench/run.make_workload`` as
-``tests/report_digests.py`` builds it, together with the Python and numpy
-versions it was made with.  The golden digests cover exact text input
+every input of the four benchmark workloads at seed 7, each input built by
+``perfbench/run.make_workload`` as ``tests/report_digests.py`` builds it and
+analysed with the workload's own ``verify`` flag (on for ``verify_oracle``),
+together with the Python and numpy versions it was made with.  The golden digests cover exact text input
 only; these add the rational and float motions.  The analysis imports no
 numpy, but the moved inputs come from numpy's random generator and QR.
 A change that alters a digest announces the change in CHANGES.md and
@@ -44,8 +44,9 @@ def compute():
 
     entries = []
     for name in run.WORKLOADS:
-        for index, spec in enumerate(run.make_workload(name, SEED)[0]):
-            report = analyze_germ(worker.build(spec, (MapGermR4, TruncatedPoly2))).report
+        specs, _, verify, _ = run.make_workload(name, SEED)
+        for index, spec in enumerate(specs):
+            report = analyze_germ(worker.build(spec, (MapGermR4, TruncatedPoly2)), verify=verify).report
             sha = hashlib.sha256(render_json(report).encode()).hexdigest()
             entries.append({"workload": name, "index": index, "sha256": sha})
     return entries
