@@ -71,17 +71,19 @@ def check_corank(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> int:
     return rank3(jac, tol.eps_rank)
 
 
+_EYE4 = identity(4)
+
+
 def _identity_adaptation(f: MapGermR4) -> AdaptedGerm:
-    eye = identity(4)
     return AdaptedGerm(
         germ=f,
-        tangent_frame=eye[0],
-        normal_frame=eye[1:],
+        tangent_frame=_EYE4[0],
+        normal_frame=_EYE4[1:],
         source_change=(
             TruncatedPoly2.variable("x", f.order),
             TruncatedPoly2.variable("y", f.order),
         ),
-        target_rotation=eye,
+        target_rotation=_EYE4,
         exact=f.is_exact,
     )
 
@@ -121,18 +123,19 @@ def _source_frame(jac) -> tuple:
 def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     """Normalize a corank-1 germ to its prenormal 2-jet with witnessing changes.
 
-    The corank and prenormal tests read the input's 2-jet.  Raises
-    ``CorankError`` when the Jacobian rank at the origin is not 1, and
-    ``ValueError`` when an adapted normal component keeps a 1-jet entry
-    above ``eps_jet`` times the jet's scale.
+    The prenormal and corank tests read the input's 2-jet.  A prenormal
+    germ has Jacobian rank 1 by construction, so only other germs are
+    ranked.  Raises ``CorankError`` when the Jacobian rank at the origin is
+    not 1, and ``ValueError`` when an adapted normal component keeps a
+    1-jet entry above ``eps_jet`` times the jet's scale.
     """
-    f = f.truncated(2)
+    if f.order > 2:
+        f = f.truncated(2)
+    if f.is_prenormal():
+        return _identity_adaptation(f)
     rank = check_corank(f, tol)
     if rank != 1:
         raise CorankError(rank)
-
-    if f.is_prenormal():
-        return _identity_adaptation(f)
 
     jac = [[float(v) for v in row] for row in f.jacobian_at_origin()]
     (a, b), t = _source_frame(jac)

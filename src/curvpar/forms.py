@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import cross3, dot3, is_exact_scalar, rank3, scale_of
+from .linalg import ColumnProducts, is_exact_scalar, rank3, scale_of
 
 __all__ = [
     "FirstForm",
@@ -33,15 +33,21 @@ class FirstForm:
     G: object
 
 
+# column indices of the matrix: the coefficients of x^2, xy and y^2
+L, M, N = range(3)
+
+
 class SecondForm:
     """3x3 coefficient matrix of the second fundamental form.
 
     Rows follow the normal frame (nu1, nu2, nu3); columns hold the
     coefficients (l, m, n) of x^2, xy and y^2 directions.  The invariants
-    that decide the labels are computed here, once and when first read.  On
-    exact entries the ``linalg`` kernels compute them in integers, one
-    common denominator per vector, and return Fractions; on floats they keep
-    the float expressions.
+    that decide the labels are computed here, once and when first read, by
+    one ``linalg.ColumnProducts`` of the matrix.  An exact matrix is cleared
+    of its denominators once, into one integer matrix over a common
+    denominator; every invariant is computed from those integers, one
+    Fraction per entry, and ``rank3`` eliminates on them.  A matrix with a
+    float entry keeps the float expressions.
     """
 
     def __init__(self, matrix):
@@ -82,22 +88,26 @@ class SecondForm:
 
     # the deciding invariants of the parabola trace
     @cached_property
+    def _products(self):
+        return ColumnProducts(self.matrix)
+
+    @cached_property
     def w(self):
         """M x N, normal to the plane of a nondegenerate trace."""
-        return cross3(self.M, self.N)
+        return self._products.cross(M, N)
 
     @cached_property
     def l_x_n(self):
-        return cross3(self.L, self.N)
+        return self._products.cross(L, N)
 
     @cached_property
     def l_x_m(self):
-        return cross3(self.L, self.M)
+        return self._products.cross(L, M)
 
     @cached_property
     def triple(self):
         """L . (M x N), zero exactly when L, M and N lie in a plane through the origin."""
-        return dot3(self.L, self.w)
+        return self._products.triple()
 
     @cached_property
     def asymptotic_quadratic(self):
@@ -105,8 +115,13 @@ class SecondForm:
 
         Its roots are the asymptotic parameters of a nondegenerate trace.
         """
-        w = self.w
-        return (dot3(w, self.l_x_m), dot3(w, self.l_x_n), dot3(w, w))
+        return self._products.asymptotic_quadratic()
+
+    @cached_property
+    def cone_quadratic(self):
+        """Symmetric Q with nu . Q . nu = <L,nu><N,nu> - <M,nu>^2, the determinant of
+        the height Hessian along nu (see ``linalg.cone_quadratic``)."""
+        return self._products.cone_quadratic()
 
     @cached_property
     def _ranks(self):
@@ -116,7 +131,7 @@ class SecondForm:
         """Matrix rank (see ``linalg.rank3``), computed once per ``eps``."""
         ranks = self._ranks
         if eps not in ranks:
-            ranks[eps] = rank3(self.matrix, eps)
+            ranks[eps] = rank3(self._products.rank_rows, eps)
         return ranks[eps]
 
 

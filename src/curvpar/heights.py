@@ -16,7 +16,6 @@ from .config import DEFAULT_TOL, Tolerances
 from .directions import AsymptoticSet, BinormalSet
 from .forms import SecondForm, rank_second_form
 from .linalg import (
-    cone_quadratic,
     cross3,
     dot3,
     float_vec,
@@ -74,7 +73,8 @@ def height_hessian(sf: SecondForm, nu):
 
 
 def degeneracy_cone(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> DegeneracyCone:
-    """Expand det H(h_nu) = <L,nu><N,nu> - <M,nu>^2 and solve the corank-2 system.
+    """The quadratic det H(h_nu) = <L,nu><N,nu> - <M,nu>^2, the second form's
+    ``cone_quadratic``, and the solved corank-2 system.
 
     The corank-2 locus is the null space of the rows (L, M, N).  At rank 2 it
     is the line along the cross product of the two most independent rows,
@@ -84,7 +84,6 @@ def degeneracy_cone(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> Degeneracy
     are largest entries; on exact rows the cross product is exact.
     """
     L, M, N = sf.L, sf.M, sf.N
-    quad = cone_quadratic(L, M, N)
     dim = 3 - rank_second_form(sf, tol)
     if dim in (0, 3):
         basis = identity(3)[:dim]
@@ -95,7 +94,7 @@ def degeneracy_cone(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> Degeneracy
         normal = max(candidates, key=lambda v: max(map(abs, v)))
         ep = _plane_basis_from_normal(unit(normal), forced=False)
         basis = (ep.nu3,) if dim == 1 else (ep.u1, ep.u2)
-    return DegeneracyCone(quad=quad, corank2_dim=dim, corank2_basis=basis, ref=sf.ref)
+    return DegeneracyCone(quad=sf.cone_quadratic, corank2_dim=dim, corank2_basis=basis, ref=sf.ref)
 
 
 @dataclass(frozen=True)

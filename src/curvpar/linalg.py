@@ -5,10 +5,13 @@ run exactly on Fraction entries, so callers never branch on exactness.  On
 floats a degree-d quantity is zero when |x| <= eps * ref**d, ref = ``scale_of``
 of the whole 2-jet.  Norms and orthonormal frames are float by nature.
 
-The exact kernels (``dot3``, ``cross3``, ``cone_quadratic``, ``rank3``) work in
-integers: each exact vector is cleared of its denominators once, the
-arithmetic runs on Python ints, and each result entry becomes one Fraction.
-Vectors with a float entry take the plain float expressions.
+Exact arithmetic runs in integers.  ``ColumnProducts`` clears an exact 3x3
+matrix, the second form, of its denominators once: its nine entries become
+ints over one common denominator, every cross, triple and quadratic-form
+product of its columns runs on those ints, and each result entry becomes
+one Fraction.  ``dot3`` and ``cross3`` clear each exact vector that they
+are given in the same way, and ``rank3`` its whole matrix.  Input with a
+float entry keeps the plain float expressions.
 
 Vectors and matrices are tuples of Python numbers; nothing here needs numpy.
 """
@@ -24,6 +27,7 @@ __all__ = [
     "dot3",
     "cross3",
     "cone_quadratic",
+    "ColumnProducts",
     "vec_norm",
     "float_vec",
     "float_dot",
@@ -55,11 +59,11 @@ def is_exact_vec(v) -> bool:
     return all(is_exact_scalar(c) for c in v)
 
 
-def _integers(v):
-    """``(nums, den)`` with ``v[i] == nums[i] / den`` and ``den > 0`` when ``v`` is
-    exact (``is_exact_vec``), None otherwise."""
+def _integers(entries):
+    """``(nums, den)`` with ``entries[i] == nums[i] / den`` and ``den > 0`` when every
+    entry is exact (``is_exact_scalar``), None otherwise."""
     ratios = []
-    for c in v:
+    for c in entries:
         if not is_exact_scalar(c):
             return None
         ratios.append(c.as_integer_ratio())
@@ -67,14 +71,26 @@ def _integers(v):
     return [n if d == den else n * (den // d) for n, d in ratios], den
 
 
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
 def dot3(a, b):
     """a . b: one Fraction on exact vectors, the float expression otherwise."""
     ia = _integers(a)
     ib = None if ia is None else _integers(b)
     if ib is None:
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        return _dot(a, b)
     (x, dx), (y, dy) = ia, ib
-    return Fraction(x[0] * y[0] + x[1] * y[1] + x[2] * y[2], dx * dy)
+    return Fraction(_dot(x, y), dx * dy)
 
 
 def cross3(a, b):
@@ -82,45 +98,102 @@ def cross3(a, b):
     ia = _integers(a)
     ib = None if ia is None else _integers(b)
     if ib is None:
-        return (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
+        return _cross(a, b)
     (x, dx), (y, dy) = ia, ib
     den = dx * dy
-    return (
-        Fraction(x[1] * y[2] - x[2] * y[1], den),
-        Fraction(x[2] * y[0] - x[0] * y[2], den),
-        Fraction(x[0] * y[1] - x[1] * y[0], den),
-    )
+    return tuple(Fraction(c, den) for c in _cross(x, y))
 
 
 def cone_quadratic(L, M, N) -> tuple:
-    """Symmetric 3x3 Q with nu . Q . nu = <L,nu><N,nu> - <M,nu>^2.
+    """Symmetric 3x3 Q with nu . Q . nu = <L,nu><N,nu> - <M,nu>^2, by the float expressions.
 
-    Q = (L N^T + N L^T) / 2 - M M^T.  On exact columns its six distinct
-    entries are Fractions over the one denominator 2 dL dN dM^2; otherwise
-    each entry is the float expression, an int sum halved exactly.
+    Q = (L N^T + N L^T) / 2 - M M^T, each entry computed as written; an int
+    sum is halved exactly, to a Fraction.  An exact second form takes
+    ``ColumnProducts.cone_quadratic``, over one denominator.
     """
-    il, im, i_n = _integers(L), _integers(M), _integers(N)
-    if il is None or im is None or i_n is None:
-        quad = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                s = L[i] * N[j] + N[i] * L[j]
-                row.append((Fraction(s, 2) if isinstance(s, int) else s / 2) - M[i] * M[j])
-            quad.append(tuple(row))
-        return tuple(quad)
-    (l, dl), (m, dm), (n, dn) = il, im, i_n
-    sym, cross = dm * dm, 2 * dl * dn
-    den = sym * cross
-    q = [[None] * 3 for _ in range(3)]
+    quad = []
     for i in range(3):
-        for j in range(i, 3):
-            q[i][j] = q[j][i] = Fraction(sym * (l[i] * n[j] + n[i] * l[j]) - cross * m[i] * m[j], den)
-    return tuple(map(tuple, q))
+        row = []
+        for j in range(3):
+            s = L[i] * N[j] + N[i] * L[j]
+            row.append((Fraction(s, 2) if isinstance(s, int) else s / 2) - M[i] * M[j])
+        quad.append(tuple(row))
+    return tuple(quad)
+
+
+class ColumnProducts:
+    """The products of the three columns of a 3x3 matrix that the second form reads.
+
+    With the columns ``(L, M, N)`` these are the cross products, the triple
+    product ``L . (M x N)``, the asymptotic quadratic and the cone
+    quadratic, each cross product computed once.  An exact matrix is
+    cleared of its denominators once, ``rows[i][j] == ints[i][j] / den``
+    for one ``den > 0``: the products run on those ints and each result
+    entry becomes one Fraction, over ``den**2`` for a cross product,
+    ``den**3`` for the triple product and ``den**4`` for a dot product of
+    two cross products.  ``rank_rows`` are the int rows, of the matrix's
+    rank.  A matrix with a float entry keeps the per-vector kernels
+    (``cross3``, ``dot3``, ``cone_quadratic``), and its ``rank_rows`` are
+    its own rows.
+    """
+
+    __slots__ = ("rank_rows", "_cols", "_den", "_crosses")
+
+    def __init__(self, rows):
+        cleared = _integers([c for row in rows for c in row])
+        if cleared is None:
+            self.rank_rows, self._den = rows, None
+        else:
+            nums, self._den = cleared
+            self.rank_rows = (tuple(nums[0:3]), tuple(nums[3:6]), tuple(nums[6:9]))
+        self._cols = tuple(zip(*self.rank_rows))
+        self._crosses = {}
+
+    def _product(self, i, j):
+        """Column i x column j: ints over ``den**2`` on an exact matrix, ``cross3``'s otherwise."""
+        key = (i, j)
+        if key not in self._crosses:
+            a, b = self._cols[i], self._cols[j]
+            self._crosses[key] = cross3(a, b) if self._den is None else _cross(a, b)
+        return self._crosses[key]
+
+    def _over(self, nums, power: int) -> tuple:
+        """Exact ints as Fractions over ``den**power``; float results as they are."""
+        if self._den is None:
+            return tuple(nums)
+        den = self._den**power
+        return tuple(Fraction(n, den) for n in nums)
+
+    def cross(self, i: int, j: int) -> tuple:
+        """Column i x column j."""
+        return self._over(self._product(i, j), 2)
+
+    def triple(self):
+        """Column 0 . (column 1 x column 2), the determinant."""
+        w = self._product(1, 2)
+        if self._den is None:
+            return dot3(self._cols[0], w)
+        return Fraction(_dot(self._cols[0], w), self._den**3)
+
+    def asymptotic_quadratic(self) -> tuple:
+        """``(w . (c0 x c1), w . (c0 x c2), w . w)`` for columns ``c`` and ``w = c1 x c2``."""
+        w, u, v = self._product(1, 2), self._product(0, 1), self._product(0, 2)
+        if self._den is None:
+            return (dot3(w, u), dot3(w, v), dot3(w, w))
+        return self._over((_dot(w, u), _dot(w, v), _dot(w, w)), 4)
+
+    def cone_quadratic(self) -> tuple:
+        """``cone_quadratic`` of the columns; on an exact matrix its six distinct
+        entries are Fractions over the one denominator ``2 * den**2``."""
+        if self._den is None:
+            return cone_quadratic(*self._cols)
+        l, m, n = self._cols
+        den = 2 * self._den**2
+        q = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                q[i][j] = q[j][i] = Fraction(l[i] * n[j] + n[i] * l[j] - 2 * m[i] * m[j], den)
+        return tuple(map(tuple, q))
 
 
 def vec_norm(v) -> float:
@@ -205,9 +278,9 @@ def unit(v) -> tuple:
 def rank3(rows, eps: float) -> int:
     """Rank of a matrix with at most three columns.
 
-    Exact rows: fraction-free elimination on their integers (a row's
-    denominator does not change the rank).  Float rows, padded to
-    3-vectors, are divided by their largest entry, so that the matrix has
+    Exact rows: fraction-free elimination on their integers over one
+    common denominator, which does not change the rank.  Float rows, padded
+    to 3-vectors, are divided by their largest entry, so that the matrix has
     scale 1 and no square underflows or overflows; then the rules of the
     zero tests and ``collinear3`` decide, pivoting on the largest row ``a``.
     A row is zero when its norm is at most ``eps`` (``vec_is_zero`` at
@@ -217,9 +290,10 @@ def rank3(rows, eps: float) -> int:
     some row's distance from the plane of ``a`` and ``b``, a degree-1
     quantity, exceeds ``eps``, and 2 otherwise.
     """
-    ints = [_integers(row) for row in rows]
-    if all(r is not None for r in ints):
-        m = [nums for nums, _ in ints]
+    cleared = _integers([c for row in rows for c in row])
+    if cleared is not None:
+        nums = iter(cleared[0])
+        m = [[next(nums) for _ in row] for row in rows]
         rank = 0
         ncols = len(m[0]) if m else 0
         for col in range(ncols):
@@ -249,13 +323,13 @@ def rank3(rows, eps: float) -> int:
     # b: of the rows that collinear3 calls independent of a, the farthest from a's line
     w, nw = None, 0.0
     for b, nb in live:
-        axb = cross3(a, b)
+        axb = _cross(a, b)
         size = vec_norm(axb)
         if size > eps * na * nb and size > nw:
             w, nw = axb, size
     if w is None:
         return 1
-    return 3 if any(abs(dot3(w, c)) > eps * nw for c, _ in live) else 2
+    return 3 if any(abs(_dot(w, c)) > eps * nw for c, _ in live) else 2
 
 
 def orthonormal_extension(vectors, dim: int) -> tuple:

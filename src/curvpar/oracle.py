@@ -76,8 +76,11 @@ class VerificationReport:
 def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
     """Distance from the origin to the least-squares affine hull of the samples.
 
-    The hull dimension is decided from the singular values of the centered
-    sample matrix relative to the largest one, cut at ``HULL_RANK_TOL``.
+    The samples span no direction when the largest singular value of the
+    centered sample matrix is at most ``eps_rank`` times the largest sample
+    entry, so the cut follows the samples' own size; otherwise the hull
+    dimension is decided from the singular values relative to the largest
+    one, cut at ``HULL_RANK_TOL``.
     """
     import numpy as np
 
@@ -89,8 +92,7 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
     if not np.isfinite(centered).all():
         raise ValueError("affine hull samples leave the float range")
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = max(float(np.max(np.abs(pts))), 1.0)
-    if svals.size == 0 or svals[0] <= tol.eps_rank * scale:
+    if svals.size == 0 or svals[0] <= tol.eps_rank * float(np.max(np.abs(pts))):
         directions = np.zeros((0, pts.shape[1]))
     else:
         rank = int(np.sum(svals > HULL_RANK_TOL * svals[0]))

@@ -50,6 +50,8 @@ ORBIT_HALF_LINE = "(x,y^2,0,0)"
 ORBIT_LINE = "(x,xy,0,0)"
 ORBIT_POINT = "(x,0,0,0)"
 
+_EYE3 = identity(3)
+
 
 @dataclass(frozen=True)
 class ParabolaShape:
@@ -202,7 +204,7 @@ def _build_frames(sf: SecondForm, shape: ParabolaShape):
     if shape.kind == "point":
         # the plane must contain the segment from the origin to the trace
         aff = AffineSubspace(point=lf, basis=(), dim=0)
-        rows = identity(3) if shape.is_origin else orthonormal_extension([unit(lf)], 3)
+        rows = _EYE3 if shape.is_origin else orthonormal_extension([unit(lf)], 3)
         return aff, PlaneBasis(rows[0], rows[1], cross3(rows[0], rows[1]), forced=False)
     # half-line along N from its vertex, or line along M through L; off the
     # origin, the plane is spanned by the direction and L
@@ -331,7 +333,7 @@ def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwo
         a_hat = unit(A)
         rot3 = right_handed(orthonormal_extension([a_hat], 3)[1], a_hat)
     else:  # a zero x^2 column, as on the zero jet: nothing to rotate
-        rot3 = identity(3)
+        rot3 = _EYE3
     rotated = [[float_dot(r, col) for col in (A, B, C)] for r in rot3]
     a = rotated[0]
     if orbit == ORBIT_HALF_LINE:
@@ -340,7 +342,7 @@ def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwo
         lam, mu = -a[0] / a[1], 1.0 / a[1]
     else:
         lam, mu = 0.0, 1.0
-    if rot3 == identity(3) and lam == 0 and mu == 1:
+    if rot3 == _EYE3 and lam == 0 and mu == 1:
         return ReducedTwoJet(jet2=j2, orbit=orbit, source_matrix=identity(2), target_rotation=identity(4))
 
     reduced = apply_source_to_jet(rotated, lam, mu)

@@ -1,5 +1,6 @@
 """Corank check and prenormalization with witnessing changes."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -42,6 +43,20 @@ def test_adapt_identity_on_prenormal():
     assert np.allclose(ad.tangent_frame, [1, 0, 0, 0])
     assert np.allclose(ad.normal_frame, np.eye(4)[1:])
     assert np.allclose(ad.target_rotation, np.eye(4))
+
+
+def test_adapt_ranks_only_germs_that_are_not_prenormal(monkeypatch):
+    # a prenormal germ has Jacobian rank 1 by construction, and a germ of
+    # order 2 is its own 2-jet
+    ranked = []
+    # curvpar.adapt is the function; the package exports it over the module
+    monkeypatch.setattr(importlib.import_module("curvpar.adapt"), "check_corank", lambda f, tol: ranked.append(f) or 1)
+    g = germ("(x, x*y, y^2, 0)", order=2)
+    assert adapt(g).germ is g
+    assert adapt(germ("(x, x*y, y^2, y^5)")).germ == g
+    assert ranked == []
+    adapt(germ("(2*x, x*y, y^2, 0)", order=2))
+    assert len(ranked) == 1
 
 
 def test_adapted_germ_is_a_2_jet_on_both_paths(rng):

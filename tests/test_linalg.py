@@ -1,10 +1,11 @@
 """The exact kernels of curvpar.linalg against the plain formulas they replace.
 
-``dot3``, ``cross3``, ``cone_quadratic`` and ``rank3`` clear the denominators
-of an exact vector once and work in integers; on float input they keep the
-float expressions operand for operand.  The references here are those
-expressions, run on Fractions for exact input, and for ``rank3``'s float
-branch the plain statement of its rule.
+``dot3``, ``cross3`` and ``rank3`` clear the denominators of exact input
+once and work in integers, and ``ColumnProducts`` does so for a whole
+second form; on float input they keep the float expressions operand for
+operand, as ``cone_quadratic`` does on every input.  The references here are
+those expressions, run on Fractions for exact input, and for ``rank3``'s
+float branch the plain statement of its rule.
 """
 
 import math
@@ -18,10 +19,15 @@ from hypothesis import strategies as st
 import curvpar.adapt
 import curvpar.forms
 import curvpar.heights
+import curvpar.linalg
 import curvpar.parabola
+from curvpar.forms import SecondForm
 from curvpar.germs import MapGermR4, TruncatedPoly2
 from curvpar.linalg import cone_quadratic, cross3, dot3, rank3
 from curvpar.report import analyze_germ, render_json
+
+from conftest import random_jet2
+from golden import GOLDEN_GERMS
 
 
 def plain_dot(a, b):
@@ -194,3 +200,66 @@ def test_long_denominators_report_like_the_fraction_formulas(monkeypatch, verify
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fn)
     assert render_json(analyze_germ(source, verify=verify).report) == report
+
+
+def scaled_matrices(jet):
+    """The second-form matrix of a 2-jet, scaled by 2^-400 and 2^400, by the
+    quotient of two large coprime numbers, and entry by entry over large
+    pairwise distinct denominators."""
+    rows = [(2 * a, b, 2 * c) for a, b, c in jet.rows()]
+    coprime = Fraction(10**40 + 1, 10**40 + 3)
+    yield [[v * Fraction(1, 2**400) for v in row] for row in rows]
+    yield [[v * 2**400 for v in row] for row in rows]
+    yield [[v * coprime for v in row] for row in rows]
+    yield [[v / (10**30 + 2 * (3 * i + j) + 1) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("kind", ["any", "collinear", "line", "point"])
+def test_one_matrix_invariants_equal_the_per_vector_kernels(rng, kind):
+    for _ in range(15):
+        for rows in scaled_matrices(random_jet2(rng, kind)):
+            sf = SecondForm(rows)
+            L, M, N = sf.L, sf.M, sf.N
+            w, lxn, lxm = cross3(M, N), cross3(L, N), cross3(L, M)
+            want = {
+                "w": w,
+                "l_x_n": lxn,
+                "l_x_m": lxm,
+                "triple": (dot3(L, w),),
+                "asymptotic_quadratic": (dot3(w, lxm), dot3(w, lxn), dot3(w, w)),
+                "cone_quadratic": tuple(x for row in cone_quadratic(L, M, N) for x in row),
+            }
+            got = {
+                "w": sf.w,
+                "l_x_n": sf.l_x_n,
+                "l_x_m": sf.l_x_m,
+                "triple": (sf.triple,),
+                "asymptotic_quadratic": sf.asymptotic_quadratic,
+                "cone_quadratic": tuple(x for row in sf.cone_quadratic for x in row),
+            }
+            for name, values in got.items():
+                assert all_fractions(values), name
+                assert values == want[name], name
+            assert sf.rank(1e-9) == rank3(sf.matrix, 1e-9)
+
+
+def test_an_exact_analysis_clears_its_second_form_once(monkeypatch):
+    # One integer matrix serves every exact invariant of the second form
+    # (linalg.ColumnProducts) and its rank.  What else an analysis clears:
+    # classify_two_jet's two jet columns, a half-line vertex's two dot
+    # products and, on a corank-2 line, the cross products of the rows
+    # divided by ref.  Clearing a column again shows here.
+    cleared = []
+    integers = curvpar.linalg._integers
+
+    def counted(entries):
+        result = integers(entries)
+        cleared[-1] += result is not None
+        return result
+
+    monkeypatch.setattr(curvpar.linalg, "_integers", counted)
+    for text in GOLDEN_GERMS:
+        cleared.append(0)
+        analyze_germ(text)
+    assert max(cleared) <= 14
+    assert sum(cleared) <= 240

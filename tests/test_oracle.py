@@ -45,6 +45,14 @@ def test_affine_hull_distance_shifted_plane():
     assert affine_hull_distance(pts) == pytest.approx(2 * abs(c), abs=1e-9)
 
 
+def test_affine_hull_distance_reads_small_samples_at_their_own_scale():
+    # the trace (0, 2 s y, s y^2 + s, s) spans the plane x4 = s, at distance s
+    # from the origin; a zero-hull cut with a floor of 1 took it for a point
+    for s in (1e-12, 1e-100):
+        pts = [[0.0, 2 * s * y, s * y * y + s, s] for y in np.linspace(-5, 5, 101)]
+        assert affine_hull_distance(pts) == pytest.approx(s, rel=1e-9)
+
+
 def test_affine_hull_needs_three_points():
     with pytest.raises(ValueError, match="at least 3"):
         affine_hull_distance([np.zeros(3), np.ones(3)])
