@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .config import DEFAULT_TOL
@@ -42,6 +42,33 @@ class GermParseError(ValueError):
         super().__init__(f"parse error at position {position}: {message}")
         self.message = message
         self.position = position
+
+
+# a polynomial prints from its order's table of monomials unless the table
+# is more than this many times as long as the polynomial
+_TABLE_SPAN = 8
+
+
+def _print_key(key) -> tuple:
+    return key[0] + key[1], key[0]
+
+
+@lru_cache(maxsize=1024)
+def _monomial(i: int, j: int) -> str:
+    """``x^i*y^j`` as the grammar writes it: ``x*y^2``, ``x``, ``""`` for the constant."""
+    x = "" if not i else "x" if i == 1 else f"x^{i}"
+    y = "" if not j else "y" if j == 1 else f"y^{j}"
+    return f"{x}*{y}" if x and y else x or y
+
+
+@lru_cache(maxsize=32)
+def _print_table(order: int) -> tuple:
+    """``(key, monomial)`` for each monomial of degree at most ``order``, in print order."""
+    return tuple(((i, d - i), _monomial(i, d - i)) for d in range(order + 1) for i in range(d + 1))
+
+
+def _coeff_text(c) -> str:
+    return str(c) if isinstance(c, (Fraction, int)) else repr(float(c))
 
 
 class TruncatedPoly2:
@@ -161,36 +188,41 @@ class TruncatedPoly2:
 
     # -- printing -----------------------------------------------------
 
-    @staticmethod
-    def _coeff_str(c) -> str:
-        return str(c) if isinstance(c, (Fraction, int)) else repr(float(c))
-
     def to_expression(self) -> str:
         """Render in the germ grammar's notation, other coefficients as ``repr(float(c))``.
 
         Terms print by total degree, then by the power of x.  Reparsing
         recovers exact coefficients only: the grammar reads no decimals, so
-        ``(x, 1.5*x*y, y^2, 0)`` does not parse.
+        ``(x, 1.5*x*y, y^2, 0)`` does not parse.  The terms are read off the
+        order's table of monomials (``_print_table``) unless the table is
+        more than ``_TABLE_SPAN`` times as long as the polynomial, which is
+        sorted then.
         """
         coeffs = self.coeffs
         if not coeffs:
             return "0"
+        order = self.order
+        if (order + 1) * (order + 2) <= 2 * _TABLE_SPAN * len(coeffs):
+            terms = _print_table(order)
+        else:
+            terms = [(k, _monomial(*k)) for k in sorted(coeffs, key=_print_key)]
+        get = coeffs.get
         parts = []
-        for (i, j) in sorted(coeffs, key=lambda k: (k[0] + k[1], k[0])):
-            c = coeffs[(i, j)]
+        for key, mono in terms:
+            c = get(key)
+            if c is None:
+                continue
             if c > 0:
-                sign, mag = " + ", c
+                parts.append(" + ")
+                mag = c
             else:
-                sign, mag = " - ", -c
-            factors = []
-            if mag != 1 or not (i or j):
-                factors.append(repr(mag) if type(mag) is float else self._coeff_str(mag))
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            parts.append(sign)
-            parts.append("*".join(factors))
+                parts.append(" - ")
+                mag = -c
+            if mag != 1 or not mono:
+                text = repr(mag) if type(mag) is float else _coeff_text(mag)
+                parts.append(f"{text}*{mono}" if mono else text)
+            else:
+                parts.append(mono)
         parts[0] = "" if parts[0] == " + " else "-"
         return "".join(parts)
 
@@ -260,7 +292,7 @@ class MapGermR4:
         return all(negligible(c, tol) for c in terms)
 
     def to_expression(self) -> str:
-        return "(" + ", ".join(p.to_expression() for p in self.components) + ")"
+        return "(" + ", ".join([p.to_expression() for p in self.components]) + ")"
 
     def __repr__(self):
         return f"MapGermR4({self.to_expression()!r}, order={self.order})"

@@ -197,7 +197,12 @@ class ColumnProducts:
 
 
 def vec_norm(v) -> float:
-    return math.sqrt(float(sum(float(c) * float(c) for c in v)))
+    # summed left to right from the int 0, as sum() did up to Python 3.11
+    total = 0
+    for c in v:
+        c = float(c)
+        total += c * c
+    return math.sqrt(total)
 
 
 def float_vec(v) -> tuple:
@@ -206,8 +211,12 @@ def float_vec(v) -> tuple:
 
 
 def float_dot(a, b) -> float:
-    """a . b for float vectors of any length, summed left to right."""
-    return sum(x * y for x, y in zip(a, b))
+    """a . b for float vectors of any length, summed left to right from the int 0:
+    ``0 + -0.0`` is ``0.0``, and Fraction entries give a Fraction."""
+    total = 0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 def first_entry_positive(v) -> tuple:

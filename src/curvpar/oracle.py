@@ -80,7 +80,8 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
     centered sample matrix is at most ``eps_rank`` times the largest sample
     entry, so the cut follows the samples' own size; otherwise the hull
     dimension is decided from the singular values relative to the largest
-    one, cut at ``HULL_RANK_TOL``.
+    one, cut at ``HULL_RANK_TOL``.  A residual whose squares leave the float
+    range is measured in units of a power of two near its largest entry.
     """
     import numpy as np
 
@@ -98,7 +99,13 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
         rank = int(np.sum(svals > HULL_RANK_TOL * svals[0]))
         directions = vt[:rank]
     residual = centroid - directions.T @ (directions @ centroid)
-    return float(np.linalg.norm(residual))
+    with np.errstate(over="ignore"):
+        dist = float(np.linalg.norm(residual))
+    if (dist == 0.0 or dist == math.inf) and residual.any() and np.isfinite(residual).all():
+        # the squares under- or overflowed: take the norm at unit scale
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(residual))))[1] - 1)
+        dist = float(np.linalg.norm(residual / scale)) * scale
+    return dist
 
 
 def parabola_hull_distance(pp, tol: Tolerances = DEFAULT_TOL) -> float:

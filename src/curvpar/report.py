@@ -17,7 +17,6 @@ from .adapt import AdaptedGerm, adapt
 from .associated import (
     RegularSurfaceR4,
     RegularSurfaceR5,
-    lift_to_r5,
     project_to_s,
     verify_transfer,
 )
@@ -139,11 +138,13 @@ class AnalysisResult:
     cone: DegeneracyCone
     corank2: object
     reduced: ReducedTwoJet
-    lift: RegularSurfaceR5
     projection: RegularSurfaceR4
     transfer: object
     report: dict
     verification: VerificationReport | None = None
+    # the R^5 lift, which no result reads: analyze_germ leaves it None, and
+    # associated.lift_to_r5(res.adapted) builds it
+    lift: RegularSurfaceR5 | None = None
 
 
 def _count_or_inf(value):
@@ -312,7 +313,6 @@ def analyze_germ(
     cone = degeneracy_cone(sf, tol)
     c2 = corank2_conditions(profile, cone, umb, tol)
     reduced = reduce_to_normal_form(jet2, tol)
-    lift = lift_to_r5(adapted)
     projection = project_to_s(adapted, profile)
     transfer = verify_transfer(adapted, profile, aset, projection, tol=tol)
 
@@ -331,7 +331,6 @@ def analyze_germ(
         cone=cone,
         corank2=c2,
         reduced=reduced,
-        lift=lift,
         projection=projection,
         transfer=transfer,
         report={},

@@ -106,7 +106,8 @@ def rotated_projection(g, pp):
 
 
 def to_expression(p: TruncatedPoly2) -> str:
-    """``p.to_expression()``, built term by term from each monomial's factors."""
+    """``p.to_expression()``, built as the printer before the monomial table did:
+    the keys sorted, then each term from its monomial's factors."""
     if not p.coeffs:
         return "0"
     parts = []

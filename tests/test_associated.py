@@ -1,6 +1,7 @@
 """Lift to R^5, projection to a regular surface in R^4, geometry transfer."""
 
 import dataclasses
+import importlib
 import math
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import curvpar.report
 from curvpar.adapt import adapt
 from curvpar.associated import (
     curvature_ellipse,
@@ -18,9 +20,9 @@ from curvpar.associated import (
 )
 from curvpar.directions import asymptotic_directions
 from curvpar.forms import form_rows, rank_second_form, second_form
-from curvpar.germs import MapGermR4, TruncatedPoly2, parse_poly
+from curvpar.germs import MapGermR4, TruncatedPoly2, parse_map_germ, parse_poly
 from curvpar.parabola import PlaneBasis, build_parabola
-from curvpar.report import analyze_germ
+from curvpar.report import AnalysisResult, analyze_germ
 
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
 from golden import GOLDEN_GERMS
@@ -48,6 +50,32 @@ def test_lift_second_form_equals_germ_second_form(rng):
         sf = second_form(ad)
         lift = lift_to_r5(ad)
         assert lift.alpha.matrix == sf.matrix  # exact equality on the rational path
+
+
+def test_analyze_germ_builds_no_lift(monkeypatch):
+    def refuse(adapted):
+        raise AssertionError("analyze_germ built the R^5 lift")
+
+    # the function and its re-export from the package
+    for module in (importlib.import_module("curvpar.associated"), curvpar):
+        monkeypatch.setattr(module, "lift_to_r5", refuse)
+    assert not hasattr(curvpar.report, "lift_to_r5")
+    for text in GOLDEN_GERMS:
+        for verify in (False, True):
+            assert analyze_germ(text, verify=verify).lift is None
+
+
+def test_analysis_result_lift_is_last_and_defaults_to_none():
+    last = dataclasses.fields(AnalysisResult)[-1]
+    assert (last.name, last.default) == ("lift", None)
+
+
+def test_lift_of_the_adapted_germ_has_the_analysis_second_form():
+    for text in GOLDEN_GERMS:
+        exact = parse_map_germ(text, 2)
+        for g in (exact, exact.to_float()):
+            res = analyze_germ(g)
+            assert lift_to_r5(res.adapted).alpha == res.sf
 
 
 def test_lift_rank_equals_stratum(rng):

@@ -8,7 +8,13 @@ those expressions, run on Fractions for exact input, and for ``rank3``'s
 float branch the plain statement of its rule.
 """
 
+import functools
+import importlib
 import math
+import operator
+import pkgutil
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,14 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import curvpar.adapt
-import curvpar.forms
-import curvpar.heights
 import curvpar.linalg
-import curvpar.parabola
 from curvpar.forms import SecondForm
 from curvpar.germs import MapGermR4, TruncatedPoly2
-from curvpar.linalg import cone_quadratic, cross3, dot3, rank3
+from curvpar.linalg import cone_quadratic, cross3, dot3, float_dot, rank3, vec_norm
 from curvpar.report import analyze_germ, render_json
 
 from conftest import random_jet2
@@ -167,6 +169,54 @@ def test_float_kernels_keep_the_float_expressions(a, b, c):
     assert rank3([a, b, c], 1e-9) == plain_rank([a, b, c], 1e-9)
 
 
+# sum() of floats compensates its rounding from Python 3.12 on; up to 3.11 it
+# adds left to right from the int 0, which vec_norm and float_dot keep
+if sys.version_info < (3, 12):
+    left_sum = sum
+else:  # pragma: no cover - newer interpreters
+    def left_sum(terms):
+        return functools.reduce(operator.add, terms, 0)
+
+
+def sum_norm(v):
+    return math.sqrt(float(left_sum(float(c) * float(c) for c in v)))
+
+
+def sum_dot(a, b):
+    return left_sum(x * y for x, y in zip(a, b))
+
+
+subnormal = st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308)
+kernel_entry = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    subnormal,
+    st.sampled_from([0.0, -0.0, 0]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(*[st.tuples(kernel_entry, kernel_entry)] * n)))
+def test_float_kernels_sum_like_the_generator_formulas(pairs):
+    a = tuple(x for x, _ in pairs)
+    b = tuple(y for _, y in pairs)
+    assert bits(vec_norm(a)) == bits(sum_norm(a))
+    got, want = float_dot(a, b), sum_dot(a, b)
+    if type(want) is float:
+        assert bits(got) == bits(want)
+    else:  # exact entries only: an int or a Fraction
+        assert type(got) is type(want) and got == want
+
+
+def test_float_kernels_start_from_the_int_zero():
+    assert bits(float_dot((-0.0,), (1.0,))) == bits(0.0)
+    assert bits(float_dot((-0.0, -0.0), (1.0, 1.0))) == bits(0.0)
+    assert float_dot((), ()) == 0 and vec_norm(()) == 0.0
+    assert float_dot((Fraction(1, 3), 2), (3, Fraction(1, 4))) == Fraction(3, 2)
+    assert type(float_dot((Fraction(1, 3),), (3,))) is Fraction
+    assert bits(vec_norm((3, Fraction(4), -0.0))) == bits(5.0)
+
+
 def test_exact_results_divide_exactly():
     # int vectors give Fractions, so a quotient of two results stays exact
     assert dot3((1, 2, 0), (1, 0, 0)) / dot3((0, 3, 0), (0, 1, 0)) == Fraction(1, 3)
@@ -189,17 +239,57 @@ def long_denominator_germ():
     return MapGermR4([x, *comps])
 
 
+# the linalg kernels that pipeline modules import, each swapped below for its
+# plain formula.  No pipeline module imports cone_quadratic: heights reads
+# SecondForm.cone_quadratic, which
+# test_one_matrix_invariants_equal_the_per_vector_kernels covers.
+PLAIN_KERNELS = {"dot3": plain_dot, "cross3": plain_cross, "rank3": plain_rank}
+SWAPS = {
+    ("curvpar.adapt", "rank3"),
+    ("curvpar.forms", "rank3"),
+    ("curvpar.parabola", "cross3"),
+    ("curvpar.parabola", "dot3"),
+    ("curvpar.heights", "cross3"),
+    ("curvpar.heights", "dot3"),
+}
+
+
+def kernel_users():
+    """``(module, name)`` for each curvpar module that imports a kernel of linalg."""
+    modules = [importlib.import_module(f"curvpar.{m.name}") for m in pkgutil.iter_modules(curvpar.__path__)]
+    return {
+        (module.__name__, name)
+        for module in modules
+        if module is not curvpar.linalg
+        for name in (*PLAIN_KERNELS, "cone_quadratic")
+        if getattr(module, name, None) is getattr(curvpar.linalg, name)
+    }
+
+
 @pytest.mark.parametrize("verify", [False, True])
 def test_long_denominators_report_like_the_fraction_formulas(monkeypatch, verify):
     source = long_denominator_germ()
-    assert source.is_exact
-    report = render_json(analyze_germ(source, verify=verify).report)
-    plain = {"dot3": plain_dot, "cross3": plain_cross, "rank3": plain_rank, "cone_quadratic": plain_cone}
-    for module in (curvpar.adapt, curvpar.forms, curvpar.parabola, curvpar.heights):
-        for name, fn in plain.items():
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, fn)
-    assert render_json(analyze_germ(source, verify=verify).report) == report
+    # the same germ with its first two target coordinates swapped: adapt ranks
+    # its exact Jacobian, then moves it onto the float path
+    x, f2, f3, f4 = source.components
+    moved = MapGermR4([f2, x, f3, f4])
+    assert source.is_exact and moved.is_exact
+    assert source.is_prenormal() and not moved.is_prenormal()
+    reports = [render_json(analyze_germ(g, verify=verify).report) for g in (source, moved)]
+
+    assert kernel_users() == SWAPS
+    calls = Counter()
+    for module_name, name in sorted(SWAPS):
+        plain = PLAIN_KERNELS[name]
+
+        def counted(*args, key=(module_name, name), plain=plain):
+            calls[key] += 1
+            return plain(*args)
+
+        monkeypatch.setattr(importlib.import_module(module_name), name, counted)
+    assert [render_json(analyze_germ(g, verify=verify).report) for g in (source, moved)] == reports
+    assert calls[("curvpar.adapt", "rank3")] == 1
+    assert calls[("curvpar.forms", "rank3")] > 0
 
 
 def scaled_matrices(jet):

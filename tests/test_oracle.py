@@ -45,12 +45,22 @@ def test_affine_hull_distance_shifted_plane():
     assert affine_hull_distance(pts) == pytest.approx(2 * abs(c), abs=1e-9)
 
 
-def test_affine_hull_distance_reads_small_samples_at_their_own_scale():
+def scaled_trace(s):
     # the trace (0, 2 s y, s y^2 + s, s) spans the plane x4 = s, at distance s
-    # from the origin; a zero-hull cut with a floor of 1 took it for a point
-    for s in (1e-12, 1e-100):
-        pts = [[0.0, 2 * s * y, s * y * y + s, s] for y in np.linspace(-5, 5, 101)]
-        assert affine_hull_distance(pts) == pytest.approx(s, rel=1e-9)
+    # from the origin
+    return [[0.0, 2 * s * y, s * y * y + s, s] for y in np.linspace(-5, 5, 101)]
+
+
+def test_affine_hull_distance_reads_small_samples_at_their_own_scale():
+    # a zero-hull cut with a floor of 1 took the trace for a point; from
+    # 1e-200 on, the squares of the residual (0, 0, 0, s) underflow
+    for s in (1e-12, 1e-100, 1e-200, 1e-300):
+        assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9)
+
+
+def test_affine_hull_distance_survives_squares_that_overflow():
+    for s in (1e200, 1e300):
+        assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9)
 
 
 def test_affine_hull_needs_three_points():
