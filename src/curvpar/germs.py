@@ -44,27 +44,15 @@ class GermParseError(ValueError):
         self.position = position
 
 
-# a polynomial prints from its order's table of monomials unless the table
-# is more than this many times as long as the polynomial
-_TABLE_SPAN = 8
-
-
-def _print_key(key) -> tuple:
-    return key[0] + key[1], key[0]
-
-
 @lru_cache(maxsize=1024)
-def _monomial(i: int, j: int) -> str:
-    """``x^i*y^j`` as the grammar writes it: ``x*y^2``, ``x``, ``""`` for the constant."""
+def _print_term(key: tuple) -> tuple:
+    """``(i + j, i, key, monomial)`` for ``key = (i, j)``, the monomial as the
+    grammar writes it (``x*y^2``, ``x``, ``""`` for the constant); the tuples
+    sort in print order."""
+    i, j = key
     x = "" if not i else "x" if i == 1 else f"x^{i}"
     y = "" if not j else "y" if j == 1 else f"y^{j}"
-    return f"{x}*{y}" if x and y else x or y
-
-
-@lru_cache(maxsize=32)
-def _print_table(order: int) -> tuple:
-    """``(key, monomial)`` for each monomial of degree at most ``order``, in print order."""
-    return tuple(((i, d - i), _monomial(i, d - i)) for d in range(order + 1) for i in range(d + 1))
+    return i + j, i, key, f"{x}*{y}" if x and y else x or y
 
 
 def _coeff_text(c) -> str:
@@ -193,25 +181,14 @@ class TruncatedPoly2:
 
         Terms print by total degree, then by the power of x.  Reparsing
         recovers exact coefficients only: the grammar reads no decimals, so
-        ``(x, 1.5*x*y, y^2, 0)`` does not parse.  The terms are read off the
-        order's table of monomials (``_print_table``) unless the table is
-        more than ``_TABLE_SPAN`` times as long as the polynomial, which is
-        sorted then.
+        ``(x, 1.5*x*y, y^2, 0)`` does not parse.
         """
         coeffs = self.coeffs
         if not coeffs:
             return "0"
-        order = self.order
-        if (order + 1) * (order + 2) <= 2 * _TABLE_SPAN * len(coeffs):
-            terms = _print_table(order)
-        else:
-            terms = [(k, _monomial(*k)) for k in sorted(coeffs, key=_print_key)]
-        get = coeffs.get
         parts = []
-        for key, mono in terms:
-            c = get(key)
-            if c is None:
-                continue
+        for _, _, key, mono in sorted(map(_print_term, coeffs)):
+            c = coeffs[key]
             if c > 0:
                 parts.append(" + ")
                 mag = c

@@ -197,7 +197,8 @@ class ColumnProducts:
 
 
 def vec_norm(v) -> float:
-    # summed left to right from the int 0, as sum() did up to Python 3.11
+    # summed left to right from the int 0, as sum() is up to Python 3.11;
+    # from 3.12 on sum() of floats compensates its rounding, this loop does not
     total = 0
     for c in v:
         c = float(c)
@@ -211,8 +212,9 @@ def float_vec(v) -> tuple:
 
 
 def float_dot(a, b) -> float:
-    """a . b for float vectors of any length, summed left to right from the int 0:
-    ``0 + -0.0`` is ``0.0``, and Fraction entries give a Fraction."""
+    """a . b for float vectors of any length, summed left to right from the int 0
+    with no compensation, as ``sum()`` is up to Python 3.11: ``0 + -0.0`` is
+    ``0.0``, and Fraction entries give a Fraction."""
     total = 0
     for x, y in zip(a, b):
         total += x * y

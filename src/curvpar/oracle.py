@@ -80,8 +80,9 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
     centered sample matrix is at most ``eps_rank`` times the largest sample
     entry, so the cut follows the samples' own size; otherwise the hull
     dimension is decided from the singular values relative to the largest
-    one, cut at ``HULL_RANK_TOL``.  A residual whose squares leave the float
-    range is measured in units of a power of two near its largest entry.
+    one, cut at ``HULL_RANK_TOL``.  A residual of norm outside
+    ``[2^-500, 2^500]`` is measured in units of a power of two near its
+    largest entry, as its squares may leave the normal float range.
     """
     import numpy as np
 
@@ -101,8 +102,10 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
     residual = centroid - directions.T @ (directions @ centroid)
     with np.errstate(over="ignore"):
         dist = float(np.linalg.norm(residual))
-    if (dist == 0.0 or dist == math.inf) and residual.any() and np.isfinite(residual).all():
-        # the squares under- or overflowed: take the norm at unit scale
+    if not 2.0**-500 < dist < 2.0**500 and residual.any() and np.isfinite(residual).all():
+        # the squares may have left the normal float range, where they
+        # underflow, lose bits as subnormals or overflow: take the norm at
+        # unit scale
         scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(residual))))[1] - 1)
         dist = float(np.linalg.norm(residual / scale)) * scale
     return dist

@@ -169,21 +169,23 @@ def test_float_kernels_keep_the_float_expressions(a, b, c):
     assert rank3([a, b, c], 1e-9) == plain_rank([a, b, c], 1e-9)
 
 
-# sum() of floats compensates its rounding from Python 3.12 on; up to 3.11 it
-# adds left to right from the int 0, which vec_norm and float_dot keep
-if sys.version_info < (3, 12):
-    left_sum = sum
-else:  # pragma: no cover - newer interpreters
-    def left_sum(terms):
-        return functools.reduce(operator.add, terms, 0)
+def left_sum(terms):
+    """``sum()`` up to Python 3.11: left to right from the int 0, uncompensated."""
+    return functools.reduce(operator.add, terms, 0)
 
 
-def sum_norm(v):
-    return math.sqrt(float(left_sum(float(c) * float(c) for c in v)))
+# the generator-sum formulas the kernels replaced, on the left fold and, up to
+# Python 3.11, on sum() itself; from 3.12 on sum() of floats compensates its
+# rounding, which the kernels do not, so there it is left out
+SUMS = [left_sum] + ([sum] if sys.version_info < (3, 12) else [])
 
 
-def sum_dot(a, b):
-    return left_sum(x * y for x, y in zip(a, b))
+def sum_norm(v, total):
+    return math.sqrt(float(total(float(c) * float(c) for c in v)))
+
+
+def sum_dot(a, b, total):
+    return total(x * y for x, y in zip(a, b))
 
 
 subnormal = st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308)
@@ -200,12 +202,13 @@ kernel_entry = st.one_of(
 def test_float_kernels_sum_like_the_generator_formulas(pairs):
     a = tuple(x for x, _ in pairs)
     b = tuple(y for _, y in pairs)
-    assert bits(vec_norm(a)) == bits(sum_norm(a))
-    got, want = float_dot(a, b), sum_dot(a, b)
-    if type(want) is float:
-        assert bits(got) == bits(want)
-    else:  # exact entries only: an int or a Fraction
-        assert type(got) is type(want) and got == want
+    for total in SUMS:
+        assert bits(vec_norm(a)) == bits(sum_norm(a, total))
+        got, want = float_dot(a, b), sum_dot(a, b, total)
+        if type(want) is float:
+            assert bits(got) == bits(want)
+        else:  # exact entries only: an int or a Fraction
+            assert type(got) is type(want) and got == want
 
 
 def test_float_kernels_start_from_the_int_zero():
@@ -215,6 +218,13 @@ def test_float_kernels_start_from_the_int_zero():
     assert float_dot((Fraction(1, 3), 2), (3, Fraction(1, 4))) == Fraction(3, 2)
     assert type(float_dot((Fraction(1, 3),), (3,))) is Fraction
     assert bits(vec_norm((3, Fraction(4), -0.0))) == bits(5.0)
+
+
+def test_float_kernels_do_not_compensate_their_rounding():
+    # a compensated sum (math.fsum, or sum() from Python 3.12 on) gives 1.0
+    # and 1 + 2^-52 here; reports keep the rounding of a left to right sum
+    assert bits(float_dot((1e16, 1.0, -1e16), (1.0, 1.0, 1.0))) == bits(0.0)
+    assert bits(vec_norm((1.0,) + (2.0**-27,) * 8)) == bits(1.0)
 
 
 def test_exact_results_divide_exactly():

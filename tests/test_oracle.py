@@ -52,15 +52,18 @@ def scaled_trace(s):
 
 
 def test_affine_hull_distance_reads_small_samples_at_their_own_scale():
-    # a zero-hull cut with a floor of 1 took the trace for a point; from
-    # 1e-200 on, the squares of the residual (0, 0, 0, s) underflow
-    for s in (1e-12, 1e-100, 1e-200, 1e-300):
-        assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9)
+    # a zero-hull cut with a floor of 1 took the trace for a point.  Below
+    # about 1.5e-154 the square of the residual (0, 0, 0, s) is subnormal
+    # and loses bits (1e-158, 1e-161, 2e-162), and below about 1.5e-162 it
+    # underflows to 0 (1e-200, 1e-300)
+    # (approx's default abs=1e-12 would pass any tiny result)
+    for s in (1e-12, 1e-100, 1e-158, 1e-161, 2e-162, 1e-200, 1e-300):
+        assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9, abs=0)
 
 
 def test_affine_hull_distance_survives_squares_that_overflow():
-    for s in (1e200, 1e300):
-        assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9)
+    for s in (1e155, 1e200, 1e300):
+        assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9, abs=0)
 
 
 def test_affine_hull_needs_three_points():
