@@ -17,7 +17,7 @@ the source change ``x -> (x - e y)/c + s2``, where ``s2`` is minus component
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .germs import MapGermR4, TruncatedPoly2
@@ -36,8 +36,7 @@ class CorankError(ValueError):
         self.rank = rank
 
 
-@dataclass(frozen=True)
-class AdaptedGerm:
+class AdaptedGerm(NamedTuple):
     """A germ in prenormal form together with the changes that produced it.
 
     ``tangent_frame`` spans the tangent line and ``normal_frame`` (three rows)

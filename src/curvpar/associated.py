@@ -13,7 +13,7 @@ is the germ's along the plane's basis (``ParabolaProfile.plane_rows``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .directions import (
@@ -45,16 +45,14 @@ __all__ = [
 ANGULAR_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class RegularSurfaceR5:
+class RegularSurfaceR5(NamedTuple):
     """Immersion into R^5 with its 3x3 second-form matrix at the origin."""
 
     components: tuple
     alpha: SecondForm
 
 
-@dataclass(frozen=True)
-class RegularSurfaceR4:
+class RegularSurfaceR4(NamedTuple):
     """Immersion into R^4 with second-form coefficients (l, m, n) per normal vector."""
 
     components: tuple
@@ -130,8 +128,7 @@ def curvature_ellipse(s: RegularSurfaceR4, theta: float):
     )
 
 
-@dataclass(frozen=True)
-class TransferVerdict:
+class TransferVerdict(NamedTuple):
     m_directions: object
     s_directions: object
     directions_match: bool

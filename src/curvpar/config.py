@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 # keys that config files may still carry, with the reason each is ignored
 RETIRED_KEYS = {
@@ -34,8 +34,7 @@ RETIRED_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _ToleranceFields(NamedTuple):
     # float zero tests |x| <= eps_rank * ref**d (ref = scale_of(whole 2-jet), d = degree of x); ranks: see linalg.rank3
     eps_rank: float = 1e-9
     # "vanishing" 1-jet entries after numeric adaptation
@@ -43,15 +42,31 @@ class Tolerances:
     # relative discriminant threshold for the double-root decision
     eps_disc: float = 1e-10
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+
+class Tolerances(_ToleranceFields):
+    """The three thresholds, each a finite non-negative number.
+
+    Every way to build one validates: the constructor, and ``_make``, which
+    ``_replace`` and ``updated`` call and which a named tuple would otherwise
+    fill without calling ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (number and 0 <= value < math.inf):
-                raise ValueError(f"{f.name} must be a finite non-negative number, got {value!r}")
+                raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Tolerances":
+        return cls(*iterable)
 
     def updated(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
+        return self._replace(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> "Tolerances":
@@ -71,8 +86,7 @@ class Tolerances:
                 DeprecationWarning,
                 stacklevel=2,
             )
-        known = {f.name for f in fields(cls)}
-        bad = set(data) - known
+        bad = set(data) - set(cls._fields)
         if bad:
             raise ValueError(f"unknown tolerance keys in {path}: {sorted(bad)}")
         return cls(**data)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
@@ -37,8 +37,7 @@ __all__ = [
 Y_INF = "y_inf"
 
 
-@dataclass(frozen=True)
-class AsymptoticSet:
+class AsymptoticSet(NamedTuple):
     """Either finitely many asymptotic parameters or all tangent directions.
 
     ``quadratic`` holds the coefficients (q0, q1, q2) of the root polynomial
@@ -87,8 +86,7 @@ def directions_match(a, b, tol) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Binormal:
+class Binormal(NamedTuple):
     """Unit binormal vector in normal-frame coordinates, with its source parameter.
 
     ``param`` is the paired asymptotic parameter: a number, ``y_inf``, or
@@ -100,8 +98,7 @@ class Binormal:
     vector: tuple
 
 
-@dataclass(frozen=True)
-class BinormalSet:
+class BinormalSet(NamedTuple):
     kind: str                 # "finite" | "all"
     items: tuple
 

@@ -8,8 +8,8 @@ when the germ is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .linalg import ColumnProducts, is_exact_scalar, rank3, scale_of
@@ -24,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FirstForm:
+class FirstForm(NamedTuple):
     """Pseudometric coefficients at the singular point."""
 
     E: object

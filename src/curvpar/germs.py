@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .config import DEFAULT_TOL
 from .linalg import is_exact_scalar, negligible, scale_of
@@ -595,14 +595,7 @@ def template_parameters(text: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Raw degree-2 Taylor coefficients of components 2..4 of a prenormal germ.
-
-    The (x^2, xy, y^2) coefficients of component i+1 are row i; no 1/2
-    factors are applied.
-    """
-
+class _Jet2Fields(NamedTuple):
     a20: object
     a11: object
     a02: object
@@ -612,6 +605,16 @@ class Jet2:
     c20: object
     c11: object
     c02: object
+
+
+class Jet2(_Jet2Fields):
+    """Raw degree-2 Taylor coefficients of components 2..4 of a prenormal germ.
+
+    The (x^2, xy, y^2) coefficients of component i+1 are row i; no 1/2
+    factors are applied.  A subclass without ``__slots__``, so that each
+    instance has a dict for the ``ref`` cache, which ``_replace`` leaves
+    empty.
+    """
 
     def rows(self):
         return (

@@ -8,9 +8,9 @@ coefficient columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .directions import AsymptoticSet, BinormalSet
@@ -18,6 +18,7 @@ from .forms import SecondForm, rank_second_form
 from .linalg import (
     cross3,
     dot3,
+    float_dot,
     float_vec,
     identity,
     orthonormal_extension,
@@ -43,8 +44,7 @@ CONE_THETA_SAMPLES = 36
 CONE_PHI_SAMPLES = 19
 
 
-@dataclass(frozen=True)
-class DegeneracyCone:
+class DegeneracyCone(NamedTuple):
     """Quadratic form of det H(h_nu) over normal coordinates plus the corank-2 locus.
 
     ``quad`` is symmetric 3x3 with nu . quad . nu = det of the height Hessian
@@ -66,9 +66,7 @@ def height_hessian(sf: SecondForm, nu):
     ``nu`` is given in normal-frame coordinates; entries stay exact when both
     the form and nu are rational.
     """
-    l = sum(v * c for v, c in zip(nu, sf.L))
-    m = sum(v * c for v, c in zip(nu, sf.M))
-    n = sum(v * c for v, c in zip(nu, sf.N))
+    l, m, n = (float_dot(nu, col) for col in (sf.L, sf.M, sf.N))
     return ((l, m), (m, n))
 
 
@@ -97,8 +95,7 @@ def degeneracy_cone(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> Degeneracy
     return DegeneracyCone(quad=sf.cone_quadratic, corank2_dim=dim, corank2_basis=basis, ref=sf.ref)
 
 
-@dataclass(frozen=True)
-class Corank2Verdict:
+class Corank2Verdict(NamedTuple):
     """Comparison of the solved corank-2 locus against the case analysis.
 
     Expected locus per case: nondegenerate parabola gives the plane normal

@@ -15,7 +15,7 @@ closed form's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._kernels import N_CANDIDATES, scan_scores
 from .config import DEFAULT_TOL, Tolerances
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     closed_form: object
     oracle: object
@@ -61,9 +60,8 @@ class CheckResult:
     passed: bool
 
 
-@dataclass
-class VerificationReport:
-    checks: list = field(default_factory=list)
+class VerificationReport(NamedTuple):
+    checks: list  # of CheckResult, which add() appends to: construct with a new list
 
     def add(self, name, closed_form, oracle, tolerance, passed):
         self.checks.append(CheckResult(name, closed_form, oracle, tolerance, bool(passed)))
@@ -128,8 +126,7 @@ def parabola_hull_distance(pp, tol: Tolerances = DEFAULT_TOL) -> float:
     return affine_hull_distance(Lf + M2f * ys + Nf * ys * ys, tol) * ref
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     kind: str                # "all" | "finite"
     directions: tuple        # approximate asymptotic directions, unit (a, b) with a >= 0, in cycle order
 

@@ -9,8 +9,8 @@ tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm, rank_second_form
@@ -53,8 +53,7 @@ ORBIT_POINT = "(x,0,0,0)"
 _EYE3 = identity(3)
 
 
-@dataclass(frozen=True)
-class ParabolaShape:
+class ParabolaShape(NamedTuple):
     """Geometric type of the parabola trace.
 
     ``kind`` is one of "parabola", "half_line", "line", "point".  The radial
@@ -82,8 +81,7 @@ class ParabolaShape:
         return "point at origin" if self.is_origin else "point away from origin"
 
 
-@dataclass(frozen=True)
-class AffineSubspace:
+class AffineSubspace(NamedTuple):
     """Affine subspace of the normal space: base point + orthonormal directions."""
 
     point: tuple
@@ -91,8 +89,7 @@ class AffineSubspace:
     dim: int
 
 
-@dataclass(frozen=True)
-class PlaneBasis:
+class PlaneBasis(NamedTuple):
     """Orthonormal basis (u1, u2) of the distinguished plane and its unit normal.
 
     ``forced`` records whether the plane was determined by the geometry or
@@ -115,8 +112,7 @@ class PlaneBasis:
         return tuple(a * x + b * y for x, y in zip(self.u1, self.u2))
 
 
-@dataclass(frozen=True)
-class ParabolaProfile:
+class _ProfileFields(NamedTuple):
     Lvec: tuple
     Mvec: tuple
     Nvec: tuple
@@ -126,6 +122,14 @@ class ParabolaProfile:
     ep: PlaneBasis
     stratum: int
     ref: float  # the second form's ref: the scale of every float zero test
+
+
+class ParabolaProfile(_ProfileFields):
+    """The parabola trace's columns, shape, orbit, hull, plane and stratum.
+
+    A subclass without ``__slots__``, so that each instance has a dict for
+    the ``plane_rows`` cache, which ``_replace`` leaves empty.
+    """
 
     def eta(self, y):
         return tuple(
@@ -137,13 +141,10 @@ class ParabolaProfile:
     def plane_rows(self) -> tuple:
         """The second form's rows (l, m, n) along u1 and u2, in floats.
 
-        A cache, not a field, so that ``dataclasses.replace`` recomputes it.
+        A cache, not a field, so that ``_replace`` recomputes it.
         """
-        cols = (self.Lvec, self.Mvec, self.Nvec)
-        return tuple(
-            tuple(sum(float(u[i]) * float(col[i]) for i in range(3)) for col in cols)
-            for u in (self.ep.u1, self.ep.u2)
-        )
+        cols = [float_vec(c) for c in (self.Lvec, self.Mvec, self.Nvec)]
+        return tuple(tuple(float_dot(float_vec(u), col) for col in cols) for u in (self.ep.u1, self.ep.u2))
 
 
 _SHAPE_TO_ORBIT = {
@@ -266,8 +267,7 @@ def classify_two_jet(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedTwoJet:
+class ReducedTwoJet(NamedTuple):
     """Normal-form 2-jet with the witnessing source change and target rotation.
 
     ``target_rotation @ jet  composed with  source_matrix`` reproduces the

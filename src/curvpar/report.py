@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .adapt import AdaptedGerm, adapt
@@ -122,29 +121,56 @@ def _jet2(j) -> dict:
     }
 
 
-@dataclass
 class AnalysisResult:
-    germ: MapGermR4
-    adapted: AdaptedGerm
-    first: FirstForm
-    sf: SecondForm
-    jet2: object
-    orbit_table: str
-    profile: ParabolaProfile
-    aset: AsymptoticSet
-    bset: BinormalSet
-    ptype: str
-    umbilic: UmbilicResult
-    cone: DegeneracyCone
-    corank2: object
-    reduced: ReducedTwoJet
-    projection: RegularSurfaceR4
-    transfer: object
-    report: dict
-    verification: VerificationReport | None = None
-    # the R^5 lift, which no result reads: analyze_germ leaves it None, and
-    # associated.lift_to_r5(res.adapted) builds it
-    lift: RegularSurfaceR5 | None = None
+    """Every stage's result of one analysis, with its report.
+
+    Mutable: ``analyze_germ`` builds it with an empty ``report`` and then
+    sets ``report`` and, under ``--verify``, ``verification``.  ``lift``, the
+    ``R^5`` lift, is read by no result: ``analyze_germ`` leaves it None, and
+    ``associated.lift_to_r5(res.adapted)`` builds it.
+    """
+
+    def __init__(
+        self,
+        germ: MapGermR4,
+        adapted: AdaptedGerm,
+        first: FirstForm,
+        sf: SecondForm,
+        jet2,
+        orbit_table: str,
+        profile: ParabolaProfile,
+        aset: AsymptoticSet,
+        bset: BinormalSet,
+        ptype: str,
+        umbilic: UmbilicResult,
+        cone: DegeneracyCone,
+        corank2,
+        reduced: ReducedTwoJet,
+        projection: RegularSurfaceR4,
+        transfer,
+        report: dict,
+        verification: VerificationReport | None = None,
+        lift: RegularSurfaceR5 | None = None,
+    ):
+        self.germ = germ
+        self.adapted = adapted
+        self.first = first
+        self.sf = sf
+        self.jet2 = jet2
+        self.orbit_table = orbit_table
+        self.profile = profile
+        self.aset = aset
+        self.bset = bset
+        self.ptype = ptype
+        self.umbilic = umbilic
+        self.cone = cone
+        self.corank2 = corank2
+        self.reduced = reduced
+        self.projection = projection
+        self.transfer = transfer
+        self.report = report
+        self.verification = verification
+        self.lift = lift
 
 
 def _count_or_inf(value):
@@ -250,7 +276,7 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
 
     Each check's tolerance is a ``curvpar.oracle`` constant, read at each call.
     """
-    vr = VerificationReport()
+    vr = VerificationReport([])
 
     ku = res.umbilic.kappa_u
     hull = parabola_hull_distance(res.profile, tol)

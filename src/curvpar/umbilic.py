@@ -10,7 +10,7 @@ least-squares estimate from sampled parabola points
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
@@ -20,8 +20,7 @@ from .parabola import ParabolaProfile
 __all__ = ["UmbilicResult", "umbilic_curvature", "kappa_stratum_check"]
 
 
-@dataclass(frozen=True)
-class UmbilicResult:
+class UmbilicResult(NamedTuple):
     kappa_u: float
     formula_used: str      # nondegenerate_proj | halfline_det | point_distance
     is_zero: bool          # decided exactly on the rational path

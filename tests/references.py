@@ -9,7 +9,6 @@ printing of a polynomial and the report as a tree of raw values, which
 """
 
 import math
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -137,10 +136,6 @@ def _count_or_inf(value):
     return "inf" if value == math.inf else int(value)
 
 
-def _field_values(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def raw_report(res, input_text):
     """The report of an ``AnalysisResult`` as raw values, before ``format_value``.
 
@@ -164,7 +159,7 @@ def raw_report(res, input_text):
         },
         "first_form": {"E": res.first.E, "F": res.first.F, "G": res.first.G},
         "second_form": res.sf.matrix,
-        "jet2": _field_values(res.jet2),
+        "jet2": res.jet2._asdict(),
         "orbit": {
             "from_coefficients": res.orbit_table,
             "from_geometry": pp.orbit,
@@ -218,7 +213,7 @@ def raw_report(res, input_text):
         },
         "reduced_two_jet": {
             "orbit": res.reduced.orbit,
-            "jet2": _field_values(res.reduced.jet2),
+            "jet2": res.reduced.jet2._asdict(),
             "source_matrix": res.reduced.source_matrix,
             "target_rotation": res.reduced.target_rotation,
         },
@@ -233,5 +228,5 @@ def raw_report(res, input_text):
     }
     if res.verification is not None:
         vr = res.verification
-        report["verification"] = {"passed": vr.passed, "checks": [_field_values(c) for c in vr.checks]}
+        report["verification"] = {"passed": vr.passed, "checks": [c._asdict() for c in vr.checks]}
     return report

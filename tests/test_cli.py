@@ -6,7 +6,6 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -168,6 +167,32 @@ def test_config_rejects_booleans(tmp_path, capsys):
         assert err.count("error:") == 1 and f"{key} must be a finite non-negative number" in err
 
 
+@pytest.mark.parametrize("path", ["keywords", "positional", "updated", "_replace", "_make", "from_file"])
+def test_every_way_to_build_tolerances_validates(tmp_path, path):
+    cfg = tmp_path / "tol.json"
+
+    def build(key, value):
+        values = [value if name == key else 1e-9 for name in Tolerances._fields]
+        if path == "keywords":
+            return Tolerances(**{key: value})
+        if path == "positional":
+            return Tolerances(*values)
+        if path == "updated":
+            return DEFAULT_TOL.updated(**{key: value})
+        if path == "_replace":
+            return DEFAULT_TOL._replace(**{key: value})
+        if path == "_make":
+            return Tolerances._make(values)
+        cfg.write_text(json.dumps({key: value}))  # NaN and Infinity as JSON's extensions
+        return Tolerances.from_file(cfg)
+
+    for key in Tolerances._fields:
+        assert getattr(build(key, 0.5), key) == 0.5
+        for bad in (-1e-3, math.nan, math.inf, -math.inf, True, False, "1e-9", None):
+            with pytest.raises(ValueError, match=f"{key} must be a finite non-negative number"):
+                build(key, bad)
+
+
 def test_config_ignores_deprecated_scan_nu_grid(tmp_path):
     cfg = tmp_path / "tol.json"
     cfg.write_text(json.dumps({"scan_nu_grid": 720, "eps_rank": 1e-8}))
@@ -199,7 +224,7 @@ ORACLE_KEYS = [
 @pytest.mark.parametrize("key", ORACLE_KEYS)
 def test_config_ignores_each_retired_oracle_key(tmp_path, key):
     # the oracles' settings are constants in curvpar.oracle, not tolerances
-    assert [f.name for f in fields(Tolerances)] == ["eps_rank", "eps_jet", "eps_disc"]
+    assert list(Tolerances._fields) == ["eps_rank", "eps_jet", "eps_disc"]
     cfg = tmp_path / "tol.json"
     cfg.write_text(json.dumps({key: 1}))
     with pytest.warns(DeprecationWarning) as caught:
@@ -234,7 +259,7 @@ def test_every_tolerance_field_is_read():
     # a retired key read as an attribute would be a knob come back unlisted
     src = Path(curvpar.__file__).parent
     text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "config.py")
-    unread = [f.name for f in fields(Tolerances) if not re.search(rf"\.{f.name}\b", text)]
+    unread = [name for name in Tolerances._fields if not re.search(rf"\.{name}\b", text)]
     assert unread == []
     every = "\n".join(p.read_text() for p in sorted(src.glob("*.py")))
     read = [key for key in RETIRED_KEYS if re.search(rf"\.{key}\b", every)]
@@ -869,12 +894,13 @@ def test_reduction_of_a_nearly_degenerate_parabola_stays_finite(capsys):
 
 
 # Run in a fresh interpreter: after each step, print the step's name, its
-# exit code (0 for a library call) and whether numpy has been imported.
+# exit code (0 for a library call) and whether numpy and dataclasses have
+# been imported.
 NUMPY_PROBE = """
 import json, runpy, sys, tempfile
 
 def step(name, code):
-    print(json.dumps([name, code, "numpy" in sys.modules]))
+    print(json.dumps([name, code, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 
 def cli(*argv):
     sys.argv = ["curvpar", *argv]
@@ -904,16 +930,63 @@ with tempfile.TemporaryDirectory() as out:
 
 
 def test_only_verify_and_plotdata_import_numpy():
-    # numpy is most of the start-up; the analysis and its report run on tuples
+    # numpy is most of the start-up; the analysis and its report run on tuples.
+    # dataclasses, with the inspect and ast it imports, is loaded by no step
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
     assert steps == [
-        ["import", 0, False],
-        ["exact prenormal text", 0, False],
-        ["rational non-prenormal text", 0, False],
-        ["float MapGermR4", 0, False],
-        ["cli analyze", 0, False],
-        ["cli analyze --verify", 0, True],
-        ["cli plotdata", 0, True],
+        ["import", 0, False, False],
+        ["exact prenormal text", 0, False, False],
+        ["rational non-prenormal text", 0, False, False],
+        ["float MapGermR4", 0, False, False],
+        ["cli analyze", 0, False, False],
+        ["cli analyze --verify", 0, True, False],
+        ["cli plotdata", 0, True, False],
     ]
+
+
+def module_trees():
+    """``(module name, AST)`` of each module of the package."""
+    src = Path(curvpar.__file__).parent
+    return [(p.stem, ast.parse(p.read_text())) for p in sorted(src.glob("*.py"))]
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples: a dataclass costs its module's import, and
+    # generating its methods, at every start-up
+    importers = [
+        name
+        for name, tree in module_trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert importers == []
+
+
+def builtin_sum_sites(name, tree):
+    """``module.function`` of each call of the builtin ``sum``, the innermost
+    named function enclosing it."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+            sites.append(f"{name}.{func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_no_builtin_sum_on_the_float_path():
+    # from Python 3.12 on, sum() of floats compensates its rounding, so a
+    # float sum would print different bytes on different interpreters;
+    # linalg's plain left folds round the same everywhere.  Two sums remain:
+    # the verification block's, which runs only with numpy, and first_form's,
+    # still to be moved.
+    sites = [site for name, tree in module_trees() if name != "linalg" for site in builtin_sum_sites(name, tree)]
+    assert sorted(set(sites)) == ["forms.first_form", "report.run_verification"]

@@ -110,6 +110,29 @@ def test_ep_contains_affine_hull_directions():
             assert np.allclose(proj @ d, d, atol=1e-12)
 
 
+def test_replaced_plane_recomputes_plane_rows():
+    # plane_rows is cached on the instance; a copy by _replace with the plane
+    # turned by theta inside itself starts without the cache, so its rows
+    # turn by theta too
+    pp = profile_of("(x, x*y, y^2 + x^2, 3*x^2)")
+    (r1, r2) = pp.plane_rows
+    c, s = math.cos(0.7), math.sin(0.7)
+    u1, u2 = pp.ep.u1, pp.ep.u2
+    ep = pp.ep._replace(
+        u1=tuple(c * a + s * b for a, b in zip(u1, u2)),
+        u2=tuple(-s * a + c * b for a, b in zip(u1, u2)),
+    )
+    turned = pp._replace(ep=ep)
+    assert type(turned) is type(pp) and pp.plane_rows == (r1, r2)
+    want = (
+        [c * a + s * b for a, b in zip(r1, r2)],
+        [-s * a + c * b for a, b in zip(r1, r2)],
+    )
+    assert turned.plane_rows != pp.plane_rows
+    for got_row, want_row in zip(turned.plane_rows, want):
+        assert got_row == pytest.approx(want_row, abs=1e-12)
+
+
 def test_classify_two_jet_table_rows():
     j = Jet2(0, 1, 0, 0, 0, 1, 0, 0, 0)
     assert classify_two_jet(j) == ORBIT_PARABOLA

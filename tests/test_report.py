@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from curvpar.config import DEFAULT_TOL, Tolerances
 from curvpar.forms import second_form
 from curvpar.germs import Jet2, MapGermR4, TruncatedPoly2, parse_map_germ
 from curvpar.report import (
+    AnalysisResult,
     analyze_germ,
     build_report,
     fmt_float,
@@ -28,6 +28,12 @@ from curvpar.report import (
 from conftest import germ, jet2_to_germ, random_jet2, random_rotation, transform_germ
 from golden import GOLDEN_GERM_ORDERS, GOLDEN_GERMS
 from references import raw_report
+
+
+def with_changes(res, **changes):
+    """A copy of an ``AnalysisResult`` with the named attributes changed."""
+    return AnalysisResult(**{**vars(res), **changes})
+
 
 # exact germs at scale 1e-10, each with its scale-1 twin
 SMALL_SCALE_TWINS = {
@@ -361,29 +367,29 @@ def test_fd_hessian_oracle_checks_the_adaptation(rng):
     assert hessian_check(res).passed
     bump = TruncatedPoly2({(2, 0): 1e-3, (1, 1): 1e-3, (0, 2): 1e-3}, res.adapted.germ.order)
     comps = res.adapted.germ.components
-    adapted = replace(res.adapted, germ=MapGermR4([comps[0]] + [p + bump for p in comps[1:]]))
-    assert not hessian_check(replace(res, adapted=adapted, sf=second_form(adapted))).passed
+    adapted = res.adapted._replace(germ=MapGermR4([comps[0]] + [p + bump for p in comps[1:]]))
+    assert not hessian_check(with_changes(res, adapted=adapted, sf=second_form(adapted))).passed
 
 
 def _wrong_kappa(res):
-    return replace(res, umbilic=replace(res.umbilic, kappa_u=res.umbilic.kappa_u + 0.1))
+    return with_changes(res, umbilic=res.umbilic._replace(kappa_u=res.umbilic.kappa_u + 0.1))
 
 
 def _wrong_param(res):
     params = list(res.aset.params)
     params[0] += 0.1
-    return replace(res, aset=replace(res.aset, params=tuple(params)))
+    return with_changes(res, aset=res.aset._replace(params=tuple(params)))
 
 
 def _wrong_infinity(res):
-    return replace(res, aset=replace(res.aset, includes_infinity=not res.aset.includes_infinity))
+    return with_changes(res, aset=res.aset._replace(includes_infinity=not res.aset.includes_infinity))
 
 
 def _wrong_duplicate(res):
     # the null direction dropped for a copy of the finite root moved by 1e-4:
     # the count holds, but both roots pair only with the same scan direction
     y = res.aset.params[0]
-    return replace(res, aset=replace(res.aset, params=(y, y + 1e-4), includes_infinity=False))
+    return with_changes(res, aset=res.aset._replace(params=(y, y + 1e-4), includes_infinity=False))
 
 
 def _wrong_far_root(res):
@@ -391,19 +397,19 @@ def _wrong_far_root(res):
     # root tolerance
     params = list(res.aset.params)
     params[-1] = 1.0 / (1.0 / float(params[-1]) + 1e-2)
-    return replace(res, aset=replace(res.aset, params=tuple(params)))
+    return with_changes(res, aset=res.aset._replace(params=tuple(params)))
 
 
 def _wrong_kind(res):
     kind = "finite" if res.aset.kind == "all" else "all"
-    return replace(res, aset=replace(res.aset, kind=kind))
+    return with_changes(res, aset=res.aset._replace(kind=kind))
 
 
 def _wrong_second_form(res):
     bump = TruncatedPoly2({(2, 0): 1e-3, (1, 1): 1e-3, (0, 2): 1e-3}, res.adapted.germ.order)
     comps = res.adapted.germ.components
-    bumped = replace(res.adapted, germ=MapGermR4([comps[0]] + [p + bump for p in comps[1:]]))
-    return replace(res, sf=second_form(bumped))
+    bumped = res.adapted._replace(germ=MapGermR4([comps[0]] + [p + bump for p in comps[1:]]))
+    return with_changes(res, sf=second_form(bumped))
 
 
 # one golden germ per shape kind: parabola, half-line, line and point
@@ -438,8 +444,8 @@ def test_hull_check_fails_on_a_wrong_umbilic_curvature_at_any_scale(text, factor
     # fails it at 2^-40 as at 2^40, where the right value passes
     res = analyze_germ(scaled(text, factor))
     assert run_verification(res, DEFAULT_TOL).passed
-    umb = replace(res.umbilic, kappa_u=res.umbilic.kappa_u + 1e-5 * res.profile.ref)
-    failed = [c.name for c in run_verification(replace(res, umbilic=umb), DEFAULT_TOL).checks if not c.passed]
+    umb = res.umbilic._replace(kappa_u=res.umbilic.kappa_u + 1e-5 * res.profile.ref)
+    failed = [c.name for c in run_verification(with_changes(res, umbilic=umb), DEFAULT_TOL).checks if not c.passed]
     assert failed == ["umbilic_vs_affine_hull"]
 
 
