@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .forms import SecondForm
-from .linalg import first_entry_positive, negligible, unit, vec_norm
+from .linalg import first_entry_positive, negligible_lazy, unit, vec_norm
 from .parabola import ParabolaProfile
 
 __all__ = [
@@ -119,19 +119,21 @@ def plane_quadratic(rows) -> tuple:
 def solve_quadratic(q0, q1, q2, tol: Tolerances):
     """Real roots of q0 + q1*t + q2*t^2 with the declared double-root policy.
 
-    The double root is decided exactly on rational coefficients, and is then
-    itself rational.  Returns (roots, disc); two distinct roots come in the
-    order (-q1 - sqrt(disc)) / (2*q2), (-q1 + sqrt(disc)) / (2*q2).
+    Exact input decides the double root without a threshold, by
+    ``disc == 0``, and the root is then itself rational; float input
+    compares ``disc`` with ``eps_disc`` times its largest term.  Returns
+    (roots, disc); two distinct roots come in the order
+    (-q1 - sqrt(disc)) / (2*q2), (-q1 + sqrt(disc)) / (2*q2).
     """
     disc = q1 * q1 - 4 * q0 * q2
-    # in the coefficients' own arithmetic: exact ones may lie beyond the float
-    # range.  Float q1**2 raises where q1 * q1 would give an infinite
-    # threshold, which would decide a double root
+    # the threshold, in the coefficients' own arithmetic: float q1**2 raises
+    # where q1 * q1 would give an infinite threshold, which would decide a
+    # double root
     try:
-        threshold = Fraction(tol.eps_disc) * max(q1**2, abs(4 * q0 * q2))
+        double = negligible_lazy(disc, lambda: Fraction(tol.eps_disc) * max(q1**2, abs(4 * q0 * q2)))
     except OverflowError:
         raise ValueError("the asymptotic quadratic leaves the float range") from None
-    if negligible(disc, threshold):
+    if double:
         return [-q1 / (2 * q2)], disc
     if disc > 0:
         # q takes the sign of -q1, so neither root cancels
@@ -172,13 +174,11 @@ def _null_direction_binormal(pp, sf, y):
     The shape test guarantees a nonzero system: M + yN never vanishes on a
     nondegenerate parabola, nor L + yM at a non-radial half-line's vertex.
     """
-    u = (1.0, float(y))
-    row1 = pp.ep.to_plane_coords(
-        tuple(l + m * u[1] for l, m in zip(sf.L, sf.M))
-    )
-    row2 = pp.ep.to_plane_coords(
-        tuple(m + n * u[1] for m, n in zip(sf.M, sf.N))
-    )
+    y = float(y)
+    # a Fraction meeting a float converts itself first: the float columns give the same bits
+    L, M, N = sf.float_columns
+    row1 = pp.ep.to_plane_coords(tuple(l + m * y for l, m in zip(L, M)))
+    row2 = pp.ep.to_plane_coords(tuple(m + n * y for m, n in zip(M, N)))
     # a norm beyond the float range is inf, which compares as the larger
     r = row1 if vec_norm(row1) >= vec_norm(row2) else row2
     ab = unit([-r[1], r[0]])

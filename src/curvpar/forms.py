@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import ColumnProducts, is_exact_scalar, rank3, scale_of
+from .linalg import ColumnProducts, is_exact_scalar, rank3, scale_of, sparse_dot
 
 __all__ = [
     "FirstForm",
@@ -123,6 +123,16 @@ class SecondForm:
         return self._products.cone_quadratic()
 
     @cached_property
+    def float_columns(self) -> tuple:
+        """(L, M, N) as floats, each exact entry by one int division."""
+        return self._products.float_columns()
+
+    def corank2_normal(self, rank: int) -> tuple:
+        """The float normal of the null space of the columns at rank 2 or 1 (see
+        ``linalg.ColumnProducts.corank2_normal``), at this form's ``ref``."""
+        return self._products.corank2_normal(rank, self.ref)
+
+    @cached_property
     def _ranks(self):
         return {}
 
@@ -139,8 +149,7 @@ def first_form(adapted) -> FirstForm:
     g = getattr(adapted, "germ", adapted)
     fx = [p.coefficient(1, 0) for p in g.components]
     fy = [p.coefficient(0, 1) for p in g.components]
-    dot = lambda a, b: sum(x * y for x, y in zip(a, b))
-    return FirstForm(E=dot(fx, fx), F=dot(fx, fy), G=dot(fy, fy))
+    return FirstForm(E=sparse_dot(fx, fx), F=sparse_dot(fx, fy), G=sparse_dot(fy, fy))
 
 
 def form_rows(components) -> tuple:

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .config import DEFAULT_TOL
-from .linalg import is_exact_scalar, negligible, scale_of
+from .linalg import float_multiple, is_exact_scalar, negligible, scale_of
 
 __all__ = [
     "GermParseError",
@@ -95,9 +95,9 @@ class TruncatedPoly2:
     @classmethod
     def variable(cls, name: str, order: int) -> "TruncatedPoly2":
         if name == "x":
-            return cls({(1, 0): Fraction(1)}, order)
+            return cls({(1, 0): _ONE}, order)
         if name == "y":
-            return cls({(0, 1): Fraction(1)}, order)
+            return cls({(0, 1): _ONE}, order)
         raise ValueError(f"unknown variable {name!r}")
 
     # -- queries ------------------------------------------------------
@@ -151,7 +151,7 @@ class TruncatedPoly2:
     def __pow__(self, n: int) -> "TruncatedPoly2":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = TruncatedPoly2.const(Fraction(1), self.order)
+        result = TruncatedPoly2.const(_ONE, self.order)
         base = self
         k = n
         while k:
@@ -624,8 +624,9 @@ class Jet2(_Jet2Fields):
         )
 
     @cached_property
-    def ref(self) -> float:  # scale_of of the second-form rows: its SecondForm's ref
-        return scale_of(*((2 * a, m, 2 * c) for a, m, c in self.rows()))
+    def ref(self) -> float:  # scale_of of the second-form rows (2a, m, 2c): its SecondForm's ref
+        a, m, c = zip(*self.rows())
+        return scale_of(float_multiple(a, 2), float_multiple(m, 1), float_multiple(c, 2))
 
 
 def extract_jet2(germ, jet_tol: float = DEFAULT_TOL.eps_jet) -> Jet2:

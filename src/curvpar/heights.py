@@ -8,18 +8,14 @@ coefficient columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .directions import AsymptoticSet, BinormalSet
 from .forms import SecondForm, rank_second_form
 from .linalg import (
-    cross3,
     dot3,
     float_dot,
-    float_vec,
     identity,
     orthonormal_extension,
     subspace_distance,
@@ -79,18 +75,16 @@ def degeneracy_cone(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> Degeneracy
     the pair with the largest cross product; at rank 1 it is the plane
     normal to the largest row.  The rows are divided by ``ref`` first, a
     power of two, so that their products stay in the float range, and sizes
-    are largest entries; on exact rows the cross product is exact.
+    are largest entries (``SecondForm.corank2_normal``).  On exact rows the
+    sizes compare exactly, and the chosen normal becomes floats by one int
+    division per entry.
     """
-    L, M, N = sf.L, sf.M, sf.N
-    dim = 3 - rank_second_form(sf, tol)
+    rank = rank_second_form(sf, tol)
+    dim = 3 - rank
     if dim in (0, 3):
         basis = identity(3)[:dim]
     else:
-        scale = Fraction(sf.ref)
-        rows = [tuple(c / scale for c in v) for v in (L, M, N)]
-        candidates = [cross3(a, b) for a, b in combinations(rows, 2)] if dim == 1 else rows
-        normal = max(candidates, key=lambda v: max(map(abs, v)))
-        ep = _plane_basis_from_normal(unit(normal), forced=False)
+        ep = _plane_basis_from_normal(unit(sf.corank2_normal(rank)), forced=False)
         basis = (ep.nu3,) if dim == 1 else (ep.u1, ep.u2)
     return DegeneracyCone(quad=sf.cone_quadratic, corank2_dim=dim, corank2_basis=basis, ref=sf.ref)
 
@@ -161,7 +155,7 @@ def cone_parabola_orthogonality(pp, aset: AsymptoticSet, bset: BinormalSet) -> b
         if b.param is None or isinstance(b.param, str):
             continue
         y = float(b.param)  # eta(y) = L + 2yM + y^2 N: degree 1 in the jet, 2 in y
-        ok = ok and abs(dot3(float_vec(pp.eta(y)), b.vector)) <= 1e-8 * pp.ref * (1.0 + y * y)
+        ok = ok and abs(dot3(pp.float_eta(y), b.vector)) <= 1e-8 * pp.ref * (1.0 + y * y)
     return ok
 
 

@@ -9,9 +9,12 @@ Exact arithmetic runs in integers.  ``ColumnProducts`` clears an exact 3x3
 matrix, the second form, of its denominators once: its nine entries become
 ints over one common denominator, every cross, triple and quadratic-form
 product of its columns runs on those ints, and each result entry becomes
-one Fraction.  ``dot3`` and ``cross3`` clear each exact vector that they
-are given in the same way, and ``rank3`` its whole matrix.  Input with a
-float entry keeps the plain float expressions.
+one Fraction.  A float that the exact path needs, a column or the normal of
+the corank-2 locus, comes from those ints by one int division, which rounds
+correctly: ``n / d`` has the bits of ``float(Fraction(n, d))`` and raises
+the same ``OverflowError``.  ``dot3`` and ``cross3`` clear each exact vector
+that they are given in the same way, and ``rank3`` its whole matrix.  Input
+with a float entry keeps the plain float expressions.
 
 Vectors and matrices are tuples of Python numbers; nothing here needs numpy.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 __all__ = [
     "is_exact_scalar",
@@ -30,11 +34,14 @@ __all__ = [
     "ColumnProducts",
     "vec_norm",
     "float_vec",
+    "float_multiple",
     "float_dot",
+    "sparse_dot",
     "first_entry_positive",
     "scale_of",
     "negligible",
     "negligible_quotient",
+    "negligible_lazy",
     "vec_is_zero",
     "collinear3",
     "unit",
@@ -195,6 +202,41 @@ class ColumnProducts:
                 q[i][j] = q[j][i] = Fraction(l[i] * n[j] + n[i] * l[j] - 2 * m[i] * m[j], den)
         return tuple(map(tuple, q))
 
+    def float_columns(self) -> tuple:
+        """The columns as floats; an exact entry by one int division, ``int / den``."""
+        if self._den is None:
+            return tuple(map(float_vec, self._cols))
+        return tuple(tuple(n / self._den for n in col) for col in self._cols)
+
+    def corank2_normal(self, rank: int, ref: float) -> tuple:
+        """The normal, as floats, of the null space of the columns at rank 2 or 1.
+
+        The columns are divided by ``ref``, a power of two, so that their
+        products stay in the float range.  At rank 2 the normal is the
+        largest of the cross products (c0 x c1, c0 x c2, c1 x c2), and at
+        rank 1 the largest column, sized by its largest entry; the first
+        wins a tie.  On an exact matrix the sizes compare as ints and the
+        chosen vector becomes floats by one int division per entry, over
+        ``(den * ref)**2`` or ``den * ref``.
+        """
+        if self._den is None:
+            scale = Fraction(ref)
+            cols = [tuple(c / scale for c in v) for v in self._cols]
+            candidates = [cross3(a, b) for a, b in combinations(cols, 2)] if rank == 2 else cols
+            return float_vec(max(candidates, key=_largest_entry))
+        if rank == 2:
+            candidates = [self._product(i, j) for i, j in combinations(range(3), 2)]
+        else:
+            candidates = self._cols
+        num, den = ref.as_integer_ratio()
+        power = 2 if rank == 2 else 1
+        top, bottom = den**power, (self._den * num) ** power
+        return tuple(n * top / bottom for n in max(candidates, key=_largest_entry))
+
+
+def _largest_entry(v):
+    return max(map(abs, v))
+
 
 def vec_norm(v) -> float:
     # summed left to right from the int 0, as sum() is up to Python 3.11;
@@ -211,6 +253,22 @@ def float_vec(v) -> tuple:
     return tuple(float(c) for c in v)
 
 
+def float_multiple(v, k: int) -> tuple:
+    """The entries of ``k * v`` as floats, for an int ``k``.
+
+    An exact entry takes one int division of its integer ratio, which has
+    the bits of ``float(k * c)`` and builds no Fraction.
+    """
+    out = []
+    for c in v:
+        if is_exact_scalar(c):
+            n, d = c.as_integer_ratio()
+            out.append(k * n / d)
+        else:
+            out.append(float(k * c))
+    return tuple(out)
+
+
 def float_dot(a, b) -> float:
     """a . b for float vectors of any length, summed left to right from the int 0
     with no compensation, as ``sum()`` is up to Python 3.11: ``0 + -0.0`` is
@@ -219,6 +277,30 @@ def float_dot(a, b) -> float:
     for x, y in zip(a, b):
         total += x * y
     return total
+
+
+def sparse_dot(a, b):
+    """a . b for vectors of any length, with the value and type of ``float_dot``.
+
+    On exact entries only the products of two nonzero entries are formed:
+    the result is their exact sum, a Fraction when any entry is one and an
+    int otherwise.  A pair with a float entry sends the vectors to ``float_dot``.
+    """
+    total, fraction = None, False
+    for x, y in zip(a, b):
+        if not (is_exact_scalar(x) and is_exact_scalar(y)):
+            return float_dot(a, b)
+        if x and y:
+            total = x * y if total is None else total + x * y
+        elif not fraction:
+            fraction = _is_fraction(x) or _is_fraction(y)
+    if total is None:
+        total = 0
+    return Fraction(total) if fraction and type(total) is int else total
+
+
+def _is_fraction(c) -> bool:
+    return type(c) is Fraction or (type(c) not in _EXACT_TYPES and isinstance(c, Fraction))
 
 
 def first_entry_positive(v) -> tuple:
@@ -252,6 +334,14 @@ def negligible_quotient(num, den, bound: float) -> bool:
     if is_exact_scalar(num):
         return num == 0
     return abs(num) <= bound * math.hypot(*map(float, den))
+
+
+def negligible_lazy(x, threshold) -> bool:
+    """``negligible`` with a bound that is built only on floats: ``x == 0`` on
+    rationals, ``|x| <= threshold()`` otherwise."""
+    if is_exact_scalar(x):
+        return x == 0
+    return abs(x) <= threshold()
 
 
 def vec_is_zero(v, eps: float, ref: float) -> bool:

@@ -21,6 +21,7 @@ from .linalg import (
     dot3,
     first_entry_positive,
     float_dot,
+    float_multiple,
     float_vec,
     identity,
     orthonormal_extension,
@@ -128,7 +129,8 @@ class ParabolaProfile(_ProfileFields):
     """The parabola trace's columns, shape, orbit, hull, plane and stratum.
 
     A subclass without ``__slots__``, so that each instance has a dict for
-    the ``plane_rows`` cache, which ``_replace`` leaves empty.
+    the ``plane_rows`` and ``float_trace`` caches, which ``_replace`` leaves
+    empty.
     """
 
     def eta(self, y):
@@ -136,6 +138,16 @@ class ParabolaProfile(_ProfileFields):
             l + 2 * m * y + n * y * y
             for l, m, n in zip(self.Lvec, self.Mvec, self.Nvec)
         )
+
+    @cached_property
+    def float_trace(self) -> tuple:
+        """The columns (L, 2M, N) of ``eta`` as floats, each exact entry by one int division."""
+        return float_multiple(self.Lvec, 1), float_multiple(self.Mvec, 2), float_multiple(self.Nvec, 1)
+
+    def float_eta(self, y: float) -> tuple:
+        """``eta(y)`` at a float ``y``, with the bits of ``float_vec(eta(y))``: there a
+        Fraction meeting a float converts itself first, here it is converted once."""
+        return tuple(l + m2 * y + n * y * y for l, m2, n in zip(*self.float_trace))
 
     @cached_property
     def plane_rows(self) -> tuple:

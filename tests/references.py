@@ -8,7 +8,10 @@ printing of a polynomial and the report as a tree of raw values, which
 ``build_report`` once handed to ``format_value`` whole, live here.
 """
 
+import functools
 import math
+import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +47,20 @@ def reframe(sf: SecondForm, frame_rows) -> SecondForm:
             )
         new.append(tuple(row))
     return SecondForm(new)
+
+
+# sum() up to Python 3.11; from 3.12 on sum() of floats compensates its
+# rounding, and the uncompensated left fold from the int 0 stands for it
+_SUM = sum if sys.version_info < (3, 12) else lambda terms: functools.reduce(operator.add, terms, 0)
+
+
+def sum_first_form(adapted) -> tuple:
+    """(E, F, G) by the ``sum()`` formula that ``forms.first_form`` replaced."""
+    g = getattr(adapted, "germ", adapted)
+    fx = [p.coefficient(1, 0) for p in g.components]
+    fy = [p.coefficient(0, 1) for p in g.components]
+    dot = lambda a, b: _SUM(x * y for x, y in zip(a, b))
+    return dot(fx, fx), dot(fx, fy), dot(fy, fy)
 
 
 def eta_prime(pp, y):

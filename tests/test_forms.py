@@ -12,12 +12,13 @@ from curvpar.heights import degeneracy_cone
 from curvpar.linalg import rank3
 from curvpar.parabola import build_parabola
 from curvpar.forms import SecondForm, first_form, rank_second_form, second_form
-from curvpar.germs import TruncatedPoly2
+from curvpar.germs import MapGermR4, TruncatedPoly2
 from curvpar.oracle import finite_difference_hessian
 
 from composition import compose_source
-from conftest import germ
-from references import value_along
+from conftest import germ, rand_fraction, random_rotation, transform_germ
+from golden import GOLDEN_GERM_ORDERS
+from references import sum_first_form, value_along
 
 F = Fraction
 
@@ -50,6 +51,73 @@ def test_first_form_numeric_oracle(rng):
     assert abs(dot(fx, fx) - float(ff.E)) < 1e-9
     assert abs(dot(fx, fy) - float(ff.F)) < 1e-9
     assert abs(dot(fy, fy) - float(ff.G)) < 1e-9
+
+
+def same_values_and_types(got, want) -> bool:
+    """Equal entry by entry in type and value, a float down to its bits and sign."""
+    return len(got) == len(want) and all(
+        type(a) is type(b) and (a.hex() == b.hex() if type(b) is float else a == b)
+        for a, b in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("text,order", GOLDEN_GERM_ORDERS)
+def test_first_form_equals_the_sum_formula_on_the_golden_corpus(text, order):
+    g = germ(text, order)
+    for source in (g, g.to_float()):
+        for given in (source, adapt(source)):
+            assert same_values_and_types(tuple(first_form(given)), sum_first_form(given))
+
+
+NOT_PRENORMAL = [
+    "(x + y, x*y, y^2, x^2)",
+    "(2*x, x*y, y^2, 0)",
+    "(-x, 0, y^2, x*y)",
+    "(x*y, x, y^2, x^2)",
+    "(1/2*x - 3*y, 2*x - 12*y, x*y, y^3)",
+    "(x, y + x^2, x*y, y^2)",
+    "(x^2, y^2, x*y, 0)",
+]
+
+
+def test_first_form_equals_the_sum_formula_off_prenormal_form(rng):
+    germs = [germ(text, 3) for text in NOT_PRENORMAL]
+    for text, order in GOLDEN_GERM_ORDERS[::4]:
+        x, f2, f3, f4 = germ(text, order).components
+        germs.append(MapGermR4([f2, x, f3, f4]))
+        source = [[float(v) for v in row] for row in rng.normal(size=(2, 2))]
+        germs.append(transform_germ(germ(text, order), source, random_rotation(rng, 4)))
+    for g in germs:
+        assert not g.is_prenormal()
+        assert same_values_and_types(tuple(first_form(g)), sum_first_form(g))
+
+
+def random_coefficient(rng):
+    """An absent term (the int 0), an int, a Fraction or a float, integral or not."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return int(rng.integers(-4, 5))
+    if kind == 2:
+        return rand_fraction(rng)
+    if kind == 3:
+        return float(rng.normal())
+    return float(rng.integers(-3, 4))
+
+
+def test_first_form_equals_the_sum_formula_on_random_coefficients(rng):
+    types = set()
+    for _ in range(300):
+        comps = [
+            TruncatedPoly2({k: random_coefficient(rng) for k in ((1, 0), (0, 1), (2, 0))}, 2)
+            for _ in range(4)
+        ]
+        g = MapGermR4(comps)
+        want = sum_first_form(g)
+        assert same_values_and_types(tuple(first_form(g)), want)
+        types.update(map(type, want))
+    assert types == {int, Fraction, float}
 
 
 def test_second_form_reference_germ():

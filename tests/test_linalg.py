@@ -10,6 +10,7 @@ float branch the plain statement of its rule.
 
 import functools
 import importlib
+import itertools
 import math
 import operator
 import pkgutil
@@ -25,7 +26,18 @@ from hypothesis import strategies as st
 import curvpar.linalg
 from curvpar.forms import SecondForm
 from curvpar.germs import MapGermR4, TruncatedPoly2
-from curvpar.linalg import cone_quadratic, cross3, dot3, float_dot, rank3, vec_norm
+from curvpar.linalg import (
+    cone_quadratic,
+    cross3,
+    dot3,
+    float_dot,
+    float_multiple,
+    negligible_lazy,
+    rank3,
+    sparse_dot,
+    vec_norm,
+)
+from curvpar.parabola import build_parabola
 from curvpar.report import analyze_germ, render_json
 
 from conftest import random_jet2
@@ -259,7 +271,6 @@ SWAPS = {
     ("curvpar.forms", "rank3"),
     ("curvpar.parabola", "cross3"),
     ("curvpar.parabola", "dot3"),
-    ("curvpar.heights", "cross3"),
     ("curvpar.heights", "dot3"),
 }
 
@@ -346,9 +357,8 @@ def test_one_matrix_invariants_equal_the_per_vector_kernels(rng, kind):
 def test_an_exact_analysis_clears_its_second_form_once(monkeypatch):
     # One integer matrix serves every exact invariant of the second form
     # (linalg.ColumnProducts) and its rank.  What else an analysis clears:
-    # classify_two_jet's two jet columns, a half-line vertex's two dot
-    # products and, on a corank-2 line, the cross products of the rows
-    # divided by ref.  Clearing a column again shows here.
+    # classify_two_jet's two jet columns and a half-line vertex's two dot
+    # products.  Clearing a column again shows here.
     cleared = []
     integers = curvpar.linalg._integers
 
@@ -363,3 +373,89 @@ def test_an_exact_analysis_clears_its_second_form_once(monkeypatch):
         analyze_germ(text)
     assert max(cleared) <= 14
     assert sum(cleared) <= 240
+
+
+def outcome(compute):
+    """``bits`` of a float conversion, or the name of the error it raised."""
+    try:
+        return bits(compute())
+    except OverflowError:
+        return "OverflowError"
+
+
+BIG = 2**3000
+
+
+@st.composite
+def range_edge_ratios(draw):
+    """``(n, d)`` with ``n / d`` near 2^1024, where floats overflow, or near the
+    subnormals, where they round to a coarser grid or to a signed zero."""
+    d = draw(st.integers(1, BIG))
+    e = draw(st.one_of(st.integers(1015, 1030), st.integers(-1080, -1070)))
+    n = (d << e if e >= 0 else d >> -e) + draw(st.integers(-2, 2))
+    return draw(st.sampled_from([1, -1])) * n, d
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG)), range_edge_ratios()))
+def test_int_division_rounds_as_float_of_a_fraction(ratio):
+    # the conversion rule of the exact path: the cleared ints give a float by
+    # one int division, with the bits, signed zeros included, and the
+    # OverflowError of converting the Fraction they stand for
+    n, d = ratio
+    assert outcome(lambda: n / d) == outcome(lambda: float(Fraction(n, d)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(exact, st.floats(allow_nan=False, allow_infinity=False)), st.integers(-3, 3))
+def test_float_multiple_is_the_float_of_the_product(c, k):
+    assert outcome(lambda: float_multiple((c,), k)[0]) == outcome(lambda: float(k * c))
+
+
+sparse_entry = st.one_of(kernel_entry, st.integers(-5, 5), st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(*[st.tuples(sparse_entry, sparse_entry)] * n)))
+def test_sparse_dot_sums_like_the_left_fold(pairs):
+    a = tuple(x for x, _ in pairs)
+    b = tuple(y for _, y in pairs)
+    got, want = sparse_dot(a, b), sum_dot(a, b, left_sum)
+    assert type(got) is type(want)
+    assert bits(got) == bits(want) if type(want) is float else got == want
+
+
+def test_negligible_lazy_builds_no_threshold_on_exact_input():
+    def threshold():
+        raise AssertionError("threshold built")
+
+    assert negligible_lazy(Fraction(0), threshold) and not negligible_lazy(Fraction(1, 3), threshold)
+    assert negligible_lazy(0, threshold) and not negligible_lazy(-2, threshold)
+    assert negligible_lazy(1e-12, lambda: 1e-11) and not negligible_lazy(-1e-10, lambda: 1e-11)
+
+
+def plain_corank2_normal(sf, rank):
+    """The corank-2 normal by the Fraction formula that ``ColumnProducts.corank2_normal``
+    replaced: the columns over ``Fraction(ref)``, their cross products, then floats."""
+    scale = Fraction(sf.ref)
+    cols = [tuple(c / scale for c in v) for v in (sf.L, sf.M, sf.N)]
+    candidates = [plain_cross(a, b) for a, b in itertools.combinations(cols, 2)] if rank == 2 else cols
+    return tuple(map(float, max(candidates, key=lambda v: max(map(abs, v)))))
+
+
+@pytest.mark.parametrize("kind", ["any", "collinear", "line", "point"])
+def test_float_views_of_a_form_equal_the_plain_conversions(rng, kind):
+    ys = [0.0, -0.0, 1.0, -2.5, 1e-3, 37.0, 1 / 3]
+    for _ in range(15):
+        exact_rows = list(scaled_matrices(random_jet2(rng, kind)))
+        for rows in [*exact_rows, [list(map(float, row)) for row in exact_rows[0]]]:
+            sf = SecondForm(rows)
+            want = tuple(tuple(map(float, c)) for c in (sf.L, sf.M, sf.N))
+            assert [list(map(bits, c)) for c in sf.float_columns] == [list(map(bits, c)) for c in want]
+            rank = sf.rank(1e-9)
+            if rank in (1, 2):
+                got, want = sf.corank2_normal(rank), plain_corank2_normal(sf, rank)
+                assert list(map(bits, got)) == list(map(bits, want))
+            pp = build_parabola(sf)
+            for y in ys:
+                assert list(map(bits, pp.float_eta(y))) == [bits(float(c)) for c in pp.eta(y)]
