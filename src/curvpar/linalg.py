@@ -256,16 +256,17 @@ def float_vec(v) -> tuple:
 def float_multiple(v, k: int) -> tuple:
     """The entries of ``k * v`` as floats, for an int ``k``.
 
-    An exact entry takes one int division of its integer ratio, which has
-    the bits of ``float(k * c)`` and builds no Fraction.
+    A Fraction entry takes one int division of its integer ratio, which has
+    the bits of ``float(k * c)`` and raises its ``OverflowError``, and
+    builds no Fraction; an int or float entry is ``float(k * c)``.
     """
     out = []
     for c in v:
-        if is_exact_scalar(c):
+        if isinstance(c, int) or not is_exact_scalar(c):
+            out.append(float(k * c))
+        else:
             n, d = c.as_integer_ratio()
             out.append(k * n / d)
-        else:
-            out.append(float(k * c))
     return tuple(out)
 
 

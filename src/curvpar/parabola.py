@@ -209,7 +209,7 @@ def _plane_basis_from_normal(nu3: tuple, forced: bool) -> PlaneBasis:
 
 
 def _build_frames(sf: SecondForm, shape: ParabolaShape):
-    lf = float_vec(sf.L)
+    lf, mf, nf = sf.float_columns
     if shape.kind == "parabola":
         ep = _plane_basis_from_normal(unit(sf.w), forced=True)
         aff = AffineSubspace(point=lf, basis=(ep.u1, ep.u2), dim=2)
@@ -222,7 +222,7 @@ def _build_frames(sf: SecondForm, shape: ParabolaShape):
     # half-line along N from its vertex, or line along M through L; off the
     # origin, the plane is spanned by the direction and L
     half = shape.kind == "half_line"
-    direction = unit(sf.N if half else sf.M)
+    direction = unit(nf if half else mf)
     point = float_vec(shape.vertex) if half else lf
     aff = AffineSubspace(point=point, basis=(direction,), dim=1)
     rows = orthonormal_extension([direction] if shape.radial else [direction, lf], 3)

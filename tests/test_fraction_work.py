@@ -48,4 +48,4 @@ def test_fraction_work_of_the_golden_corpus(monkeypatch):
         "built": calls["__new__"],
         "to_float": calls["__float__"],
     }
-    assert got == {"arithmetic": 365, "built": 513, "to_float": 605}
+    assert got == {"arithmetic": 365, "built": 513, "to_float": 548}

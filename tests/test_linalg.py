@@ -376,11 +376,11 @@ def test_an_exact_analysis_clears_its_second_form_once(monkeypatch):
 
 
 def outcome(compute):
-    """``bits`` of a float conversion, or the name of the error it raised."""
+    """``bits`` of a float conversion, or the error it raised, with its message."""
     try:
         return bits(compute())
-    except OverflowError:
-        return "OverflowError"
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
 
 
 BIG = 2**3000
@@ -407,8 +407,12 @@ def test_int_division_rounds_as_float_of_a_fraction(ratio):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(exact, st.floats(allow_nan=False, allow_infinity=False)), st.integers(-3, 3))
+@given(
+    st.one_of(exact, st.integers(-(2**1100), 2**1100), st.floats(allow_nan=False, allow_infinity=False)),
+    st.integers(-3, 3),
+)
 def test_float_multiple_is_the_float_of_the_product(c, k):
+    # errors included, with their messages: an int converts as float(int) does
     assert outcome(lambda: float_multiple((c,), k)[0]) == outcome(lambda: float(k * c))
 
 
