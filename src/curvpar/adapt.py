@@ -13,6 +13,12 @@ axis, each component's quadratic part ``H_j`` becomes
 ``V (sum_j R_ij H_j) V^T``; then, with ``(c, e)`` the first row of ``R J V^T``,
 the source change ``x -> (x - e y)/c + s2``, where ``s2`` is minus component
 1's quadratic part over ``c``, is the whole series inversion at order 2.
+
+The closed form is one pass over the 2-jet: each of the twenty 2-jet
+coefficients is read once and made a float once (an exact one by one int
+division, ``linalg.float_multiple``), each row of ``R`` is summed against
+the columns in ``float_dot``'s order, and the adapted polynomials are built
+from their nonzero terms alone.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .germs import MapGermR4, TruncatedPoly2
-from .linalg import float_dot, householder_rotation_to_e1, identity, rank3, scale_of, unit
+from .linalg import float_multiple, householder_rotation_to_e1, identity, rank3, scale_of, unit
 
 __all__ = ["CorankError", "AdaptedGerm", "check_corank", "adapt"]
 
@@ -47,7 +53,9 @@ class AdaptedGerm(NamedTuple):
     whole second-order geometry.  For already-prenormal input the changes are
     the identity, ``germ`` is the input's 2-jet and ``exact`` tells whether
     the input's coefficients are all rational.  Frames and the rotation are
-    tuples of float rows.
+    tuples of float rows, and on every path the frames are the rotation's
+    rows: ``tangent_frame == target_rotation[0]`` and ``normal_frame ==
+    target_rotation[1:]``, which the report prints as copies of its rows.
 
     The Jacobian fixes the frames only up to sign; ``adapt`` fixes the signs
     by one rule.  The source frame ``(v0, v1)`` has det +1, and ``v0`` is
@@ -87,11 +95,6 @@ def _identity_adaptation(f: MapGermR4) -> AdaptedGerm:
     )
 
 
-def _quadratic_form(p) -> tuple:
-    """``(a, b, c)`` with ``a x^2 + 2 b xy + c y^2`` the degree-2 part of ``p``, in floats."""
-    return (float(p.coefficient(2, 0)), float(p.coefficient(1, 1)) / 2, float(p.coefficient(0, 2)))
-
-
 def _congruence(form, m) -> tuple:
     """The form ``M^T F M`` for ``F`` an ``(a, b, c)`` form and ``M`` a 2x2 matrix of rows."""
     a, b, c = form
@@ -100,23 +103,8 @@ def _congruence(form, m) -> tuple:
     return (ap * p0 + bp * p1, ap * q0 + bp * q1, (a * q0 + b * q1) * q0 + (b * q0 + c * q1) * q1)
 
 
-def _poly(linear, form, order: int) -> TruncatedPoly2:
-    """The polynomial with 1-jet row ``linear`` and quadratic form ``form``."""
-    vals = (*linear, form[0], 2 * form[1], form[2])
-    return TruncatedPoly2(dict(zip(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), vals)), order)
-
-
-def _source_frame(jac) -> tuple:
-    """The unit source direction ``v0`` with the sign rule of ``AdaptedGerm``, and ``J v0``.
-
-    ``J`` has rank 1, so its largest row spans the row space; the kernel is
-    ``v0`` turned by +90 degrees.
-    """
-    v0 = unit(max(jac, key=lambda row: max(map(abs, row))))
-    t = [row[0] * v0[0] + row[1] * v0[1] for row in jac]
-    if max(t, key=abs) < 0:
-        v0, t = (-v0[0], -v0[1]), [-c for c in t]
-    return v0, t
+# the monomials of a 2-jet without constant term, in the order the adapted polynomials keep them
+_JET = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
@@ -136,15 +124,24 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     if rank != 1:
         raise CorankError(rank)
 
-    jac = [[float(v) for v in row] for row in f.jacobian_at_origin()]
-    (a, b), t = _source_frame(jac)
+    # the 2-jet as one column of the components' coefficients per monomial,
+    # each coefficient read and made a float once
+    fx, fy, xx, xy, yy = [float_multiple([p.coeffs.get(k, 0) for p in f.components], 1) for k in _JET]
+    a, b = unit(max(zip(fx, fy), key=lambda row: max(map(abs, row))))  # v0: the largest Jacobian row
+    t = [x * a + y * b for x, y in zip(fx, fy)]  # J v0
+    if max(t, key=abs) < 0:
+        a, b, t = -a, -b, [-c for c in t]
     vt = ((a, -b), (b, a))  # V^T: its columns are v0 and the kernel v1 = (-b, a)
-    u = [a * row[1] - b * row[0] for row in jac]  # J v1
     rot = householder_rotation_to_e1(t)
-    lin = [(float_dot(r, t), float_dot(r, u)) for r in rot]  # R J V^T
-    # sum_j R_ij H_j for each row of R, as (a, b, c) forms, then moved by V
-    entries = list(zip(*(_quadratic_form(p) for p in f.components)))
-    forms = [_congruence(tuple(float_dot(r, col) for col in entries), vt) for r in rot]
+    # each row r of R against J v0, J v1 and the columns of the quadratic
+    # parts' (a, b, c) forms, summed as float_dot sums: R J V^T and the forms
+    # sum_j R_ij H_j, which V then moves
+    cols = (t, [a * y - b * x for x, y in zip(fx, fy)], xx, [v / 2 for v in xy], yy)
+    lin, forms = [], []
+    for r0, r1, r2, r3 in rot:
+        l0, l1, *h = [0 + r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in cols]
+        lin.append((l0, l1))
+        forms.append(_congruence(h, vt))
     # no adapted 2-jet exists yet: the residue test reads the moved germ's own jets
     ref = scale_of(*lin, *forms, [2 * h[1] for h in forms])
 
@@ -152,7 +149,7 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     sub = ((1.0 / c, -e / c), (0.0, 1.0))
     forms = [_congruence(h, sub) for h in forms]
     # as R J v0 = c e1, components 2..4 have no x-term for s2 to reach
-    s2 = tuple(-x / c for x in forms[0])
+    s2 = [-x / c for x in forms[0]]
 
     for l0, l1 in lin[1:]:
         for val in (l0 * sub[0][0], l0 * sub[0][1] + l1):
@@ -160,19 +157,18 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
                 raise ValueError(
                     f"adaptation left 1-jet entry {val:.3e} in a normal component"
                 )
-    x_var = TruncatedPoly2.variable("x", f.order).map_coeffs(float)
-    adapted = MapGermR4([x_var] + [_poly((0.0, 0.0), h, f.order) for h in forms[1:]])
+    # the polynomials from their nonzero terms, in _JET's order: an order-1
+    # germ has no quadratic part, and the finite source change keeps it zero
+    order = f.order
+    poly = lambda keys, vals: TruncatedPoly2.from_terms({k: v for k, v in zip(keys, vals) if v}, order)
+    normals = [poly(_JET[2:], (h0, 2 * h1, h2)) for h0, h1, h2 in forms[1:]]
     return AdaptedGerm(
-        germ=adapted,
+        germ=MapGermR4([TruncatedPoly2.from_terms({(1, 0): 1.0}, order), *normals]),
         tangent_frame=rot[0],
         normal_frame=rot[1:4],
         source_change=tuple(
-            _poly(
-                (row[0] * sub[0][0], row[0] * sub[0][1] + row[1]),
-                tuple(v0k * x for x in s2),
-                f.order,
-            )
-            for row, v0k in zip(vt, (a, b))
+            poly(_JET, (p * sub[0][0], p * sub[0][1] + q, k * s2[0], 2 * (k * s2[1]), k * s2[2]))
+            for (p, q), k in zip(vt, (a, b))
         ),
         target_rotation=rot,
         exact=False,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
@@ -126,11 +125,11 @@ def solve_quadratic(q0, q1, q2, tol: Tolerances):
     (-q1 - sqrt(disc)) / (2*q2), (-q1 + sqrt(disc)) / (2*q2).
     """
     disc = q1 * q1 - 4 * q0 * q2
-    # the threshold, in the coefficients' own arithmetic: float q1**2 raises
-    # where q1 * q1 would give an infinite threshold, which would decide a
-    # double root
+    # the threshold, built only for a float disc, is a float: float q1**2
+    # raises where q1 * q1 would give an infinite threshold, which would
+    # decide a double root
     try:
-        double = negligible_lazy(disc, lambda: Fraction(tol.eps_disc) * max(q1**2, abs(4 * q0 * q2)))
+        double = negligible_lazy(disc, lambda: tol.eps_disc * max(q1**2, abs(4 * q0 * q2)))
     except OverflowError:
         raise ValueError("the asymptotic quadratic leaves the float range") from None
     if double:

@@ -93,6 +93,15 @@ class TruncatedPoly2:
         return cls({(0, 0): value}, order)
 
     @classmethod
+    def from_terms(cls, coeffs: dict, order: int) -> "TruncatedPoly2":
+        """The polynomial on ``coeffs`` as it is, a dict of nonzero terms of degree
+        at most ``order`` that the caller no longer changes: no term is re-checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        object.__setattr__(p, "order", order)
+        return p
+
+    @classmethod
     def variable(cls, name: str, order: int) -> "TruncatedPoly2":
         if name == "x":
             return cls({(1, 0): _ONE}, order)
@@ -253,8 +262,14 @@ class MapGermR4:
         return MapGermR4([p.to_float() for p in self.components])
 
     def truncated(self, order: int) -> "MapGermR4":
-        """The germ truncated at ``order``, or at its own order when that is lower."""
-        return MapGermR4([TruncatedPoly2(p.coeffs, min(p.order, order)) for p in self.components])
+        """The germ truncated at ``order``, or at its own order when that is lower.
+
+        One degree filter per component keeps the terms in their order, which
+        ``evaluate`` sums in."""
+        if order < 0:
+            raise ValueError("truncation order must be non-negative")
+        low = [{k: c for k, c in p.coeffs.items() if k[0] + k[1] <= order} for p in self.components]
+        return MapGermR4([TruncatedPoly2.from_terms(d, min(p.order, order)) for d, p in zip(low, self.components)])
 
     def is_prenormal(self, tol: float = 0.0) -> bool:
         """First component x, components 2..4 with vanishing 1-jet.

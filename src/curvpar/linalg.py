@@ -220,8 +220,7 @@ class ColumnProducts:
         ``(den * ref)**2`` or ``den * ref``.
         """
         if self._den is None:
-            scale = Fraction(ref)
-            cols = [tuple(c / scale for c in v) for v in self._cols]
+            cols = [tuple(c / ref for c in v) for v in self._cols]
             candidates = [cross3(a, b) for a, b in combinations(cols, 2)] if rank == 2 else cols
             return float_vec(max(candidates, key=_largest_entry))
         if rank == 2:
@@ -262,7 +261,7 @@ def float_multiple(v, k: int) -> tuple:
     """
     out = []
     for c in v:
-        if isinstance(c, int) or not is_exact_scalar(c):
+        if type(c) is float or isinstance(c, int) or not is_exact_scalar(c):
             out.append(float(k * c))
         else:
             n, d = c.as_integer_ratio()

@@ -188,6 +188,8 @@ def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
     """
     ad, pp, umb = res.adapted, res.profile, res.umbilic
     vertex = pp.shape.vertex_param
+    # the frames are the rotation's rows (see AdaptedGerm): converted once, printed as copies
+    rot = _mat(ad.target_rotation)
     return {
         "input": {
             "germ": input_text if input_text is not None else res.germ.to_expression(),
@@ -195,9 +197,9 @@ def build_report(res: "AnalysisResult", input_text: str | None) -> dict:
         },
         "adaptation": {
             "exact": ad.exact,
-            "tangent_frame": _vec(ad.tangent_frame),
-            "normal_frame": _mat(ad.normal_frame),
-            "target_rotation": _mat(ad.target_rotation),
+            "tangent_frame": rot[0][:],
+            "normal_frame": [row[:] for row in rot[1:]],
+            "target_rotation": rot,
         },
         "first_form": {"E": _leaf(res.first.E), "F": _leaf(res.first.F), "G": _leaf(res.first.G)},
         "second_form": _mat(res.sf.matrix),

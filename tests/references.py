@@ -4,11 +4,13 @@ The analysis reads the second form only through its invariants and the
 plane rows of ``ParabolaProfile``; these direct evaluations, the polynomial
 rotation that ``project_to_s`` once made, the point type of a reduced
 normal form (the acceptance suite's reference), the term-by-term
-printing of a polynomial and the report as a tree of raw values, which
-``build_report`` once handed to ``format_value`` whole, live here.
+printing of a polynomial, the report as a tree of raw values, which
+``build_report`` once handed to ``format_value`` whole, and ``adapt`` as
+it was built from per-value helpers live here.
 """
 
 import functools
+import importlib
 import math
 import operator
 import sys
@@ -16,13 +18,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from curvpar.adapt import AdaptedGerm, CorankError
 from curvpar.config import DEFAULT_TOL, Tolerances
 from curvpar.directions import osculating_hyperplanes
 from curvpar.forms import SecondForm, form_rows
-from curvpar.germs import TruncatedPoly2, extract_jet2
+from curvpar.germs import MapGermR4, TruncatedPoly2, extract_jet2
 from curvpar.heights import cone_parabola_orthogonality
-from curvpar.linalg import negligible
+from curvpar.linalg import float_dot, householder_rotation_to_e1, negligible, scale_of, unit
 from curvpar.umbilic import kappa_stratum_check
+
+# curvpar.adapt is the function: the package exports it over the module
+adapt_module = importlib.import_module("curvpar.adapt")
 
 
 def value_along(sf: SecondForm, nu, u, v):
@@ -247,3 +253,94 @@ def raw_report(res, input_text):
         vr = res.verification
         report["verification"] = {"passed": vr.passed, "checks": [c._asdict() for c in vr.checks]}
     return report
+
+
+def _quadratic_form(p) -> tuple:
+    """``(a, b, c)`` with ``a x^2 + 2 b xy + c y^2`` the degree-2 part of ``p``, in floats."""
+    return (float(p.coefficient(2, 0)), float(p.coefficient(1, 1)) / 2, float(p.coefficient(0, 2)))
+
+
+def _congruence(form, m) -> tuple:
+    """The form ``M^T F M`` for ``F`` an ``(a, b, c)`` form and ``M`` a 2x2 matrix of rows."""
+    a, b, c = form
+    (p0, q0), (p1, q1) = m  # the columns of M are (p0, p1) and (q0, q1)
+    ap, bp = a * p0 + b * p1, b * p0 + c * p1  # F times the first column
+    return (ap * p0 + bp * p1, ap * q0 + bp * q1, (a * q0 + b * q1) * q0 + (b * q0 + c * q1) * q1)
+
+
+def _poly(linear, form, order: int) -> TruncatedPoly2:
+    """The polynomial with 1-jet row ``linear`` and quadratic form ``form``."""
+    vals = (*linear, form[0], 2 * form[1], form[2])
+    return TruncatedPoly2(dict(zip(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), vals)), order)
+
+
+def _source_frame(jac) -> tuple:
+    """The unit source direction ``v0`` with the sign rule of ``AdaptedGerm``, and ``J v0``.
+
+    ``J`` has rank 1, so its largest row spans the row space; the kernel is
+    ``v0`` turned by +90 degrees.
+    """
+    v0 = unit(max(jac, key=lambda row: max(map(abs, row))))
+    t = [row[0] * v0[0] + row[1] * v0[1] for row in jac]
+    if max(t, key=abs) < 0:
+        v0, t = (-v0[0], -v0[1]), [-c for c in t]
+    return v0, t
+
+
+def helper_adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
+    """``adapt`` as it was built from per-value helpers, the reference for its one pass.
+
+    Each coefficient is read by ``coefficient`` and made a float by
+    ``float()`` where it is used, the rotated forms are summed by
+    ``float_dot``, and every polynomial goes through ``TruncatedPoly2``'s
+    filter.  Identical results are required: values, types, key order.
+    """
+    if f.order > 2:
+        f = MapGermR4([TruncatedPoly2(p.coeffs, min(p.order, 2)) for p in f.components])
+    if f.is_prenormal():
+        return adapt_module._identity_adaptation(f)
+    rank = adapt_module.check_corank(f, tol)
+    if rank != 1:
+        raise CorankError(rank)
+
+    jac = [[float(v) for v in row] for row in f.jacobian_at_origin()]
+    (a, b), t = _source_frame(jac)
+    vt = ((a, -b), (b, a))  # V^T: its columns are v0 and the kernel v1 = (-b, a)
+    u = [a * row[1] - b * row[0] for row in jac]  # J v1
+    rot = householder_rotation_to_e1(t)
+    lin = [(float_dot(r, t), float_dot(r, u)) for r in rot]  # R J V^T
+    # sum_j R_ij H_j for each row of R, as (a, b, c) forms, then moved by V
+    entries = list(zip(*(_quadratic_form(p) for p in f.components)))
+    forms = [_congruence(tuple(float_dot(r, col) for col in entries), vt) for r in rot]
+    # no adapted 2-jet exists yet: the residue test reads the moved germ's own jets
+    ref = scale_of(*lin, *forms, [2 * h[1] for h in forms])
+
+    c, e = lin[0]
+    sub = ((1.0 / c, -e / c), (0.0, 1.0))
+    forms = [_congruence(h, sub) for h in forms]
+    # as R J v0 = c e1, components 2..4 have no x-term for s2 to reach
+    s2 = tuple(-x / c for x in forms[0])
+
+    for l0, l1 in lin[1:]:
+        for val in (l0 * sub[0][0], l0 * sub[0][1] + l1):
+            if abs(val) > tol.eps_jet * ref:
+                raise ValueError(
+                    f"adaptation left 1-jet entry {val:.3e} in a normal component"
+                )
+    x_var = TruncatedPoly2.variable("x", f.order).map_coeffs(float)
+    adapted = MapGermR4([x_var] + [_poly((0.0, 0.0), h, f.order) for h in forms[1:]])
+    return AdaptedGerm(
+        germ=adapted,
+        tangent_frame=rot[0],
+        normal_frame=rot[1:4],
+        source_change=tuple(
+            _poly(
+                (row[0] * sub[0][0], row[0] * sub[0][1] + row[1]),
+                tuple(v0k * x for x in s2),
+                f.order,
+            )
+            for row, v0k in zip(vt, (a, b))
+        ),
+        target_rotation=rot,
+        exact=False,
+    )

@@ -2,15 +2,19 @@
 
 import importlib
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvpar.adapt import CorankError, adapt, check_corank
 from curvpar.config import Tolerances
 from curvpar.forms import second_form
-from curvpar.germs import MapGermR4, TruncatedPoly2, extract_jet2
+from curvpar.germs import MapGermR4, TruncatedPoly2, extract_jet2, parse_map_germ
 from curvpar.linalg import householder_rotation_to_e1
 from curvpar.parabola import build_parabola, classify_two_jet
 from curvpar.report import analyze_germ
@@ -18,6 +22,9 @@ from curvpar.report import analyze_germ
 from composition import compose, compose_source, rotate_target
 from conftest import germ, rand_fraction, random_rotation, transform_germ
 from golden import GOLDEN_GERMS
+from references import helper_adapt
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
 def test_corank_examples():
@@ -285,3 +292,110 @@ def test_adapt_ranks_with_its_own_tolerance():
     with pytest.raises(CorankError) as exc:
         adapt(g, tol)
     assert exc.value.rank == 2
+
+
+def outcome(fn, f) -> str:
+    """What ``fn(f)`` gives, as text that tells values, types, zero signs and
+    key order apart: every field of the adaptation, or what it raised."""
+    try:
+        ad = fn(f)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    poly = lambda p: (p.order, list(p.coeffs.items()))
+    fields = ([poly(p) for p in ad.germ.components], [poly(p) for p in ad.source_change], *ad[1:])
+    return repr((type(ad), fields))
+
+
+def benchmark_moved_germs():
+    """The benchmark's seed-1 golden and random germs, moved by float motions (order-6
+    float germs) and by rational Cayley rotations and source changes (as text)."""
+    if PERFBENCH not in sys.path:
+        sys.path.insert(0, PERFBENCH)
+    import run  # perfbench/run.py
+    import worker
+
+    for spec in run.make_workload("float_moved", 1)[0]:
+        yield worker.build(spec, (MapGermR4, TruncatedPoly2))
+    for spec in run.make_workload("rational_moved", 1)[0]:
+        yield parse_map_germ(spec["text"], 2)
+
+
+def test_adapt_equals_its_helper_built_reference(rng):
+    cases = list(benchmark_moved_germs())
+    cases += [transform_germ(germ(text), random_rotation(rng, 2), random_rotation(rng, 4)) for text in GOLDEN_GERMS]
+    cases += list(reference_cases(rng))
+    assert len(cases) > 300
+    for f in cases:
+        got = outcome(adapt, f)
+        assert got.startswith("(<class"), got
+        assert got == outcome(helper_adapt, f)
+
+
+# 2-jet values with zeros of both signs and units among them, so that rotated
+# sums meet 0 + -0.0; three higher terms exercise the truncation's key order
+JET_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-1e3, 1e3, allow_nan=False))
+KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (0, 3), (3, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(JET_VALUE, min_size=len(KEYS), max_size=len(KEYS)), min_size=4, max_size=4),
+    st.permutations(KEYS),
+    st.booleans(),
+    st.sampled_from([1, 2, 3]),
+)
+def test_adapt_equals_its_reference_on_float_germs(rows, keys, rank_one, order):
+    if rank_one:
+        # the other 1-jet rows multiples of the first, so that most germs have corank 1
+        p, q = rows[0][:2]
+        rows = [rows[0]] + [[r[0] * p, r[0] * q, *r[2:]] for r in rows[1:]]
+    f = MapGermR4([TruncatedPoly2(dict(zip(keys, [row[KEYS.index(k)] for k in keys])), order) for row in rows])
+    assert outcome(adapt, f) == outcome(helper_adapt, f)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        germ("(x, y, 0, 0)", order=2).to_float(),
+        germ("(x^2, x*y, y^2, 0)", order=4).to_float(),
+        germ("(2*x, x + y, x*y, y^2)", order=2),
+        germ("(x, 1/2000000000*y, x*y, y^2)", order=2),
+        germ("(x, 1/2000000000*y, x*y, y^2)", order=2).to_float(),
+        *(
+            MapGermR4([TruncatedPoly2(c, 2) for c in comps])
+            for comps in (
+                [{(1, 0): 2.0, (2, 0): INF}, {(1, 1): 1.0}, {(0, 2): 1.0}, {}],
+                [{(1, 0): 2.0}, {(1, 1): NAN}, {(0, 2): 1.0}, {}],
+                [{(1, 0): 2.0}, {(1, 0): INF, (1, 1): 1.0}, {(0, 2): 1.0}, {}],
+                [{(1, 0): 2.0}, {(1, 0): NAN, (1, 1): 1.0}, {(0, 2): 1.0}, {}],
+                [{(1, 0): NAN}, {(1, 0): 1.0, (1, 1): 1.0}, {(0, 2): 1.0}, {}],
+            )
+        ),
+    ],
+)
+def test_adapt_raises_as_its_reference(f):
+    # corank 2 and 0, a 1-jet residue above eps_jet, and non-finite entries
+    # in the quadratic part and in the Jacobian, first or not
+    got = outcome(adapt, f)
+    assert not got.startswith("(<class"), got
+    assert got == outcome(helper_adapt, f)
+
+
+def test_frames_are_the_rotation_rows(rng):
+    # on the identity path and the closed form, exact or float input; the
+    # report prints the frames as copies of the rotation's rows
+    x, y = TruncatedPoly2.variable("x", 2), TruncatedPoly2.variable("y", 2)
+    for text in GOLDEN_GERMS:
+        g = germ(text, order=2)
+        moved = transform_germ(g, random_rotation(rng, 2), random_rotation(rng, 4))
+        for f, exact in ((g, True), (moved, False), (compose_source(g, x * 2 + y, x + y * 3), False)):
+            ad = adapt(f)
+            assert ad.exact is exact
+            assert ad.tangent_frame == ad.target_rotation[0] and ad.normal_frame == ad.target_rotation[1:]
+            frames = analyze_germ(f).report["adaptation"]
+            rot = frames["target_rotation"]
+            assert frames["tangent_frame"] == rot[0] and frames["normal_frame"] == rot[1:]
+            assert frames["tangent_frame"] is not rot[0] and all(a is not b for a, b in zip(frames["normal_frame"], rot[1:]))

@@ -489,6 +489,19 @@ def test_terms_above_the_order_build_no_fraction(monkeypatch):
     assert len(built) == kept
 
 
+def test_truncation_keeps_the_terms_in_their_order():
+    # the FD oracle's evaluate sums the truncated jet's terms in this order
+    _, moved = expanded_moved_germ()
+    for order in (0, 1, 2, 4, 6, 9):
+        low = moved.truncated(order)
+        for p, q in zip(low.components, moved.components):
+            assert p.order == min(order, q.order)
+            assert list(p.coeffs.items()) == [(k, c) for k, c in q.coeffs.items() if sum(k) <= order]
+            assert p == TruncatedPoly2(q.coeffs, p.order)
+    with pytest.raises(ValueError, match="non-negative"):
+        moved.truncated(-1)
+
+
 def test_a_flat_germ_is_one_run_token_per_component():
     text, _ = expanded_moved_germ()
     kinds = [tok[0] for tok in _tokenize(text, 2)]
