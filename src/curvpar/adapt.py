@@ -103,6 +103,8 @@ def _congruence(form, m) -> tuple:
     return (ap * p0 + bp * p1, ap * q0 + bp * q1, (a * q0 + b * q1) * q0 + (b * q0 + c * q1) * q1)
 
 
+# the Jacobian of every prenormal germ: its 1-jet is (x, 0, 0, 0)
+_PRENORMAL_JACOBIAN = [[1, 0], [0, 0], [0, 0], [0, 0]]
 # the monomials of a 2-jet without constant term, in the order the adapted polynomials keep them
 _JET = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
@@ -110,16 +112,22 @@ _JET = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     """Normalize a corank-1 germ to its prenormal 2-jet with witnessing changes.
 
-    The prenormal and corank tests read the input's 2-jet.  A prenormal
-    germ has Jacobian rank 1 by construction, so only other germs are
-    ranked.  Raises ``CorankError`` when the Jacobian rank at the origin is
-    not 1, and ``ValueError`` when an adapted normal component keeps a
-    1-jet entry above ``eps_jet`` times the jet's scale.
+    The prenormal test reads the input's 2-jet, and only a germ whose 1-jet
+    is ``(x, 0, 0, 0)`` can pass it, so a germ of higher order is truncated
+    only when its Jacobian is exactly that.  A prenormal germ has Jacobian
+    rank 1 by construction, so only other germs are ranked, and the closed
+    form reads their 2-jet coefficients off the input as it is.  Raises
+    ``CorankError`` when the Jacobian rank at the origin is not 1, and
+    ``ValueError`` when an adapted normal component keeps a 1-jet entry
+    above ``eps_jet`` times the jet's scale.
     """
-    if f.order > 2:
+    if f.order <= 2:
+        if f.is_prenormal():
+            return _identity_adaptation(f)
+    elif f.jacobian_at_origin() == _PRENORMAL_JACOBIAN:
         f = f.truncated(2)
-    if f.is_prenormal():
-        return _identity_adaptation(f)
+        if f.is_prenormal():
+            return _identity_adaptation(f)
     rank = check_corank(f, tol)
     if rank != 1:
         raise CorankError(rank)
@@ -157,9 +165,9 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
                 raise ValueError(
                     f"adaptation left 1-jet entry {val:.3e} in a normal component"
                 )
-    # the polynomials from their nonzero terms, in _JET's order: an order-1
-    # germ has no quadratic part, and the finite source change keeps it zero
-    order = f.order
+    # the polynomials from their nonzero terms, in _JET's order, as 2-jets: an
+    # order-1 germ has no quadratic part, and the finite source change keeps it zero
+    order = min(f.order, 2)
     poly = lambda keys, vals: TruncatedPoly2.from_terms({k: v for k, v in zip(keys, vals) if v}, order)
     normals = [poly(_JET[2:], (h0, 2 * h1, h2)) for h0, h1, h2 in forms[1:]]
     return AdaptedGerm(

@@ -44,15 +44,19 @@ class GermParseError(ValueError):
         self.position = position
 
 
-@lru_cache(maxsize=1024)
-def _print_term(key: tuple) -> tuple:
-    """``(i + j, i, key, monomial)`` for ``key = (i, j)``, the monomial as the
-    grammar writes it (``x*y^2``, ``x``, ``""`` for the constant); the tuples
-    sort in print order."""
-    i, j = key
-    x = "" if not i else "x" if i == 1 else f"x^{i}"
-    y = "" if not j else "y" if j == 1 else f"y^{j}"
-    return i + j, i, key, f"{x}*{y}" if x and y else x or y
+@lru_cache(maxsize=64)
+def _print_order(keys: tuple) -> tuple:
+    """``(key, monomial, "*" + monomial)`` of each key of a set, in print order:
+    by total degree, then by the power of x.  The monomial is written as the
+    grammar writes it (``x*y^2``, ``x``, ``""`` for the constant, which takes
+    no ``*``)."""
+    terms = []
+    for i, j in sorted(keys, key=lambda k: (k[0] + k[1], k[0])):
+        x = "" if not i else "x" if i == 1 else f"x^{i}"
+        y = "" if not j else "y" if j == 1 else f"y^{j}"
+        mono = f"{x}*{y}" if x and y else x or y
+        terms.append(((i, j), mono, f"*{mono}" if mono else ""))
+    return tuple(terms)
 
 
 def _coeff_text(c) -> str:
@@ -196,21 +200,18 @@ class TruncatedPoly2:
         if not coeffs:
             return "0"
         parts = []
-        for _, _, key, mono in sorted(map(_print_term, coeffs)):
+        for key, mono, times_mono in _print_order(tuple(coeffs)):
             c = coeffs[key]
             if c > 0:
-                parts.append(" + ")
-                mag = c
+                sign, mag = " + ", c
             else:
-                parts.append(" - ")
-                mag = -c
+                sign, mag = " - ", -c
             if mag != 1 or not mono:
-                text = repr(mag) if type(mag) is float else _coeff_text(mag)
-                parts.append(f"{text}*{mono}" if mono else text)
+                parts.append(sign + (repr(mag) if type(mag) is float else _coeff_text(mag)) + times_mono)
             else:
-                parts.append(mono)
-        parts[0] = "" if parts[0] == " + " else "-"
-        return "".join(parts)
+                parts.append(sign + mono)
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"TruncatedPoly2({self.to_expression()!r}, order={self.order})"

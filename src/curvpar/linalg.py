@@ -380,16 +380,22 @@ def rank3(rows, eps: float) -> int:
     """Rank of a matrix with at most three columns.
 
     Exact rows: fraction-free elimination on their integers over one
-    common denominator, which does not change the rank.  Float rows, padded
-    to 3-vectors, are divided by their largest entry, so that the matrix has
-    scale 1 and no square underflows or overflows; then the rules of the
-    zero tests and ``collinear3`` decide, pivoting on the largest row ``a``.
-    A row is zero when its norm is at most ``eps`` (``vec_is_zero`` at
-    scale 1).  The rank is 1 when every row is dependent on ``a`` by
-    ``collinear3``'s rule, ``|a x b| <= eps |a| |b|``.  Otherwise ``b`` is
-    the independent row farthest from ``a``'s line, and the rank is 3 when
-    some row's distance from the plane of ``a`` and ``b``, a degree-1
-    quantity, exceeds ``eps``, and 2 otherwise.
+    common denominator, which does not change the rank.  Float rows are
+    divided by their largest entry, so that the matrix has scale 1 and no
+    square underflows or overflows; then the rules of the zero tests and
+    ``collinear3`` decide, pivoting on the largest row ``a``.  A row is zero
+    when its norm is at most ``eps`` (``vec_is_zero`` at scale 1).  The rank
+    is 1 when every row is dependent on ``a`` by ``collinear3``'s rule,
+    ``|a x b| <= eps |a| |b|``.  Otherwise ``b`` is the independent row
+    farthest from ``a``'s line, and the rank is 3 when some row's distance
+    from the plane of ``a`` and ``b``, a degree-1 quantity, exceeds ``eps``,
+    and 2 otherwise.
+
+    Rows of two entries, such as a Jacobian's, cannot reach rank 3:
+    ``|a x b|`` is the 2x2 minor's size, and their norms have the bits of
+    the rows padded with zeros.  The padded cross product's norm squares
+    the minor, so the two differ only where that square underflows, below
+    1e-154, which no test reads for ``eps`` of 1e-51 or more.
     """
     cleared = _integers([c for row in rows for c in row])
     if cleared is not None:
@@ -409,13 +415,16 @@ def rank3(rows, eps: float) -> int:
                     m[r] = [pv * a - f * b for a, b in zip(m[r], m[rank])]
             rank += 1
         return rank
-    if any(len(row) > 3 for row in rows):
+    widths = {len(row) for row in rows}
+    if max(widths) > 3:
         raise ValueError("rank3 takes rows of at most three entries")
     big = max(abs(float(c)) for row in rows for c in row)
     if not math.isfinite(big):
         raise OverflowError("a coefficient left the float range")
     if big == 0.0:
         return 0
+    if widths == {2}:
+        return _rank_two_columns([(float(c0) / big, float(c1) / big) for c0, c1 in rows], eps)
     vecs = [tuple(float(c) / big for c in row) + (0.0,) * (3 - len(row)) for row in rows]
     live = [(v, n) for v in vecs if (n := vec_norm(v)) > eps]
     if not live:
@@ -431,6 +440,16 @@ def rank3(rows, eps: float) -> int:
     if w is None:
         return 1
     return 3 if any(abs(_dot(w, c)) > eps * nw for c, _ in live) else 2
+
+
+def _rank_two_columns(vecs, eps: float) -> int:
+    """``rank3``'s float rule on rows of two entries, at scale 1: the row norms
+    and the 2x2 minors stand for the padded rows' norms and cross products."""
+    live = [(v, n) for v in vecs if (n := math.sqrt(v[0] * v[0] + v[1] * v[1])) > eps]
+    if not live:
+        return 0
+    (a0, a1), na = max(live, key=lambda item: item[1])
+    return 2 if any(abs(a0 * b1 - a1 * b0) > eps * na * nb for (b0, b1), nb in live) else 1
 
 
 def orthonormal_extension(vectors, dim: int) -> tuple:

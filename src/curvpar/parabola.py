@@ -155,7 +155,7 @@ class ParabolaProfile(_ProfileFields):
 
         A cache, not a field, so that ``_replace`` recomputes it.
         """
-        cols = [float_vec(c) for c in (self.Lvec, self.Mvec, self.Nvec)]
+        cols = [float_multiple(c, 1) for c in (self.Lvec, self.Mvec, self.Nvec)]
         return tuple(tuple(float_dot(float_vec(u), col) for col in cols) for u in (self.ep.u1, self.ep.u2))
 
 

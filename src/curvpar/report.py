@@ -39,7 +39,7 @@ from .heights import (
     height_hessian,
 )
 from . import oracle
-from .linalg import scale_of
+from .linalg import float_dot, scale_of
 from .oracle import (
     VerificationReport,
     asymptotic_scan,
@@ -310,7 +310,7 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
     bound = oracle.ORACLE_HESSIAN_TOL * scale_of(*(p.coeffs.values() for p in jet.components))
     nus = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5773502691896258,) * 3)
     # the ambient normals R^T (0, nu); one stencil serves the three
-    ambient = [[sum(row[j] * c for row, c in zip(rot, (0.0, *nu))) for j in range(4)] for nu in nus]
+    ambient = [[float_dot([row[j] for row in rot], (0.0, *nu)) for j in range(4)] for nu in nus]
     fds = finite_difference_hessian(jet, ambient)
     closed = [height_hessian(res.sf, nu) for nu in nus]
     worst = oracle.hessian_gap(closed, fds, res.adapted.source_change)

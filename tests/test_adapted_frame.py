@@ -66,6 +66,27 @@ def test_adapt_ranks_only_germs_that_are_not_prenormal(monkeypatch):
     assert len(ranked) == 1
 
 
+def test_adapt_truncates_only_germs_whose_1_jet_is_x(monkeypatch, rng):
+    # a moved germ of order 6 goes to the closed form as it is; a germ whose
+    # 1-jet is (x, 0, 0, 0) is truncated for the prenormal test, and
+    # (x + y^3, x*y, y^2, 0) passes it on both paths
+    truncations = []
+    truncated = MapGermR4.truncated
+    monkeypatch.setattr(MapGermR4, "truncated", lambda f, order: truncations.append(order) or truncated(f, order))
+    moved = transform_germ(germ("(x, x*y, y^2, x^3)"), random_rotation(rng, 2), random_rotation(rng, 4))
+    assert moved.order == 6 and not moved.is_exact
+    ad = adapt(moved)
+    assert truncations == [] and ad.germ.order == 2
+    for f in (germ("(x + y^3, x*y, y^2, 0)"), germ("(x + y^3, x*y, y^2, 0)").to_float()):
+        ad = adapt(f)
+        assert truncations == [2]
+        truncations.clear()
+        assert ad.germ == truncated(f, 2) and ad.germ.order == 2
+        assert ad.target_rotation == ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+        assert [p.to_expression() for p in ad.source_change] == ["x", "y"]
+        assert ad.exact is f.is_exact
+
+
 def test_adapted_germ_is_a_2_jet_on_both_paths(rng):
     for text in GOLDEN_GERMS:
         g = germ(text)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvpar.germs
 from curvpar.germs import (
     MAX_COEFFICIENT,
     MAX_EXPONENT,
@@ -765,6 +766,39 @@ def test_to_expression_matches_the_reference_printer_on_random_germs():
         ]
         want = "(" + ", ".join(reference_to_expression(p) for p in comps) + ")"
         assert MapGermR4(comps).to_expression() == want
+
+
+# +-1 often, which print as the bare monomial, and each coefficient type
+PRINTED_COEFFICIENT = st.one_of(
+    st.sampled_from([1, -1, F(1), F(-1), 1.0, -1.0]),
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda order: st.tuples(
+        st.just(order),
+        st.lists(
+            st.tuples(st.integers(0, order), st.integers(0, order)).filter(lambda k: sum(k) <= order),
+            unique=True,
+            max_size=(order + 1) * (order + 2) // 2,
+        ),
+    )
+), st.data())
+def test_to_expression_equals_the_reference_printer(order_keys, data):
+    # keys in random order, sparse or dense supports and mixed coefficient
+    # types: the cached print order of a key set sorts as the reference does
+    order, keys = order_keys
+    p = TruncatedPoly2({k: data.draw(PRINTED_COEFFICIENT) for k in keys}, order)
+    assert p.to_expression() == reference_to_expression(p)
+    assert TruncatedPoly2(dict(reversed(p.coeffs.items())), order).to_expression() == reference_to_expression(p)
+
+
+def test_the_print_order_cache_is_bounded():
+    assert curvpar.germs._print_order.cache_info().maxsize is not None
 
 
 def test_a_sparse_high_order_polynomial_prints_its_terms_in_order():

@@ -181,6 +181,61 @@ def test_float_kernels_keep_the_float_expressions(a, b, c):
     assert rank3([a, b, c], 1e-9) == plain_rank([a, b, c], 1e-9)
 
 
+def rank_outcome(rows, eps):
+    """``rank3(rows, eps)``, or the type and message of what it raised."""
+    try:
+        return rank3(rows, eps)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# float Jacobian entries, zeros of both signs among them, and rationals
+two_column_entry = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(two_column_entry, two_column_entry), min_size=1, max_size=4),
+    st.sampled_from(["free", "float", "exact", "rank_one"]),
+    st.floats(min_value=0.25, max_value=4.0),
+    st.sampled_from([0, -500, 500]),
+    st.sampled_from([None, math.inf, -math.inf, math.nan]),
+    st.integers(0, 7),
+    st.sampled_from([1e-9, 1e-12, 1e-3, 1e-51]),
+)
+def test_two_column_rank_equals_the_padded_rank(rows, kind, nudge, power, bad, where, eps):
+    # the float rule on rows of two entries against the three-column rule on
+    # the same rows padded with a zero
+    if kind == "float":
+        rows = [tuple(map(float, row)) for row in rows]
+    elif kind == "exact":
+        rows = [tuple(Fraction(c) if isinstance(c, float) else c for c in row) for row in rows]
+    elif kind == "rank_one":
+        # multiples of the first row, moved off its line by about eps of its size
+        (p, q), rest = rows[0], rows[1:]
+        p, q = float(p) or 1.0, float(q)
+        rows = [(p, q)] + [(float(s) * p - nudge * eps * q, float(s) * q + nudge * eps * p) for s, _ in rest]
+    rows = [tuple(c * 2.0**power if isinstance(c, float) else c for c in row) for row in rows]
+    if bad is not None:
+        i, j = divmod(where, 2)
+        i %= len(rows)
+        rows[i] = tuple(bad if k == j else c for k, c in enumerate(rows[i]))
+    padded = [(*row, 0) for row in rows]
+    assert rank_outcome(rows, eps) == rank_outcome(padded, eps)
+
+
+def test_two_column_rank_keeps_the_verdicts_near_eps():
+    # a rank-1 Jacobian moved off its line by just under and just over eps
+    eps = 1e-9
+    for delta, rank in ((0.9e-9, 1), (1.1e-9, 2)):
+        rows = [(1.0, -0.0), (1.0, delta), (-0.0, 0.0), (-0.5, 0.0)]
+        assert rank3(rows, eps) == rank3([(*row, 0) for row in rows], eps) == rank
+
+
 def left_sum(terms):
     """``sum()`` up to Python 3.11: left to right from the int 0, uncompensated."""
     return functools.reduce(operator.add, terms, 0)
