@@ -121,13 +121,10 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     ``ValueError`` when an adapted normal component keeps a 1-jet entry
     above ``eps_jet`` times the jet's scale.
     """
-    if f.order <= 2:
-        if f.is_prenormal():
-            return _identity_adaptation(f)
-    elif f.jacobian_at_origin() == _PRENORMAL_JACOBIAN:
+    if f.order > 2 and f.jacobian_at_origin() == _PRENORMAL_JACOBIAN:
         f = f.truncated(2)
-        if f.is_prenormal():
-            return _identity_adaptation(f)
+    if f.order <= 2 and f.is_prenormal():
+        return _identity_adaptation(f)
     rank = check_corank(f, tol)
     if rank != 1:
         raise CorankError(rank)
