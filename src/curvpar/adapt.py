@@ -45,17 +45,16 @@ class CorankError(ValueError):
 class AdaptedGerm(NamedTuple):
     """A germ in prenormal form together with the changes that produced it.
 
-    ``tangent_frame`` spans the tangent line and ``normal_frame`` (three rows)
-    the normal hyperplane, both in the coordinates of the input germ.
     ``germ`` and ``source_change`` are 2-jets (truncated at the input's order
     when that is lower): ``target_rotation @ input  composed with
     source_change`` reproduces ``germ`` up to degree 2, which determines the
     whole second-order geometry.  For already-prenormal input the changes are
     the identity, ``germ`` is the input's 2-jet and ``exact`` tells whether
-    the input's coefficients are all rational.  Frames and the rotation are
-    tuples of float rows, and on every path the frames are the rotation's
-    rows: ``tangent_frame == target_rotation[0]`` and ``normal_frame ==
-    target_rotation[1:]``, which the report prints as copies of its rows.
+    the input's coefficients are all rational.  The rotation is a tuple of
+    float rows, and the frames are views of it: ``tangent_frame``, its first
+    row, spans the tangent line and ``normal_frame``, its other three rows,
+    the normal hyperplane, both in the coordinates of the input germ.  The
+    report prints them as copies of the rotation's rows.
 
     The Jacobian fixes the frames only up to sign; ``adapt`` fixes the signs
     by one rule.  The source frame ``(v0, v1)`` has det +1, and ``v0`` is
@@ -65,11 +64,17 @@ class AdaptedGerm(NamedTuple):
     """
 
     germ: MapGermR4
-    tangent_frame: tuple
-    normal_frame: tuple
     source_change: tuple
     target_rotation: tuple
     exact: bool
+
+    @property
+    def tangent_frame(self) -> tuple:
+        return self.target_rotation[0]
+
+    @property
+    def normal_frame(self) -> tuple:
+        return self.target_rotation[1:]
 
 
 def check_corank(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -84,8 +89,6 @@ _EYE4 = identity(4)
 def _identity_adaptation(f: MapGermR4) -> AdaptedGerm:
     return AdaptedGerm(
         germ=f,
-        tangent_frame=_EYE4[0],
-        normal_frame=_EYE4[1:],
         source_change=(
             TruncatedPoly2.variable("x", f.order),
             TruncatedPoly2.variable("y", f.order),
@@ -169,8 +172,6 @@ def adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     normals = [poly(_JET[2:], (h0, 2 * h1, h2)) for h0, h1, h2 in forms[1:]]
     return AdaptedGerm(
         germ=MapGermR4([TruncatedPoly2.from_terms({(1, 0): 1.0}, order), *normals]),
-        tangent_frame=rot[0],
-        normal_frame=rot[1:4],
         source_change=tuple(
             poly(_JET, (p * sub[0][0], p * sub[0][1] + q, k * s2[0], 2 * (k * s2[1]), k * s2[2]))
             for (p, q), k in zip(vt, (a, b))

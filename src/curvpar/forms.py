@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import ColumnProducts, is_exact_scalar, rank3, scale_of, sparse_dot
+from .linalg import ColumnProducts, float_multiple, is_exact_scalar, rank3, scale_of, sparse_dot
 
 __all__ = [
     "FirstForm",
@@ -55,7 +55,7 @@ class SecondForm:
             raise ValueError("second form matrix must be 3x3")
         object.__setattr__(self, "matrix", rows)
         # the scale of every float zero test on this 2-jet: |x| <= eps * ref**d at degree d
-        object.__setattr__(self, "ref", scale_of(*rows))
+        object.__setattr__(self, "ref", scale_of(*self.float_columns))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SecondForm is immutable")
@@ -124,8 +124,9 @@ class SecondForm:
 
     @cached_property
     def float_columns(self) -> tuple:
-        """(L, M, N) as floats, each exact entry by one int division."""
-        return self._products.float_columns()
+        """(L, M, N) as floats, a Fraction entry by one int division and an int
+        entry by ``float()``, whose ``OverflowError`` it keeps."""
+        return tuple(float_multiple(c, 1) for c in (self.L, self.M, self.N))
 
     def corank2_normal(self, rank: int) -> tuple:
         """The float normal of the null space of the columns at rank 2 or 1 (see

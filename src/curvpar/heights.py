@@ -131,7 +131,7 @@ def corank2_conditions(
     else:
         if nonzero:
             case = "point away from origin: complement of the segment direction"
-            expected = orthonormal_extension([unit(pp.Lvec)], 3)[1:]
+            expected = orthonormal_extension([unit(pp.sf.float_columns[0])], 3)[1:]
         else:
             case = "point at origin: all normal directions"
             expected = identity(3)
@@ -155,7 +155,7 @@ def cone_parabola_orthogonality(pp, aset: AsymptoticSet, bset: BinormalSet) -> b
         if b.param is None or isinstance(b.param, str):
             continue
         y = float(b.param)  # eta(y) = L + 2yM + y^2 N: degree 1 in the jet, 2 in y
-        ok = ok and abs(dot3(pp.float_eta(y), b.vector)) <= 1e-8 * pp.ref * (1.0 + y * y)
+        ok = ok and abs(dot3(pp.float_eta(y), b.vector)) <= 1e-8 * pp.sf.ref * (1.0 + y * y)
     return ok
 
 

@@ -9,12 +9,14 @@ Exact arithmetic runs in integers.  ``ColumnProducts`` clears an exact 3x3
 matrix, the second form, of its denominators once: its nine entries become
 ints over one common denominator, every cross, triple and quadratic-form
 product of its columns runs on those ints, and each result entry becomes
-one Fraction.  A float that the exact path needs, a column or the normal of
-the corank-2 locus, comes from those ints by one int division, which rounds
+one Fraction.  The normal of the corank-2 locus, a float that the exact
+path needs, comes from those ints by one int division, which rounds
 correctly: ``n / d`` has the bits of ``float(Fraction(n, d))`` and raises
-the same ``OverflowError``.  ``dot3`` and ``cross3`` clear each exact vector
-that they are given in the same way, and ``rank3`` its whole matrix.  Input
-with a float entry keeps the plain float expressions.
+the same ``OverflowError``.  The second form's columns become floats in one
+place, ``forms.SecondForm.float_columns``, by ``float_multiple``: one int
+division of each Fraction's integer ratio.  ``dot3`` and ``cross3`` clear
+each exact vector that they are given in the same way, and ``rank3`` its
+whole matrix.  Input with a float entry keeps the plain float expressions.
 
 Vectors and matrices are tuples of Python numbers; nothing here needs numpy.
 """
@@ -139,9 +141,9 @@ class ColumnProducts:
     entry becomes one Fraction, over ``den**2`` for a cross product,
     ``den**3`` for the triple product and ``den**4`` for a dot product of
     two cross products.  ``rank_rows`` are the int rows, of the matrix's
-    rank.  A matrix with a float entry keeps the per-vector kernels
-    (``cross3``, ``dot3``, ``cone_quadratic``), and its ``rank_rows`` are
-    its own rows.
+    rank.  A matrix with a float entry takes the same products on its own
+    entries, which ``_over`` returns as they are, and the module's
+    ``cone_quadratic``; its ``rank_rows`` are its own rows.
     """
 
     __slots__ = ("rank_rows", "_cols", "_den", "_crosses")
@@ -157,11 +159,10 @@ class ColumnProducts:
         self._crosses = {}
 
     def _product(self, i, j):
-        """Column i x column j: ints over ``den**2`` on an exact matrix, ``cross3``'s otherwise."""
+        """Column i x column j: ints over ``den**2`` on an exact matrix, in the entries' own arithmetic otherwise."""
         key = (i, j)
         if key not in self._crosses:
-            a, b = self._cols[i], self._cols[j]
-            self._crosses[key] = cross3(a, b) if self._den is None else _cross(a, b)
+            self._crosses[key] = _cross(self._cols[i], self._cols[j])
         return self._crosses[key]
 
     def _over(self, nums, power: int) -> tuple:
@@ -177,16 +178,11 @@ class ColumnProducts:
 
     def triple(self):
         """Column 0 . (column 1 x column 2), the determinant."""
-        w = self._product(1, 2)
-        if self._den is None:
-            return dot3(self._cols[0], w)
-        return Fraction(_dot(self._cols[0], w), self._den**3)
+        return self._over((_dot(self._cols[0], self._product(1, 2)),), 3)[0]
 
     def asymptotic_quadratic(self) -> tuple:
         """``(w . (c0 x c1), w . (c0 x c2), w . w)`` for columns ``c`` and ``w = c1 x c2``."""
         w, u, v = self._product(1, 2), self._product(0, 1), self._product(0, 2)
-        if self._den is None:
-            return (dot3(w, u), dot3(w, v), dot3(w, w))
         return self._over((_dot(w, u), _dot(w, v), _dot(w, w)), 4)
 
     def cone_quadratic(self) -> tuple:
@@ -202,12 +198,6 @@ class ColumnProducts:
                 q[i][j] = q[j][i] = Fraction(l[i] * n[j] + n[i] * l[j] - 2 * m[i] * m[j], den)
         return tuple(map(tuple, q))
 
-    def float_columns(self) -> tuple:
-        """The columns as floats; an exact entry by one int division, ``int / den``."""
-        if self._den is None:
-            return tuple(map(float_vec, self._cols))
-        return tuple(tuple(n / self._den for n in col) for col in self._cols)
-
     def corank2_normal(self, rank: int, ref: float) -> tuple:
         """The normal, as floats, of the null space of the columns at rank 2 or 1.
 
@@ -221,8 +211,8 @@ class ColumnProducts:
         """
         if self._den is None:
             cols = [tuple(c / ref for c in v) for v in self._cols]
-            candidates = [cross3(a, b) for a, b in combinations(cols, 2)] if rank == 2 else cols
-            return float_vec(max(candidates, key=_largest_entry))
+            candidates = [_cross(a, b) for a, b in combinations(cols, 2)] if rank == 2 else cols
+            return max(candidates, key=_largest_entry)
         if rank == 2:
             candidates = [self._product(i, j) for i, j in combinations(range(3), 2)]
         else:
@@ -418,9 +408,10 @@ def rank3(rows, eps: float) -> int:
     widths = {len(row) for row in rows}
     if max(widths) > 3:
         raise ValueError("rank3 takes rows of at most three entries")
-    big = max(abs(float(c)) for row in rows for c in row)
-    if not math.isfinite(big):
+    mags = [abs(float(c)) for row in rows for c in row]
+    if not all(map(math.isfinite, mags)):
         raise OverflowError("a coefficient left the float range")
+    big = max(mags)
     if big == 0.0:
         return 0
     if widths == {2}:

@@ -112,7 +112,7 @@ def affine_hull_distance(points, tol: Tolerances = DEFAULT_TOL) -> float:
 def parabola_hull_distance(pp, tol: Tolerances = DEFAULT_TOL) -> float:
     """``affine_hull_distance`` of the parabola trace sampled at 101 points of [-5, 5].
 
-    The samples are taken in units of ``pp.ref``, a power of two, and the
+    The samples are taken in units of ``pp.sf.ref``, a power of two, and the
     distance multiplied back, so that the oracle reads the trace at unit
     scale whatever the jet's.  They are summed in the order of
     ``ParabolaProfile.eta``, ``l + 2*m*y + n*y*y``, so each equals
@@ -120,9 +120,10 @@ def parabola_hull_distance(pp, tol: Tolerances = DEFAULT_TOL) -> float:
     """
     import numpy as np
 
-    ref = pp.ref
+    sf = pp.sf
+    ref = sf.ref
     ys = np.linspace(-5.0, 5.0, 101)[:, None]
-    Lf, M2f, Nf = (np.array([float(c) / ref for c in v]) for v in (pp.Lvec, [2 * m for m in pp.Mvec], pp.Nvec))
+    Lf, M2f, Nf = (np.array([float(c) / ref for c in v]) for v in (sf.L, [2 * m for m in sf.M], sf.N))
     return affine_hull_distance(Lf + M2f * ys + Nf * ys * ys, tol) * ref
 
 

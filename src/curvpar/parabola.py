@@ -21,7 +21,6 @@ from .linalg import (
     dot3,
     first_entry_positive,
     float_dot,
-    float_multiple,
     float_vec,
     identity,
     orthonormal_extension,
@@ -114,40 +113,34 @@ class PlaneBasis(NamedTuple):
 
 
 class _ProfileFields(NamedTuple):
-    Lvec: tuple
-    Mvec: tuple
-    Nvec: tuple
+    sf: SecondForm
     shape: ParabolaShape
-    orbit: str
     aff: AffineSubspace
     ep: PlaneBasis
     stratum: int
-    ref: float  # the second form's ref: the scale of every float zero test
 
 
 class ParabolaProfile(_ProfileFields):
-    """The parabola trace's columns, shape, orbit, hull, plane and stratum.
+    """The parabola trace's second form, shape, hull, plane and stratum.
 
-    A subclass without ``__slots__``, so that each instance has a dict for
-    the ``plane_rows`` and ``float_trace`` caches, which ``_replace`` leaves
-    empty.
+    The columns of the trace and the scale of its zero tests are the second
+    form's, ``sf.L``, ``sf.M``, ``sf.N`` and ``sf.ref``, and the shape implies
+    the orbit.  A subclass without ``__slots__``, so that each instance has a
+    dict for the ``plane_rows`` cache, which ``_replace`` leaves empty.
     """
 
-    def eta(self, y):
-        return tuple(
-            l + 2 * m * y + n * y * y
-            for l, m, n in zip(self.Lvec, self.Mvec, self.Nvec)
-        )
+    @property
+    def orbit(self) -> str:
+        return _SHAPE_TO_ORBIT[self.shape.kind]
 
-    @cached_property
-    def float_trace(self) -> tuple:
-        """The columns (L, 2M, N) of ``eta`` as floats, each exact entry by one int division."""
-        return float_multiple(self.Lvec, 1), float_multiple(self.Mvec, 2), float_multiple(self.Nvec, 1)
+    def eta(self, y):
+        sf = self.sf
+        return tuple(l + 2 * m * y + n * y * y for l, m, n in zip(sf.L, sf.M, sf.N))
 
     def float_eta(self, y: float) -> tuple:
         """``eta(y)`` at a float ``y``, with the bits of ``float_vec(eta(y))``: there a
-        Fraction meeting a float converts itself first, here it is converted once."""
-        return tuple(l + m2 * y + n * y * y for l, m2, n in zip(*self.float_trace))
+        Fraction meeting a float converts itself first, here each column once."""
+        return tuple(l + 2 * m * y + n * y * y for l, m, n in zip(*self.sf.float_columns))
 
     @cached_property
     def plane_rows(self) -> tuple:
@@ -155,8 +148,8 @@ class ParabolaProfile(_ProfileFields):
 
         A cache, not a field, so that ``_replace`` recomputes it.
         """
-        cols = [float_multiple(c, 1) for c in (self.Lvec, self.Mvec, self.Nvec)]
-        return tuple(tuple(float_dot(float_vec(u), col) for col in cols) for u in (self.ep.u1, self.ep.u2))
+        cols = self.sf.float_columns
+        return tuple(tuple(float_dot(u, col) for col in cols) for u in (self.ep.u1, self.ep.u2))
 
 
 _SHAPE_TO_ORBIT = {
@@ -234,17 +227,7 @@ def build_parabola(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> ParabolaPro
     """Classify the parabola trace of a second form and attach hull, plane, stratum."""
     shape = _decide_shape(sf, tol)
     aff, ep = _build_frames(sf, shape)
-    return ParabolaProfile(
-        Lvec=sf.L,
-        Mvec=sf.M,
-        Nvec=sf.N,
-        shape=shape,
-        orbit=_SHAPE_TO_ORBIT[shape.kind],
-        aff=aff,
-        ep=ep,
-        stratum=rank_second_form(sf, tol),
-        ref=sf.ref,
-    )
+    return ParabolaProfile(sf=sf, shape=shape, aff=aff, ep=ep, stratum=rank_second_form(sf, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,7 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
         ku,
         hull,
         oracle.ORACLE_HULL_TOL,
-        abs(ku - hull) <= oracle.ORACLE_HULL_TOL * (res.profile.ref + ku),
+        abs(ku - hull) <= oracle.ORACLE_HULL_TOL * (res.profile.sf.ref + ku),
     )
 
     scan = asymptotic_scan(res.sf, res.profile.ep)

@@ -42,7 +42,7 @@ def umbilic_curvature(
         num, den, formula = (sf.triple,), sf.w, "nondegenerate_proj"
         is_zero = negligible_quotient(sf.triple, sf.w, tol.eps_rank * sf.ref)
     elif shape.kind == "point":
-        num, den, formula = sf.L, (1,), "point_distance"
+        num, den, formula = sf.float_columns[0], (1,), "point_distance"
         is_zero = shape.is_origin
     else:
         half = shape.kind == "half_line"

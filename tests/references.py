@@ -70,7 +70,7 @@ def sum_first_form(adapted) -> tuple:
 
 
 def eta_prime(pp, y):
-    return tuple(2 * m + 2 * n * y for m, n in zip(pp.Mvec, pp.Nvec))
+    return tuple(2 * m + 2 * n * y for m, n in zip(pp.sf.M, pp.sf.N))
 
 
 def det_value(dc, nu) -> float:
@@ -331,8 +331,6 @@ def helper_adapt(f: MapGermR4, tol: Tolerances = DEFAULT_TOL) -> AdaptedGerm:
     adapted = MapGermR4([x_var] + [_poly((0.0, 0.0), h, f.order) for h in forms[1:]])
     return AdaptedGerm(
         germ=adapted,
-        tangent_frame=rot[0],
-        normal_frame=rot[1:4],
         source_change=tuple(
             _poly(
                 (row[0] * sub[0][0], row[0] * sub[0][1] + row[1]),

@@ -182,7 +182,7 @@ def projection_cases(rng):
         for k in (Fraction(2) ** 1000, Fraction(1, 2**1000)):
             twin = scaled_normals(ad.germ, k if ad.germ.is_exact else float(k))
             sf = second_form(adapt(twin))
-            yield twin, pp._replace(Lvec=sf.L, Mvec=sf.M, Nvec=sf.N)
+            yield twin, pp._replace(sf=sf)
 
 
 def subnormal_products(g, pp) -> bool:

@@ -352,6 +352,50 @@ def test_column_products_are_the_second_forms_invariants():
     assert sites == ["forms.w", "forms.l_x_n", "forms.l_x_m"]
 
 
+def column_float_sites(path):
+    """``module.function`` of each place where a second-form column becomes floats.
+
+    A column is a name or attribute ``L``, ``M``, ``N``, ``Lvec``, ``Mvec`` or
+    ``Nvec``, such as ``sf.L``.  It becomes floats when it is an argument of
+    ``float``, ``float_vec``, ``float_multiple`` or ``unit``, also by ``map``,
+    or when it is part of the iterable of a comprehension whose element calls one.
+    """
+    columns = {"L", "M", "N", "Lvec", "Mvec", "Nvec"}
+    converters = {"float", "float_vec", "float_multiple", "unit"}
+    name = lambda n: getattr(n, "attr", getattr(n, "id", None))
+    is_column = lambda n: name(n) in columns
+    converts = lambda n: isinstance(n, ast.Call) and name(n.func) in converters
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        args = []
+        if converts(node):
+            args = node.args
+        elif isinstance(node, ast.Call) and name(node.func) == "map" and name(node.args[0]) in converters:
+            args = node.args[1:]
+        elif isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)) and any(map(converts, ast.walk(node.elt))):
+            args = [g.iter for g in node.generators]
+        if any(is_column(n) for a in args for n in ast.walk(a)):
+            sites.append(f"{path.stem}.{func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_the_second_form_becomes_floats_in_one_place():
+    # Every float view of the columns L, M, N, in the trace, the plane rows,
+    # the frames, the binormals and the umbilic curvature, reads
+    # forms.SecondForm.float_columns, and so does its ref.  oracle.py is
+    # exempt: it re-derives results by sampling.
+    src = Path(curvpar.__file__).parent
+    sites = [s for p in sorted(src.glob("*.py")) if p.name != "oracle.py" for s in column_float_sites(p)]
+    assert sites == ["forms.float_columns"]
+
+
 def format_value_sites(path):
     """``module.function: argument`` of each ``format_value`` call outside its own body."""
     sites = []

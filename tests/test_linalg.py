@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvpar.linalg
+from curvpar.adapt import check_corank
 from curvpar.forms import SecondForm
 from curvpar.germs import MapGermR4, TruncatedPoly2
 from curvpar.linalg import (
@@ -34,6 +35,7 @@ from curvpar.linalg import (
     float_multiple,
     negligible_lazy,
     rank3,
+    scale_of,
     sparse_dot,
     vec_norm,
 )
@@ -234,6 +236,25 @@ def test_two_column_rank_keeps_the_verdicts_near_eps():
     for delta, rank in ((0.9e-9, 1), (1.1e-9, 2)):
         rows = [(1.0, -0.0), (1.0, delta), (-0.0, 0.0), (-0.5, 0.0)]
         assert rank3(rows, eps) == rank3([(*row, 0) for row in rows], eps) == rank
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rank_refuses_a_non_finite_entry_wherever_it_stands(width, bad):
+    # max() keeps a NaN that comes first and skips a later one, so a guard on
+    # the largest entry alone let a later NaN row drop out of the rank
+    rows = [(1.0, 0.5, -0.25)[:width], (0.0, 2.0, 1.0)[:width]]
+    for i, j in itertools.product(range(2), range(width)):
+        moved = [tuple(bad if (r, c) == (i, j) else x for c, x in enumerate(row)) for r, row in enumerate(rows)]
+        for order in (moved, moved[::-1]):
+            assert rank_outcome(order, 1e-9) == (OverflowError, "a coefficient left the float range")
+
+
+def test_check_corank_refuses_a_nan_jacobian_entry():
+    poly = lambda terms: TruncatedPoly2.from_terms(terms, 2)
+    g = MapGermR4([poly({(1, 0): 1.0}), poly({(1, 0): math.nan, (1, 1): 1.0}), poly({(0, 2): 1.0}), poly({})])
+    with pytest.raises(OverflowError, match="a coefficient left the float range"):
+        check_corank(g)
 
 
 def left_sum(terms):
@@ -502,19 +523,55 @@ def plain_corank2_normal(sf, rank):
     return tuple(map(float, max(candidates, key=lambda v: max(map(abs, v)))))
 
 
+def int_matrices(rng):
+    """Int matrices of entries up to 2^40, shifted left by 0 to 1060 bits: the
+    largest entries reach 2^1100, and from about 2^1023 on they leave the float range."""
+    for shift in (0, 400, 960, 1000, 1060):
+        yield [[int(x) << shift for x in row] for row in rng.integers(-(2**40), 2**40, size=(3, 3))]
+
+
+def out_of_range(rows, rng):
+    """``rows`` with one entry, at a random place, replaced by each kind of value that
+    leaves the float range: an int, a Fraction, an infinity and a NaN."""
+    i, j = rng.integers(3, size=2)
+    for bad in (-(2**1100), Fraction(2**1100, 3), math.inf, math.nan):
+        yield [[bad if (r, c) == (i, j) else x for c, x in enumerate(row)] for r, row in enumerate(rows)]
+
+
+def raised(fn, *args):
+    """The type and message of what ``fn(*args)`` raised; None when it returned."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 @pytest.mark.parametrize("kind", ["any", "collinear", "line", "point"])
 def test_float_views_of_a_form_equal_the_plain_conversions(rng, kind):
+    # SecondForm.ref reads the float columns; scale_of of the raw rows is what
+    # it read before, and refuses an entry beyond the float range the same way
     ys = [0.0, -0.0, 1.0, -2.5, 1e-3, 37.0, 1 / 3]
     for _ in range(15):
         exact_rows = list(scaled_matrices(random_jet2(rng, kind)))
-        for rows in [*exact_rows, [list(map(float, row)) for row in exact_rows[0]]]:
+        for rows in [*exact_rows, [list(map(float, row)) for row in exact_rows[0]], *int_matrices(rng)]:
+            for bad_rows in out_of_range(rows, rng):
+                refused = raised(scale_of, *bad_rows)
+                assert refused is not None and raised(SecondForm, bad_rows) == refused
+            refused = raised(scale_of, *rows)
+            if refused is not None:  # an int matrix beyond the float range
+                assert raised(SecondForm, rows) == refused
+                continue
             sf = SecondForm(rows)
+            assert bits(sf.ref) == bits(scale_of(*rows))
             want = tuple(tuple(map(float, c)) for c in (sf.L, sf.M, sf.N))
             assert [list(map(bits, c)) for c in sf.float_columns] == [list(map(bits, c)) for c in want]
             rank = sf.rank(1e-9)
             if rank in (1, 2):
                 got, want = sf.corank2_normal(rank), plain_corank2_normal(sf, rank)
                 assert list(map(bits, got)) == list(map(bits, want))
+            if sf.ref > 2.0**500:
+                continue  # the profile's frames would read cross products beyond the float range
             pp = build_parabola(sf)
             for y in ys:
                 assert list(map(bits, pp.float_eta(y))) == [bits(float(c)) for c in pp.eta(y)]

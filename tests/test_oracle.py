@@ -84,8 +84,8 @@ def test_parabola_hull_distance_samples_eta_bit_for_bit(rng):
     moved = transform_germ(exact, [[1.3, 0.4], [-0.2, 0.9]], random_rotation(rng, 4))
     for g in (exact, moved):
         pp = build_parabola(second_form(adapt(g)))
-        samples = [[float(c) / pp.ref for c in pp.eta(y)] for y in np.linspace(-5.0, 5.0, 101)]
-        assert parabola_hull_distance(pp) == affine_hull_distance(samples) * pp.ref
+        samples = [[float(c) / pp.sf.ref for c in pp.eta(y)] for y in np.linspace(-5.0, 5.0, 101)]
+        assert parabola_hull_distance(pp) == affine_hull_distance(samples) * pp.sf.ref
 
 
 def scan_for(text, order=6):

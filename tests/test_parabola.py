@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvpar.adapt import adapt
-from curvpar.forms import second_form
+from curvpar.forms import SecondForm, second_form
 from curvpar.germs import Jet2, TruncatedPoly2, extract_jet2
 from curvpar.linalg import cross3, dot3, unit
 from curvpar.parabola import (
@@ -113,9 +113,17 @@ def test_ep_contains_affine_hull_directions():
 def test_replaced_plane_recomputes_plane_rows():
     # plane_rows is cached on the instance; a copy by _replace with the plane
     # turned by theta inside itself starts without the cache, so its rows
-    # turn by theta too
-    pp = profile_of("(x, x*y, y^2 + x^2, 3*x^2)")
+    # turn by theta too, and a copy with the form doubled has doubled rows
+    # and a doubled trace
+    sf = second_form(adapt(germ("(x, x*y, y^2 + x^2, 3*x^2)")))
+    pp = build_parabola(sf)
+    assert pp.sf is sf
     (r1, r2) = pp.plane_rows
+    twin = SecondForm([[2 * c for c in row] for row in sf.matrix])
+    doubled = pp._replace(sf=twin)
+    assert doubled.plane_rows == tuple(tuple(2 * x for x in row) for row in (r1, r2))
+    for y in (0.0, -1.5, 1 / 3):
+        assert doubled.float_eta(y) == tuple(2 * x for x in pp.float_eta(y))
     c, s = math.cos(0.7), math.sin(0.7)
     u1, u2 = pp.ep.u1, pp.ep.u2
     ep = pp.ep._replace(

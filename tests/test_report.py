@@ -444,7 +444,7 @@ def test_hull_check_fails_on_a_wrong_umbilic_curvature_at_any_scale(text, factor
     # fails it at 2^-40 as at 2^40, where the right value passes
     res = analyze_germ(scaled(text, factor))
     assert run_verification(res, DEFAULT_TOL).passed
-    umb = res.umbilic._replace(kappa_u=res.umbilic.kappa_u + 1e-5 * res.profile.ref)
+    umb = res.umbilic._replace(kappa_u=res.umbilic.kappa_u + 1e-5 * res.profile.sf.ref)
     failed = [c.name for c in run_verification(with_changes(res, umbilic=umb), DEFAULT_TOL).checks if not c.passed]
     assert failed == ["umbilic_vs_affine_hull"]
 
@@ -454,7 +454,7 @@ def test_hull_check_passes_a_zero_umbilic_curvature_at_a_large_scale(capsys):
     text = "(x, 10^9*(1/2*x^2 + x*y), 10^9*(x^2 + y^2), 10^9*(1/2*x^2 + x*y))"
     res = analyze_germ(text, verify=True)
     (check,) = [c for c in res.verification.checks if c.name == "umbilic_vs_affine_hull"]
-    assert res.umbilic.kappa_u == 0.0 and 0.0 < check.oracle < 1e-7 * res.profile.ref
+    assert res.umbilic.kappa_u == 0.0 and 0.0 < check.oracle < 1e-7 * res.profile.sf.ref
     assert res.verification.passed
     assert main(["verify", "--germ", text]) == 0
     capsys.readouterr()
