@@ -16,6 +16,7 @@ from .linalg import ColumnProducts, float_multiple, is_exact_scalar, rank3, scal
 
 __all__ = [
     "FirstForm",
+    "FloatColumns",
     "SecondForm",
     "first_form",
     "form_rows",
@@ -34,6 +35,18 @@ class FirstForm(NamedTuple):
 
 # column indices of the matrix: the coefficients of x^2, xy and y^2
 L, M, N = range(3)
+
+
+class FloatColumns(NamedTuple):
+    """The columns of a second form as tuples of floats.
+
+    They carry the names of ``SecondForm``'s column views, so a reader of
+    the columns alone, such as ``heights.height_hessian``, takes either.
+    """
+
+    L: tuple
+    M: tuple
+    N: tuple
 
 
 class SecondForm:
@@ -123,10 +136,10 @@ class SecondForm:
         return self._products.cone_quadratic()
 
     @cached_property
-    def float_columns(self) -> tuple:
+    def float_columns(self) -> FloatColumns:
         """(L, M, N) as floats, a Fraction entry by one int division and an int
         entry by ``float()``, whose ``OverflowError`` it keeps."""
-        return tuple(float_multiple(c, 1) for c in (self.L, self.M, self.N))
+        return FloatColumns(*(float_multiple(c, 1) for c in (self.L, self.M, self.N)))
 
     def corank2_normal(self, rank: int) -> tuple:
         """The float normal of the null space of the columns at rank 2 or 1 (see

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT_TOL, Tolerances
 from .directions import AsymptoticSet, BinormalSet
-from .forms import SecondForm, rank_second_form
+from .forms import FloatColumns, SecondForm, rank_second_form
 from .linalg import (
     dot3,
     float_dot,
@@ -56,11 +56,12 @@ class DegeneracyCone(NamedTuple):
     ref: float  # the second form's ref; the entries of quad have degree 2
 
 
-def height_hessian(sf: SecondForm, nu):
+def height_hessian(sf: SecondForm | FloatColumns, nu):
     """Hessian [[l_nu, m_nu], [m_nu, n_nu]] of the height function along nu.
 
     ``nu`` is given in normal-frame coordinates; entries stay exact when both
-    the form and nu are rational.
+    the form and nu are rational.  ``sf`` may be the form's ``float_columns``,
+    whose entries are floats already.
     """
     l, m, n = (float_dot(nu, col) for col in (sf.L, sf.M, sf.N))
     return ((l, m), (m, n))

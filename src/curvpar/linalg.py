@@ -304,11 +304,15 @@ def first_entry_positive(v) -> tuple:
 
 def scale_of(*vecs) -> float:
     """Reference scale of float zero tests: ``2**e`` with ``2**(e-1) <= m < 2**e`` for the
-    largest absolute coefficient ``m`` (1 when m = 0), a power of two so dividing is exact."""
+    largest absolute coefficient ``m`` (1 when m = 0), a power of two so dividing is exact.
+
+    Raises ``OverflowError`` when a coefficient is not finite or ``m >= 2**1023``,
+    whose scale ``2**1024`` is not a float."""
     mags = [abs(float(c)) for v in vecs for c in v]
-    if not all(map(math.isfinite, mags)):
+    top = max(mags, default=0.0)
+    if top >= 2.0**1023 or not all(map(math.isfinite, mags)):
         raise OverflowError("a coefficient left the float range")
-    return 2.0 ** math.frexp(max(mags, default=0.0))[1]
+    return 2.0 ** math.frexp(top)[1]
 
 
 def negligible(x, bound: float) -> bool:

@@ -312,7 +312,9 @@ def run_verification(res: "AnalysisResult", tol: Tolerances) -> VerificationRepo
     # the ambient normals R^T (0, nu); one stencil serves the three
     ambient = [[float_dot([row[j] for row in rot], (0.0, *nu)) for j in range(4)] for nu in nus]
     fds = finite_difference_hessian(jet, ambient)
-    closed = [height_hessian(res.sf, nu) for nu in nus]
+    # on the form's float view: a Fraction entry times a float is that
+    # entry's float times it, so this moves no bit
+    closed = [height_hessian(res.sf.float_columns, nu) for nu in nus]
     worst = oracle.hessian_gap(closed, fds, res.adapted.source_change)
     vr.add("height_hessian_vs_fd", 0.0, worst, bound, worst <= bound)
     return vr

@@ -388,11 +388,11 @@ def column_float_sites(path):
 
 def test_the_second_form_becomes_floats_in_one_place():
     # Every float view of the columns L, M, N, in the trace, the plane rows,
-    # the frames, the binormals and the umbilic curvature, reads
-    # forms.SecondForm.float_columns, and so does its ref.  oracle.py is
-    # exempt: it re-derives results by sampling.
+    # the frames, the binormals, the umbilic curvature and the oracles'
+    # samples and Hessians, reads forms.SecondForm.float_columns, and so
+    # does its ref.
     src = Path(curvpar.__file__).parent
-    sites = [s for p in sorted(src.glob("*.py")) if p.name != "oracle.py" for s in column_float_sites(p)]
+    sites = [s for p in sorted(src.glob("*.py")) for s in column_float_sites(p)]
     assert sites == ["forms.float_columns"]
 
 
@@ -688,6 +688,13 @@ def test_non_finite_report_exits_1(capsys, fmt):
     assert code == 1
     assert out == ""
     assert err == "error: report.asymptotic.discriminant is inf: the analysis left the float range\n"
+
+
+def test_a_coefficient_whose_scale_is_not_a_float_exits_1_naming_it(capsys):
+    # 10^308 lies in [2^1023, max float]: its scale 2^1024 is not a float
+    text = "(x + y^2, (10^44)^7*x*y, (10^44)^7*y^2, 0)"
+    code, out, err = run_cli(capsys, "analyze", "--germ", text)
+    assert (code, out, err) == (1, "", "error: a coefficient left the float range\n")
 
 
 def test_vectors_whose_squares_overflow_get_the_twins_frames(capsys):
@@ -1024,6 +1031,42 @@ def builtin_sum_sites(name, tree):
 
     visit(tree, "<module>")
     return sites
+
+
+def test_the_hessian_check_runs_without_numpy():
+    # the finite-difference heights and the pull-back are plain float
+    # products and linalg.float_dot's left folds, so the printed gap does not
+    # depend on the BLAS kernel that numpy picks for the CPU
+    (tree,) = [tree for name, tree in module_trees() if name == "oracle"]
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("finite_difference_hessian", "hessian_gap"):
+        names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        imports = [n for n in ast.walk(functions[name]) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert not names & {"np", "numpy"} and imports == [], name
+
+
+def test_each_stencil_height_is_a_float_dot(monkeypatch):
+    import curvpar.oracle
+    from curvpar import linalg
+    from curvpar.germs import MapGermR4, parse_map_germ
+
+    values, heights = [], []
+    evaluate, float_dot = MapGermR4.evaluate, linalg.float_dot
+    monkeypatch.setattr(MapGermR4, "evaluate", lambda self, x, y: values.append(evaluate(self, x, y)) or values[-1])
+    monkeypatch.setattr(curvpar.oracle, "float_dot", lambda a, b: heights.append((a, b)) or float_dot(a, b))
+    jet = parse_map_germ("(x, 1/3*x*y - y^2, 2/7*x^2 + 2*y^2, 3*x^2 + 5/11*x*y)", 2)
+    normals = [(0.1, -0.7, 0.2, 0.6), (0.0, 0.3, -0.9, 1 / 3)]
+    hessians = curvpar.oracle.finite_difference_hessian(jet, normals)
+    assert len(values) == 9
+    # one height per stencil value and normal, each linalg.float_dot of the two
+    assert heights == [(list(n), v) for n in normals for v in values]
+    s = curvpar.oracle.FD_STEP
+    for n, hess in zip(normals, hessians):
+        h = [float_dot(n, v) for v in values]  # at (i, j) for i, j in -1, 0, 1
+        hxx = (h[7] - 2.0 * h[4] + h[1]) / (s * s)
+        hyy = (h[5] - 2.0 * h[4] + h[3]) / (s * s)
+        hxy = (h[8] - h[6] - h[2] + h[0]) / (4.0 * s * s)
+        assert [[x.hex() for x in row] for row in hess] == [[x.hex() for x in row] for row in [[hxx, hxy], [hxy, hyy]]]
 
 
 def test_no_builtin_sum_on_the_float_path():

@@ -250,6 +250,16 @@ def test_rank_refuses_a_non_finite_entry_wherever_it_stands(width, bad):
             assert rank_outcome(order, 1e-9) == (OverflowError, "a coefficient left the float range")
 
 
+def test_scale_of_refuses_a_scale_beyond_the_float_range():
+    # a largest magnitude in [2^1023, max float] has the scale 2^1024, which
+    # is not a float: the same OverflowError as an infinite entry, not
+    # the bare errno message of 2.0**1024
+    assert scale_of([2.0**1023 * (1 - 2.0**-53)]) == 2.0**1023
+    for big in (2.0**1023, -(2.0**1023), sys.float_info.max):
+        with pytest.raises(OverflowError, match="^a coefficient left the float range$"):
+            scale_of([1.0], [big, 0.0])
+
+
 def test_check_corank_refuses_a_nan_jacobian_entry():
     poly = lambda terms: TruncatedPoly2.from_terms(terms, 2)
     g = MapGermR4([poly({(1, 0): 1.0}), poly({(1, 0): math.nan, (1, 1): 1.0}), poly({(0, 2): 1.0}), poly({})])

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import curvpar.oracle
+import curvpar.report
+from curvpar import analyze_germ
 from curvpar._kernels import N_CANDIDATES, scan_scores
 from curvpar.adapt import adapt
 from curvpar.forms import second_form
-from curvpar.germs import MapGermR4
+from curvpar.germs import MapGermR4, TruncatedPoly2
 from curvpar.heights import height_hessian
 from curvpar.directions import directions_match
 from curvpar.oracle import (
@@ -21,9 +23,11 @@ from curvpar.oracle import (
     affine_hull_distance,
     asymptotic_scan,
     finite_difference_hessian,
+    hessian_gap,
     parabola_hull_distance,
 )
 from curvpar.parabola import build_parabola
+from curvpar.report import render_json
 
 from conftest import germ, random_rotation, transform_germ
 from golden import GOLDEN_GERMS
@@ -55,15 +59,36 @@ def test_affine_hull_distance_reads_small_samples_at_their_own_scale():
     # a zero-hull cut with a floor of 1 took the trace for a point.  Below
     # about 1.5e-154 the square of the residual (0, 0, 0, s) is subnormal
     # and loses bits (1e-158, 1e-161, 2e-162), and below about 1.5e-162 it
-    # underflows to 0 (1e-200, 1e-300)
+    # underflows to 0 (1e-200, 1e-300).  The residual is measured at unit
+    # scale, and an underflow elsewhere is rounding far below the samples'
+    # size: no numpy error is raised, nor a warning (pytest's filter)
     # (approx's default abs=1e-12 would pass any tiny result)
     for s in (1e-12, 1e-100, 1e-158, 1e-161, 2e-162, 1e-200, 1e-300):
-        assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9, abs=0)
+        with np.errstate(all="raise"):
+            assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9, abs=0)
 
 
 def test_affine_hull_distance_survives_squares_that_overflow():
     for s in (1e155, 1e200, 1e300):
-        assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9, abs=0)
+        with np.errstate(all="raise"):
+            assert affine_hull_distance(scaled_trace(s)) == pytest.approx(s, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, 50, 100])
+def test_affine_hull_refuses_a_non_finite_sample(bad, row):
+    # a NaN centres quietly; an infinite centroid minus an infinite sample is
+    # numpy's invalid operation first
+    pts = scaled_trace(1.0)
+    pts[row][2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="leave the float range"):
+        affine_hull_distance(pts)
+    if math.isnan(bad):
+        with pytest.raises(ValueError, match="leave the float range"):
+            affine_hull_distance(pts)
+    else:
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+            affine_hull_distance(pts)
 
 
 def test_affine_hull_needs_three_points():
@@ -216,6 +241,45 @@ def test_fd_hessian_matches_closed_form(rng):
         )
         fd = finite_difference_hessian(ad, [np.concatenate(([0.0], nu))])[0]
         assert np.max(np.abs(closed - fd)) < 1e-6
+
+
+IDENTITY = (TruncatedPoly2.from_terms({(1, 0): 1}, 2), TruncatedPoly2.from_terms({(0, 1): 1}, 2))
+ZERO = [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "closed, fds",
+    [
+        ([((math.nan, 0.0), (0.0, 0.0))], [ZERO]),  # in a closed-form Hessian
+        ([((0.0, 0.0), (0.0, 0.0))], [[[math.nan, 0.0], [0.0, 0.0]]]),  # in a finite-difference one
+        ([((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, math.nan))], [ZERO, ZERO]),  # after a finite first normal
+        ([((0.0, math.nan), (0.0, 0.0)), ((3.0, 0.0), (0.0, 0.0))], [ZERO, ZERO]),  # before a larger finite gap
+    ],
+)
+def test_hessian_gap_propagates_a_nan(closed, fds):
+    # max(0.0, nan) is 0.0: a fold by max() let a NaN gap pass the check
+    gap = hessian_gap(closed, fds, IDENTITY)
+    assert math.isnan(gap)
+    assert not gap <= 1e-6
+
+
+def test_hessian_gap_pulls_back_through_the_linear_part():
+    # lin = [[2, 1], [0, 3]]: lin^T fd lin with fd = [[1, 0], [0, 1]] is
+    # [[4, 2], [2, 10]], so the gap to [[4, 2], [2, 7]] is 3
+    change = (TruncatedPoly2.from_terms({(1, 0): 2, (0, 1): 1}, 2), TruncatedPoly2.from_terms({(0, 1): 3}, 2))
+    assert hessian_gap([((4.0, 2.0), (2.0, 7.0))], [[[1.0, 0.0], [0.0, 1.0]]], change) == 3.0
+    assert hessian_gap([], [], change) == 0.0
+
+
+def test_verification_fails_on_a_nan_finite_difference_hessian(monkeypatch):
+    fds = [ZERO, ZERO, [[math.nan, 0.0], [0.0, 0.0]]]
+    monkeypatch.setattr(curvpar.report, "finite_difference_hessian", lambda jet, normals: fds)
+    res = analyze_germ("(x, x*y, y^2 + x^2, 0)", verify=True)
+    check = {c.name: c for c in res.verification.checks}["height_hessian_vs_fd"]
+    assert math.isnan(check.oracle) and not check.passed
+    assert not res.verification.passed
+    with pytest.raises(ValueError, match=r"^report\.verification\.checks\[2\]\.oracle is nan: the analysis left"):
+        render_json(res.report)
 
 
 # -- the exact scan kernel ---------------------------------------------------
