@@ -19,6 +19,7 @@ __all__ = [
     "FloatColumns",
     "SecondForm",
     "first_form",
+    "form_row",
     "form_rows",
     "second_form",
     "rank_second_form",
@@ -166,17 +167,19 @@ def first_form(adapted) -> FirstForm:
     return FirstForm(E=sparse_dot(fx, fx), F=sparse_dot(fx, fy), G=sparse_dot(fy, fy))
 
 
+def form_row(a, m, c) -> tuple:
+    """Second-form row (2a, m, 2c) of x^2, xy and y^2 coefficients a, m and c."""
+    return (2 * a, m, 2 * c)
+
+
 def form_rows(components) -> tuple:
-    """Second-form row (2*[x^2], [xy], 2*[y^2]) of each normal component.
+    """Second-form row ``form_row`` of each normal component.
 
     For a parametrisation whose 1-jet is (x, y, 0, ...) or (x, 0, ...), these
     are the coefficients (l, m, n) of its second fundamental form along the
-    coordinate normals; exact when the coefficients are.
+    coordinate normals.
     """
-    return tuple(
-        (2 * p.coefficient(2, 0), p.coefficient(1, 1), 2 * p.coefficient(0, 2))
-        for p in components
-    )
+    return tuple(form_row(p.coefficient(2, 0), p.coefficient(1, 1), p.coefficient(0, 2)) for p in components)
 
 
 def second_form(adapted) -> SecondForm:

@@ -21,7 +21,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .config import DEFAULT_TOL
-from .linalg import float_multiple, is_exact_scalar, negligible, scale_of
+from .forms import SecondForm, form_row
+from .linalg import is_exact_scalar, negligible
 
 __all__ = [
     "GermParseError",
@@ -263,12 +264,15 @@ class MapGermR4:
         return MapGermR4([p.to_float() for p in self.components])
 
     def truncated(self, order: int) -> "MapGermR4":
-        """The germ truncated at ``order``, or at its own order when that is lower.
+        """The germ truncated at ``order``; the germ itself when its own order is
+        not higher.
 
         One degree filter per component keeps the terms in their order, which
         ``evaluate`` sums in."""
         if order < 0:
             raise ValueError("truncation order must be non-negative")
+        if order >= self.order:
+            return self
         low = [{k: c for k, c in p.coeffs.items() if k[0] + k[1] <= order} for p in self.components]
         return MapGermR4([TruncatedPoly2.from_terms(d, min(p.order, order)) for d, p in zip(low, self.components)])
 
@@ -628,21 +632,17 @@ class Jet2(_Jet2Fields):
 
     The (x^2, xy, y^2) coefficients of component i+1 are row i; no 1/2
     factors are applied.  A subclass without ``__slots__``, so that each
-    instance has a dict for the ``ref`` cache, which ``_replace`` leaves
-    empty.
+    instance has a dict for the ``second_form`` cache, which ``_replace``
+    leaves empty.
     """
 
     def rows(self):
-        return (
-            (self.a20, self.a11, self.a02),
-            (self.b20, self.b11, self.b02),
-            (self.c20, self.c11, self.c02),
-        )
+        return self[:3], self[3:6], self[6:]
 
     @cached_property
-    def ref(self) -> float:  # scale_of of the second-form rows (2a, m, 2c): its SecondForm's ref
-        a, m, c = zip(*self.rows())
-        return scale_of(float_multiple(a, 2), float_multiple(m, 1), float_multiple(c, 2))
+    def second_form(self) -> SecondForm:
+        """The second form of the jet: its rows with the x^2 and y^2 columns doubled."""
+        return SecondForm([form_row(*row) for row in self.rows()])
 
 
 def extract_jet2(germ, jet_tol: float = DEFAULT_TOL.eps_jet) -> Jet2:

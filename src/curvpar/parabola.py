@@ -160,30 +160,35 @@ _SHAPE_TO_ORBIT = {
 }
 
 
-def _decide_shape(sf: SecondForm, tol: Tolerances) -> ParabolaShape:
-    L, M, N, ref = sf.L, sf.M, sf.N, sf.ref
-    n_zero = vec_is_zero(N, tol.eps_rank, ref)
-    m_zero = vec_is_zero(M, tol.eps_rank, ref)
-    l_zero = vec_is_zero(L, tol.eps_rank, ref)
-    if n_zero and m_zero:
-        return ParabolaShape(kind="point", is_origin=l_zero)
+def _orbit_kind(sf: SecondForm, tol: Tolerances) -> str:
+    """The shape kind that decides the orbit: "point" when M and N are zero,
+    "line" when N alone is, "half_line" when M x N is, else "parabola"."""
+    n_zero = vec_is_zero(sf.N, tol.eps_rank, sf.ref)
+    m_zero = vec_is_zero(sf.M, tol.eps_rank, sf.ref)
     if n_zero:
+        return "point" if m_zero else "line"
+    if m_zero or collinear3(sf.w, sf.M, sf.N, tol.eps_rank):
+        return "half_line"
+    return "parabola"
+
+
+def _decide_shape(sf: SecondForm, tol: Tolerances) -> ParabolaShape:
+    kind = _orbit_kind(sf, tol)
+    if kind == "parabola":
+        return ParabolaShape(kind="parabola")
+    L, M, N, ref = sf.L, sf.M, sf.N, sf.ref
+    l_zero = vec_is_zero(L, tol.eps_rank, ref)
+    if kind == "point":
+        return ParabolaShape(kind="point", is_origin=l_zero)
+    if kind == "line":
         radial = l_zero or collinear3(sf.l_x_m, L, M, tol.eps_rank)
         return ParabolaShape(kind="line", radial=radial)
-    if m_zero or collinear3(sf.w, M, N, tol.eps_rank):
-        mu = dot3(M, N) / dot3(N, N)
-        vertex = tuple(l - mu * mu * n for l, n in zip(L, N))
-        vertex_zero = vec_is_zero(vertex, tol.eps_rank, ref)
-        # the line through the vertex along N misses the origin by |L x N| / |N|
-        radial = l_zero or vertex_zero or collinear3(sf.l_x_n, L, N, tol.eps_rank)
-        return ParabolaShape(
-            kind="half_line",
-            radial=radial,
-            vertex_param=-mu,
-            vertex_is_origin=vertex_zero,
-            vertex=vertex,
-        )
-    return ParabolaShape(kind="parabola")
+    mu = dot3(M, N) / dot3(N, N)
+    vertex = tuple(l - mu * mu * n for l, n in zip(L, N))
+    vertex_zero = vec_is_zero(vertex, tol.eps_rank, ref)
+    # the line through the vertex along N misses the origin by |L x N| / |N|
+    radial = l_zero or vertex_zero or collinear3(sf.l_x_n, L, N, tol.eps_rank)
+    return ParabolaShape(kind="half_line", radial=radial, vertex_param=-mu, vertex_is_origin=vertex_zero, vertex=vertex)
 
 
 def _plane_basis_from_normal(nu3: tuple, forced: bool) -> PlaneBasis:
@@ -231,30 +236,14 @@ def build_parabola(sf: SecondForm, tol: Tolerances = DEFAULT_TOL) -> ParabolaPro
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-level orbit classification
+# Orbit label of a 2-jet
 # ---------------------------------------------------------------------------
 
 
 def classify_two_jet(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> str:
-    """Orbit label from the 2-jet coefficient criteria, independent of geometry.
-
-    Decided exactly on rational coefficients.  On floats the xy and y^2
-    columns are compared with the whole jet's scale, and the degree-2 minors
-    (their cross product, up to sign) with the product of their norms.
-    """
-    xy_col = (j2.a11, j2.b11, j2.c11)
-    yy_col = (j2.a02, j2.b02, j2.c02)
-    yy_zero = vec_is_zero(yy_col, tol.eps_rank, j2.ref)
-    xy_zero = vec_is_zero(xy_col, tol.eps_rank, j2.ref)
-    minors = cross3(xy_col, yy_col)
-    gamma_zero = yy_zero or xy_zero or collinear3(minors, xy_col, yy_col, tol.eps_rank)
-    if not gamma_zero:
-        return ORBIT_PARABOLA
-    if not yy_zero:
-        return ORBIT_HALF_LINE
-    if not xy_zero:
-        return ORBIT_LINE
-    return ORBIT_POINT
+    """Orbit label of a 2-jet: the shape kind of its second form, decided by
+    the tests that ``build_parabola`` runs (exact on rational coefficients)."""
+    return _SHAPE_TO_ORBIT[_orbit_kind(j2.second_form, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +292,11 @@ def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwo
     x^2 column, such as the zero jet, has nothing to rotate and comes back
     as given too.
     """
+    sf = j2.second_form
     orbit = classify_two_jet(j2, tol)
-    A, B, C = ([float(v) for v in col] for col in zip(*j2.rows()))
+    # the raw columns: halving the form's doubled x^2 and y^2 columns moves no bit
+    lf, B, nf = sf.float_columns
+    A, C = (tuple(x / 2 for x in col) for col in (lf, nf))
 
     def right_handed(w1, w2):
         return (w1, w2, cross3(w1, w2))
@@ -314,7 +306,7 @@ def reduce_to_normal_form(j2: Jet2, tol: Tolerances = DEFAULT_TOL) -> ReducedTwo
         # ref) when it has a usable component off the w1-line, else the canonical one
         d = dot3(v, w1)
         off_line = vec_norm([x - d * y for x, y in zip(v, w1)])
-        if off_line > 1e-13 * j2.ref:
+        if off_line > 1e-13 * sf.ref:
             return orthonormal_extension([w1, v], 3)[1]
         return orthonormal_extension([w1], 3)[1]
 

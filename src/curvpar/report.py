@@ -29,7 +29,7 @@ from .directions import (
     osculating_hyperplanes,
     point_type,
 )
-from .forms import FirstForm, SecondForm, first_form, second_form
+from .forms import FirstForm, SecondForm, first_form
 from .germs import MapGermR4, extract_jet2, parse_map_germ
 from .heights import (
     DegeneracyCone,
@@ -333,8 +333,8 @@ def analyze_germ(
     germ = parse_map_germ(source, 2) if input_text is not None else source
     adapted = adapt(germ, tol)
     first = first_form(adapted)
-    sf = second_form(adapted)
     jet2 = extract_jet2(adapted, tol.eps_jet)
+    sf = jet2.second_form  # the profile and the reduction share it and its invariants
     profile = build_parabola(sf, tol)
     aset = asymptotic_directions(profile, sf, tol)
     bset = binormal_directions(profile, sf, aset, tol)
@@ -352,7 +352,7 @@ def analyze_germ(
         first=first,
         sf=sf,
         jet2=jet2,
-        orbit_table=reduced.orbit,  # reduce_to_normal_form classified the jet
+        orbit_table=reduced.orbit,  # classify_two_jet(jet2), read off sf as the profile's shape
         profile=profile,
         aset=aset,
         bset=bset,

@@ -2,8 +2,9 @@
 
 The analysis reads the second form only through its invariants and the
 plane rows of ``ParabolaProfile``; these direct evaluations, the polynomial
-rotation that ``project_to_s`` once made, the point type of a reduced
-normal form (the acceptance suite's reference), the term-by-term
+rotation that ``project_to_s`` once made, the orbit of an exact 2-jet by
+its coefficient table, the point type of a reduced normal form (the
+acceptance suite's reference), the term-by-term
 printing of a polynomial, the report as a tree of raw values, which
 ``build_report`` once handed to ``format_value`` whole, and ``adapt`` as
 it was built from per-value helpers live here.
@@ -24,7 +25,8 @@ from curvpar.directions import osculating_hyperplanes
 from curvpar.forms import SecondForm, form_rows
 from curvpar.germs import MapGermR4, TruncatedPoly2, extract_jet2
 from curvpar.heights import cone_parabola_orthogonality
-from curvpar.linalg import float_dot, householder_rotation_to_e1, negligible, scale_of, unit
+from curvpar.linalg import float_dot, householder_rotation_to_e1, is_exact_scalar, negligible, scale_of, unit
+from curvpar.parabola import ORBIT_HALF_LINE, ORBIT_LINE, ORBIT_PARABOLA, ORBIT_POINT
 from curvpar.umbilic import kappa_stratum_check
 
 # curvpar.adapt is the function: the package exports it over the module
@@ -79,6 +81,28 @@ def det_value(dc, nu) -> float:
     return float(v @ q @ v)
 
 
+def table_orbit(j2) -> str:
+    """Orbit of an exact 2-jet by the coefficient table, apart from its second form.
+
+    The gammas are the 2x2 minors of the raw xy and y^2 columns: all zero
+    when the columns are dependent.  Nonzero gammas give the parabola orbit;
+    else a nonzero y^2 column the half-line orbit, a nonzero xy column the
+    line orbit, and no xy or y^2 term the point orbit.
+    """
+    if not all(map(is_exact_scalar, j2)):
+        raise ValueError("the coefficient table is decided on exact coefficients only")
+    xy = (j2.a11, j2.b11, j2.c11)
+    yy = (j2.a02, j2.b02, j2.c02)
+    gammas = [xy[i] * yy[k] - xy[k] * yy[i] for i, k in ((0, 1), (0, 2), (1, 2))]
+    if any(gammas):
+        return ORBIT_PARABOLA
+    if any(yy):
+        return ORBIT_HALF_LINE
+    if any(xy):
+        return ORBIT_LINE
+    return ORBIT_POINT
+
+
 def ik_classify(adapted, tol: Tolerances = DEFAULT_TOL) -> str:
     """Point type of a germ in the reduced nondegenerate normal form.
 
@@ -87,7 +111,7 @@ def ik_classify(adapted, tol: Tolerances = DEFAULT_TOL) -> str:
     """
     j2 = extract_jet2(adapted)
     vals = (j2.a20, j2.a11 - 1, j2.a02, j2.c11, j2.c02)
-    bound = tol.eps_rank * j2.ref
+    bound = tol.eps_rank * j2.second_form.ref
     if not (all(negligible(v, bound) for v in vals) and j2.b02 > 0):
         raise ValueError(
             "germ 2-jet is not in the reduced form (x, xy, b20 x^2 + b11 xy + b02 y^2, c20 x^2)"

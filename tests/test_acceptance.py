@@ -38,7 +38,7 @@ from conftest import (
     transform_germ,
 )
 from golden import GOLDEN_GERMS
-from references import ik_classify
+from references import ik_classify, table_orbit
 
 F = Fraction
 
@@ -93,16 +93,18 @@ def test_criterion_3_orbit_vs_shape_500_random_jets(rng):
 
     for expected, coeffs in hand_built:
         j2 = Jet2(*[F(c) for c in coeffs])
-        assert classify_two_jet(j2) == expected
+        assert table_orbit(j2) == classify_two_jet(j2) == expected
         assert build_parabola(second_form(jet2_to_germ(j2))).orbit == expected
 
+    # the orbit by the coefficient table (an exact reference of the tests)
+    # against the orbit the analysis reads off the parabola's shape
     kinds = ["any", "any", "collinear", "line", "point"]
     disagreements = 0
     for i in range(500):
         j2 = random_jet2(rng, kinds[i % len(kinds)])
-        table = classify_two_jet(j2)
+        table = table_orbit(j2)
         geometry = build_parabola(second_form(jet2_to_germ(j2))).orbit
-        if table != geometry:
+        if table != geometry or classify_two_jet(j2) != geometry:
             disagreements += 1
     assert disagreements == 0
     print("\ncriterion 3 PASS: 500 random rational 2-jets, zero disagreements")

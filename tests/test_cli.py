@@ -340,13 +340,12 @@ def test_column_products_are_the_second_forms_invariants():
     # Every label, frame and umbilic curvature reads the cross and triple
     # products of the columns L, M, N off forms.SecondForm, which computes
     # each once.  oracle.py is exempt: it re-derives results by sampling.
-    # Two references re-derive part of the invariants on purpose, by their
-    # own formulas and from the 2-jet rather than the second form, so that
-    # they can check the label path: classify_two_jet's gamma minors are
-    # w = M x N (up to a factor 2), and with its zero tests of the xy and
-    # y^2 columns they decide the orbit that orbit.consistent compares with
-    # the shape; ik_classify reads the point type off a reduced 2-jet's b20,
-    # the sign that the asymptotic quadratic's discriminant decides.
+    # The orbit of a 2-jet is its second form's shape test.  The tests'
+    # references re-derive part of the invariants on purpose, by their own
+    # formulas and from the 2-jet: references.table_orbit's gamma minors are
+    # w = M x N (up to a factor 2); ik_classify reads the point type off a
+    # reduced 2-jet's b20, the sign that the asymptotic quadratic's
+    # discriminant decides.
     src = Path(curvpar.__file__).parent
     sites = [s for p in sorted(src.glob("*.py")) if p.name != "oracle.py" for s in column_product_sites(p)]
     assert sites == ["forms.w", "forms.l_x_n", "forms.l_x_m"]
@@ -522,9 +521,9 @@ def zero_test_sites(path):
 
 def test_float_zero_tests_read_one_ref():
     # Every float zero test is |x| <= eps * ref**d: ref is linalg.scale_of of
-    # the whole 2-jet, read once into SecondForm.ref and Jet2.ref, and d the
-    # degree of x in the jet.  No floor of 1, no scale of a site's own, and no
-    # bare absolute threshold.  linalg's relative tests take their operands'
+    # the whole 2-jet, read once into SecondForm.ref, and d the degree of x in
+    # the jet.  No floor of 1, no scale of a site's own, and no bare absolute
+    # threshold.  linalg's relative tests take their operands'
     # norms; the oracle agreement checks are exempt.
     src = Path(curvpar.__file__).parent
     found = {"floor": [], "own scale": [], "literal": [], "scale_of": []}
@@ -541,8 +540,36 @@ def test_float_zero_tests_read_one_ref():
         "literal": ["linalg.first_entry_positive", "linalg.orthonormal_extension"],
         # adapt tests the moved germ before its adapted 2-jet exists, and the
         # projection S has rows of its own
-        "scale_of": ["adapt.adapt", "associated.s_asymptotic_directions", "forms.__init__", "germs.ref"],
+        "scale_of": ["adapt.adapt", "associated.s_asymptotic_directions", "forms.__init__"],
     }
+
+
+def unread_imports(source: str) -> list:
+    """Names that a module's imports bind and its code never reads.
+
+    A name counts as read where it is loaded, in an annotation too, or listed
+    in ``__all__``; ``from __future__`` imports bind no name.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__ imports to re-export
+    src = Path(curvpar.__file__).parent
+    found = {p.name: unread_imports(p.read_text()) for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+    assert unread_imports("from .linalg import scale_of, unit\nunit(v)\n") == ["scale_of"]
 
 
 @pytest.mark.parametrize("flag", ["--eps-rank", "--eps-jet", "--eps-disc"])

@@ -54,7 +54,7 @@ def fraction_work(monkeypatch, germs) -> dict:
 
 def test_fraction_work_of_the_golden_corpus(monkeypatch):
     germs = [parse_map_germ(text, 2) for text in GOLDEN_GERMS]
-    assert fraction_work(monkeypatch, germs) == {"arithmetic": 351, "built": 499, "to_float": 348}
+    assert fraction_work(monkeypatch, germs) == {"arithmetic": 351, "built": 397, "to_float": 257}
 
 
 def test_the_float_path_makes_no_fraction(monkeypatch):

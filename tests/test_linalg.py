@@ -442,8 +442,8 @@ def test_one_matrix_invariants_equal_the_per_vector_kernels(rng, kind):
 
 def test_an_exact_analysis_clears_its_second_form_once(monkeypatch):
     # One integer matrix serves every exact invariant of the second form
-    # (linalg.ColumnProducts) and its rank.  What else an analysis clears:
-    # classify_two_jet's two jet columns and a half-line vertex's two dot
+    # (linalg.ColumnProducts) and its rank, and the orbit is read off its
+    # shape test.  What else an analysis clears: a half-line vertex's two dot
     # products.  Clearing a column again shows here.
     cleared = []
     integers = curvpar.linalg._integers
@@ -457,8 +457,8 @@ def test_an_exact_analysis_clears_its_second_form_once(monkeypatch):
     for text in GOLDEN_GERMS:
         cleared.append(0)
         analyze_germ(text)
-    assert max(cleared) <= 14
-    assert sum(cleared) <= 240
+    assert max(cleared) <= 6
+    assert sum(cleared) <= 100
 
 
 def outcome(compute):

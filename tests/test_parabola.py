@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from curvpar.adapt import adapt
 from curvpar.forms import SecondForm, second_form
-from curvpar.germs import Jet2, TruncatedPoly2, extract_jet2
+from curvpar.config import DEFAULT_TOL
+from curvpar.germs import Jet2, MapGermR4, TruncatedPoly2, extract_jet2
 from curvpar.linalg import cross3, dot3, unit
 from curvpar.parabola import (
     ORBIT_HALF_LINE,
@@ -29,6 +30,7 @@ from curvpar.report import analyze_germ
 from composition import compose_source, rotate_target
 from conftest import germ, jet2_to_germ, rand_fraction, random_jet2
 from golden import GOLDEN_GERMS
+from references import table_orbit
 
 F = Fraction
 
@@ -143,11 +145,12 @@ def test_replaced_plane_recomputes_plane_rows():
 
 def test_classify_two_jet_table_rows():
     j = Jet2(0, 1, 0, 0, 0, 1, 0, 0, 0)
-    assert classify_two_jet(j) == ORBIT_PARABOLA
-    assert classify_two_jet(Jet2(*([0] * 9))) == ORBIT_POINT
+    assert classify_two_jet(j) == table_orbit(j) == ORBIT_PARABOLA
+    j = Jet2(*([0] * 9))
+    assert classify_two_jet(j) == table_orbit(j) == ORBIT_POINT
     # only a20 nonzero: all gammas vanish, no xy or y^2 terms anywhere
     j = Jet2(1, 0, 0, 0, 0, 0, 0, 0, 0)
-    assert classify_two_jet(j) == ORBIT_POINT
+    assert classify_two_jet(j) == table_orbit(j) == ORBIT_POINT
     pp = build_parabola(second_form(jet2_to_germ(j)))
     assert pp.shape.kind == "point" and not pp.shape.is_origin
 
@@ -177,17 +180,69 @@ def test_orbit_equals_shape_property(coeffs, mode):
     elif mode == "zero_yy":
         coeffs[2] = coeffs[5] = coeffs[8] = F(0)
     j2 = Jet2(*coeffs)
-    assert classify_two_jet(j2) == build_parabola(second_form(jet2_to_germ(j2))).orbit
+    table = table_orbit(j2)
+    assert classify_two_jet(j2) == table
+    assert build_parabola(second_form(jet2_to_germ(j2))).orbit == table
 
 
 def test_orbit_equals_shape_on_random_jets(rng):
-    # the coefficient criteria and the geometric shape agree (200 draws)
+    # the coefficient table and the geometric shape agree (200 draws)
     kinds = ["any", "any", "collinear", "line", "point"]
     for i in range(200):
         j2 = random_jet2(rng, kinds[i % len(kinds)])
-        table = classify_two_jet(j2)
-        geo = build_parabola(second_form(jet2_to_germ(j2))).orbit
-        assert table == geo, f"disagreement on {j2}"
+        table = table_orbit(j2)
+        assert classify_two_jet(j2) == table, f"disagreement on {j2}"
+        assert build_parabola(second_form(jet2_to_germ(j2))).orbit == table, f"disagreement on {j2}"
+
+
+def band_germ(c):
+    """The float germ (x, x*y, c*y^2, x^2)."""
+    terms = ({(1, 0): 1.0}, {(1, 1): 1.0}, {(0, 2): c}, {(2, 0): 1.0})
+    return MapGermR4([TruncatedPoly2(t, 2) for t in terms])
+
+
+def orbits_of(report) -> tuple:
+    """The three orbit fields of a report: from the coefficients, from the geometry, reduced."""
+    return report["orbit"]["from_coefficients"], report["orbit"]["from_geometry"], report["reduced_two_jet"]["orbit"]
+
+
+@pytest.mark.parametrize("c", [1e-9, 3e-9, 4e-9])
+def test_a_y2_column_near_the_zero_test_reads_one_orbit(c):
+    # the y^2 column of the 2-jet is c, of its second form 2c; the zero test
+    # of that column lies between 1e-9 and 3e-9
+    report = analyze_germ(band_germ(c), verify=True).report
+    table, geometry, reduced = orbits_of(report)
+    assert table == geometry == reduced
+    assert report["orbit"]["consistent"] and report["verification"]["passed"]
+
+
+def test_a_parabola_orbit_reduction_prints_its_orbit():
+    res = analyze_germ(band_germ(3e-9))
+    assert res.profile.shape.label() == "nondegenerate parabola"
+    assert orbits_of(res.report) == (ORBIT_PARABOLA,) * 3
+    # (x, xy, b20 x^2 + b11 xy + b02 y^2, c20 x^2) with b02 = c
+    j = res.reduced.jet2
+    assert (j.a20, j.a11, j.a02, j.c11, j.c02) == (0, 1, 0, 0, 0) and j.b02 == 3e-9
+
+
+@st.composite
+def jets_with_a_y2_column_near_zero(draw):
+    """Float 2-jets whose y^2 column has norm in [eps*ref/4, 4*eps*ref] for the
+    ref of the rest of the jet, and so near the zero test of its second form."""
+    entry = st.floats(-4.0, 4.0, allow_nan=False).filter(lambda v: v == 0.0 or abs(v) > 1e-3)
+    a, m = (draw(st.tuples(entry, entry, entry)) for _ in range(2))
+    direction = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: max(map(abs, v)) > 0.1))
+    ref = Jet2(*(v for row in zip(a, m, (0.0,) * 3) for v in row)).second_form.ref
+    size = DEFAULT_TOL.eps_rank * ref * 4.0 ** draw(st.floats(-1.0, 1.0)) / math.hypot(*direction)
+    return Jet2(*(v for row in zip(a, m, (size * d for d in direction)) for v in row))
+
+
+@settings(max_examples=60, deadline=None)
+@given(jets_with_a_y2_column_near_zero())
+def test_float_jets_near_the_y2_zero_test_read_one_orbit(j2):
+    res = analyze_germ(jet2_to_germ(j2))
+    assert len(set(orbits_of(res.report))) == 1
+    assert res.profile.orbit == classify_two_jet(j2)
 
 
 def test_shape_stratum_correspondence_on_random_jets(rng):
@@ -337,7 +392,7 @@ def test_normal_forms_agree_across_target_rotations(orbit, rng):
                 assert red.orbit == orbit
                 got = [float(v) for row in red.jet2.rows() for v in row]
                 want = want or got
-                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * j2.ref, (rows, j2)
+                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * j2.second_form.ref, (rows, j2)
                 assert_witnesses_reproduce(j2, red)
         assert want[3] > 0 or orbit == ORBIT_PARABOLA
 
